@@ -18,9 +18,9 @@ from .generators import (
     gen_dlcs_reduction, gen_intersection,
 )
 from .model import (
-    EQ, LE, LT, NEQ, Arw, Assign, Guard, InvalidProgramError, NewValue,
-    Program, Read, Relation, Target, Thread, Transition, Write, eval_rel, le,
-    lt, validate,
+    EQ, LE, LT, NEQ, Arw, Assign, Guard, InvalidProgramError,
+    ModelTooLargeError, NewValue, Program, Read, Relation, Target, Thread,
+    Transition, Write, eval_rel, le, lt, validate,
 )
 from .relabs import (
     RelState, abstract_of, canonical_key, decode_key, key_length, rel_apply,
@@ -41,7 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Arw", "Assign", "BOUND_EXHAUSTED", "Bounds", "ConcreteRun",
     "ConcreteStep", "ConcretizationError", "Dfa", "DlcsModel", "EQ",
-    "GenResult", "Guard", "InvalidProgramError", "LE", "LT", "Label", "NEQ",
+    "GenResult", "Guard", "InvalidProgramError", "LE", "LT", "Label",
+    "ModelTooLargeError", "NEQ",
     "NewValue", "NotEnabledError", "ParseError", "Program", "REACHABLE",
     "Read", "RelState", "Relation", "Run", "SourceSpan", "Stats", "Target",
     "Thread",

@@ -48,11 +48,8 @@ from itertools import product
 from typing import Mapping, Optional, Sequence, Union
 
 from .model import (
-    EQ, Arw, Assign, Guard, NewValue, Program, Read, Relation, Target,
+    EQ, Assign, Guard, ModelTooLargeError, NewValue, Program, Read, Relation,
     Transition, Write, eval_rel, program_index,
-)
-from .verdict import (
-    BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, Stats, Verdict,
 )
 
 VK_SENTINEL = "sentinel"
@@ -206,11 +203,19 @@ class AbMachine:
         self.U = self.C + nx * nt
         self.flat_len = self.U + k * nx
 
-        if self.nab > 255 or self.flat_len > 4096 or k + 1 > 255:
-            raise ValueError("model above the desk-scale encoding limits")
-        for names in idx.state_names:
+        # every key component is one byte: ranks stay below nab and control
+        # entries at most max(k + 1, nt, states per thread - 1)
+        if k + 1 > 255:
+            raise ModelTooLargeError(f"k={k} is above the limit of 254 contexts")
+        if nt > 255:
+            raise ModelTooLargeError(f"{nt} threads is above the limit of 255")
+        for tname, names in zip(idx.thread_ids, idx.state_names):
             if len(names) > 255:
-                raise ValueError("thread above the desk-scale limit of 255 states")
+                raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
+                                         "above the limit of 255")
+        if self.nab > 255:
+            raise ModelTooLargeError(f"{self.nab} summary variables at k={k} is above "
+                                     "the limit of 255")
 
         # Backward register liveness per thread.  A register that cannot be
         # read again before being overwritten is reset to the sentinel after
@@ -534,109 +539,3 @@ class ABState:
 def ab_machine(program: Program, k: int) -> AbMachine:
     return AbMachine(program, k)
 
-
-def ab_initial(program: Program, k: int, act: tuple[str, ...]) -> ABState:
-    m = ab_machine(program, k)
-    act_idx = tuple(m.idx.tid[t] for t in act)
-    return ABState(m, m.initial_flat(act_idx))
-
-
-def ab_initial_states(program: Program, k: int) -> list[ABState]:
-    m = ab_machine(program, k)
-    return [ABState(m, f) for f in m.all_initial_flats()]
-
-
-def ab_transitions(program: Program, k: int, s: ABState):
-    m = ab_machine(program, k)
-    return [
-        (m.label_public(core), m.effects_public(eff), ABState(m, s2))
-        for core, eff, s2 in m.transitions_flat(s.flat)
-    ]
-
-
-def ab_concrete_step(program: Program, k: int, s: ABState,
-                     values: Mapping[AbVar, int] | Sequence[int],
-                     label: AbLabel, fresh_value: Optional[int] = None):
-    """Take one step with concrete natural values attached to every summary
-    variable.  Raises GuardFailedError if a guard effect fails and
-    AbNotEnabledError if the label does not apply at s."""
-    m = ab_machine(program, k)
-    eff, s2 = m.apply_flat(s.flat, m.label_core_of(label))
-    m2 = m.apply_effects(m.values_flat(values), eff, fresh_value)
-    return ABState(m, s2), m.values_public(m2)
-
-
-def ab_reach_concrete(program: Program, target: Target, k: int,
-                      value_pool: Sequence[int], depth: int = 10_000,
-                      max_states: int = 200_000) -> Verdict:
-    """Explicit search of the summarized machine with concrete values drawn
-    from a finite pool.  Exact up to the pool, depth and state caps; meant
-    for small differential checks against the bounded TSO search."""
-    m = ab_machine(program, k)
-    tti, tsi = m.idx.target_idx(target)
-    stats = Stats()
-    pool = sorted(set(value_pool))
-
-    from collections import deque
-    import time
-    start = time.perf_counter()
-
-    seen: set[tuple] = set()
-    parents: dict[tuple, tuple] = {}
-    frontier = deque()
-    m0 = (0,) * m.nab
-
-    def finish(found, status, node=None):
-        stats.wall_ms = (time.perf_counter() - start) * 1000.0
-        witness = None
-        if found:
-            steps = []
-            cur = node
-            while parents[cur] is not None:
-                prev, core, fresh = parents[cur]
-                steps.append((m.label_public(core), fresh))
-                cur = prev
-            steps.reverse()
-            witness = steps
-        return Verdict(found, status, witness, stats)
-
-    for flat in m.all_initial_flats():
-        node = (flat, m0)
-        if node not in seen:
-            seen.add(node)
-            parents[node] = None
-            frontier.append(node)
-            if flat[m.ST + tti] == tsi:
-                return finish(True, REACHABLE, node)
-
-    level = 0
-    while frontier and level < depth:
-        level += 1
-        nxt = deque()
-        while frontier:
-            node = frontier.popleft()
-            s, vals = node
-            stats.states_explored += 1
-            for core, eff, s2 in m.transitions_flat(s):
-                has_fresh = any(e[0] == "fresh" for e in eff)
-                choices = pool if has_fresh else (None,)
-                for v in choices:
-                    try:
-                        vals2 = m.apply_effects(vals, eff, v)
-                    except GuardFailedError:
-                        continue
-                    node2 = (s2, vals2)
-                    if node2 in seen:
-                        continue
-                    seen.add(node2)
-                    parents[node2] = (node, core, v)
-                    if s2[m.ST + tti] == tsi:
-                        return finish(True, REACHABLE, node2)
-                    if len(seen) > max_states:
-                        return finish(False, BOUND_EXHAUSTED)
-                    nxt.append(node2)
-        frontier = nxt
-        stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-    if frontier:
-        return finish(False, BOUND_EXHAUSTED)
-    return finish(False, UNREACHABLE)

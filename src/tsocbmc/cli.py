@@ -4,8 +4,10 @@ Subcommands: parse (canonicalize a model file), check (context-bounded
 reachability through the abstraction), simulate (bounded concrete search,
 plain or context-bounded), gen (emit generated programs), selftest (the
 randomized differential suites).  Exit codes: 0 for unreachable or plain
-success, 1 for reachable, 2 for usage or parse errors, 3 when a search gave
-up on a resource bound.
+success, 1 for reachable, 2 for usage or parse errors or a model above the
+encoding limits, 3 when a search gave up on a resource bound (state count,
+or current resident memory against TSOCBMC_MAX_MB), 4 for an internal error
+such as a witness that fails to concretize.  No failure exits 0 or 1.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ from .dsl import (
 from .engine import ConcretizationError, check_reach, concretize_witness
 from .generators import gen_bakery, gen_dlcs_reduction, gen_intersection
 from .model import (
-    InvalidProgramError, Program, Target, program_index, validate,
+    InvalidProgramError, ModelTooLargeError, Program, Target, program_index,
+    validate,
 )
 from .selftest import run_suites
 from .tso import Bounds, cb_reach_bounded, tso_reach_bounded
@@ -147,9 +150,6 @@ def _cmd_check(args) -> int:
         raise UsageError("--k expects a positive context count")
     program, inline = _load_program(args.file)
     target = _resolve_target(args, program, inline)
-    if args.threads != 1:
-        print("note: the search runs on a single thread; --threads ignored",
-              file=sys.stderr)
     max_mb = None
     env = os.environ.get("TSOCBMC_MAX_MB")
     if env:
@@ -277,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true",
                    help="print the witness steps when reachable")
     p.add_argument("--max-states", type=int, default=2_000_000)
-    p.add_argument("--threads", type=int, default=1,
-                   help="search worker count (only 1 is used)")
     p.add_argument("--out", help="write a JSON report here")
     p.set_defaults(fn=_cmd_check)
 
@@ -343,12 +341,19 @@ def main(argv=None) -> int:
         for d in e.diagnostics:
             print(d, file=sys.stderr)
         return 2
-    except ConcretizationError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+    except ModelTooLargeError as e:
+        print(f"model too large: {e}", file=sys.stderr)
         return 2
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except ConcretizationError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 4
+    except Exception as e:
+        # an uncaught exception would exit 1, which reads as "reachable"
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

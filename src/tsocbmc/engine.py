@@ -17,6 +17,7 @@ A positive verdict carries an abstract witness.  From it we can
 """
 from __future__ import annotations
 
+import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from itertools import product
 from typing import Optional
 
 from .abmachine import (
-    ABState, AbEffect, AbLabel, AbMachine, GuardFailedError, ab_machine,
+    AbEffect, AbLabel, AbMachine, GuardFailedError, ab_machine,
 )
 from .model import LT, NewValue, Program, Target, eval_rel
 from .relabs import abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_initial
@@ -60,9 +61,16 @@ class ConcreteRun:
     steps: tuple[ConcreteStep, ...]
 
 
-def _peak_rss_mb() -> float:
-    import resource
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _rss_mb() -> float:
+    """Current resident set size.  Where /proc/self/statm is missing this
+    falls back to the lifetime peak, which only ever grows."""
+    try:
+        with open("/proc/self/statm", "rb") as f:
+            pages = int(f.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except (OSError, ValueError, IndexError):
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _seed_order(m: AbMachine, tti: int) -> list[tuple[int, ...]]:
@@ -144,7 +152,7 @@ def check_reach(program: Program, target: Target, k: int,
             flat, ranks = decode_key(m.flat_len, key)
             stats.states_explored += 1
             checked += 1
-            if max_mb is not None and checked % 4096 == 0 and _peak_rss_mb() > max_mb:
+            if max_mb is not None and checked % 4096 == 0 and _rss_mb() > max_mb:
                 return finish(False, BOUND_EXHAUSTED)
             for core, eff, flat2 in m.transitions_flat(flat):
                 hit = flat2[m.ST + tti] == tsi

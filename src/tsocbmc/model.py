@@ -158,6 +158,23 @@ class Program:
                     n_max = max(n_max, tr.op.rel.n)
         return Program(threads, tuple(shared_vars), n_max)
 
+    def __hash__(self) -> int:
+        # The value hash walks every transition, and the engines look the
+        # program up by value (program_index, ab_machine) on every step, so
+        # it is computed once.  Equality stays the generated field compare.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.threads, self.shared_vars, self.n_max))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: never ship the cached one
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Target:
@@ -243,6 +260,11 @@ class InvalidProgramError(ValueError):
     def __init__(self, diags: list[str]):
         super().__init__("; ".join(diags))
         self.diagnostics = diags
+
+
+class ModelTooLargeError(ValueError):
+    """The model is valid but above a limit of the search encoding; the
+    message names the limit."""
 
 
 class ProgramIndex:

@@ -21,6 +21,13 @@ A fresh value lands either inside one of the m+1 existing classes or in one
 of the m+1 slots strictly between adjacent classes or above the top class.
 There is no slot below the bottom class: the sentinel lives there and no
 natural is smaller than 0.
+
+rel_apply re-ranks incrementally instead of re-sorting the whole tuple, and
+keeps the same invariant as _densify (the reference, still used for
+abstract_of and at context switches): ranks stay dense and equal values
+share a rank.  A copy only shifts the ranks above a class it emptied; a
+fresh value closes the gap its old singleton class leaves, then opens one
+above the class it lands after.
 """
 from __future__ import annotations
 
@@ -60,19 +67,15 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
 
     copy, multi and passing guards give one successor, failing guards give
     none, and a fresh assignment branches over every placement of the new
-    value relative to the other variables.
+    value relative to the other variables: join class c, then strictly above
+    c, for c = 0..m over the others' classes in ascending order.
     """
     states = [ranks]
     for eff in effects:
         tag = eff[0]
         if tag == "copy":
             _, d, s = eff
-            nxt = []
-            for r in states:
-                r2 = list(r)
-                r2[d] = r[s]
-                nxt.append(_densify(r2))
-            states = nxt
+            states = [_copy(r, d, s) for r in states]
         elif tag == "guard":
             _, rel, a, b = eff
             states = [r for r in states if rel_check(rel, r[a], r[b])]
@@ -80,16 +83,9 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
             d = eff[1]
             nxt = []
             for r in states:
-                others = [r[i] for i in range(len(r)) if i != d]
-                classes = sorted(set(others))
-                # double the scale: even slots join a class, odd slots sit
-                # strictly above it (between classes, or above the top)
-                doubled = {v: 2 * i for i, v in enumerate(classes)}
-                for slot in range(2 * len(classes)):
-                    r2 = [doubled[r[i]] if i != d else slot for i in range(len(r))]
-                    nxt.append(_densify(r2))
+                _fresh(r, d, nxt)
             states = nxt
-        else:  # multi: simultaneous copies
+        else:  # multi: simultaneous copies; only at a context switch
             pairs = eff[1]
             nxt = []
             for r in states:
@@ -100,6 +96,41 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
                 nxt.append(_densify(r2))
             states = nxt
     return states
+
+
+def _copy(r: tuple[int, ...], d: int, s: int) -> tuple[int, ...]:
+    """r with d moved into s's class, re-ranked in place: only when d's old
+    class empties do the ranks above it shift down by one."""
+    old, new = r[d], r[s]
+    if old == new:
+        return r
+    r2 = list(r)
+    r2[d] = new
+    if old in r2:
+        return tuple(r2)
+    return tuple([v - 1 if v > old else v for v in r2])
+
+
+def _fresh(r: tuple[int, ...], d: int, out: list) -> None:
+    """Append every placement of a fresh value at d to out."""
+    old = r[d]
+    if r.count(old) > 1:
+        # d shares its class: the others' ranks are already dense
+        others = list(r)
+        width = max(r) + 1
+    else:
+        # d was alone in its class, whose removal leaves a gap to close
+        others = [v - 1 if v > old else v for v in r]
+        width = max(r)
+    others[d] = 0
+    for c in range(width):
+        joined = list(others)
+        joined[d] = c
+        out.append(tuple(joined))
+        # strictly above c: every class above c moves up one
+        above = [v + 1 if v > c else v for v in others]
+        above[d] = c + 1
+        out.append(tuple(above))
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .model import (
-    Arw, Assign, Guard, NewValue, Program, ProgramIndex, Read, Target,
-    Thread, Transition, Write, eval_rel, program_index,
+    Arw, Assign, Guard, ModelTooLargeError, NewValue, Program, ProgramIndex,
+    Read, Target, Thread, Transition, Write, eval_rel, program_index,
 )
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
@@ -208,9 +208,10 @@ class _Codec:
         self.nt = len(self.idx.thread_ids)
         self.nr = len(self.idx.regs)
         self.nx = len(self.idx.vars)
-        for names in self.idx.state_names:
+        for tname, names in zip(self.idx.thread_ids, self.idx.state_names):
             if len(names) > 255:
-                raise ValueError("thread above the desk-scale limit of 255 states")
+                raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
+                                         "above the limit of 255")
 
     def encode(self, c: TsoConfig, extra: tuple[int, ...] = ()) -> bytes:
         flat = list(c.st)

@@ -109,10 +109,43 @@ def test_check_max_mb_env(monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_threads_flag_notes_single_thread(capsys):
-    assert main(["check", MP, "--k", "1", "--threads", "4"]) == 0
+def test_model_above_encoding_limits_exits_2(tmp_path, capsys):
+    # failures must never exit 1, which reads as "reachable"
+    big = tmp_path / "bakery6.tso"
+    assert main(["gen", "bakery", "--n", "6", "--out", str(big)]) == 0
+    assert main(["check", str(big), "--k", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "model too large" in captured.err
+    assert "summary variables" in captured.err and "255" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert main(["check", MP, "--k", "300"]) == 2
     err = capsys.readouterr().err
-    assert "single thread" in err
+    assert "model too large" in err and "k=300" in err
+
+
+def test_concretization_failure_exits_4(monkeypatch, capsys):
+    import tsocbmc.cli as cli
+    from tsocbmc import ConcretizationError
+
+    def broken(program, witness):
+        raise ConcretizationError("replay left the witness ranks")
+
+    monkeypatch.setattr(cli, "concretize_witness", broken)
+    assert main(["check", MP, "--k", "2"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "witness ranks" in err
+
+
+def test_unexpected_exception_exits_4(monkeypatch, capsys):
+    import tsocbmc.cli as cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "check_reach", crash)
+    assert main(["check", MP, "--k", "1"]) == 4
+    err = capsys.readouterr().err
+    assert "internal error" in err and "boom" in err
 
 
 def test_simulate_modes(capsys):
@@ -244,3 +277,6 @@ def test_usage_errors(capsys):
     assert main(["check", MP, "--k", "0"]) == 2
     err = capsys.readouterr().err
     assert "positive context count" in err
+    assert main(["check", MP, "--k", "1", "--threads", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "--threads" in err

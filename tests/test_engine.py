@@ -176,3 +176,18 @@ def test_monotone_in_k():
     reach = [check_reach(p, tgt, k).reachable for k in (1, 2, 3)]
     assert reach == sorted(reach)  # once reachable, stays reachable
     assert reach[1] and reach[2]
+
+
+def test_memory_cap_reads_current_not_peak_rss():
+    # a large allocation freed before the search raises the lifetime peak
+    # but not the resident size; the cap must only see the latter
+    from tsocbmc.engine import _rss_mb
+    from tsocbmc.generators import gen_bakery
+    g = gen_bakery(1)
+    base = _rss_mb()
+    blob = b"\x01" * (300 * 2**20)
+    assert _rss_mb() > base + 250
+    del blob
+    v = check_reach(g.program, g.target, 2, max_mb=base + 150)
+    assert v.status == UNREACHABLE
+    assert v.stats.states_explored == 4358

@@ -116,3 +116,23 @@ def test_program_index_refuses_invalid():
     bad = Thread("t", ("q0",), ("a",), "missing", ())
     with pytest.raises(InvalidProgramError):
         program_index(Program.make([bad], []))
+
+
+def test_equal_programs_share_hash_and_index():
+    import pickle
+
+    def build():
+        t = Thread("a", ("q0", "q1"), ("r", "s"), "q0",
+                   (Transition("q0", Guard(lt(2), "r", "s"), "q1"),
+                    Transition("q1", Write("x", "r"), "q0")))
+        return Program.make([t], ["x"])
+
+    p1, p2 = build(), build()
+    assert p1 is not p2
+    assert hash(p1) == hash(p2) == hash(p1)
+    assert p1 == p2
+    assert program_index(p1) is program_index(p2)
+    # the cached hash is per process, so it must not travel with a pickle
+    p3 = pickle.loads(pickle.dumps(p1))
+    assert "_hash" not in vars(p3)
+    assert p3 == p1 and hash(p3) == hash(p1)

@@ -90,6 +90,79 @@ def test_fresh_placements_cover_every_concrete_outcome():
             assert abstract_of(vals2) in placements
 
 
+def _densify_ref(vals):
+    ordered = sorted(set(vals))
+    return tuple(ordered.index(v) for v in vals)
+
+
+def _rel_apply_ref(ranks, effects):
+    # the plain definition: apply each effect on a doubled scale where
+    # needed, then re-rank the whole tuple
+    states = [ranks]
+    for eff in effects:
+        nxt = []
+        for r in states:
+            if eff[0] == "copy":
+                r2 = list(r)
+                r2[eff[1]] = r[eff[2]]
+                nxt.append(_densify_ref(r2))
+            elif eff[0] == "guard":
+                if rel_check(eff[1], r[eff[2]], r[eff[3]]):
+                    nxt.append(r)
+            elif eff[0] == "fresh":
+                d = eff[1]
+                classes = sorted({v for i, v in enumerate(r) if i != d})
+                doubled = {v: 2 * i for i, v in enumerate(classes)}
+                for slot in range(2 * len(classes)):
+                    r2 = [slot if i == d else doubled[v] for i, v in enumerate(r)]
+                    nxt.append(_densify_ref(r2))
+            else:
+                r2 = list(r)
+                for d, s in eff[1]:
+                    r2[d] = r[s]
+                nxt.append(_densify_ref(r2))
+        states = nxt
+    return states
+
+
+@pytest.mark.parametrize("ranks,effects", [
+    ((0, 1, 1, 2), [("copy", 1, 2)]),            # into its own class
+    ((0, 1, 1, 2), [("copy", 1, 3)]),            # leaves a shared class
+    ((0, 1, 2, 2), [("copy", 1, 0)]),            # empties a singleton class
+    ((0, 2, 1, 2), [("copy", 2, 1)]),            # empties a middle class
+    ((0, 1, 2, 1), [("fresh", 2)]),              # fresh on a singleton
+    ((0, 1, 1, 2), [("fresh", 1)]),              # fresh on a shared class
+    ((0, 1, 2), [("multi", ((1, 2), (2, 1)))]),
+    ((0, 1, 2), [("guard", LT, 2, 1)]),          # failing guard: no successor
+    ((0, 1, 2), [("fresh", 1), ("guard", LT, 1, 2), ("copy", 2, 0)]),
+])
+def test_rel_apply_matches_reference_cases(ranks, effects):
+    assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
+
+
+def test_rel_apply_matches_reference_on_random_effects():
+    rng = random.Random(11)
+    rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
+    for _ in range(3000):
+        n = rng.randrange(1, 8)
+        ranks = abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
+        effects = []
+        for _ in range(rng.randrange(1, 5)):
+            tag = rng.choice(("copy", "guard", "fresh", "multi"))
+            if tag == "copy":
+                effects.append(("copy", rng.randrange(n), rng.randrange(n)))
+            elif tag == "guard":
+                effects.append(("guard", rng.choice(rels),
+                                rng.randrange(n), rng.randrange(n)))
+            elif tag == "fresh":
+                effects.append(("fresh", rng.randrange(n)))
+            else:
+                dsts = rng.sample(range(n), rng.randrange(1, n + 1))
+                effects.append(("multi", tuple((d, rng.randrange(n)) for d in dsts)))
+        # list equality: the successors and their order
+        assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
+
+
 def test_rel_state_wrapper():
     s = RelState(abstract_of((4, 4, 7, 1)))
     assert s.width == 3
