@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -109,6 +110,7 @@ def _report(verdict: Verdict, k: Optional[int], target: Target,
         "witness": witness_steps,
         "stats": {
             "states_explored": verdict.stats.states_explored,
+            "control_states": verdict.stats.control_states,
             "peak_frontier": verdict.stats.peak_frontier,
             "wall_ms": int(round(verdict.stats.wall_ms)),
         },
@@ -148,6 +150,7 @@ def _cmd_parse(args) -> int:
 def _cmd_check(args) -> int:
     if args.k < 1:
         raise UsageError("--k expects a positive context count")
+    _check_max_states(args)
     program, inline = _load_program(args.file)
     target = _resolve_target(args, program, inline)
     max_mb = None
@@ -182,7 +185,15 @@ def _cmd_check(args) -> int:
     return _exit_for(verdict)
 
 
+def _check_max_states(args) -> None:
+    # a cap below 1 would end the search at once and exit 3, as if it had
+    # run out of room
+    if args.max_states < 1:
+        raise UsageError("--max-states expects a positive state count")
+
+
 def _cmd_simulate(args) -> int:
+    _check_max_states(args)
     program, inline = _load_program(args.file)
     target = _resolve_target(args, program, inline)
     try:
@@ -244,6 +255,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    if not 0 < args.scale < math.inf:   # also rejects nan
+        raise UsageError("--scale expects a positive finite multiplier")
     try:
         results = run_suites(seed=args.seed, scale=args.scale, only=args.suite)
     except ValueError as e:

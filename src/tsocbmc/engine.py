@@ -6,6 +6,12 @@ state is stored as its byte string; the encoding is the identity per
 component and therefore injective, which makes the key *be* the state and
 keeps the visited set compact for desk-scale models.
 
+Many rank tuples share one control state, and a control state's successors
+(labels, effects, successor control, whether it hits the target) do not
+depend on the ranks.  So each search computes them once per control state
+and reuses them for every rank tuple paired with it; the table lives only
+as long as that search.
+
 A positive verdict carries an abstract witness.  From it we can
 
   * concretize: replay the steps assigning actual naturals, inflating the
@@ -111,9 +117,12 @@ def check_reach(program: Program, target: Target, k: int,
 
     r0 = rel_initial(m.nab)
     visited: dict[bytes, Optional[tuple[bytes, tuple]]] = {}
+    # control state -> [(label, effects, successor control bytes, hits target)]
+    succ: dict[tuple[int, ...], list] = {}
 
     def finish(found: bool, status: str, node: Optional[bytes] = None) -> Verdict:
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
+        stats.control_states = len(succ)
         witness = None
         if found:
             chain = []
@@ -154,8 +163,12 @@ def check_reach(program: Program, target: Target, k: int,
             checked += 1
             if max_mb is not None and checked % 4096 == 0 and _rss_mb() > max_mb:
                 return finish(False, BOUND_EXHAUSTED)
-            for core, eff, flat2 in m.transitions_flat(flat):
-                hit = flat2[m.ST + tti] == tsi
+            moves = succ.get(flat)
+            if moves is None:
+                moves = succ[flat] = [
+                    (core, eff, bytes(flat2), flat2[m.ST + tti] == tsi)
+                    for core, eff, flat2 in m.transitions_flat(flat)]
+            for core, eff, flat2, hit in moves:
                 for ranks2 in rel_apply(ranks, eff):
                     key2 = canonical_key(flat2, ranks2)
                     if key2 in visited:

@@ -24,10 +24,13 @@ natural is smaller than 0.
 
 rel_apply re-ranks incrementally instead of re-sorting the whole tuple, and
 keeps the same invariant as _densify (the reference, still used for
-abstract_of and at context switches): ranks stay dense and equal values
-share a rank.  A copy only shifts the ranks above a class it emptied; a
-fresh value closes the gap its old singleton class leaves, then opens one
-above the class it lands after.
+abstract_of): ranks stay dense and equal values share a rank.  A copy only
+shifts the ranks above a class it emptied; a fresh value closes the gap its
+old singleton class leaves, then opens one above the class it lands after.
+A multi (the context-switch flush) whose destinations are none of its
+sources is applied as its copies one after another, which is the same
+result; only a multi where a destination is also a source, a simultaneous
+swap, rebuilds the tuple through _densify.
 """
 from __future__ import annotations
 
@@ -87,6 +90,12 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
             states = nxt
         else:  # multi: simultaneous copies; only at a context switch
             pairs = eff[1]
+            if {d for d, _ in pairs}.isdisjoint([s for _, s in pairs]):
+                # no copy overwrites another's source, so one at a time
+                # gives the simultaneous result
+                for d, s in pairs:
+                    states = [_copy(r, d, s) for r in states]
+                continue
             nxt = []
             for r in states:
                 r2 = list(r)

@@ -13,6 +13,7 @@ BOUND_EXHAUSTED = "bound_exhausted"
 @dataclass
 class Stats:
     states_explored: int = 0
+    control_states: int = 0   # distinct control states whose successors were computed
     peak_frontier: int = 0
     wall_ms: float = 0.0
 

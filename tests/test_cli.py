@@ -69,6 +69,8 @@ def test_check_json_report(tmp_path, capsys):
     assert data["k"] == 2
     assert data["target"] == {"thread": "r", "state": "done"}
     assert data["stats"]["states_explored"] > 0
+    # every explored state pairs one of the control states with ranks
+    assert 0 < data["stats"]["control_states"] <= data["stats"]["states_explored"]
     assert isinstance(data["stats"]["wall_ms"], int)
     assert data["witness"], "a reachable report carries witness steps"
     step = data["witness"][0]
@@ -280,3 +282,63 @@ def test_usage_errors(capsys):
     assert main(["check", MP, "--k", "1", "--threads", "4"]) == 2
     err = capsys.readouterr().err
     assert "--threads" in err
+    # a bad cap is bad input, not a search that hit its cap (exit 3)
+    for argv in (["check", MP, "--k", "1", "--max-states", "-5"],
+                 ["check", MP, "--k", "1", "--max-states", "0"],
+                 ["simulate", MP, "--tso", "--max-states", "-1"],
+                 ["simulate", MP, "--cb", "2", "--max-states", "0"]):
+        assert main(argv) == 2, argv
+        assert "--max-states" in capsys.readouterr().err
+    for scale in ("-1", "0", "nan", "inf"):
+        assert main(["selftest", "--scale", scale]) == 2, scale
+        assert "--scale" in capsys.readouterr().err
+
+
+_NUMBERS = ("0", "1", "255", "256", "300", "65536", "1" + "0" * 30)
+
+
+def _mutate(text, rng):
+    """One to three random edits of a model file: a line deleted or
+    duplicated, two tokens swapped, or a token replaced by an out-of-range
+    number, bare or as a relation offset."""
+    lines = text.splitlines()
+    for _ in range(rng.randrange(1, 4)):
+        op = rng.randrange(4)
+        i = rng.randrange(len(lines))
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, lines[i])
+        else:
+            words = [(n, w) for n, line in enumerate(lines)
+                     for w in range(len(line.split()))]
+            rows = [line.split() for line in lines]
+            (n1, w1), (n2, w2) = rng.choice(words), rng.choice(words)
+            if op == 2:
+                rows[n1][w1], rows[n2][w2] = rows[n2][w2], rows[n1][w1]
+            else:
+                num = rng.choice(_NUMBERS)
+                rows[n1][w1] = rng.choice((num, "<" + num, "<=" + num))
+            lines = [" ".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_models_never_crash(tmp_path, capsys):
+    # every mutant ends in a documented verdict, usage or cap exit, never
+    # in an internal error (4) or a traceback
+    import random
+    rng = random.Random(2024)
+    seen = {0: 0, 1: 0, 2: 0, 3: 0}
+    for src in (SB, MP):
+        text = Path(src).read_text()
+        for n in range(150):
+            f = tmp_path / f"m{n}.tso"
+            mutant = _mutate(text, rng)
+            f.write_text(mutant)
+            rc = main(["check", str(f), "--k", "2", "--max-states", "20000"])
+            out = capsys.readouterr()
+            assert rc in seen, (rc, out.err, mutant)
+            assert "Traceback" not in out.out + out.err, mutant
+            seen[rc] += 1
+    # the mutants reach the search, not only the parser
+    assert seen[0] and seen[1] and seen[2]

@@ -191,3 +191,30 @@ def test_memory_cap_reads_current_not_peak_rss():
     v = check_reach(g.program, g.target, 2, max_mb=base + 150)
     assert v.status == UNREACHABLE
     assert v.stats.states_explored == 4358
+
+
+def test_control_successors_computed_once_per_control_state(monkeypatch):
+    # many rank tuples share a control state; its successors are computed
+    # on first sight and reused for the rest of that search only
+    from tsocbmc.abmachine import AbMachine
+    from tsocbmc.generators import gen_bakery
+    calls = []
+    real = AbMachine.transitions_flat
+
+    def spy(self, s):
+        calls.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(AbMachine, "transitions_flat", spy)
+    g = gen_bakery(1)
+    v = check_reach(g.program, g.target, 2)
+    assert v.status == UNREACHABLE
+    assert v.stats.states_explored == 4358
+    assert len(calls) == 173
+    assert len(set(calls)) == len(calls)
+    assert v.stats.control_states == len(calls)
+    # a second search on the same machine starts from an empty table
+    calls.clear()
+    v2 = check_reach(g.program, g.target, 2)
+    assert v2.stats.states_explored == 4358
+    assert len(calls) == 173

@@ -132,9 +132,14 @@ def _rel_apply_ref(ranks, effects):
     ((0, 2, 1, 2), [("copy", 2, 1)]),            # empties a middle class
     ((0, 1, 2, 1), [("fresh", 2)]),              # fresh on a singleton
     ((0, 1, 1, 2), [("fresh", 1)]),              # fresh on a shared class
-    ((0, 1, 2), [("multi", ((1, 2), (2, 1)))]),
+    ((0, 1, 2), [("multi", ((1, 2), (2, 1)))]),  # swap: the _densify path
     ((0, 1, 2), [("guard", LT, 2, 1)]),          # failing guard: no successor
     ((0, 1, 2), [("fresh", 1), ("guard", LT, 1, 2), ("copy", 2, 0)]),
+    ((0, 1, 2, 2), [("multi", ((1, 3),))]),      # flush empties a singleton
+    ((0, 1, 1, 2), [("multi", ((1, 2),))]),      # already in the source's class
+    ((0, 1, 2, 3), [("multi", ((1, 3), (2, 3)))]),  # two pairs, one source
+    ((0, 2, 1, 3, 1), [("multi", ((1, 3), (2, 4))),  # a flush as _switch
+                       ("copy", 3, 0), ("copy", 4, 0)]),  # emits it
 ])
 def test_rel_apply_matches_reference_cases(ranks, effects):
     assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
