@@ -94,9 +94,12 @@ def _resolve_target(args, program: Program, inline: Optional[Target]) -> Target:
 
 
 def _exit_for(verdict: Verdict) -> int:
+    """The exit code of a verdict; a capped search also names its cap on
+    stderr (stdout keeps the one summary line)."""
     if verdict.reachable:
         return 1
     if verdict.status == BOUND_EXHAUSTED:
+        print(f"stopped by {verdict.stats.stop_reason}", file=sys.stderr)
         return 3
     return 0
 
@@ -113,6 +116,7 @@ def _report(verdict: Verdict, k: Optional[int], target: Target,
             "control_states": verdict.stats.control_states,
             "peak_frontier": verdict.stats.peak_frontier,
             "wall_ms": int(round(verdict.stats.wall_ms)),
+            "stop_reason": verdict.stats.stop_reason,
         },
     }
 

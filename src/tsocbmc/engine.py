@@ -162,6 +162,7 @@ def check_reach(program: Program, target: Target, k: int,
             stats.states_explored += 1
             checked += 1
             if max_mb is not None and checked % 4096 == 0 and _rss_mb() > max_mb:
+                stats.stop_reason = "max_mb"
                 return finish(False, BOUND_EXHAUSTED)
             moves = succ.get(flat)
             if moves is None:
@@ -178,6 +179,7 @@ def check_reach(program: Program, target: Target, k: int,
                     if hit:
                         return finish(True, REACHABLE, key2)
                     if len(visited) > max_states:
+                        stats.stop_reason = "max_states"
                         return finish(False, BOUND_EXHAUSTED)
                     frontier.append(key2)
     return finish(False, UNREACHABLE)

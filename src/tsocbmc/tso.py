@@ -15,17 +15,26 @@ and `bound_exhausted` means a resource cap was hit first.
 
 `cb_reach_bounded` additionally restricts runs to at most k contexts: maximal
 blocks of steps (operations and buffer updates alike) by a single thread.
+
+`tso_enabled` and `tso_step` are the only semantics, and they run on a step
+table built once per program (`_plan`): each thread's moves from each state,
+in declaration order, with state, register and variable names resolved to
+integers, and one Label per move, shared by every call.  `tso_step` finds
+the record of a label's transition by identity and resolves any other label
+by value, with the same result.  The searches map each visited
+configuration, encoded as a byte string, to its parent's key and the label
+that reached it, and rebuild the witness by replaying those labels.
 """
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import lru_cache
+from typing import Optional
 
 from .model import (
     Arw, Assign, Guard, ModelTooLargeError, NewValue, Program, ProgramIndex,
-    Read, Target, Thread, Transition, Write, eval_rel, program_index,
+    Read, Target, Transition, Write, eval_rel, program_index,
 )
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
@@ -111,40 +120,117 @@ def _latest_buffered(buf: tuple[tuple[int, int], ...], x: int) -> Optional[int]:
     return None
 
 
+# --- the step table ----------------------------------------------------------
+
+# move kinds; the two below _GUARD are always enabled
+_ASSIGN, _READ, _GUARD, _WRITE, _NEW, _ARW = range(6)
+
+
+class _ValueLabels(dict):
+    """domain_bound -> the labels of one `r := *` transition for the values
+    0..domain_bound, built on first use."""
+
+    def __init__(self, thread: str, tr: Transition):
+        super().__init__()
+        self.thread = thread
+        self.tr = tr
+
+    def __missing__(self, bound: int) -> tuple[Label, ...]:
+        labels = self[bound] = tuple(Label(self.thread, self.tr, v)
+                                     for v in range(bound + 1))
+        return labels
+
+
+def _record(idx: ProgramIndex, ti: int, tr: Transition) -> tuple:
+    """(tr, ti, src, dst, kind, x, y, z): the transition with its state names
+    resolved in thread ti and its operands as register or variable ids (the
+    relation for a guard, the update register for an arw).  dst is None when
+    thread ti has no such state, which only a label naming another thread's
+    transition can cause."""
+    sid = idx.state_id[ti]
+    rid = idx.rid
+    op = tr.op
+    if isinstance(op, Assign):
+        ops = (_ASSIGN, rid[op.dst], rid[op.src], None)
+    elif isinstance(op, NewValue):
+        ops = (_NEW, rid[op.dst], None, None)
+    elif isinstance(op, Guard):
+        ops = (_GUARD, rid[op.left], rid[op.right], op.rel)
+    elif isinstance(op, Read):
+        ops = (_READ, idx.vid[op.var], rid[op.dst], None)
+    elif isinstance(op, Write):
+        ops = (_WRITE, idx.vid[op.var], rid[op.src], None)
+    else:
+        ops = (_ARW, idx.vid[op.var], rid[op.expect], rid[op.update])
+    return (tr, ti, sid[tr.src], sid.get(tr.dst)) + ops
+
+
+class _Plan:
+    """The step table of one program.  moves[ti][state] lists the thread's
+    outgoing moves in declaration order as (kind, label, x, y, z), with one
+    shared Label per transition (a _ValueLabels for `r := *`); updates[ti]
+    is the thread's update label; steps maps id(transition) to its _record.
+    The records keep the transitions alive, so those ids are not reused."""
+
+    def __init__(self, program: Program):
+        idx = self.idx = program_index(program)
+        self.tid = idx.tid
+        self.updates = tuple(Label(tname, None) for tname in idx.thread_ids)
+        self.steps: dict[int, tuple] = {}
+        self.moves = []
+        for ti, tname in enumerate(idx.thread_ids):
+            per_state = []
+            for out in idx.out[ti]:
+                moves = []
+                for _, tr in out:
+                    rec = self.steps.setdefault(id(tr), _record(idx, ti, tr))
+                    kind = rec[4]
+                    label = (_ValueLabels(tname, tr) if kind == _NEW
+                             else Label(tname, tr))
+                    moves.append((kind, label) + rec[5:])
+                per_state.append(tuple(moves))
+            self.moves.append(tuple(per_state))
+
+
+@lru_cache(maxsize=None)
+def _plan(program: Program) -> _Plan:
+    return _Plan(program)
+
+
 def tso_enabled(program: Program, c: TsoConfig, b: Bounds) -> list[Label]:
     """Enabled labels, in a fixed order: threads in declaration order; per
     thread its transitions in declaration order (values ascending for
-    `r := *`), then the update step."""
-    idx = program_index(program)
+    `r := *`), then the update step.  Repeated calls return the same Label
+    objects."""
+    plan = _plan(program)
+    rval, mem = c.rval, c.mem
     out: list[Label] = []
-    for ti, tname in enumerate(idx.thread_ids):
-        for _, tr in idx.out[ti][c.st[ti]]:
-            op = tr.op
-            if isinstance(op, (Assign, Read)):
-                out.append(Label(tname, tr))
-            elif isinstance(op, NewValue):
-                for v in range(b.domain_bound + 1):
-                    out.append(Label(tname, tr, v))
-            elif isinstance(op, Guard):
-                if eval_rel(op.rel, c.rval[idx.rid[op.left]], c.rval[idx.rid[op.right]]):
-                    out.append(Label(tname, tr))
-            elif isinstance(op, Write):
-                if len(c.buf[ti]) < b.buffer_bound:
-                    out.append(Label(tname, tr))
-            else:  # Arw
-                if not c.buf[ti] and c.mem[idx.vid[op.var]] == c.rval[idx.rid[op.expect]]:
-                    out.append(Label(tname, tr))
-        if c.buf[ti]:
-            out.append(Label(tname, None))
+    for moves, s, buf, update in zip(plan.moves, c.st, c.buf, plan.updates):
+        for kind, label, x, y, z in moves[s]:
+            if kind < _GUARD:
+                out.append(label)
+            elif kind == _GUARD:
+                if eval_rel(z, rval[x], rval[y]):
+                    out.append(label)
+            elif kind == _WRITE:
+                if len(buf) < b.buffer_bound:
+                    out.append(label)
+            elif kind == _NEW:
+                out.extend(label[b.domain_bound])
+            elif not buf and mem[x] == rval[y]:   # _ARW
+                out.append(label)
+        if buf:
+            out.append(update)
     return out
 
 
 def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
     """Apply one label.  Checks semantic enabledness (guards, arw conditions,
     non-empty buffer for updates) but not the exploration bounds."""
-    idx = program_index(program)
-    ti = idx.tid[label.thread]
-    if label.is_update:
+    plan = _plan(program)
+    ti = plan.tid[label.thread]
+    tr = label.delta
+    if tr is None:
         if not c.buf[ti]:
             raise NotEnabledError(f"{label.render()}: store buffer is empty")
         (x, v), rest = c.buf[ti][0], c.buf[ti][1:]
@@ -154,186 +240,170 @@ def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
         buf[ti] = rest
         return TsoConfig(c.st, c.rval, tuple(buf), tuple(mem))
 
-    tr = label.delta
-    if c.st[ti] != idx.state_id[ti][tr.src]:
+    rec = plan.steps.get(id(tr))
+    if rec is None or rec[0] is not tr or rec[1] != ti:
+        rec = _record(plan.idx, ti, tr)
+    _, _, src, dst, kind, x, y, z = rec
+    if c.st[ti] != src:
         raise NotEnabledError(f"{label.render()}: thread is not at state {tr.src}")
+    if dst is None:
+        raise KeyError(tr.dst)
     st = list(c.st)
-    st[ti] = idx.state_id[ti][tr.dst]
-    op = tr.op
-    if isinstance(op, Assign):
-        rval = list(c.rval)
-        rval[idx.rid[op.dst]] = c.rval[idx.rid[op.src]]
-        return TsoConfig(tuple(st), tuple(rval), c.buf, c.mem)
-    if isinstance(op, NewValue):
-        if label.value is None or label.value < 0:
-            raise NotEnabledError(f"{label.render()}: needs a natural value")
-        rval = list(c.rval)
-        rval[idx.rid[op.dst]] = label.value
-        return TsoConfig(tuple(st), tuple(rval), c.buf, c.mem)
-    if isinstance(op, Guard):
-        if not eval_rel(op.rel, c.rval[idx.rid[op.left]], c.rval[idx.rid[op.right]]):
-            raise NotEnabledError(f"{label.render()}: guard is false")
-        return TsoConfig(tuple(st), c.rval, c.buf, c.mem)
-    if isinstance(op, Read):
-        x = idx.vid[op.var]
+    st[ti] = dst
+    st = tuple(st)
+    if kind == _READ:
         v = _latest_buffered(c.buf[ti], x)
         if v is None:
             v = c.mem[x]
         rval = list(c.rval)
-        rval[idx.rid[op.dst]] = v
-        return TsoConfig(tuple(st), tuple(rval), c.buf, c.mem)
-    if isinstance(op, Write):
-        x = idx.vid[op.var]
+        rval[y] = v
+        return TsoConfig(st, tuple(rval), c.buf, c.mem)
+    if kind == _GUARD:
+        if not eval_rel(z, c.rval[x], c.rval[y]):
+            raise NotEnabledError(f"{label.render()}: guard is false")
+        return TsoConfig(st, c.rval, c.buf, c.mem)
+    if kind == _WRITE:
         buf = list(c.buf)
-        buf[ti] = c.buf[ti] + ((x, c.rval[idx.rid[op.src]]),)
-        return TsoConfig(tuple(st), c.rval, tuple(buf), c.mem)
-    # Arw
-    x = idx.vid[op.var]
+        buf[ti] = c.buf[ti] + ((x, c.rval[y]),)
+        return TsoConfig(st, c.rval, tuple(buf), c.mem)
+    if kind == _NEW:
+        if label.value is None or label.value < 0:
+            raise NotEnabledError(f"{label.render()}: needs a natural value")
+        rval = list(c.rval)
+        rval[x] = label.value
+        return TsoConfig(st, tuple(rval), c.buf, c.mem)
+    if kind == _ASSIGN:
+        rval = list(c.rval)
+        rval[x] = c.rval[y]
+        return TsoConfig(st, tuple(rval), c.buf, c.mem)
+    # _ARW
     if c.buf[ti]:
         raise NotEnabledError(f"{label.render()}: store buffer must be empty")
-    if c.mem[x] != c.rval[idx.rid[op.expect]]:
+    if c.mem[x] != c.rval[y]:
         raise NotEnabledError(f"{label.render()}: memory value differs from expected")
     mem = list(c.mem)
-    mem[x] = c.rval[idx.rid[op.update]]
-    return TsoConfig(tuple(st), c.rval, c.buf, tuple(mem))
+    mem[x] = c.rval[z]
+    return TsoConfig(st, c.rval, c.buf, tuple(mem))
 
 
 # --- compact encoding for the explicit search ------------------------------
 
 class _Codec:
-    """Configs as byte strings; every component must fit in one byte."""
+    """Configs as byte strings: st + rval + mem, then each buffer's length and
+    (variable, value) entries, then the extras.  Every component must fit in
+    one byte, so the constructor rejects bounds and models above that."""
 
-    def __init__(self, program: Program):
-        self.idx = program_index(program)
-        self.nt = len(self.idx.thread_ids)
-        self.nr = len(self.idx.regs)
-        self.nx = len(self.idx.vars)
-        for tname, names in zip(self.idx.thread_ids, self.idx.state_names):
+    def __init__(self, program: Program, buffer_bound: int,
+                 contexts: Optional[int]):
+        idx = program_index(program)
+        self.nt = len(idx.thread_ids)
+        self.nm = self.nt + len(idx.regs)
+        self.head = self.nm + len(idx.vars)
+        for tname, names in zip(idx.thread_ids, idx.state_names):
             if len(names) > 255:
                 raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
                                          "above the limit of 255")
+        # the active-thread extra stores thread id + 1
+        if self.nt > 255:
+            raise ModelTooLargeError(f"{self.nt} threads, above the limit of 255")
+        if len(idx.vars) > 256:
+            raise ModelTooLargeError(f"{len(idx.vars)} shared variables, "
+                                     "above the limit of 256")
+        if buffer_bound > 255:
+            raise ModelTooLargeError(f"buffer bound {buffer_bound}, "
+                                     "above the limit of 255")
+        if contexts is not None and contexts > 255:
+            raise ModelTooLargeError(f"{contexts} contexts, above the limit of 255")
 
     def encode(self, c: TsoConfig, extra: tuple[int, ...] = ()) -> bytes:
         flat = list(c.st)
-        flat.extend(c.rval)
-        flat.extend(c.mem)
+        flat += c.rval
+        flat += c.mem
         for buf in c.buf:
             flat.append(len(buf))
-            for x, v in buf:
-                flat.append(x)
-                flat.append(v)
-        flat.extend(extra)
+            for entry in buf:
+                flat += entry
+        flat += extra
         return bytes(flat)
 
     def decode(self, b: bytes, n_extra: int = 0) -> tuple[TsoConfig, tuple[int, ...]]:
-        vals = tuple(b)
-        st = vals[:self.nt]
-        rval = vals[self.nt:self.nt + self.nr]
-        mem = vals[self.nt + self.nr:self.nt + self.nr + self.nx]
-        i = self.nt + self.nr + self.nx
+        i = self.head
         bufs = []
         for _ in range(self.nt):
-            ln = vals[i]
-            i += 1
-            entries = tuple((vals[i + 2 * j], vals[i + 2 * j + 1]) for j in range(ln))
-            i += 2 * ln
-            bufs.append(entries)
-        extra = vals[i:i + n_extra]
-        return TsoConfig(st, rval, tuple(bufs), mem), extra
-
-
-def _label_core(idx: ProgramIndex, label: Label) -> tuple[int, int, int]:
-    """(thread, transition position or -1 for update, value or -1)."""
-    ti = idx.tid[label.thread]
-    if label.is_update:
-        return (ti, -1, -1)
-    pos = idx.thread_transitions[ti].index(label.delta)
-    return (ti, pos, -1 if label.value is None else label.value)
-
-
-def _label_from_core(idx: ProgramIndex, core: tuple[int, int, int]) -> Label:
-    ti, pos, value = core
-    if pos < 0:
-        return Label(idx.thread_ids[ti], None)
-    tr = idx.thread_transitions[ti][pos]
-    return Label(idx.thread_ids[ti], tr, None if value < 0 else value)
-
-
-def _rebuild_run(program: Program, cores: list[tuple[int, int, int]]) -> Run:
-    idx = program_index(program)
-    return replay(program, [_label_from_core(idx, core) for core in cores])
+            ln = b[i]
+            if ln:
+                j = i + 1 + 2 * ln
+                bufs.append(tuple(zip(b[i + 1:j:2], b[i + 2:j:2])))
+                i = j
+            else:
+                bufs.append(())
+                i += 1
+        conf = TsoConfig(tuple(b[:self.nt]), tuple(b[self.nt:self.nm]),
+                         tuple(bufs), tuple(b[self.nm:self.head]))
+        return conf, tuple(b[i:i + n_extra])
 
 
 def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
          contexts: Optional[int]) -> Verdict:
     """Level-order search.  With `contexts` set, nodes carry the active thread
     and the count of maximal single-thread blocks used so far; steps by a
-    different thread open a new block and are only allowed below the cap."""
+    different thread open a new block and are only allowed below the cap.
+    Each new key stores its parent key and the shared label that reached it."""
     idx = program_index(program)
-    codec = _Codec(program)
+    codec = _Codec(program, b.buffer_bound, contexts)
     tti, tsi = idx.target_idx(target)
     start = time.perf_counter()
     stats = Stats()
 
     init = initial_config(program)
     n_extra = 2 if contexts is not None else 0
-
-    def make_key(c: TsoConfig, active: int, blocks: int) -> bytes:
-        if contexts is None:
-            return codec.encode(c)
-        return codec.encode(c, (active + 1, blocks))
-
-    parents: dict[bytes, tuple[Optional[bytes], tuple[int, int, int]]] = {}
-    init_key = make_key(init, -1, 0)
-    parents[init_key] = (None, (0, 0, 0))
+    init_key = codec.encode(init, (0, 0) if contexts is not None else ())
+    parents: dict[bytes, Optional[tuple[bytes, Label]]] = {init_key: None}
 
     def finish(status: str, witness_key: Optional[bytes]) -> Verdict:
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         witness = None
         if witness_key is not None:
-            cores = []
-            k = witness_key
-            while True:
-                parent, core = parents[k]
-                if parent is None:
-                    break
-                cores.append(core)
-                k = parent
-            witness = _rebuild_run(program, list(reversed(cores)))
+            labels = []
+            link = parents[witness_key]
+            while link is not None:
+                key, label = link
+                labels.append(label)
+                link = parents[key]
+            witness = replay(program, labels[::-1])
         return Verdict(witness_key is not None, status, witness, stats)
 
     if init.st[tti] == tsi:
         return finish(REACHABLE, init_key)
 
-    frontier: deque[bytes] = deque([init_key])
+    tid = idx.tid
+    frontier = [init_key]
     depth = 0
     while frontier and depth < b.depth:
         depth += 1
-        next_frontier: deque[bytes] = deque()
-        while frontier:
-            key = frontier.popleft()
+        next_frontier: list[bytes] = []
+        for key in frontier:
             conf, extra = codec.decode(key, n_extra)
             stats.states_explored += 1
-            active, blocks = (extra[0] - 1, extra[1]) if contexts is not None else (-1, 0)
+            if contexts is not None:
+                active, blocks = extra[0] - 1, extra[1]
             for label in tso_enabled(program, conf, b):
-                ti = idx.tid[label.thread]
+                sextra = extra
                 if contexts is not None:
-                    if ti == active:
-                        nactive, nblocks = active, blocks
-                    elif blocks < contexts:
-                        nactive, nblocks = ti, blocks + 1
-                    else:
-                        continue
-                else:
-                    nactive, nblocks = -1, 0
+                    ti = tid[label.thread]
+                    if ti != active:
+                        if blocks >= contexts:
+                            continue
+                        sextra = (ti + 1, blocks + 1)
                 succ = tso_step(program, conf, label)
-                skey = make_key(succ, nactive, nblocks)
+                skey = codec.encode(succ, sextra)
                 if skey in parents:
                     continue
-                parents[skey] = (key, _label_core(idx, label))
+                parents[skey] = (key, label)
                 if succ.st[tti] == tsi:
                     return finish(REACHABLE, skey)
                 if len(parents) > max_states:
+                    stats.stop_reason = "max_states"
                     return finish(BOUND_EXHAUSTED, None)
                 next_frontier.append(skey)
         frontier = next_frontier

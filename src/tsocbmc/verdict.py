@@ -16,6 +16,7 @@ class Stats:
     control_states: int = 0   # distinct control states whose successors were computed
     peak_frontier: int = 0
     wall_ms: float = 0.0
+    stop_reason: str = ""     # the cap that ended the search: "max_states" or "max_mb"
 
 
 @dataclass

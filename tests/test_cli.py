@@ -72,6 +72,7 @@ def test_check_json_report(tmp_path, capsys):
     # every explored state pairs one of the control states with ranks
     assert 0 < data["stats"]["control_states"] <= data["stats"]["states_explored"]
     assert isinstance(data["stats"]["wall_ms"], int)
+    assert data["stats"]["stop_reason"] == ""
     assert data["witness"], "a reachable report carries witness steps"
     step = data["witness"][0]
     assert set(step) == {"thread", "label", "effects", "values"}
@@ -87,10 +88,24 @@ def test_check_json_report(tmp_path, capsys):
     assert d1 == d2
 
 
-def test_check_bound_exhausted_exit(capsys):
-    assert main(["check", SB, "--k", "3", "--max-states", "50"]) == 3
-    out = capsys.readouterr().out
-    assert out.startswith("bound_exhausted:")
+def test_check_bound_exhausted_exit(tmp_path, capsys):
+    rpt = tmp_path / "capped.json"
+    assert main(["check", SB, "--k", "3", "--max-states", "50",
+                 "--out", str(rpt)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("bound_exhausted:")
+    assert captured.err == "stopped by max_states\n"
+    assert json.loads(rpt.read_text())["stats"]["stop_reason"] == "max_states"
+
+
+def test_simulate_bound_exhausted_names_the_cap(tmp_path, capsys):
+    rpt = tmp_path / "capped.json"
+    assert main(["simulate", SB, "--cb", "3", "--max-states", "100",
+                 "--out", str(rpt)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("bound_exhausted:")
+    assert captured.err == "stopped by max_states\n"
+    assert json.loads(rpt.read_text())["stats"]["stop_reason"] == "max_states"
 
 
 def test_check_target_override(capsys):
@@ -123,6 +138,22 @@ def test_model_above_encoding_limits_exits_2(tmp_path, capsys):
     assert main(["check", MP, "--k", "300"]) == 2
     err = capsys.readouterr().err
     assert "model too large" in err and "k=300" in err
+
+
+def test_oracle_encoding_limits_exit_2(tmp_path, capsys):
+    # a buffer longer than a byte can count used to end in a ValueError
+    grow = tmp_path / "grow.tso"
+    grow.write_text("domain nat\nvars x\nthread t {\n  regs a\n  init q0\n"
+                    "  q0 -> q0 : write x a\n  q0 -> q1 : assume a != a\n}\n"
+                    "target t : q1\n")
+    for argv, limit in (
+            (["--tso", "--buffer-bound", "300", "--depth", "400"],
+             "buffer bound 300, above the limit of 255"),
+            (["--cb", "300"], "300 contexts, above the limit of 255")):
+        assert main(["simulate", str(grow)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"model too large: {limit}\n"
+        assert "Traceback" not in captured.out
 
 
 def test_concretization_failure_exits_4(monkeypatch, capsys):

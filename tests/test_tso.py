@@ -1,14 +1,18 @@
+import operator
+import random
 from pathlib import Path
 
 import pytest
 
 from tsocbmc import (
-    Arw, Assign, Bounds, Guard, Label, NEQ, NewValue, NotEnabledError,
-    Program, Read, Target, Thread, Transition, Write, cb_partition_check,
-    cb_reach_bounded, initial_config, lt, normalize_updates,
-    parse_program_with_target, replay, tso_enabled, tso_reach_bounded,
-    tso_step,
+    Arw, Assign, Bounds, Guard, Label, ModelTooLargeError, NEQ, NewValue,
+    NotEnabledError, Program, Read, Target, Thread, Transition, TsoConfig,
+    Write, cb_partition_check, cb_reach_bounded, eval_rel, initial_config, lt,
+    normalize_updates, parse_program_with_target, replay, tso_enabled,
+    tso_reach_bounded, tso_step,
 )
+from tsocbmc.model import program_index
+from tsocbmc.selftest import random_program
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -236,3 +240,240 @@ def test_normalize_updates_rejections():
     ra = replay(pa, [Label("t", t.transitions[0])])
     with pytest.raises(ValueError):
         normalize_updates(pa, ra, 1)
+
+
+# --- the step table against the name-resolving semantics it replaced --------
+
+def _latest_ref(buf, x):
+    for var, val in reversed(buf):
+        if var == x:
+            return val
+    return None
+
+
+def _enabled_ref(program, c, b):
+    idx = program_index(program)
+    out = []
+    for ti, tname in enumerate(idx.thread_ids):
+        for _, tr in idx.out[ti][c.st[ti]]:
+            op = tr.op
+            if isinstance(op, (Assign, Read)):
+                out.append(Label(tname, tr))
+            elif isinstance(op, NewValue):
+                for v in range(b.domain_bound + 1):
+                    out.append(Label(tname, tr, v))
+            elif isinstance(op, Guard):
+                if eval_rel(op.rel, c.rval[idx.rid[op.left]], c.rval[idx.rid[op.right]]):
+                    out.append(Label(tname, tr))
+            elif isinstance(op, Write):
+                if len(c.buf[ti]) < b.buffer_bound:
+                    out.append(Label(tname, tr))
+            else:
+                if not c.buf[ti] and c.mem[idx.vid[op.var]] == c.rval[idx.rid[op.expect]]:
+                    out.append(Label(tname, tr))
+        if c.buf[ti]:
+            out.append(Label(tname, None))
+    return out
+
+
+def _step_ref(program, c, label):
+    idx = program_index(program)
+    ti = idx.tid[label.thread]
+    if label.is_update:
+        if not c.buf[ti]:
+            raise NotEnabledError(f"{label.render()}: store buffer is empty")
+        (x, v), rest = c.buf[ti][0], c.buf[ti][1:]
+        mem = list(c.mem)
+        mem[x] = v
+        buf = list(c.buf)
+        buf[ti] = rest
+        return TsoConfig(c.st, c.rval, tuple(buf), tuple(mem))
+    tr = label.delta
+    if c.st[ti] != idx.state_id[ti][tr.src]:
+        raise NotEnabledError(f"{label.render()}: thread is not at state {tr.src}")
+    st = list(c.st)
+    st[ti] = idx.state_id[ti][tr.dst]
+    op = tr.op
+    if isinstance(op, Assign):
+        rval = list(c.rval)
+        rval[idx.rid[op.dst]] = c.rval[idx.rid[op.src]]
+        return TsoConfig(tuple(st), tuple(rval), c.buf, c.mem)
+    if isinstance(op, NewValue):
+        if label.value is None or label.value < 0:
+            raise NotEnabledError(f"{label.render()}: needs a natural value")
+        rval = list(c.rval)
+        rval[idx.rid[op.dst]] = label.value
+        return TsoConfig(tuple(st), tuple(rval), c.buf, c.mem)
+    if isinstance(op, Guard):
+        if not eval_rel(op.rel, c.rval[idx.rid[op.left]], c.rval[idx.rid[op.right]]):
+            raise NotEnabledError(f"{label.render()}: guard is false")
+        return TsoConfig(tuple(st), c.rval, c.buf, c.mem)
+    if isinstance(op, Read):
+        x = idx.vid[op.var]
+        v = _latest_ref(c.buf[ti], x)
+        if v is None:
+            v = c.mem[x]
+        rval = list(c.rval)
+        rval[idx.rid[op.dst]] = v
+        return TsoConfig(tuple(st), tuple(rval), c.buf, c.mem)
+    if isinstance(op, Write):
+        x = idx.vid[op.var]
+        buf = list(c.buf)
+        buf[ti] = c.buf[ti] + ((x, c.rval[idx.rid[op.src]]),)
+        return TsoConfig(tuple(st), c.rval, tuple(buf), c.mem)
+    x = idx.vid[op.var]
+    if c.buf[ti]:
+        raise NotEnabledError(f"{label.render()}: store buffer must be empty")
+    if c.mem[x] != c.rval[idx.rid[op.expect]]:
+        raise NotEnabledError(f"{label.render()}: memory value differs from expected")
+    mem = list(c.mem)
+    mem[x] = c.rval[idx.rid[op.update]]
+    return TsoConfig(tuple(st), c.rval, c.buf, tuple(mem))
+
+
+def _outcome(step, program, c, label):
+    try:
+        return step(program, c, label)
+    except (NotEnabledError, KeyError) as e:
+        return type(e), str(e)
+
+
+def _probe_labels(program, rng):
+    """Labels for every transition: as declared, with an equal but distinct
+    Transition, and under every thread (owner or not), plus each update."""
+    threads = [t.id for t in program.threads]
+    out = [Label(t, None) for t in threads]
+    for th in program.threads:
+        for tr in th.transitions:
+            value = rng.choice((None, 0, 1, 2)) if isinstance(tr.op, NewValue) else None
+            twin = Transition(tr.src, tr.op, tr.dst)
+            for tid in threads:
+                out.append(Label(tid, tr, value))
+                out.append(Label(tid, twin, value))
+    return out
+
+
+def test_step_table_matches_reference_on_random_walks():
+    rng = random.Random(23)
+    steps = probes = 0
+    for _ in range(300):
+        p = random_program(rng, n_threads=rng.randint(1, 3))
+        bounds = Bounds(rng.randint(0, 2), rng.randint(0, 2), 0)
+        c = initial_config(p)
+        for _ in range(rng.randint(5, 25)):
+            got = tso_enabled(p, c, bounds)
+            assert got == _enabled_ref(p, c, bounds)
+            again = tso_enabled(p, c, bounds)
+            assert len(again) == len(got) and all(map(operator.is_, got, again))
+            for label in got:
+                assert tso_step(p, c, label) == _step_ref(p, c, label)
+                steps += 1
+            for label in _probe_labels(p, rng):
+                assert _outcome(tso_step, p, c, label) == _outcome(_step_ref, p, c, label)
+                probes += 1
+            if not got:
+                break
+            c = tso_step(p, c, rng.choice(got))
+    assert steps > 5_000 and probes > 50_000
+
+
+def test_step_by_value_when_the_label_is_not_the_tables():
+    # a label built from an equal Transition or naming a thread that does not
+    # own it resolves by value, exactly like the name-based semantics
+    a = _thread("a", ["ra"], [Transition("q0", NewValue("ra"), "q1"),
+                              Transition("q1", Write("x", "ra"), "q2")])
+    b = _thread("b", ["rb"], [Transition("q0", Read("x", "rb"), "q1")],)
+    p = _prog(a, b)
+    c = initial_config(p)
+    twin = Transition("q0", NewValue("ra"), "q1")
+    assert twin is not a.transitions[0]
+    assert tso_step(p, c, Label("a", twin, 4)) == _step_ref(p, c, Label("a", twin, 4))
+    # b is at q0 too, so a's first transition applies to b's state and a's register
+    foreign = Label("b", a.transitions[0], 3)
+    assert tso_step(p, c, foreign) == _step_ref(p, c, foreign)
+    # b has no state q2: the reference fails on the name, so does the table
+    c2 = tso_step(p, c, Label("b", b.transitions[0]))
+    for label in (Label("b", a.transitions[1]), Label("b", b.transitions[0])):
+        assert _outcome(tso_step, p, c2, label) == _outcome(_step_ref, p, c2, label)
+    with pytest.raises(KeyError):
+        tso_step(p, c2, Label("b", Transition("q1", Write("x", "rb"), "q9")))
+    with pytest.raises(KeyError):
+        tso_step(p, c, Label("nobody", None))
+
+
+# the oracle's answers on the corpus, Bounds(2, 2, 60)
+MP_WITNESS = [
+    "w: w0 -> w1 : w_one := * = 1",
+    "w: w1 -> w2 : assume w_one != w_zero",
+    "w: w2 -> w3 : write data w_one",
+    "w: w3 -> w4 : write flag w_one",
+    "w: update",
+    "w: update",
+    "r: r0 -> r1 : read flag r_flag",
+    "r: r1 -> r2 : assume r_flag != r_zero",
+    "r: r2 -> r3 : read data r_data",
+    "r: r3 -> done : assume r_data != r_zero",
+]
+SB_WITNESS = [
+    "t1: a0 -> a1 : a_one := * = 1",
+    "t1: a1 -> a2 : assume a_one != a_zero",
+    "t1: a2 -> a3 : write x a_one",
+    "t1: a3 -> a4 : read y a_ry",
+    "t1: a4 -> a5 : assume a_ry = a_zero",
+    "t2: b0 -> b1 : b_one := * = 1",
+    "t2: b1 -> b2 : assume b_one != b_zero",
+    "t2: b2 -> b3 : write y b_one",
+    "t2: b3 -> b4 : read x b_rx",
+    "t2: b4 -> b5 : assume b_rx = b_zero",
+    "t2: b5 -> b6 : write ok b_one",
+    "t2: update",
+    "t2: update",
+    "t1: a5 -> a6 : read ok a_rc",
+    "t1: a6 -> both : assume a_rc != a_zero",
+]
+
+
+@pytest.mark.parametrize("name,k,states,witness", [
+    ("mp.tso", 2, 50, MP_WITNESS),
+    ("sb.tso", 3, 1746, SB_WITNESS),
+    ("mp.tso", None, 37, MP_WITNESS),
+    ("sb.tso", None, 594, SB_WITNESS),
+])
+def test_oracle_outputs_are_pinned(name, k, states, witness):
+    p, tgt = _load(name)
+    b = Bounds(2, 2, 60)
+    v = tso_reach_bounded(p, tgt, b) if k is None else cb_reach_bounded(p, tgt, k, b)
+    assert v.reachable and v.stats.states_explored == states
+    assert [l.render() for l in v.witness.labels] == witness
+    ti, si = program_index(p).target_idx(tgt)
+    assert v.witness.final.st[ti] == si
+
+
+def test_oracle_stop_reason():
+    p, tgt = _load("sb.tso")
+    v = cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 60), max_states=100)
+    assert v.status == "bound_exhausted" and v.stats.stop_reason == "max_states"
+    assert cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 60)).stats.stop_reason == ""
+
+
+def _many_threads(n):
+    return [_thread(f"t{i}", [f"r{i}"], [Transition("q0", Write("x", f"r{i}"), "q1")])
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("program,search,limit", [
+    (_prog(WRITER), lambda p, t: tso_reach_bounded(p, t, Bounds(256, 0, 5)),
+     "buffer bound 256, above the limit of 255"),
+    (_prog(WRITER), lambda p, t: cb_reach_bounded(p, t, 256, Bounds(1, 0, 5)),
+     "256 contexts, above the limit of 255"),
+    (_prog(WRITER, shared=["x"] + [f"y{i}" for i in range(256)]),
+     lambda p, t: tso_reach_bounded(p, t, Bounds(1, 0, 5)),
+     "257 shared variables, above the limit of 256"),
+    (_prog(*_many_threads(256)),
+     lambda p, t: tso_reach_bounded(p, t, Bounds(1, 0, 5)),
+     "256 threads, above the limit of 255"),
+])
+def test_oracle_encoding_limits_are_named(program, search, limit):
+    target = Target(program.threads[0].id, "q1")
+    with pytest.raises(ModelTooLargeError, match=limit):
+        search(program, target)
