@@ -12,6 +12,23 @@ never commits at all:
   thrvar(x, t)     value of t's newest buffered write on x
   sentinel         pinned 0; every other value is >= it
 
+Only summaries that some step can read get a column of the summary table;
+the rest get none, and no effect writes them.  A dropped summary's value
+never reaches a guard or a kept summary, so the search sees the same runs.
+
+  shared(x), ctxvar(x, j)  kept when some thread reads x (read or arw):
+                   memory reads and arws are the only steps that read
+                   shared(x), and a context summary is read only when its
+                   flush copies it into shared(x)
+  ctxvar(x, k)     never kept: the last context is never flushed
+  thrvar(x, t)     kept when t both writes x and reads it: only t's own
+                   reads and arws look at it, and only while c(x, t) marks
+                   a write of t on x as pending
+  reg(r)           kept when r is both assigned (by :=, * or read) and used
+                   (by a guard, write, arw or as a := source); a register
+                   never assigned is always 0 and reads the sentinel, and
+                   one never used takes no copy, fresh value or reset
+
 Control state: per-thread program states, the context-to-thread assignment
 `act` (guessed up front), the current context j, the map c(x, t) giving the
 flush context of t's newest write on x (0 = none pending, k+1 = the write
@@ -159,6 +176,11 @@ class AbLabel:
         return s
 
 
+def _copy(dst: Optional[int], src: int) -> tuple:
+    """The effect dst := src, or none when dst is a dropped column."""
+    return (("copy", dst, src),) if dst is not None else ()
+
+
 class GuardFailedError(ValueError):
     pass
 
@@ -178,22 +200,7 @@ class AbMachine:
         self.idx = idx = program_index(program)
         self.nt = nt = len(idx.thread_ids)
         self.nx = nx = len(idx.vars)
-        self.nr = nr = len(idx.regs)
         self.never = k + 1
-
-        self.table: list[AbVar] = [SENTINEL]
-        for x in idx.vars:
-            self.table.append(shared_var(x))
-        for r in idx.regs:
-            self.table.append(reg_var(r))
-        for x in idx.vars:
-            for j in range(1, k + 1):
-                self.table.append(ctx_var(x, j))
-        for x in idx.vars:
-            for t in idx.thread_ids:
-                self.table.append(thr_var(x, t))
-        self.nab = len(self.table)
-        self.var_index = {v: i for i, v in enumerate(self.table)}
 
         # flat control-state layout
         self.ST = 0
@@ -213,19 +220,18 @@ class AbMachine:
             if len(names) > 255:
                 raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
                                          "above the limit of 255")
-        if self.nab > 255:
-            raise ModelTooLargeError(f"{self.nab} summary variables at k={k} is above "
-                                     "the limit of 255")
 
-        # Backward register liveness per thread.  A register that cannot be
-        # read again before being overwritten is reset to the sentinel after
-        # each step, so runs differing only in stale register values fall
-        # together.  dead_regs[ti][pos] lists the summary indices to reset
-        # after taking transition pos of thread ti.
-        self._dead_regs: list[list[tuple[int, ...]]] = []
+        # One pass over the transitions: per thread, the registers each
+        # transition reads (g) and assigns (kl), and the shared variables the
+        # thread reads (read or arw) and buffers writes to.
+        flows: list[list[tuple[int, int, set[str], set[str]]]] = []
+        reads: list[set[int]] = []
+        writes: list[set[int]] = []
         for ti, t in enumerate(program.threads):
             sid = idx.state_id[ti]
             edges = []
+            rd: set[int] = set()
+            wr: set[int] = set()
             for tr in t.transitions:
                 op = tr.op
                 if isinstance(op, Assign):
@@ -236,11 +242,56 @@ class AbMachine:
                     g, kl = {op.left, op.right}, set()
                 elif isinstance(op, Read):
                     g, kl = set(), {op.dst}
+                    rd.add(idx.vid[op.var])
                 elif isinstance(op, Write):
                     g, kl = {op.src}, set()
-                else:
+                    wr.add(idx.vid[op.var])
+                else:  # Arw
                     g, kl = {op.expect, op.update}, set()
+                    rd.add(idx.vid[op.var])
                 edges.append((sid[tr.src], sid[tr.dst], g, kl))
+            flows.append(edges)
+            reads.append(rd)
+            writes.append(wr)
+
+        # The summary table keeps only columns some step can read (see the
+        # module docstring); the others get no column and no effect.
+        read_any = set().union(*reads)
+        used = {r for edges in flows for _, _, g, _ in edges for r in g}
+        assigned = {r for edges in flows for _, _, _, kl in edges for r in kl}
+        self.table: list[AbVar] = [SENTINEL]
+
+        def col(v: AbVar) -> int:
+            self.table.append(v)
+            return len(self.table) - 1
+
+        self._shared = [col(shared_var(x)) if xi in read_any else None
+                        for xi, x in enumerate(idx.vars)]
+        self._reg: list[Optional[int]] = []
+        for r in idx.regs:
+            if r not in assigned:
+                self._reg.append(0)  # always 0: the sentinel stands in for it
+            elif r in used:
+                self._reg.append(col(reg_var(r)))
+            else:
+                self._reg.append(None)
+        self._ctx = [col(ctx_var(x, j)) if xi in read_any and j < k else None
+                     for xi, x in enumerate(idx.vars) for j in range(1, k + 1)]
+        self._thr = [col(thr_var(x, t)) if xi in reads[ti] and xi in writes[ti] else None
+                     for xi, x in enumerate(idx.vars) for ti, t in enumerate(idx.thread_ids)]
+        self.nab = len(self.table)
+        self.var_index = {v: i for i, v in enumerate(self.table)}
+        if self.nab > 255:
+            raise ModelTooLargeError(f"{self.nab} summary variables at k={k} is above "
+                                     "the limit of 255")
+
+        # Backward register liveness per thread.  A register that cannot be
+        # read again before being overwritten is reset to the sentinel after
+        # each step, so runs differing only in stale register values fall
+        # together.  _dead_regs[ti][pos] holds the reset effects to append
+        # after taking transition pos of thread ti.
+        self._dead_regs: list[list[tuple]] = []
+        for t, edges in zip(program.threads, flows):
             live: list[set[str]] = [set() for _ in t.states]
             changed = True
             while changed:
@@ -251,24 +302,25 @@ class AbMachine:
                         live[si] |= new
                         changed = True
             dead = []
-            for pos in range(len(t.transitions)):
-                si, di, g, kl = edges[pos]
+            for si, di, g, kl in edges:
                 gone = (live[si] | kl) - live[di]
-                dead.append(tuple(sorted(self.i_reg(idx.rid[r]) for r in gone)))
+                # the sentinel (0) and dropped registers (None) need no reset
+                cols = sorted(c for c in (self.i_reg(idx.rid[r]) for r in gone) if c)
+                dead.append(tuple(("copy", c, 0) for c in cols))
             self._dead_regs.append(dead)
 
-    # summary-variable indices
-    def i_shared(self, x: int) -> int:
-        return 1 + x
+    # summary-variable columns; None marks a dropped column, one no step reads
+    def i_shared(self, x: int) -> Optional[int]:
+        return self._shared[x]
 
-    def i_reg(self, r: int) -> int:
-        return 1 + self.nx + r
+    def i_reg(self, r: int) -> Optional[int]:
+        return self._reg[r]
 
-    def i_ctx(self, x: int, j: int) -> int:
-        return 1 + self.nx + self.nr + x * self.k + (j - 1)
+    def i_ctx(self, x: int, j: int) -> Optional[int]:
+        return self._ctx[x * self.k + j - 1]
 
-    def i_thr(self, x: int, t: int) -> int:
-        return 1 + self.nx + self.nr + self.nx * self.k + x * self.nt + t
+    def i_thr(self, x: int, t: int) -> Optional[int]:
+        return self._thr[x * self.nt + t]
 
     def initial_flat(self, act: tuple[int, ...]) -> tuple[int, ...]:
         if len(act) != self.k or any(t < 0 or t >= self.nt for t in act):
@@ -307,12 +359,13 @@ class AbMachine:
         for pos, tr in idx.out[ti][state]:
             op = tr.op
             dst_state = idx.state_id[ti][tr.dst]
-            dz = tuple(("copy", d, 0) for d in self._dead_regs[ti][pos])
+            dz = self._dead_regs[ti][pos]
             if isinstance(op, Assign):
-                eff = (("copy", self.i_reg(idx.rid[op.dst]), self.i_reg(idx.rid[op.src])),) + dz
+                eff = _copy(self.i_reg(idx.rid[op.dst]), self.i_reg(idx.rid[op.src])) + dz
                 out.append(((R_LOCAL, ti, pos, -1), eff, self._with_state(s, ti, dst_state)))
             elif isinstance(op, NewValue):
-                eff = (("fresh", self.i_reg(idx.rid[op.dst])),) + dz
+                d = self.i_reg(idx.rid[op.dst])
+                eff = ((("fresh", d),) if d is not None else ()) + dz
                 out.append(((R_LOCAL, ti, pos, -1), eff, self._with_state(s, ti, dst_state)))
             elif isinstance(op, Guard):
                 eff = (("guard", op.rel, self.i_reg(idx.rid[op.left]),
@@ -324,29 +377,29 @@ class AbMachine:
                 c_xt = s[self.C + x * nt + ti]
                 if c_xt >= j:
                     # newest write on x still buffered: read the thread summary
-                    eff = (("copy", rd, self.i_thr(x, ti)),) + dz
+                    eff = _copy(rd, self.i_thr(x, ti)) + dz
                     out.append(((R_BUF_READ, ti, pos, -1), eff,
                                 self._with_state(s, ti, dst_state)))
                 else:
-                    eff = (("copy", rd, self.i_shared(x)),) + dz
+                    eff = _copy(rd, self.i_shared(x)) + dz
                     out.append(((R_MEM_READ, ti, pos, -1), eff,
                                 self._with_state(s, ti, dst_state)))
             elif isinstance(op, Write):
                 x = idx.vid[op.var]
                 rs = self.i_reg(idx.rid[op.src])
+                buffered = _copy(self.i_thr(x, ti), rs)
                 lo = max(j, self._c_max(s, ti))
                 for jp in range(lo, k + 1):
                     if s[self.ACT + jp - 1] != ti:
                         continue
-                    eff = (("copy", self.i_thr(x, ti), rs),
-                           ("copy", self.i_ctx(x, jp), rs)) + dz
+                    eff = buffered + _copy(self.i_ctx(x, jp), rs) + dz
                     s2 = list(s)
                     s2[self.ST + ti] = dst_state
                     s2[self.C + x * nt + ti] = jp
                     s2[self.U + (jp - 1) * self.nx + x] = 1
                     out.append(((R_WRITE, ti, pos, jp), eff, tuple(s2)))
                 # the write may stay buffered past the end of the run
-                eff = (("copy", self.i_thr(x, ti), rs),) + dz
+                eff = buffered + dz
                 s2 = list(s)
                 s2[self.ST + ti] = dst_state
                 s2[self.C + x * nt + ti] = self.never
@@ -359,9 +412,9 @@ class AbMachine:
                     c_xt = s[self.C + x * nt + ti]
                     if c_xt == j:
                         # newest write on x commits this context: operate on it
-                        eff = (("guard", EQ, re, self.i_thr(x, ti)),
-                               ("copy", self.i_thr(x, ti), ru),
-                               ("copy", self.i_ctx(x, j), ru)) + dz
+                        thr = self.i_thr(x, ti)
+                        eff = ((("guard", EQ, re, thr), ("copy", thr, ru))
+                               + _copy(self.i_ctx(x, j), ru) + dz)
                         out.append(((R_BUF_ARW, ti, pos, -1), eff,
                                     self._with_state(s, ti, dst_state)))
                     else:  # c_xt < j: nothing pending on x
@@ -380,22 +433,23 @@ class AbMachine:
 
     def _switch(self, s: tuple[int, ...], ti: int, j: int):
         nx = self.nx
-        pairs = tuple(
-            (self.i_shared(x), self.i_ctx(x, j))
-            for x in range(nx)
-            if s[self.U + (j - 1) * nx + x]
-        )
-        eff = [("multi", pairs)]
+        # commit the context's writes on the variables someone reads; the
+        # others have no shared or context column
+        flushed = [x for x in range(nx)
+                   if s[self.U + (j - 1) * nx + x] and self.i_shared(x) is not None]
+        eff = []
+        if flushed:
+            eff.append(("multi", tuple((self.i_shared(x), self.i_ctx(x, j))
+                                       for x in flushed)))
         # the flushed summaries are unreadable from here on (nothing consults
         # a context summary after its flush, or a thread summary once its
         # newest write has committed), so reset them to the sentinel; states
         # that differ only in such leftovers then coincide
-        for x in range(nx):
-            if s[self.U + (j - 1) * nx + x]:
-                eff.append(("copy", self.i_ctx(x, j), 0))
+        for x in flushed:
+            eff.append(("copy", self.i_ctx(x, j), 0))
         for x in range(nx):
             if s[self.C + x * self.nt + ti] == j:
-                eff.append(("copy", self.i_thr(x, ti), 0))
+                eff.extend(_copy(self.i_thr(x, ti), 0))
         s2 = list(s)
         s2[self.J] = j + 1
         # nothing reads the schedule entry of a finished context again, so

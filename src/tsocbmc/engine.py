@@ -363,7 +363,10 @@ def concrete_run_to_tso(program: Program, run: ConcreteRun) -> Run:
                                           "at an atomic read-write")
             labels.append(Label(lbl.thread, delta))
         elif isinstance(op, NewValue):
-            labels.append(Label(lbl.thread, delta, value=step.fresh_value))
+            # a draw into a register nothing reads has no fresh effect, so no
+            # recorded value; any natural replays the same run
+            value = 0 if step.fresh_value is None else step.fresh_value
+            labels.append(Label(lbl.thread, delta, value=value))
         else:
             labels.append(Label(lbl.thread, delta))
 

@@ -310,6 +310,7 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
         if cfg.state == target_state:
             return finish(True, REACHABLE, cfg)
         if len(seen) > max_states:
+            stats.stop_reason = "max_states"
             return finish(False, BOUND_EXHAUSTED)
         nxt.append(cfg)
         return None
@@ -369,6 +370,7 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
         frontier = nxt
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
     if frontier:
+        stats.stop_reason = "depth"
         return finish(False, BOUND_EXHAUSTED)
     return finish(False, UNREACHABLE_WITHIN_BOUNDS)
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .abmachine import ab_machine
 from .model import LE, LT, EQ, NEQ, Program, Relation
 from .model import program_index
 
@@ -178,13 +179,9 @@ def decode_key(flat_len: int, key: bytes) -> tuple[tuple[int, ...], tuple[int, .
 
 
 def key_length(program: Program, k: int) -> int:
-    """Closed form for the byte length of every canonical key:
-
-        control: nt + k + 1 + nx*nt + k*nx
-        ranks:   1 + nx + nr + nx*k + nx*nt
-    """
-    idx = program_index(program)
-    nt, nx, nr = len(idx.thread_ids), len(idx.vars), len(idx.regs)
-    control = nt + k + 1 + nx * nt + k * nx
-    ranks = 1 + nx + nr + nx * k + nx * nt
-    return control + ranks
+    """Byte length of every canonical key of (program, k): the machine's
+    control vector, then one rank per summary column it keeps.  Which
+    columns exist is the machine's decision (see abmachine)."""
+    program_index(program)  # an invalid program fails here, before the k check
+    m = ab_machine(program, k)
+    return m.flat_len + m.nab

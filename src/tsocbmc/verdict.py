@@ -16,7 +16,9 @@ class Stats:
     control_states: int = 0   # distinct control states whose successors were computed
     peak_frontier: int = 0
     wall_ms: float = 0.0
-    stop_reason: str = ""     # the cap that ended the search: "max_states" or "max_mb"
+    # the cap that ended the search: "max_states" or "max_mb", or "depth"
+    # when dlcs_reach_bounded runs out of depth with states left to explore
+    stop_reason: str = ""
 
 
 @dataclass

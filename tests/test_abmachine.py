@@ -1,13 +1,17 @@
+import random
+
 import pytest
 
 from tsocbmc import (
     EQ, Guard, NEQ, NewValue, Program, Read, Thread, Transition, Write,
+    gen_bakery,
 )
 from tsocbmc.abmachine import (
     ABState, AbLabel, AbMachine, CopyVar, FreshVar, GuardFailedError,
     GuardRel, MultiCopy, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH, R_WRITE,
-    SENTINEL, ctx_var, reg_var, shared_var, thr_var,
+    SENTINEL, VK_CTX, VK_SHARED, VK_THR, ctx_var, reg_var, shared_var, thr_var,
 )
+from tsocbmc.selftest import random_program
 
 
 def _thread(tid, regs, trs, init="q0"):
@@ -19,13 +23,16 @@ def _thread(tid, regs, trs, init="q0"):
     return Thread(tid, tuple(states), tuple(regs), init, tuple(trs))
 
 
+# w writes and reads x, r only reads it: the table keeps x@w but not x@r
 WRITER = _thread("w", ["a"], [
     Transition("q0", NewValue("a"), "q1"),
     Transition("q1", Write("x", "a"), "q2"),
     Transition("q2", Write("x", "a"), "q3"),
+    Transition("q3", Read("x", "a"), "q4"),
 ])
 READER = _thread("r", ["b"], [
     Transition("q0", Read("x", "b"), "q1"),
+    Transition("q1", Guard(EQ, "b", "b"), "q2"),
 ])
 PROG = Program.make([WRITER, READER], ["x"])
 
@@ -40,9 +47,14 @@ def test_var_renders():
 
 def test_machine_layout_and_initials():
     m = AbMachine(PROG, 2)
-    # sentinel, shared, regs, ctx summaries, thread summaries
-    assert m.nab == 1 + 1 + 2 + 1 * 2 + 1 * 2
-    assert m.table[0] is SENTINEL
+    # sentinel, shared, regs, ctx summaries, thread summaries; x@c2 (the
+    # last context's) and x@r (r never writes x) are read by no step
+    assert m.table == [SENTINEL, shared_var("x"), reg_var("a"), reg_var("b"),
+                       ctx_var("x", 1), thr_var("x", "w")]
+    assert m.nab == 6 and m.table[0] is SENTINEL
+    assert (m.i_shared(0), m.i_reg(0), m.i_reg(1)) == (1, 2, 3)
+    assert (m.i_ctx(0, 1), m.i_ctx(0, 2)) == (4, None)
+    assert (m.i_thr(0, 0), m.i_thr(0, 1)) == (5, None)
     assert len(m.all_initial_flats()) == m.nt ** m.k == 4
     s0 = m.initial_flat((0, 1))
     st = ABState(m, s0)
@@ -85,9 +97,13 @@ def test_write_sets_summaries_and_update_bit():
     core, eff, s2 = _step(m, s, lambda c: c[0] == R_WRITE and c[3] == 1)
     st = ABState(m, s2)
     assert st.u_of(1) == frozenset({"x"}) and st.c_of("x", "w") == 1
-    copies = [e for e in eff if e[0] == "copy"]
-    dsts = {d for _, d, _ in copies}
-    assert m.i_thr(0, 0) in dsts and m.i_ctx(0, 1) in dsts
+    assert eff == (("copy", 5, 2), ("copy", 4, 2))  # x@w, x@c1 := a
+    # a write flushing at the last context copies into x@w alone: nothing
+    # ever reads x@c2
+    s = m.initial_flat((0, 0))
+    _, _, s = _step(m, s, lambda c: c[0] == R_LOCAL)
+    _, eff, _ = _step(m, s, lambda c: c[0] == R_WRITE and c[3] == 2)
+    assert eff == (("copy", 5, 2),)
 
 
 def test_read_picks_buffer_or_memory():
@@ -96,22 +112,16 @@ def test_read_picks_buffer_or_memory():
     s = m.initial_flat((1, 0))
     core, eff, _ = _step(m, s, lambda c: c[0] in (R_BUF_READ, R_MEM_READ))
     assert core[0] == R_MEM_READ
-    assert ("copy", m.i_reg(1), m.i_shared(0)) == eff[0]
+    assert eff == (("copy", 3, 1),)  # b := x
     # writer with a pending never-commit write reads its own summary
     s = m.initial_flat((0, 0))
     _, _, s = _step(m, s, lambda c: c[0] == R_LOCAL)
     _, _, s = _step(m, s, lambda c: c[0] == R_WRITE and c[3] == m.never)
-    m2 = AbMachine(Program.make([_thread("w", ["a"], [
-        Transition("q0", NewValue("a"), "q1"),
-        Transition("q1", Write("x", "a"), "q2"),
-        Transition("q2", Read("x", "a"), "q3"),
-    ])], ["x"]), 1)
-    s = m2.initial_flat((0,))
-    _, _, s = _step(m2, s, lambda c: c[0] == R_LOCAL)
-    _, _, s = _step(m2, s, lambda c: c[0] == R_WRITE and c[3] == m2.never)
-    core, eff, _ = _step(m2, s, lambda c: c[0] in (R_BUF_READ, R_MEM_READ))
+    _, _, s = _step(m, s, lambda c: c[0] == R_WRITE and c[3] == m.never)
+    core, eff, _ = _step(m, s, lambda c: c[0] in (R_BUF_READ, R_MEM_READ))
     assert core[0] == R_BUF_READ
-    assert eff[0] == ("copy", m2.i_reg(0), m2.i_thr(0, 0))
+    # a := x@w, then a is dead and reset
+    assert eff == (("copy", 2, 5), ("copy", 2, 0))
 
 
 def test_switch_commits_and_canonicalizes():
@@ -125,10 +135,7 @@ def test_switch_commits_and_canonicalizes():
     assert st.j == 2 and st.act == ("-", "r") and st.active_thread == "r"
     assert st.u_of(1) == frozenset() and st.c_of("x", "w") == 0
     # commit is the multi copy shared := ctx summary, then the dead resets
-    assert eff[0] == ("multi", ((m.i_shared(0), m.i_ctx(0, 1)),))
-    resets = {e[1] for e in eff[1:]}
-    assert resets == {m.i_ctx(0, 1), m.i_thr(0, 0)}
-    assert all(e[2] == 0 for e in eff[1:])
+    assert eff == (("multi", ((1, 4),)), ("copy", 4, 0), ("copy", 5, 0))
     # no switch out of the last context
     assert not any(c[0] == R_SWITCH for c, _, _ in m.transitions_flat(s2))
 
@@ -172,20 +179,70 @@ def test_apply_effects():
 
 
 def test_dead_register_reset_appended():
-    # b is read once and never again: the read's effects reset it afterwards
+    # b is read once and never again: the guard's effects reset it afterwards
     t = _thread("t", ["a", "b"], [
         Transition("q0", NewValue("b"), "q1"),
         Transition("q1", Guard(EQ, "b", "b"), "q2"),
         Transition("q2", NewValue("a"), "q3"),
+        Transition("q3", Write("x", "a"), "q4"),
     ])
     m = AbMachine(Program.make([t], ["x"]), 1)
+    # sentinel, a, b: x is never read, so it has no summaries at all
+    assert m.table == [SENTINEL, reg_var("a"), reg_var("b")]
     s = m.initial_flat((0,))
     _, eff, s = _step(m, s, lambda c: c[2] == 0)
+    assert eff == (("fresh", 2),)
     _, eff, s = _step(m, s, lambda c: c[2] == 1)
-    ib = m.i_reg(m.idx.rid["b"])
-    assert ("copy", ib, 0) in eff
-    # a live register is not reset
-    assert not any(e == ("copy", m.i_reg(m.idx.rid["a"]), 0) for e in eff)
+    assert eff == (("guard", EQ, 2, 2), ("copy", 2, 0))
+    # a is live until the write, which resets it
+    _, eff, s = _step(m, s, lambda c: c[2] == 2)
+    assert eff == (("fresh", 1),)
+    _, eff, s = _step(m, s, lambda c: c[2] == 3 and c[3] == m.never)
+    assert eff == (("copy", 1, 0),)
+
+
+def test_unassigned_and_unused_registers_get_no_column():
+    # z is never assigned, so it reads the sentinel; d is drawn but never
+    # used, so its draw and its read emit nothing
+    t = _thread("t", ["z", "d", "e"], [
+        Transition("q0", NewValue("d"), "q1"),
+        Transition("q1", NewValue("e"), "q2"),
+        Transition("q2", Guard(NEQ, "e", "z"), "q3"),
+        Transition("q3", Read("x", "d"), "q4"),
+    ])
+    m = AbMachine(Program.make([t], ["x"]), 1)
+    rid = m.idx.rid
+    assert (m.i_reg(rid["z"]), m.i_reg(rid["d"]), m.i_reg(rid["e"])) == (0, None, 2)
+    assert m.table == [SENTINEL, shared_var("x"), reg_var("e")]
+    s = m.initial_flat((0,))
+    _, eff, s = _step(m, s, lambda c: c[2] == 0)
+    assert eff == ()
+    _, eff, s = _step(m, s, lambda c: c[2] == 1)
+    assert eff == (("fresh", 2),)
+    _, eff, s = _step(m, s, lambda c: c[2] == 2)
+    assert eff == (("guard", NEQ, 2, 0), ("copy", 2, 0))
+    _, eff, s = _step(m, s, lambda c: c[2] == 3)
+    assert eff == ()
+
+
+def test_bakery_1_keeps_no_memory_summaries():
+    # nothing reads bakery(1)'s variables: only the two drawn registers that
+    # are used stay, and t1_rF (never assigned) reads the sentinel
+    g = gen_bakery(1)
+    m = AbMachine(g.program, 4)
+    assert not any(v.kind in (VK_SHARED, VK_CTX, VK_THR) for v in m.table)
+    assert m.table == [SENTINEL, reg_var("t1_rT"), reg_var("t1_r1")]
+    assert m.i_reg(m.idx.rid["t1_rF"]) == 0
+
+
+def test_no_machine_has_a_last_context_summary():
+    rng = random.Random(0)
+    progs = [PROG, gen_bakery(2).program] + [random_program(rng) for _ in range(40)]
+    for p in progs:
+        for k in (1, 2, 3):
+            m = AbMachine(p, k)
+            assert not any(v.kind == VK_CTX and v.ctx == k for v in m.table)
+            assert all(m.i_ctx(x, k) is None for x in range(m.nx))
 
 
 def test_values_round_trip():

@@ -10,7 +10,7 @@ import time
 from pathlib import Path
 
 from tsocbmc import (
-    Bounds, Dfa, DlcsModel, canonical_key, cb_reach_bounded, check_reach,
+    Arw, Assign, Bounds, Dfa, Guard, NewValue, Read, Write, DlcsModel, canonical_key, cb_reach_bounded, check_reach,
     concretize_witness, dfa_intersection_oracle, dlcs_reach_bounded,
     gen_bakery, gen_dlcs_reduction, gen_intersection, key_length,
     parse_program_with_target, rel_initial, tso_reach_bounded,
@@ -205,14 +205,43 @@ def test_criterion_7_litmus_regression():
            f"matches the abstraction ({engine.stats.states_explored} states)")
 
 
+def _rank_columns(p, k):
+    """1 + |R| + |regs assigned and used| + |R|*(k-1) + sum_t |R_t & W_t|:
+    R_t holds the variables thread t reads (read or arw), R their union,
+    and W_t the variables t writes."""
+    reads, writes, assigned, used = [], [], set(), set()
+    for t in p.threads:
+        r_t, w_t = set(), set()
+        for tr in t.transitions:
+            op = tr.op
+            if isinstance(op, (Assign, NewValue, Read)):
+                assigned.add(op.dst)
+            if isinstance(op, Assign):
+                used.add(op.src)
+            elif isinstance(op, Guard):
+                used |= {op.left, op.right}
+            elif isinstance(op, Write):
+                used.add(op.src)
+                w_t.add(op.var)
+            elif isinstance(op, Arw):
+                used |= {op.expect, op.update}
+            if isinstance(op, (Read, Arw)):
+                r_t.add(op.var)
+        reads.append(r_t)
+        writes.append(w_t)
+    r_all = set().union(*reads)
+    return (1 + len(r_all) + len(assigned & used) + len(r_all) * (k - 1)
+            + sum(len(r_t & w_t) for r_t, w_t in zip(reads, writes)))
+
+
 def test_criterion_8_key_length_closed_form():
     checked = 0
     for name, k in (("mp.tso", 1), ("mp.tso", 2), ("sb.tso", 3)):
         p, tgt = _load(name)
         m = ab_machine(p, k)
         idx = program_index(p)
-        nt, nx, nr = len(idx.thread_ids), len(idx.vars), len(idx.regs)
-        poly = (nt + k + 1 + nx * nt + k * nx) + (1 + nx + nr + nx * k + nx * nt)
+        nt, nx = len(idx.thread_ids), len(idx.vars)
+        poly = (nt + k + 1 + nx * nt + k * nx) + _rank_columns(p, k)
         assert key_length(p, k) == poly
         for act in m.all_initial_flats():
             key = canonical_key(act, rel_initial(m.nab))

@@ -128,16 +128,22 @@ def test_check_max_mb_env(monkeypatch, capsys):
 
 def test_model_above_encoding_limits_exits_2(tmp_path, capsys):
     # failures must never exit 1, which reads as "reachable"
-    big = tmp_path / "bakery6.tso"
-    assert main(["gen", "bakery", "--n", "6", "--out", str(big)]) == 0
+    # bakery(11) at k=4 keeps 267 summary variables after the slice drops
+    # those no step reads
+    big = tmp_path / "bakery11.tso"
+    assert main(["gen", "bakery", "--n", "11", "--out", str(big)]) == 0
     assert main(["check", str(big), "--k", "4"]) == 2
     captured = capsys.readouterr()
     assert "model too large" in captured.err
-    assert "summary variables" in captured.err and "255" in captured.err
+    assert "267 summary variables" in captured.err and "255" in captured.err
     assert "Traceback" not in captured.err + captured.out
     assert main(["check", MP, "--k", "300"]) == 2
     err = capsys.readouterr().err
     assert "model too large" in err and "k=300" in err
+    # bakery(6) at k=4 had 268 summary variables before the slice; 117 now
+    from tsocbmc.abmachine import AbMachine
+    from tsocbmc.generators import gen_bakery
+    assert AbMachine(gen_bakery(6).program, 4).nab == 117
 
 
 def test_oracle_encoding_limits_exit_2(tmp_path, capsys):
@@ -373,3 +379,16 @@ def test_mutated_models_never_crash(tmp_path, capsys):
             seen[rc] += 1
     # the mutants reach the search, not only the parser
     assert seen[0] and seen[1] and seen[2]
+
+
+def test_dlcs_search_names_what_ended_it():
+    from tsocbmc import dlcs_reach_bounded
+    m = parse_dlcs(DLCS)
+    capped = dlcs_reach_bounded(m, "qF", 2, 2, max_states=3)
+    assert capped.status == "bound_exhausted"
+    assert capped.stats.stop_reason == "max_states"
+    shallow = dlcs_reach_bounded(m, "qF", 2, 2, depth=1)
+    assert shallow.status == "bound_exhausted"
+    assert shallow.stats.stop_reason == "depth"
+    full = dlcs_reach_bounded(m, "qF", 2, 2)
+    assert full.reachable and full.stats.stop_reason == ""

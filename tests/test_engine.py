@@ -188,9 +188,10 @@ def test_memory_cap_reads_current_not_peak_rss():
     blob = b"\x01" * (300 * 2**20)
     assert _rss_mb() > base + 250
     del blob
-    v = check_reach(g.program, g.target, 2, max_mb=base + 150)
+    # the cap is sampled every 4,096 states, so the search must be longer
+    v = check_reach(g.program, g.target, 6, max_mb=base + 150)
     assert v.status == UNREACHABLE
-    assert v.stats.states_explored == 4358
+    assert v.stats.states_explored == 11420
 
 
 def test_control_successors_computed_once_per_control_state(monkeypatch):
@@ -209,12 +210,46 @@ def test_control_successors_computed_once_per_control_state(monkeypatch):
     g = gen_bakery(1)
     v = check_reach(g.program, g.target, 2)
     assert v.status == UNREACHABLE
-    assert v.stats.states_explored == 4358
+    assert v.stats.states_explored == 248
     assert len(calls) == 173
     assert len(set(calls)) == len(calls)
     assert v.stats.control_states == len(calls)
     # a second search on the same machine starts from an empty table
     calls.clear()
     v2 = check_reach(g.program, g.target, 2)
-    assert v2.stats.states_explored == 4358
+    assert v2.stats.states_explored == 248
     assert len(calls) == 173
+
+
+def test_state_counts_after_summary_slicing():
+    # The machine keeps only summaries some step can read.  Projecting the
+    # visited sets of the unsliced machine (227,792 and 710 states) onto
+    # the kept columns gives exactly these counts, with the same control
+    # states.  At bakery(2) k=2 the dropped columns never told two states
+    # apart, so the count stays.
+    from tsocbmc.generators import gen_bakery
+    for n, k, states, control in ((1, 4, 1998, 1373), (2, 2, 710, 214)):
+        g = gen_bakery(n)
+        v = check_reach(g.program, g.target, k)
+        assert v.status == UNREACHABLE
+        assert (v.stats.states_explored, v.stats.control_states) == (states, control)
+
+
+def test_unused_fresh_register_rebuilds_to_a_tso_run():
+    # r is drawn but never read, so its draw has no fresh effect and the
+    # witness records no value for it; the rebuilt run draws 0
+    p, tgt = parse_program_with_target(
+        "domain nat\nvars x y\n"
+        "thread a {\n  regs r s\n  init q0\n"
+        "  q0 -> q1 : r := *\n  q1 -> q2 : write y s\n"
+        "  q2 -> q3 : read x s\n}\n"
+        "target a : q3\n")
+    v = check_reach(p, tgt, 1)
+    assert v.reachable
+    run = concretize_witness(p, v.witness)
+    assert validate_witness(p, run)
+    assert run.steps[0].fresh_value is None
+    tso_run = concrete_run_to_tso(p, run)
+    tti, tsi = program_index(p).target_idx(tgt)
+    assert tso_run.final.st[tti] == tsi
+    assert cb_partition_check(tso_run, 1)

@@ -187,8 +187,11 @@ def test_initial_and_key_round_trip():
 def test_key_length_closed_form():
     p = parse_program(
         "domain nat\nvars x y\n"
-        "thread a {\n  regs r1 r2\n  init q\n}\n"
-        "thread b {\n  regs s1\n  init q\n}\n")
-    # nt=2 nx=2 nr=3, k=3:
-    # control 2+3+1+4+6=16, ranks 1+2+3+6+4=16
-    assert key_length(p, 3) == 32
+        "thread a {\n  regs r1 r2\n  init q\n"
+        "  q -> q1 : r1 := *\n  q1 -> q2 : write x r1\n"
+        "  q2 -> q3 : read x r2\n  q3 -> q4 : assume r2 = r1\n}\n"
+        "thread b {\n  regs s1\n  init q\n  q -> q1 : read y s1\n}\n")
+    # nt=2 nx=2, k=3; R={x,y}, a reads and writes x, b only reads y, and
+    # s1 is assigned but never used:
+    # control 2+3+1+4+6=16, ranks 1+2+2+2*2+1=10
+    assert key_length(p, 3) == 26
