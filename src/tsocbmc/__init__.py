@@ -23,8 +23,8 @@ from .model import (
     Transition, Write, eval_rel, le, lt, validate,
 )
 from .relabs import (
-    RelState, abstract_of, canonical_key, decode_key, key_length, rel_apply,
-    rel_check, rel_initial,
+    abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_check,
+    rel_initial,
 )
 from .tso import (
     Bounds, Label, NotEnabledError, Run, TsoConfig, cb_partition_check,
@@ -44,7 +44,7 @@ __all__ = [
     "GenResult", "Guard", "InvalidProgramError", "LE", "LT", "Label",
     "ModelTooLargeError", "NEQ",
     "NewValue", "NotEnabledError", "ParseError", "Program", "REACHABLE",
-    "Read", "RelState", "Relation", "Run", "SourceSpan", "Stats", "Target",
+    "Read", "Relation", "Run", "SourceSpan", "Stats", "Target",
     "Thread",
     "Transition", "TsoConfig", "UNREACHABLE", "UNREACHABLE_WITHIN_BOUNDS",
     "Verdict", "Witness", "WitnessStep", "Write", "abstract_of",

@@ -35,15 +35,21 @@ flush context of t's newest write on x (0 = none pending, k+1 = the write
 never commits), and per-context sets u(j) of variables with a write
 committing at the end of j.
 
-Transitions emit effect descriptors instead of touching values directly:
+Transitions emit effect descriptors over summary columns instead of touching
+values directly:
 
-  copy   dst := src
-  fresh  dst := caller-chosen natural
-  guard  relation test between two summary variables
-  multi  simultaneous batch of copies (the context-switch flush)
+  ("copy", dst, src)               dst := src
+  ("fresh", dst)                   dst := caller-chosen natural
+  ("guard", rel, left, right)      relation test between two columns
+  ("multi", ((dst, src), ...))     simultaneous copies (the context-switch flush)
 
 so the same rules drive both concrete replay (values supplied) and the order
-abstraction (effects interpreted over rank states).
+abstraction (effects interpreted over rank states).  Each move carries the
+label (rule, thread, transition position, context): the context is the flush
+context of a write and the target of a switch, -1 for the rest.  These
+tuples are the only form of labels and effects, from the search to the
+witness; `names` holds one unique string per column, and render_label and
+render_effect turn labels and effects into text for reports.
 
 A write must pick its flush context j' at issue time: j <= j' <= k with the
 writer active in j', and j' at least every flush context already pending for
@@ -59,121 +65,18 @@ set is cleared.  States merged this way have identical outgoing behavior.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional
 
 from .model import (
-    EQ, Assign, Guard, ModelTooLargeError, NewValue, Program, Read, Relation,
-    Transition, Write, eval_rel, program_index,
+    EQ, Assign, Guard, ModelTooLargeError, NewValue, Program, Read, Write,
+    eval_rel, program_index,
 )
-
-VK_SENTINEL = "sentinel"
-VK_SHARED = "shared"
-VK_REG = "reg"
-VK_CTX = "ctxvar"
-VK_THR = "thrvar"
-
-
-@dataclass(frozen=True)
-class AbVar:
-    kind: str
-    name: Optional[str] = None
-    thread: Optional[str] = None
-    ctx: Optional[int] = None
-
-    def render(self) -> str:
-        if self.kind == VK_SENTINEL:
-            return "$zero"
-        if self.kind in (VK_SHARED, VK_REG):
-            return self.name
-        if self.kind == VK_CTX:
-            return f"{self.name}@c{self.ctx}"
-        return f"{self.name}@{self.thread}"
-
-
-SENTINEL = AbVar(VK_SENTINEL)
-
-
-def shared_var(x: str) -> AbVar:
-    return AbVar(VK_SHARED, name=x)
-
-
-def reg_var(r: str) -> AbVar:
-    return AbVar(VK_REG, name=r)
-
-
-def ctx_var(x: str, j: int) -> AbVar:
-    return AbVar(VK_CTX, name=x, ctx=j)
-
-
-def thr_var(x: str, t: str) -> AbVar:
-    return AbVar(VK_THR, name=x, thread=t)
-
-
-@dataclass(frozen=True)
-class CopyVar:
-    dst: AbVar
-    src: AbVar
-
-    def render(self) -> str:
-        return f"{self.dst.render()} := {self.src.render()}"
-
-
-@dataclass(frozen=True)
-class FreshVar:
-    dst: AbVar
-
-    def render(self) -> str:
-        return f"{self.dst.render()} := *"
-
-
-@dataclass(frozen=True)
-class GuardRel:
-    rel: Relation
-    left: AbVar
-    right: AbVar
-
-    def render(self) -> str:
-        return f"assume {self.left.render()} {self.rel.render()} {self.right.render()}"
-
-
-@dataclass(frozen=True)
-class MultiCopy:
-    pairs: tuple[tuple[AbVar, AbVar], ...]
-
-    def render(self) -> str:
-        inner = ", ".join(f"{d.render()} := {s.render()}" for d, s in self.pairs)
-        return "{" + inner + "}"
-
-
-AbEffect = Union[CopyVar, FreshVar, GuardRel, MultiCopy]
 
 _RULES = ("local", "buffer_read", "memory_read", "write", "switch",
           "buffer_arw", "memory_arw")
 R_LOCAL, R_BUF_READ, R_MEM_READ, R_WRITE, R_SWITCH, R_BUF_ARW, R_MEM_ARW = range(7)
-
-
-@dataclass(frozen=True)
-class AbLabel:
-    rule: str
-    thread: Optional[str] = None
-    delta: Optional[Transition] = None
-    flush_ctx: Optional[int] = None   # for writes; k+1 means "never commits"
-    to_ctx: Optional[int] = None      # for context switches
-    act: Optional[tuple[str, ...]] = None  # for the initial guess
-
-    def render(self) -> str:
-        if self.rule == "init":
-            return "init act=(" + ",".join(self.act or ()) + ")"
-        if self.rule == "switch":
-            return f"{self.thread}: switch to context {self.to_ctx}"
-        d = self.delta
-        s = f"{self.thread}: {d.src} -> {d.dst} : {d.op.render()} [{self.rule}]"
-        if self.flush_ctx is not None:
-            s += f" [flush@{self.flush_ctx}]"
-        return s
 
 
 def _copy(dst: Optional[int], src: int) -> tuple:
@@ -259,28 +162,33 @@ class AbMachine:
         read_any = set().union(*reads)
         used = {r for edges in flows for _, _, g, _ in edges for r in g}
         assigned = {r for edges in flows for _, _, _, kl in edges for r in kl}
-        self.table: list[AbVar] = [SENTINEL]
+        names = ["$zero"]  # column 0, the sentinel
 
-        def col(v: AbVar) -> int:
-            self.table.append(v)
-            return len(self.table) - 1
+        def col(name: str) -> int:
+            # a name an earlier column holds (register x beside shared x,
+            # thread c1's summary beside context 1's) gets "#<column>"
+            while name in names:
+                name += f"#{len(names)}"
+            names.append(name)
+            return len(names) - 1
 
-        self._shared = [col(shared_var(x)) if xi in read_any else None
+        self._shared = [col(x) if xi in read_any else None
                         for xi, x in enumerate(idx.vars)]
         self._reg: list[Optional[int]] = []
         for r in idx.regs:
             if r not in assigned:
                 self._reg.append(0)  # always 0: the sentinel stands in for it
             elif r in used:
-                self._reg.append(col(reg_var(r)))
+                self._reg.append(col(r))
             else:
                 self._reg.append(None)
-        self._ctx = [col(ctx_var(x, j)) if xi in read_any and j < k else None
+        self._ctx = [col(f"{x}@c{j}") if xi in read_any and j < k else None
                      for xi, x in enumerate(idx.vars) for j in range(1, k + 1)]
-        self._thr = [col(thr_var(x, t)) if xi in reads[ti] and xi in writes[ti] else None
+        self._thr = [col(f"{x}@{t}") if xi in reads[ti] and xi in writes[ti] else None
                      for xi, x in enumerate(idx.vars) for ti, t in enumerate(idx.thread_ids)]
-        self.nab = len(self.table)
-        self.var_index = {v: i for i, v in enumerate(self.table)}
+        # one unique name per summary column, in column order
+        self.names: tuple[str, ...] = tuple(names)
+        self.nab = len(names)
         if self.nab > 255:
             raise ModelTooLargeError(f"{self.nab} summary variables at k={k} is above "
                                      "the limit of 255")
@@ -490,103 +398,31 @@ class AbMachine:
                     vals[dst] = v
         return tuple(vals)
 
-    # --- conversions to the public surface ---------------------------------
-
-    def label_public(self, label_core) -> AbLabel:
-        rule, ti, pos, jx = label_core
+    def render_label(self, core) -> str:
+        """`thread: src -> dst : op [rule]`, plus `[flush@j]` for a write;
+        a switch renders as `thread: switch to context j`."""
+        rule, ti, pos, jx = core
         tname = self.idx.thread_ids[ti]
         if rule == R_SWITCH:
-            return AbLabel("switch", thread=tname, to_ctx=jx)
+            return f"{tname}: switch to context {jx}"
         tr = self.idx.thread_transitions[ti][pos]
-        return AbLabel(_RULES[rule], thread=tname, delta=tr,
-                       flush_ctx=jx if rule == R_WRITE else None)
+        s = f"{tname}: {tr.src} -> {tr.dst} : {tr.op.render()} [{_RULES[rule]}]"
+        if rule == R_WRITE:
+            s += f" [flush@{jx}]"
+        return s
 
-    def label_core_of(self, label: AbLabel):
-        ti = self.idx.tid[label.thread]
-        if label.rule == "switch":
-            return (R_SWITCH, ti, -1, label.to_ctx)
-        pos = self.idx.thread_transitions[ti].index(label.delta)
-        rule = _RULES.index(label.rule)
-        return (rule, ti, pos, label.flush_ctx if rule == R_WRITE else -1)
-
-    def effects_public(self, effects) -> tuple[AbEffect, ...]:
-        t = self.table
-        out = []
-        for eff in effects:
-            if eff[0] == "copy":
-                out.append(CopyVar(t[eff[1]], t[eff[2]]))
-            elif eff[0] == "fresh":
-                out.append(FreshVar(t[eff[1]]))
-            elif eff[0] == "guard":
-                out.append(GuardRel(eff[1], t[eff[2]], t[eff[3]]))
-            else:
-                out.append(MultiCopy(tuple((t[d], t[s]) for d, s in eff[1])))
-        return tuple(out)
-
-    def effects_core_of(self, effects: tuple[AbEffect, ...]):
-        vi = self.var_index
-        out = []
-        for e in effects:
-            if isinstance(e, CopyVar):
-                out.append(("copy", vi[e.dst], vi[e.src]))
-            elif isinstance(e, FreshVar):
-                out.append(("fresh", vi[e.dst]))
-            elif isinstance(e, GuardRel):
-                out.append(("guard", e.rel, vi[e.left], vi[e.right]))
-            else:
-                out.append(("multi", tuple((vi[d], vi[s]) for d, s in e.pairs)))
-        return tuple(out)
-
-    def values_public(self, m: tuple[int, ...]) -> dict[AbVar, int]:
-        return {v: m[i] for i, v in enumerate(self.table)}
-
-    def values_flat(self, m: Mapping[AbVar, int] | Sequence[int]) -> tuple[int, ...]:
-        if isinstance(m, Mapping):
-            return tuple(m[v] for v in self.table)
-        if len(m) != self.nab:
-            raise ValueError("value vector has the wrong length")
-        return tuple(m)
-
-
-@dataclass(frozen=True)
-class ABState:
-    """Public view of a summarized control state."""
-    machine: AbMachine = field(compare=False, repr=False, hash=False)
-    flat: tuple[int, ...] = ()
-
-    def __hash__(self) -> int:
-        return hash(self.flat)
-
-    @property
-    def j(self) -> int:
-        return self.flat[self.machine.J]
-
-    @property
-    def act(self) -> tuple[str, ...]:
-        """Schedule tail; entries of finished contexts read as '-'."""
-        m = self.machine
-        return tuple("-" if t == m.nt else m.idx.thread_ids[t]
-                     for t in self.flat[m.ACT:m.ACT + m.k])
-
-    def state_of(self, thread: str) -> str:
-        m = self.machine
-        ti = m.idx.tid[thread]
-        return m.idx.state_names[ti][self.flat[m.ST + ti]]
-
-    def c_of(self, var: str, thread: str) -> int:
-        m = self.machine
-        return self.flat[m.C + m.idx.vid[var] * m.nt + m.idx.tid[thread]]
-
-    def u_of(self, j: int) -> frozenset[str]:
-        m = self.machine
-        return frozenset(
-            m.idx.vars[x] for x in range(m.nx)
-            if self.flat[m.U + (j - 1) * m.nx + x]
-        )
-
-    @property
-    def active_thread(self) -> str:
-        return self.act[self.j - 1]
+    def render_effect(self, eff) -> str:
+        """An effect over the column names, e.g. `x@c1 := a` or
+        `{x := x@c1}` for the simultaneous copies of a flush."""
+        n = self.names
+        tag = eff[0]
+        if tag == "copy":
+            return f"{n[eff[1]]} := {n[eff[2]]}"
+        if tag == "fresh":
+            return f"{n[eff[1]]} := *"
+        if tag == "guard":
+            return f"assume {n[eff[2]]} {eff[1].render()} {n[eff[3]]}"
+        return "{" + ", ".join(f"{n[d]} := {n[s]}" for d, s in eff[1]) + "}"
 
 
 @lru_cache(maxsize=None)

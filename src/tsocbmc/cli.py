@@ -163,7 +163,12 @@ def _cmd_check(args) -> int:
         try:
             max_mb = float(env)
         except ValueError:
-            raise UsageError(f"TSOCBMC_MAX_MB must be a number, got {env!r}")
+            max_mb = math.nan
+        # nan would turn the cap off, and a cap <= 0 stops the first RSS
+        # check as if memory had run out
+        if not 0 < max_mb < math.inf:
+            raise UsageError("TSOCBMC_MAX_MB must be a positive finite number "
+                             f"of megabytes, got {env!r}")
     verdict = check_reach(program, target, args.k,
                           max_states=args.max_states, max_mb=max_mb)
     steps_json: list[dict] = []
@@ -172,11 +177,10 @@ def _cmd_check(args) -> int:
         m = ab_machine(program, verdict.witness.k)
         for ab_step, c_step in zip(verdict.witness.steps, run.steps):
             steps_json.append({
-                "thread": c_step.label.thread,
-                "label": c_step.label.render(),
-                "effects": [e.render() for e in ab_step.effects],
-                "values": {v.render(): val for v, val
-                           in m.values_public(c_step.values).items()},
+                "thread": m.idx.thread_ids[c_step.label[1]],
+                "label": m.render_label(c_step.label),
+                "effects": [m.render_effect(e) for e in ab_step.effects],
+                "values": dict(zip(m.names, c_step.values)),
             })
         if args.witness:
             for entry in steps_json:

@@ -12,7 +12,9 @@ depend on the ranks.  So each search computes them once per control state
 and reuses them for every rank tuple paired with it; the table lives only
 as long as that search.
 
-A positive verdict carries an abstract witness.  From it we can
+A positive verdict carries an abstract witness: per step, the machine's own
+label and effect tuples (see abmachine) and the rank tuple after the step;
+the machine renders them for reports.  From it we can
 
   * concretize: replay the steps assigning actual naturals, inflating the
     value space (shifting everything >= some point upward) whenever a gap
@@ -26,12 +28,13 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from .abmachine import (
-    AbEffect, AbLabel, AbMachine, GuardFailedError, ab_machine,
+    R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, GuardFailedError,
+    ab_machine,
 )
 from .model import LT, NewValue, Program, Target, eval_rel
 from .relabs import abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_initial
@@ -41,8 +44,8 @@ from .verdict import BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, Stats, Verdict
 
 @dataclass(frozen=True)
 class WitnessStep:
-    label: AbLabel
-    effects: tuple[AbEffect, ...]
+    label: tuple              # core label (rule, thread, position, ctx)
+    effects: tuple            # core effects over summary columns
     rel_after: tuple[int, ...]
 
 
@@ -55,7 +58,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class ConcreteStep:
-    label: AbLabel
+    label: tuple              # core label, as in WitnessStep
     fresh_value: Optional[int]
     values: tuple[int, ...]   # summary-variable values after the step
 
@@ -139,8 +142,7 @@ def check_reach(program: Program, target: Target, k: int,
                 pf, _ = decode_key(m.flat_len, prev)
                 _, ranks_after = decode_key(m.flat_len, after)
                 eff, _ = m.apply_flat(pf, core)
-                steps.append(WitnessStep(m.label_public(core),
-                                         m.effects_public(eff), ranks_after))
+                steps.append(WitnessStep(core, eff, ranks_after))
             witness = Witness(k, act, tuple(steps))
         return Verdict(found, status, witness, stats)
 
@@ -218,7 +220,7 @@ def concretize_witness(program: Program, witness: Witness) -> ConcreteRun:
             rec[2] = [v + amount if v >= at else v for v in rec[2]]
 
     for step in witness.steps:
-        eff_core = m.effects_core_of(step.effects)
+        eff_core = step.effects
         ra = step.rel_after
         fresh: Optional[int] = None
         fresh_at = [n for n, e in enumerate(eff_core) if e[0] == "fresh"]
@@ -307,8 +309,7 @@ def validate_witness(program: Program, run: ConcreteRun) -> bool:
     flat = m.initial_flat(act_idx)
     vals = (0,) * m.nab
     for n, step in enumerate(run.steps):
-        core = m.label_core_of(step.label)
-        eff, flat2 = m.apply_flat(flat, core)
+        eff, flat2 = m.apply_flat(flat, step.label)
         try:
             vals2 = m.apply_effects(vals, eff, step.fresh_value)
         except GuardFailedError as e:
@@ -333,7 +334,7 @@ def concrete_run_to_tso(program: Program, run: ConcreteRun) -> Run:
     """
     m = ab_machine(program, run.k)
     idx = m.idx
-    pending: dict[int, deque[int]] = {idx.tid[t]: deque() for t in idx.thread_ids}
+    pending: dict[int, deque[int]] = {ti: deque() for ti in range(m.nt)}
     labels: list[Label] = []
     j = 1
 
@@ -344,30 +345,28 @@ def concrete_run_to_tso(program: Program, run: ConcreteRun) -> Run:
             labels.append(Label(idx.thread_ids[ti], None))
 
     for step in run.steps:
-        lbl = step.label
-        if lbl.rule == "switch":
-            ti = idx.tid[lbl.thread]
+        rule, ti, pos, jx = step.label
+        if rule == R_SWITCH:
             flush_front(ti, j)
-            j = lbl.to_ctx
+            j = jx
             continue
-        ti = idx.tid[lbl.thread]
-        delta = lbl.delta
-        op = delta.op
-        if lbl.rule == "write":
-            labels.append(Label(lbl.thread, delta))
-            pending[ti].append(lbl.flush_ctx)
-        elif lbl.rule in ("buffer_arw", "memory_arw"):
+        tname = idx.thread_ids[ti]
+        delta = idx.thread_transitions[ti][pos]
+        if rule == R_WRITE:
+            labels.append(Label(tname, delta))
+            pending[ti].append(jx)
+        elif rule in (R_BUF_ARW, R_MEM_ARW):
             flush_front(ti, j)
             if pending[ti]:
                 raise ConcretizationError("buffered write tagged past the context "
                                           "at an atomic read-write")
-            labels.append(Label(lbl.thread, delta))
-        elif isinstance(op, NewValue):
+            labels.append(Label(tname, delta))
+        elif isinstance(delta.op, NewValue):
             # a draw into a register nothing reads has no fresh effect, so no
             # recorded value; any natural replays the same run
             value = 0 if step.fresh_value is None else step.fresh_value
-            labels.append(Label(lbl.thread, delta, value=value))
+            labels.append(Label(tname, delta, value=value))
         else:
-            labels.append(Label(lbl.thread, delta))
+            labels.append(Label(tname, delta))
 
     return replay(program, labels)

@@ -34,11 +34,10 @@ swap, rebuilds the tuple through _densify.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .abmachine import ab_machine
-from .model import LE, LT, EQ, NEQ, Program, Relation
+from .model import LT, EQ, NEQ, Program, Relation
 from .model import program_index
 
 
@@ -141,26 +140,6 @@ def _fresh(r: tuple[int, ...], d: int, out: list) -> None:
         above = [v + 1 if v > c else v for v in others]
         above[d] = c + 1
         out.append(tuple(above))
-
-
-@dataclass(frozen=True)
-class RelState:
-    """Public wrapper around a rank tuple."""
-    ranks: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.ranks != _densify(self.ranks):
-            raise ValueError("ranks must be dense")
-
-    @property
-    def width(self) -> int:
-        return max(self.ranks) + 1 if self.ranks else 0
-
-    def classes(self) -> list[tuple[int, ...]]:
-        by_rank: dict[int, list[int]] = {}
-        for i, r in enumerate(self.ranks):
-            by_rank.setdefault(r, []).append(i)
-        return [tuple(by_rank[r]) for r in sorted(by_rank)]
 
 
 def rel_initial(nab: int) -> tuple[int, ...]:

@@ -173,7 +173,7 @@ def suite_step_soundness(seed: int = 0, steps: int = 1000) -> SuiteResult:
             res.cases += 1
             if abstract_of(vals2) not in rel_apply(abstract_of(vals), eff):
                 res.failures.append(
-                    f"step {m.label_public(core).render()} leaves the "
+                    f"step {m.render_label(core)} leaves the "
                     f"rank successors")
             flat, vals = flat2, vals2
             if res.cases >= steps:

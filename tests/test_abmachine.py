@@ -7,9 +7,8 @@ from tsocbmc import (
     gen_bakery,
 )
 from tsocbmc.abmachine import (
-    ABState, AbLabel, AbMachine, CopyVar, FreshVar, GuardFailedError,
-    GuardRel, MultiCopy, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH, R_WRITE,
-    SENTINEL, VK_CTX, VK_SHARED, VK_THR, ctx_var, reg_var, shared_var, thr_var,
+    AbMachine, GuardFailedError, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH,
+    R_WRITE,
 )
 from tsocbmc.selftest import random_program
 
@@ -37,30 +36,36 @@ READER = _thread("r", ["b"], [
 PROG = Program.make([WRITER, READER], ["x"])
 
 
+def _c(m, s, x, t):
+    """c(x, t) in control state s: the flush context of t's newest write."""
+    return s[m.C + m.idx.vid[x] * m.nt + m.idx.tid[t]]
+
+
+def _u(m, s, j):
+    """u(j) in control state s: variables with a write committing at j."""
+    return {m.idx.vars[x] for x in range(m.nx) if s[m.U + (j - 1) * m.nx + x]}
+
+
 def test_var_renders():
-    assert SENTINEL.render() == "$zero"
-    assert shared_var("x").render() == "x"
-    assert reg_var("a").render() == "a"
-    assert ctx_var("x", 2).render() == "x@c2"
-    assert thr_var("x", "w").render() == "x@w"
+    # sentinel, shared, register, context and thread summaries
+    m = AbMachine(PROG, 3)
+    assert m.names == ("$zero", "x", "a", "b", "x@c1", "x@c2", "x@w")
 
 
 def test_machine_layout_and_initials():
     m = AbMachine(PROG, 2)
     # sentinel, shared, regs, ctx summaries, thread summaries; x@c2 (the
     # last context's) and x@r (r never writes x) are read by no step
-    assert m.table == [SENTINEL, shared_var("x"), reg_var("a"), reg_var("b"),
-                       ctx_var("x", 1), thr_var("x", "w")]
-    assert m.nab == 6 and m.table[0] is SENTINEL
+    assert m.names == ("$zero", "x", "a", "b", "x@c1", "x@w")
+    assert m.nab == 6
     assert (m.i_shared(0), m.i_reg(0), m.i_reg(1)) == (1, 2, 3)
     assert (m.i_ctx(0, 1), m.i_ctx(0, 2)) == (4, None)
     assert (m.i_thr(0, 0), m.i_thr(0, 1)) == (5, None)
     assert len(m.all_initial_flats()) == m.nt ** m.k == 4
     s0 = m.initial_flat((0, 1))
-    st = ABState(m, s0)
-    assert st.j == 1 and st.act == ("w", "r")
-    assert st.state_of("w") == "q0" and st.state_of("r") == "q0"
-    assert st.c_of("x", "w") == 0 and st.u_of(1) == frozenset()
+    assert s0[m.J] == 1 and s0[m.ACT:m.ACT + m.k] == (0, 1)
+    assert s0[m.ST:m.ST + m.nt] == (m.idx.state_id[0]["q0"], m.idx.state_id[1]["q0"])
+    assert _c(m, s0, "x", "w") == 0 and _u(m, s0, 1) == set()
     with pytest.raises(ValueError):
         m.initial_flat((0,))
     with pytest.raises(ValueError):
@@ -85,7 +90,7 @@ def test_write_alternatives_ascending_with_never_last():
     assert [c[3] for c in writes] == [1, 3, m.never]
     # taking flush@3 pins later writes at 3 or beyond
     _, _, s = _step(m, s, lambda c: c[0] == R_WRITE and c[3] == 3)
-    assert ABState(m, s).c_of("x", "w") == 3
+    assert _c(m, s, "x", "w") == 3
     writes2 = [c for c, _, _ in m.transitions_flat(s) if c[0] == R_WRITE]
     assert [c[3] for c in writes2] == [3, m.never]
 
@@ -95,8 +100,7 @@ def test_write_sets_summaries_and_update_bit():
     s = m.initial_flat((0, 1))
     _, _, s = _step(m, s, lambda c: c[0] == R_LOCAL)
     core, eff, s2 = _step(m, s, lambda c: c[0] == R_WRITE and c[3] == 1)
-    st = ABState(m, s2)
-    assert st.u_of(1) == frozenset({"x"}) and st.c_of("x", "w") == 1
+    assert _u(m, s2, 1) == {"x"} and _c(m, s2, "x", "w") == 1
     assert eff == (("copy", 5, 2), ("copy", 4, 2))  # x@w, x@c1 := a
     # a write flushing at the last context copies into x@w alone: nothing
     # ever reads x@c2
@@ -131,35 +135,35 @@ def test_switch_commits_and_canonicalizes():
     _, _, s = _step(m, s, lambda c: c[0] == R_WRITE and c[3] == 1)
     core, eff, s2 = _step(m, s, lambda c: c[0] == R_SWITCH)
     assert core == (R_SWITCH, 0, -1, 2)
-    st = ABState(m, s2)
-    assert st.j == 2 and st.act == ("-", "r") and st.active_thread == "r"
-    assert st.u_of(1) == frozenset() and st.c_of("x", "w") == 0
+    # the finished context's schedule entry reads the out-of-range marker nt
+    assert s2[m.J] == 2 and s2[m.ACT:m.ACT + m.k] == (m.nt, 1)
+    assert _u(m, s2, 1) == set() and _c(m, s2, "x", "w") == 0
     # commit is the multi copy shared := ctx summary, then the dead resets
     assert eff == (("multi", ((1, 4),)), ("copy", 4, 0), ("copy", 5, 0))
     # no switch out of the last context
     assert not any(c[0] == R_SWITCH for c, _, _ in m.transitions_flat(s2))
 
 
-def test_label_round_trip_and_renders():
+def test_label_renders():
     m = AbMachine(PROG, 2)
     s = m.initial_flat((0, 1))
-    for core, eff, _ in m.transitions_flat(s):
-        lab = m.label_public(core)
-        assert m.label_core_of(lab) == core
-        pub = m.effects_public(eff)
-        assert m.effects_core_of(pub) == tuple(eff)
-    lab = m.label_public((R_WRITE, 0, 1, 2))
-    assert lab.render() == "w: q1 -> q2 : write x a [write] [flush@2]"
-    sw = m.label_public((R_SWITCH, 0, -1, 2))
-    assert sw.render() == "w: switch to context 2"
+    assert [m.render_label(core) for core, _, _ in m.transitions_flat(s)] == [
+        "w: q0 -> q1 : a := * [local]", "w: switch to context 2"]
+    assert (m.render_label((R_WRITE, 0, 1, 2))
+            == "w: q1 -> q2 : write x a [write] [flush@2]")
+    assert (m.render_label((R_WRITE, 0, 1, m.never))
+            == "w: q1 -> q2 : write x a [write] [flush@3]")
+    assert m.render_label((R_MEM_READ, 1, 0, -1)) == "r: q0 -> q1 : read x b [memory_read]"
+    assert m.render_label((R_SWITCH, 0, -1, 2)) == "w: switch to context 2"
 
 
 def test_effect_renders():
-    assert CopyVar(reg_var("a"), SENTINEL).render() == "a := $zero"
-    assert FreshVar(reg_var("a")).render() == "a := *"
-    assert GuardRel(NEQ, reg_var("a"), reg_var("b")).render() == "assume a != b"
-    mc = MultiCopy(((shared_var("x"), ctx_var("x", 1)),))
-    assert mc.render() == "{x := x@c1}"
+    m = AbMachine(PROG, 2)  # columns $zero x a b x@c1 x@w
+    assert m.render_effect(("copy", 2, 0)) == "a := $zero"
+    assert m.render_effect(("fresh", 2)) == "a := *"
+    assert m.render_effect(("guard", NEQ, 2, 3)) == "assume a != b"
+    assert m.render_effect(("multi", ((1, 4),))) == "{x := x@c1}"
+    assert m.render_effect(("multi", ((1, 4), (5, 0)))) == "{x := x@c1, x@w := $zero}"
 
 
 def test_apply_effects():
@@ -188,7 +192,7 @@ def test_dead_register_reset_appended():
     ])
     m = AbMachine(Program.make([t], ["x"]), 1)
     # sentinel, a, b: x is never read, so it has no summaries at all
-    assert m.table == [SENTINEL, reg_var("a"), reg_var("b")]
+    assert m.names == ("$zero", "a", "b")
     s = m.initial_flat((0,))
     _, eff, s = _step(m, s, lambda c: c[2] == 0)
     assert eff == (("fresh", 2),)
@@ -213,7 +217,7 @@ def test_unassigned_and_unused_registers_get_no_column():
     m = AbMachine(Program.make([t], ["x"]), 1)
     rid = m.idx.rid
     assert (m.i_reg(rid["z"]), m.i_reg(rid["d"]), m.i_reg(rid["e"])) == (0, None, 2)
-    assert m.table == [SENTINEL, shared_var("x"), reg_var("e")]
+    assert m.names == ("$zero", "x", "e")
     s = m.initial_flat((0,))
     _, eff, s = _step(m, s, lambda c: c[2] == 0)
     assert eff == ()
@@ -230,8 +234,7 @@ def test_bakery_1_keeps_no_memory_summaries():
     # are used stay, and t1_rF (never assigned) reads the sentinel
     g = gen_bakery(1)
     m = AbMachine(g.program, 4)
-    assert not any(v.kind in (VK_SHARED, VK_CTX, VK_THR) for v in m.table)
-    assert m.table == [SENTINEL, reg_var("t1_rT"), reg_var("t1_r1")]
+    assert m.names == ("$zero", "t1_rT", "t1_r1")
     assert m.i_reg(m.idx.rid["t1_rF"]) == 0
 
 
@@ -241,15 +244,12 @@ def test_no_machine_has_a_last_context_summary():
     for p in progs:
         for k in (1, 2, 3):
             m = AbMachine(p, k)
-            assert not any(v.kind == VK_CTX and v.ctx == k for v in m.table)
             assert all(m.i_ctx(x, k) is None for x in range(m.nx))
 
 
 def test_values_round_trip():
+    # a value vector keyed by column name loses nothing: names are unique
     m = AbMachine(PROG, 2)
     vals = tuple(i % 3 for i in range(m.nab))
-    pub = m.values_public(vals)
-    assert m.values_flat(pub) == vals
-    assert m.values_flat(list(vals)) == vals
-    with pytest.raises(ValueError):
-        m.values_flat((0,))
+    by_name = dict(zip(m.names, vals))
+    assert tuple(by_name[n] for n in m.names) == vals

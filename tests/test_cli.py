@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from tsocbmc import parse_dlcs, parse_program_with_target
+from tsocbmc.abmachine import ab_machine
 from tsocbmc.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -117,13 +118,53 @@ def test_check_target_override(capsys):
 
 
 def test_check_max_mb_env(monkeypatch, capsys):
-    monkeypatch.setenv("TSOCBMC_MAX_MB", "not-a-number")
-    assert main(["check", MP, "--k", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "TSOCBMC_MAX_MB" in err
+    # nan would switch the cap off, and a cap <= 0 would end the search at
+    # its first memory check as if memory had run out
+    for bad in ("not-a-number", "nan", "inf", "-inf", "0", "-5"):
+        monkeypatch.setenv("TSOCBMC_MAX_MB", bad)
+        assert main(["check", MP, "--k", "1"]) == 2, bad
+        err = capsys.readouterr().err
+        assert "TSOCBMC_MAX_MB" in err and repr(bad) in err
     monkeypatch.setenv("TSOCBMC_MAX_MB", "100000")
     assert main(["check", MP, "--k", "1"]) == 0
     capsys.readouterr()
+
+
+# thread c1 writes and reads x, so its summary x@c1 sits beside the summary
+# x@c1 of context 1
+THREAD_C1 = """domain nat
+vars x
+thread c1 {
+  regs a b
+  init q0
+  q0 -> q1 : a := *
+  q1 -> q2 : write x a
+  q2 -> q3 : read x b
+  q3 -> q4 : assume b = a
+}
+target c1 : q4
+"""
+
+
+@pytest.mark.parametrize("text, clash", [
+    # r's register data is named like the shared variable data
+    (Path(MP).read_text().replace("r_data", "data"), "data#5"),
+    (THREAD_C1, "x@c1#5"),
+], ids=["register-named-like-a-variable", "thread-named-c1"])
+def test_check_out_names_every_summary_column_once(text, clash, tmp_path, capsys):
+    src = tmp_path / "clash.tso"
+    src.write_text(text)
+    rpt = tmp_path / "report.json"
+    assert main(["check", str(src), "--k", "2", "--out", str(rpt)]) == 1
+    capsys.readouterr()
+    program, _ = parse_program_with_target(text)
+    m = ab_machine(program, 2)
+    assert len(set(m.names)) == m.nab and clash in m.names
+    witness = json.loads(rpt.read_text())["witness"]
+    for step in witness:
+        assert len(step["values"]) == m.nab
+    # the effect that reads the clashing column names it with its suffix
+    assert any(clash in e for step in witness for e in step["effects"])
 
 
 def test_model_above_encoding_limits_exits_2(tmp_path, capsys):

@@ -79,7 +79,8 @@ def _pre_guard_values(run, m, pick):
     # values feeding a guard step live in the step before it; the machine
     # resets registers right after their last read, so "after" can be zeroed
     for n, step in enumerate(run.steps):
-        d = step.label.delta
+        _, ti, pos, _ = step.label
+        d = m.idx.thread_transitions[ti][pos] if pos >= 0 else None
         if d is not None and isinstance(d.op, Guard) and pick(d.op):
             return run.steps[n - 1].values if n else (0,) * m.nab
     raise AssertionError("guard step not found")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tsocbmc import (
-    EQ, LE, LT, NEQ, RelState, abstract_of, canonical_key, decode_key,
+    EQ, LE, LT, NEQ, abstract_of, canonical_key, decode_key,
     key_length, le, lt, parse_program, rel_apply, rel_check, rel_initial,
 )
 
@@ -168,12 +168,10 @@ def test_rel_apply_matches_reference_on_random_effects():
         assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
 
 
-def test_rel_state_wrapper():
-    s = RelState(abstract_of((4, 4, 7, 1)))
-    assert s.width == 3
-    assert s.classes() == [(3,), (0, 1), (2,)]
-    with pytest.raises(ValueError):
-        RelState((0, 2))  # rank 1 missing
+def test_abstract_of_dense_classes():
+    # three classes, {3} < {0, 1} < {2}, on ranks 0..2 with none skipped
+    assert abstract_of((4, 4, 7, 1)) == (1, 1, 2, 0)
+    assert abstract_of((0, 2)) == (0, 1)  # no rank left empty between them
 
 
 def test_initial_and_key_round_trip():
