@@ -268,76 +268,59 @@ class AbMachine:
             op = tr.op
             dst_state = idx.state_id[ti][tr.dst]
             dz = self._dead_regs[ti][pos]
+            rule = R_LOCAL
             if isinstance(op, Assign):
-                eff = _copy(self.i_reg(idx.rid[op.dst]), self.i_reg(idx.rid[op.src])) + dz
-                out.append(((R_LOCAL, ti, pos, -1), eff, self._with_state(s, ti, dst_state)))
+                eff = _copy(self.i_reg(idx.rid[op.dst]), self.i_reg(idx.rid[op.src]))
             elif isinstance(op, NewValue):
                 d = self.i_reg(idx.rid[op.dst])
-                eff = ((("fresh", d),) if d is not None else ()) + dz
-                out.append(((R_LOCAL, ti, pos, -1), eff, self._with_state(s, ti, dst_state)))
+                eff = (("fresh", d),) if d is not None else ()
             elif isinstance(op, Guard):
                 eff = (("guard", op.rel, self.i_reg(idx.rid[op.left]),
-                        self.i_reg(idx.rid[op.right])),) + dz
-                out.append(((R_LOCAL, ti, pos, -1), eff, self._with_state(s, ti, dst_state)))
+                        self.i_reg(idx.rid[op.right])),)
             elif isinstance(op, Read):
                 x = idx.vid[op.var]
                 rd = self.i_reg(idx.rid[op.dst])
-                c_xt = s[self.C + x * nt + ti]
-                if c_xt >= j:
+                if s[self.C + x * nt + ti] >= j:
                     # newest write on x still buffered: read the thread summary
-                    eff = _copy(rd, self.i_thr(x, ti)) + dz
-                    out.append(((R_BUF_READ, ti, pos, -1), eff,
-                                self._with_state(s, ti, dst_state)))
+                    rule, eff = R_BUF_READ, _copy(rd, self.i_thr(x, ti))
                 else:
-                    eff = _copy(rd, self.i_shared(x)) + dz
-                    out.append(((R_MEM_READ, ti, pos, -1), eff,
-                                self._with_state(s, ti, dst_state)))
+                    rule, eff = R_MEM_READ, _copy(rd, self.i_shared(x))
             elif isinstance(op, Write):
                 x = idx.vid[op.var]
                 rs = self.i_reg(idx.rid[op.src])
                 buffered = _copy(self.i_thr(x, ti), rs)
                 lo = max(j, self._c_max(s, ti))
-                for jp in range(lo, k + 1):
-                    if s[self.ACT + jp - 1] != ti:
-                        continue
-                    eff = buffered + _copy(self.i_ctx(x, jp), rs) + dz
+                flushes = [jp for jp in range(lo, k + 1) if s[self.ACT + jp - 1] == ti]
+                # the write may also stay buffered past the end of the run
+                for jp in flushes + [self.never]:
+                    eff = buffered
                     s2 = list(s)
                     s2[self.ST + ti] = dst_state
                     s2[self.C + x * nt + ti] = jp
-                    s2[self.U + (jp - 1) * self.nx + x] = 1
-                    out.append(((R_WRITE, ti, pos, jp), eff, tuple(s2)))
-                # the write may stay buffered past the end of the run
-                eff = buffered + dz
-                s2 = list(s)
-                s2[self.ST + ti] = dst_state
-                s2[self.C + x * nt + ti] = self.never
-                out.append(((R_WRITE, ti, pos, self.never), eff, tuple(s2)))
+                    if jp <= k:
+                        eff += _copy(self.i_ctx(x, jp), rs)
+                        s2[self.U + (jp - 1) * self.nx + x] = 1
+                    out.append(((R_WRITE, ti, pos, jp), eff + dz, tuple(s2)))
+                continue
             else:  # Arw
+                if j < self._c_max(s, ti):
+                    continue
                 x = idx.vid[op.var]
                 re = self.i_reg(idx.rid[op.expect])
                 ru = self.i_reg(idx.rid[op.update])
-                if j >= self._c_max(s, ti):
-                    c_xt = s[self.C + x * nt + ti]
-                    if c_xt == j:
-                        # newest write on x commits this context: operate on it
-                        thr = self.i_thr(x, ti)
-                        eff = ((("guard", EQ, re, thr), ("copy", thr, ru))
-                               + _copy(self.i_ctx(x, j), ru) + dz)
-                        out.append(((R_BUF_ARW, ti, pos, -1), eff,
-                                    self._with_state(s, ti, dst_state)))
-                    else:  # c_xt < j: nothing pending on x
-                        eff = (("guard", EQ, re, self.i_shared(x)),
-                               ("copy", self.i_shared(x), ru)) + dz
-                        out.append(((R_MEM_ARW, ti, pos, -1), eff,
-                                    self._with_state(s, ti, dst_state)))
+                if s[self.C + x * nt + ti] == j:
+                    # newest write on x commits this context: operate on it
+                    rule, cell = R_BUF_ARW, self.i_thr(x, ti)
+                    commit = _copy(self.i_ctx(x, j), ru)
+                else:  # nothing pending on x: operate on memory
+                    rule, cell, commit = R_MEM_ARW, self.i_shared(x), ()
+                eff = (("guard", EQ, re, cell), ("copy", cell, ru)) + commit
+            s2 = list(s)
+            s2[self.ST + ti] = dst_state
+            out.append(((rule, ti, pos, -1), eff + dz, tuple(s2)))
         if j < k:
             out.append(self._switch(s, ti, j))
         return out
-
-    def _with_state(self, s: tuple[int, ...], ti: int, dst_state: int) -> tuple[int, ...]:
-        s2 = list(s)
-        s2[self.ST + ti] = dst_state
-        return tuple(s2)
 
     def _switch(self, s: tuple[int, ...], ti: int, j: int):
         nx = self.nx

@@ -21,7 +21,7 @@ from typing import Optional
 from .abmachine import ab_machine
 from .dsl import (
     ParseError, parse_dfa, parse_dlcs, parse_program_with_target, render_dfa,
-    render_dlcs, render_program, validate_dfa, validate_dlcs,
+    render_dlcs, render_program,
 )
 from .engine import ConcretizationError, check_reach, concretize_witness
 from .generators import gen_bakery, gen_dlcs_reduction, gen_intersection
@@ -67,12 +67,24 @@ def _sniff_kind(text: str) -> str:
     return "program"
 
 
-def _load_program(path: str) -> tuple[Program, Optional[Target]]:
-    program, inline = parse_program_with_target(_read_text(path))
+def _load_program(path: str, text: Optional[str] = None
+                  ) -> tuple[Program, Optional[Target]]:
+    """Parse and validate a program file; `text` is its content when the
+    caller has read it already."""
+    if text is None:
+        text = _read_text(path)
+    program, inline = parse_program_with_target(text)
     diags = validate(program)
     if diags:
         raise UsageError(f"{path}: " + "; ".join(diags))
     return program, inline
+
+
+def _check_target(program: Program, target: Target) -> None:
+    try:
+        program_index(program).target_idx(target)
+    except KeyError as e:
+        raise UsageError(str(e.args[0]) if e.args else str(e))
 
 
 def _resolve_target(args, program: Program, inline: Optional[Target]) -> Target:
@@ -86,16 +98,35 @@ def _resolve_target(args, program: Program, inline: Optional[Target]) -> Target:
         target = inline
     else:
         raise UsageError("no target: add a 'target' line to the file or pass --target")
-    try:
-        program_index(program).target_idx(target)
-    except KeyError as e:
-        raise UsageError(str(e.args[0]) if e.args else str(e))
+    _check_target(program, target)
     return target
 
 
-def _exit_for(verdict: Verdict) -> int:
-    """The exit code of a verdict; a capped search also names its cap on
-    stderr (stdout keeps the one summary line)."""
+def _finish(args, verdict: Verdict, target: Target, k: Optional[int],
+            shown_k: str, steps_json: list[dict]) -> int:
+    """The output tail of check and simulate: the witness lines with
+    --witness, the one summary line, the --out report, and the exit code.
+    A capped search also names its cap on stderr."""
+    if args.witness:
+        for entry in steps_json:
+            print("  " + entry["label"])
+    print(f"{verdict.status}: target {target.thread}:{target.state}{shown_k} "
+          f"({verdict.stats.states_explored} states explored)")
+    if args.out:
+        report = {
+            "reachable": verdict.reachable,
+            "k": k,
+            "target": {"thread": target.thread, "state": target.state},
+            "witness": steps_json,
+            "stats": {
+                "states_explored": verdict.stats.states_explored,
+                "control_states": verdict.stats.control_states,
+                "peak_frontier": verdict.stats.peak_frontier,
+                "wall_ms": int(round(verdict.stats.wall_ms)),
+                "stop_reason": verdict.stats.stop_reason,
+            },
+        }
+        _write_out(args.out, json.dumps(report, indent=2) + "\n")
     if verdict.reachable:
         return 1
     if verdict.status == BOUND_EXHAUSTED:
@@ -104,48 +135,17 @@ def _exit_for(verdict: Verdict) -> int:
     return 0
 
 
-def _report(verdict: Verdict, k: Optional[int], target: Target,
-            witness_steps: list[dict]) -> dict:
-    return {
-        "reachable": verdict.reachable,
-        "k": k,
-        "target": {"thread": target.thread, "state": target.state},
-        "witness": witness_steps,
-        "stats": {
-            "states_explored": verdict.stats.states_explored,
-            "control_states": verdict.stats.control_states,
-            "peak_frontier": verdict.stats.peak_frontier,
-            "wall_ms": int(round(verdict.stats.wall_ms)),
-            "stop_reason": verdict.stats.stop_reason,
-        },
-    }
-
-
 def _cmd_parse(args) -> int:
     text = _read_text(args.file)
     kind = _sniff_kind(text)
     if kind == "dfa":
-        d = parse_dfa(text)
-        diags = validate_dfa(d)
-        if diags:
-            raise UsageError(f"{args.file}: " + "; ".join(diags))
-        out = render_dfa(d)
+        out = render_dfa(parse_dfa(text))
     elif kind == "dlcs":
-        m = parse_dlcs(text)
-        diags = validate_dlcs(m)
-        if diags:
-            raise UsageError(f"{args.file}: " + "; ".join(diags))
-        out = render_dlcs(m)
+        out = render_dlcs(parse_dlcs(text))
     else:
-        program, inline = parse_program_with_target(text)
-        diags = validate(program)
-        if diags:
-            raise UsageError(f"{args.file}: " + "; ".join(diags))
+        program, inline = _load_program(args.file, text)
         if inline is not None:
-            try:
-                program_index(program).target_idx(inline)
-            except KeyError as e:
-                raise UsageError(str(e.args[0]) if e.args else str(e))
+            _check_target(program, inline)
         out = render_program(program, inline)
     _write_out(args.out, out)
     return 0
@@ -182,15 +182,7 @@ def _cmd_check(args) -> int:
                 "effects": [m.render_effect(e) for e in ab_step.effects],
                 "values": dict(zip(m.names, c_step.values)),
             })
-        if args.witness:
-            for entry in steps_json:
-                print("  " + entry["label"])
-    print(f"{verdict.status}: target {target.thread}:{target.state} k={args.k} "
-          f"({verdict.stats.states_explored} states explored)")
-    if args.out:
-        _write_out(args.out, json.dumps(_report(verdict, args.k, target,
-                                                steps_json), indent=2) + "\n")
-    return _exit_for(verdict)
+    return _finish(args, verdict, target, args.k, f" k={args.k}", steps_json)
 
 
 def _check_max_states(args) -> None:
@@ -216,20 +208,12 @@ def _cmd_simulate(args) -> int:
     else:
         verdict = tso_reach_bounded(program, target, b,
                                     max_states=args.max_states)
-    steps_json: list[dict] = []
+    steps_json = []
     if verdict.reachable:
-        for label, _cfg in verdict.witness.steps:
-            steps_json.append({"thread": label.thread, "label": label.render(),
-                               "effects": [], "values": {}})
-        if args.witness:
-            for entry in steps_json:
-                print("  " + entry["label"])
-    print(f"{verdict.status}: target {target.thread}:{target.state} "
-          f"({verdict.stats.states_explored} states explored)")
-    if args.out:
-        _write_out(args.out, json.dumps(_report(verdict, args.cb, target,
-                                                steps_json), indent=2) + "\n")
-    return _exit_for(verdict)
+        steps_json = [{"thread": label.thread, "label": label.render(),
+                       "effects": [], "values": {}}
+                      for label, _cfg in verdict.witness.steps]
+    return _finish(args, verdict, target, args.cb, "", steps_json)
 
 
 def _cmd_gen(args) -> int:
@@ -238,22 +222,13 @@ def _cmd_gen(args) -> int:
             raise UsageError("--n must be at least 1")
         g = gen_bakery(args.n)
     elif args.kind == "intersection":
-        dfas = []
-        for path in args.files:
-            d = parse_dfa(_read_text(path))
-            diags = validate_dfa(d)
-            if diags:
-                raise UsageError(f"{path}: " + "; ".join(diags))
-            dfas.append(d)
+        dfas = [parse_dfa(_read_text(path)) for path in args.files]
         try:
             g = gen_intersection(dfas)
         except ValueError as e:
             raise UsageError(str(e))
     else:
         m = parse_dlcs(_read_text(args.file))
-        diags = validate_dlcs(m)
-        if diags:
-            raise UsageError(f"{args.file}: " + "; ".join(diags))
         try:
             g = gen_dlcs_reduction(m)
         except ValueError as e:

@@ -44,12 +44,12 @@ Rendering is canonical: parse(render(m)) == m for all three formats.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .model import (
     EQ, LE, LT, NEQ, Arw, Assign, Guard, NewValue, Op, Program, Read,
-    Relation, RelKind, Target, Thread, Transition, Write,
+    Relation, RelKind, Target, Thread, Transition, Write, states_in_order,
 )
 
 
@@ -133,8 +133,13 @@ def _tokenize(text: str) -> list[_Token]:
                 raise ParseError(f"stray '{ch}'", SourceSpan(line, start_col, 1))
             base = text[i:j]
             if base in ("<", "<="):
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in "0123456789":
                     j += 1
+                # str.isdigit() also holds for digits such as '²' that int()
+                # rejects; an offset takes ASCII digits only
+                if j < n and text[j].isdigit():
+                    raise ParseError(f"offset digit '{text[j]}' is not 0-9",
+                                     SourceSpan(line, col + j - i, 1))
             toks.append(_Token("rel", text[i:j], line, start_col))
             col += j - i
             i = j
@@ -217,38 +222,42 @@ def _parse_relation(p: _Parser) -> Relation:
     return LT if len(s) == 1 else Relation(RelKind.LT, int(s[1:]))
 
 
+def _parse_guard(p: _Parser, what: str) -> tuple[str, Relation, str]:
+    """`assume LEFT REL RIGHT`, with LEFT and RIGHT named as `what`."""
+    p.expect_keyword("assume")
+    left = p.expect_ident(f"a {what}").text
+    rel = _parse_relation(p)
+    return left, rel, p.expect_ident(f"a {what}").text
+
+
+def _parse_assign(p: _Parser, what: str) -> tuple[str, Optional[str]]:
+    """`DST := SRC` or `DST := *`; the source is None for `*`."""
+    dst = p.expect_ident("an operation").text
+    p.expect_sym(":=")
+    nxt = p.next()
+    if nxt.kind == "sym" and nxt.text == "*":
+        return dst, None
+    if nxt.kind == "ident":
+        return dst, nxt.text
+    raise p.fail(f"expected a {what} or '*' after ':='", nxt)
+
+
 def _parse_op(p: _Parser) -> Op:
-    t = p.peek()
-    if t.kind == "ident" and t.text == "assume":
-        p.next()
-        left = p.expect_ident("a register").text
-        rel = _parse_relation(p)
-        right = p.expect_ident("a register").text
+    if p.at_keyword("assume"):
+        left, rel, right = _parse_guard(p, "register")
         return Guard(rel, left, right)
-    if t.kind == "ident" and t.text == "read":
-        p.next()
+    if p.at_keyword("read") or p.at_keyword("write"):
+        kind = Read if p.next().text == "read" else Write
         var = p.expect_ident("a shared variable").text
-        dst = p.expect_ident("a register").text
-        return Read(var, dst)
-    if t.kind == "ident" and t.text == "write":
-        p.next()
-        var = p.expect_ident("a shared variable").text
-        src = p.expect_ident("a register").text
-        return Write(var, src)
-    if t.kind == "ident" and t.text == "arw":
+        return kind(var, p.expect_ident("a register").text)
+    if p.at_keyword("arw"):
         p.next()
         var = p.expect_ident("a shared variable").text
         expect = p.expect_ident("a register").text
         update = p.expect_ident("a register").text
         return Arw(var, expect, update)
-    dst = p.expect_ident("an operation").text
-    p.expect_sym(":=")
-    nxt = p.next()
-    if nxt.kind == "sym" and nxt.text == "*":
-        return NewValue(dst)
-    if nxt.kind == "ident":
-        return Assign(dst, nxt.text)
-    raise p.fail("expected a register or '*' after ':='", nxt)
+    dst, src = _parse_assign(p, "register")
+    return NewValue(dst) if src is None else Assign(dst, src)
 
 
 def _parse_thread(p: _Parser) -> Thread:
@@ -277,12 +286,7 @@ def _parse_thread(p: _Parser) -> Thread:
     if declared_states is not None:
         states = tuple(declared_states)
     else:
-        seen: list[str] = [init]
-        for tr in transitions:
-            for s in (tr.src, tr.dst):
-                if s not in seen:
-                    seen.append(s)
-        states = tuple(seen)
+        states = states_in_order(init, transitions)
     return Thread(tid, states, tuple(regs), init, tuple(transitions))
 
 
@@ -492,37 +496,21 @@ def parse_dlcs(text: str) -> DlcsModel:
         p.expect_sym(":")
         t = p.peek()
         op: DlcsOp
-        if t.kind == "ident" and t.text == "assume":
-            p.next()
-            left = p.expect_ident("a variable").text
-            rel = _parse_relation(p)
-            right = p.expect_ident("a variable").text
+        if p.at_keyword("assume"):
+            left, rel, right = _parse_guard(p, "variable")
             if rel == EQ:
                 op = DlcsEq(left, right)
             elif rel == NEQ:
                 op = DlcsNeq(left, right)
             else:
                 raise p.fail("channel models only support = and != guards", t)
-        elif t.kind == "ident" and t.text == "send":
-            p.next()
+        elif p.at_keyword("send") or p.at_keyword("recv"):
+            kind = DlcsSend if p.next().text == "send" else DlcsRecv
             letter = p.expect_ident("a letter").text
-            var = p.expect_ident("a variable").text
-            op = DlcsSend(letter, var)
-        elif t.kind == "ident" and t.text == "recv":
-            p.next()
-            letter = p.expect_ident("a letter").text
-            var = p.expect_ident("a variable").text
-            op = DlcsRecv(letter, var)
+            op = kind(letter, p.expect_ident("a variable").text)
         else:
-            dst_var = p.expect_ident("an operation").text
-            p.expect_sym(":=")
-            nxt = p.next()
-            if nxt.kind == "sym" and nxt.text == "*":
-                op = DlcsFresh(dst_var)
-            elif nxt.kind == "ident":
-                op = DlcsAssign(dst_var, nxt.text)
-            else:
-                raise p.fail("expected a variable or '*' after ':='", nxt)
+            dst_var, src_var = _parse_assign(p, "variable")
+            op = DlcsFresh(dst_var) if src_var is None else DlcsAssign(dst_var, src_var)
         transitions.append((src, op, dst))
     t = p.peek()
     if t.kind != "eof":
@@ -550,19 +538,16 @@ def validate_dlcs(m: DlcsModel) -> list[str]:
         if isinstance(op, (DlcsSend, DlcsRecv)):
             if op.letter not in letters:
                 diags.append(f"op '{op.render()}' uses undeclared letter")
-            if op.var not in dvars:
-                diags.append(f"op '{op.render()}' uses undeclared variable")
+            used = (op.var,)
         elif isinstance(op, DlcsFresh):
-            if op.dst not in dvars:
-                diags.append(f"op '{op.render()}' uses undeclared variable")
+            used = (op.dst,)
         elif isinstance(op, DlcsAssign):
-            for v in (op.dst, op.src):
-                if v not in dvars:
-                    diags.append(f"op '{op.render()}' uses undeclared variable")
+            used = (op.dst, op.src)
         else:
-            for v in (op.left, op.right):
-                if v not in dvars:
-                    diags.append(f"op '{op.render()}' uses undeclared variable")
+            used = (op.left, op.right)
+        for v in used:
+            if v not in dvars:
+                diags.append(f"op '{op.render()}' uses undeclared variable")
     return diags
 
 

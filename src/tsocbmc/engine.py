@@ -28,9 +28,8 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
-from itertools import product
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional
 
 from .abmachine import (
     R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, GuardFailedError,
@@ -82,7 +81,7 @@ def _rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _seed_order(m: AbMachine, tti: int) -> list[tuple[int, ...]]:
+def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
     """Context schedules worth searching, most promising first.
 
     A run can only hit the target while the target thread is active, and
@@ -91,14 +90,28 @@ def _seed_order(m: AbMachine, tti: int) -> list[tuple[int, ...]]:
     more threads it suffices to try repeat-free schedules that mention the
     target thread.  Schedules ending with the target thread go first: the
     common witness shape does all its other work before the target thread's
-    final look.
+    final look.  Within each group the order is lexicographic.  The
+    schedules are generated lazily, so a cap can end the search before a
+    large k has enumerated them all.
     """
     k, nt = m.k, m.nt
     if nt == 1:
-        return [(0,) * k]
-    seeds = [act for act in product(range(nt), repeat=k)
-             if tti in act and all(a != b for a, b in zip(act, act[1:]))]
-    return sorted(seeds, key=lambda act: (act[-1] != tti, act))
+        yield (0,) * k
+        return
+
+    def walk(prefix: tuple[int, ...], ends_on_target: bool):
+        # depth first in lexicographic order over repeat-free schedules
+        for t in range(nt):
+            if prefix and t == prefix[-1]:
+                continue
+            act = prefix + (t,)
+            if len(act) < k:
+                yield from walk(act, ends_on_target)
+            elif (t == tti) == ends_on_target and tti in act:
+                yield act
+
+    yield from walk((), True)
+    yield from walk((), False)
 
 
 def check_reach(program: Program, target: Target, k: int,
@@ -205,19 +218,14 @@ def concretize_witness(program: Program, witness: Witness) -> ConcreteRun:
     intact.
     """
     m = ab_machine(program, witness.k)
-    vals = [0] * m.nab
-    # mutable records so inflation can rewrite history: [label, fresh, values]
-    records: list[list] = []
+    vals = (0,) * m.nab
+    run = ConcreteRun(witness.k, witness.act, ())
 
-    def inflate_all(at: int, amount: int) -> None:
-        assert at >= 1 and amount >= 1
-        for i in range(len(vals)):
-            if vals[i] >= at:
-                vals[i] += amount
-        for rec in records:
-            if rec[1] is not None and rec[1] >= at:
-                rec[1] += amount
-            rec[2] = [v + amount if v >= at else v for v in rec[2]]
+    def make_room(at: int, amount: int) -> None:
+        # the run so far, and the values of the step in progress
+        nonlocal run, vals
+        run = inflate(run, at, amount)
+        vals = tuple(v + amount if v >= at else v for v in vals)
 
     for step in witness.steps:
         eff_core = step.effects
@@ -233,12 +241,8 @@ def concretize_witness(program: Program, witness: Witness) -> ConcreteRun:
             raise ConcretizationError("fresh may only be followed by resets")
         for eff in eff_core:
             tag = eff[0]
-            if tag == "copy":
-                vals[eff[1]] = vals[eff[2]]
-            elif tag == "multi":
-                srcs = [vals[s] for _, s in eff[1]]
-                for (d, _), v in zip(eff[1], srcs):
-                    vals[d] = v
+            if tag in ("copy", "multi"):
+                vals = m.apply_effects(vals, (eff,))
             elif tag == "guard":
                 _, rel, a, b = eff
                 if eval_rel(rel, vals[a], vals[b]):
@@ -250,7 +254,7 @@ def concretize_witness(program: Program, witness: Witness) -> ConcreteRun:
                     need = vals[a] + rel.n + 1 - vals[b]
                 else:
                     need = vals[a] + rel.n - vals[b]
-                inflate_all(vals[b], need)
+                make_room(vals[b], need)
                 assert eval_rel(rel, vals[a], vals[b])
             else:  # fresh
                 d = eff[1]
@@ -269,16 +273,14 @@ def concretize_witness(program: Program, witness: Witness) -> ConcreteRun:
                     else:
                         v_hi = above[0]
                         if v_hi - v_lo < 2:
-                            inflate_all(v_hi, v_lo + 2 - v_hi)
+                            make_room(v_hi, v_lo + 2 - v_hi)
                             v_hi = v_lo + 2
                         fresh = (v_lo + v_hi) // 2
-                vals[d] = fresh
+                vals = m.apply_effects(vals, (eff,), fresh)
         if abstract_of(vals) != ra:
             raise ConcretizationError("concrete replay left the witness ranks")
-        records.append([step.label, fresh, list(vals)])
-
-    steps = tuple(ConcreteStep(lbl, fv, tuple(vv)) for lbl, fv, vv in records)
-    return ConcreteRun(witness.k, witness.act, steps)
+        run = replace(run, steps=run.steps + (ConcreteStep(step.label, fresh, vals),))
+    return run
 
 
 def inflate(run: ConcreteRun, at: int, amount: int) -> ConcreteRun:

@@ -29,7 +29,7 @@ from .dsl import (
 )
 from .model import (
     EQ, LT, NEQ, Arw, Assign, Guard, NewValue, Program, Read, Target,
-    Thread, Transition, Write,
+    Thread, Transition, Write, states_in_order,
 )
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
@@ -109,12 +109,8 @@ def gen_bakery(n: int) -> GenResult:
         trs.append(Transition("crit", Write(f"in_crit_{i}", rF), "reset"))
         trs.append(Transition("reset", Assign(rc, rF), "begin"))
 
-        states: list[str] = ["boot0"]
-        for tr in trs:
-            for s in (tr.src, tr.dst):
-                if s not in states:
-                    states.append(s)
-        threads.append(Thread(f"t{i}", tuple(states), regs, "boot0", tuple(trs)))
+        threads.append(Thread(f"t{i}", states_in_order("boot0", trs), regs,
+                              "boot0", tuple(trs)))
 
     mon_trs: list[Transition] = []
     mon_states = ["m0"]
@@ -238,15 +234,8 @@ def gen_intersection(dfas: list[Dfa]) -> GenResult:
             trs.append(Transition(prev, Guard(EQ, creg(i), sreg(i, f)), stage))
         prev = stage
 
-    states: list[str] = ["i0"]
-    for tr in trs:
-        for s in (tr.src, tr.dst):
-            if s not in states:
-                states.append(s)
-    if "acc" not in states:
-        states.append("acc")
-
-    thread = Thread("sim", tuple(states), regs, "i0", tuple(trs))
+    states = states_in_order("i0", trs, extra=("acc",))
+    thread = Thread("sim", states, regs, "i0", tuple(trs))
     program = Program.make([thread], ())
     return GenResult(program, Target("sim", "acc"), 1)
 
@@ -449,15 +438,6 @@ def gen_dlcs_reduction(m: DlcsModel) -> GenResult:
             tchain(Read(f"y_{op.letter}", "r_tmp"))
             t_trs.append(Transition(cur, Guard(EQ, "r_tmp", "r_dollar"), dst))
 
-    t_states: list[str] = ["_t0"]
-    for tr in t_trs:
-        for s in (tr.src, tr.dst):
-            if s not in t_states:
-                t_states.append(s)
-    for q in m.states:
-        if q not in t_states:
-            t_states.append(q)
-
     ch_trs: list[Transition] = []
     ch_trs.append(Transition("_c0", NewValue("ch_dollar"), "_c1"))
     ch_trs.append(Transition("_c1", Guard(NEQ, "ch_dollar", "ch_tmp"), "_c2"))
@@ -475,14 +455,10 @@ def gen_dlcs_reduction(m: DlcsModel) -> GenResult:
         ch_trs.append(Transition(s4, Guard(EQ, "ch_tmp", "ch_dollar"), s5))
         ch_trs.append(Transition(s5, Write(f"y_{a}", "ch_tmp"), "_qch"))
 
-    ch_states: list[str] = ["_c0"]
-    for tr in ch_trs:
-        for s in (tr.src, tr.dst):
-            if s not in ch_states:
-                ch_states.append(s)
-
-    t = Thread("t", tuple(t_states), t_regs, "_t0", tuple(t_trs))
-    t_ch = Thread("t_ch", tuple(ch_states), ("ch_dollar", "ch_tmp"), "_c0", tuple(ch_trs))
+    t = Thread("t", states_in_order("_t0", t_trs, extra=m.states), t_regs,
+               "_t0", tuple(t_trs))
+    t_ch = Thread("t_ch", states_in_order("_c0", ch_trs), ("ch_dollar", "ch_tmp"),
+                  "_c0", tuple(ch_trs))
     program = Program.make([t, t_ch], shared)
     # one block seeds the markers, then every transfer costs two: a send
     # needs the mover's block for the value and another pass to restore the

@@ -141,6 +141,19 @@ class Thread:
     transitions: tuple[Transition, ...]
 
 
+def states_in_order(first: str, transitions, extra=()) -> tuple[str, ...]:
+    """Each state once, in order of first mention: `first`, then the source
+    and destination of every transition in turn, then `extra`."""
+    mentioned = [first] + [s for tr in transitions for s in (tr.src, tr.dst)]
+    return tuple(dict.fromkeys(mentioned + list(extra)))
+
+
+def _n_max(threads) -> int:
+    """The largest guard offset of the threads, 0 if none."""
+    return max((tr.op.rel.n for t in threads for tr in t.transitions
+                if isinstance(tr.op, Guard)), default=0)
+
+
 @dataclass(frozen=True)
 class Program:
     threads: tuple[Thread, ...]
@@ -151,12 +164,7 @@ class Program:
     def make(threads, shared_vars) -> "Program":
         """Build a program, computing n_max from the guard offsets used."""
         threads = tuple(threads)
-        n_max = 0
-        for t in threads:
-            for tr in t.transitions:
-                if isinstance(tr.op, Guard):
-                    n_max = max(n_max, tr.op.rel.n)
-        return Program(threads, tuple(shared_vars), n_max)
+        return Program(threads, tuple(shared_vars), _n_max(threads))
 
     def __hash__(self) -> int:
         # The value hash walks every transition, and the engines look the
@@ -246,11 +254,7 @@ def validate(program: Program) -> list[str]:
                     f"thread '{t.id}': operation '{tr.op.render()}' uses "
                     f"undeclared shared variable '{v}'")
 
-    n_max = 0
-    for t in program.threads:
-        for tr in t.transitions:
-            if isinstance(tr.op, Guard):
-                n_max = max(n_max, tr.op.rel.n)
+    n_max = _n_max(program.threads)
     if program.n_max != n_max:
         diags.append(f"n_max is {program.n_max} but the largest guard offset is {n_max}")
     return diags
@@ -287,9 +291,11 @@ class ProgramIndex:
         self.state_names: list[tuple[str, ...]] = []
         self.init_states: list[int] = []
         regs: list[str] = []
-        self.reg_thread: list[int] = []
         self.rid: dict[str, int] = {}
-        for ti, t in enumerate(program.threads):
+        # outgoing transitions per (thread, state), in declaration order
+        self.out: list[list[list[tuple[int, Transition]]]] = []
+        self.thread_transitions: list[tuple[Transition, ...]] = []
+        for t in program.threads:
             sid = {s: i for i, s in enumerate(t.states)}
             self.state_id.append(sid)
             self.state_names.append(t.states)
@@ -297,17 +303,12 @@ class ProgramIndex:
             for r in t.regs:
                 self.rid[r] = len(regs)
                 regs.append(r)
-                self.reg_thread.append(ti)
-        self.regs = tuple(regs)
-        # outgoing transitions per (thread, state), in declaration order
-        self.out: list[list[list[tuple[int, Transition]]]] = []
-        self.thread_transitions: list[tuple[Transition, ...]] = []
-        for ti, t in enumerate(program.threads):
             by_state: list[list[tuple[int, Transition]]] = [[] for _ in t.states]
             for pos, tr in enumerate(t.transitions):
-                by_state[self.state_id[ti][tr.src]].append((pos, tr))
+                by_state[sid[tr.src]].append((pos, tr))
             self.out.append(by_state)
             self.thread_transitions.append(t.transitions)
+        self.regs = tuple(regs)
 
     def target_idx(self, target: Target) -> tuple[int, int]:
         if target.thread not in self.tid:

@@ -23,14 +23,14 @@ There is no slot below the bottom class: the sentinel lives there and no
 natural is smaller than 0.
 
 rel_apply re-ranks incrementally instead of re-sorting the whole tuple, and
-keeps the same invariant as _densify (the reference, still used for
-abstract_of): ranks stay dense and equal values share a rank.  A copy only
-shifts the ranks above a class it emptied; a fresh value closes the gap its
-old singleton class leaves, then opens one above the class it lands after.
-A multi (the context-switch flush) whose destinations are none of its
-sources is applied as its copies one after another, which is the same
-result; only a multi where a destination is also a source, a simultaneous
-swap, rebuilds the tuple through _densify.
+keeps the same invariant as abstract_of (the reference, which sorts):
+ranks stay dense and equal values share a rank.  A copy only shifts the
+ranks above a class it emptied; a fresh value closes the gap its old
+singleton class leaves, then opens one above the class it lands after.  A
+multi (the context-switch flush) whose destinations are none of its sources
+is applied as its copies one after another, which is the same result; only
+a multi where a destination is also a source, a simultaneous swap, rebuilds
+the tuple through abstract_of.
 """
 from __future__ import annotations
 
@@ -41,15 +41,10 @@ from .model import LT, EQ, NEQ, Program, Relation
 from .model import program_index
 
 
-def _densify(vals: Sequence[int]) -> tuple[int, ...]:
-    ordered = sorted(set(vals))
-    remap = {v: i for i, v in enumerate(ordered)}
-    return tuple(remap[v] for v in vals)
-
-
 def abstract_of(values: Sequence[int]) -> tuple[int, ...]:
     """Rank tuple of a concrete value vector."""
-    return _densify(values)
+    remap = {v: i for i, v in enumerate(sorted(set(values)))}
+    return tuple(remap[v] for v in values)
 
 
 def rel_check(rel: Relation, rank_left: int, rank_right: int) -> bool:
@@ -102,7 +97,7 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
                 srcs = [r[s] for _, s in pairs]
                 for (d, _), v in zip(pairs, srcs):
                     r2[d] = v
-                nxt.append(_densify(r2))
+                nxt.append(abstract_of(r2))
             states = nxt
     return states
 

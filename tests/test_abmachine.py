@@ -10,16 +10,12 @@ from tsocbmc.abmachine import (
     AbMachine, GuardFailedError, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH,
     R_WRITE,
 )
+from tsocbmc.model import states_in_order
 from tsocbmc.selftest import random_program
 
 
 def _thread(tid, regs, trs, init="q0"):
-    states = [init]
-    for tr in trs:
-        for s in (tr.src, tr.dst):
-            if s not in states:
-                states.append(s)
-    return Thread(tid, tuple(states), tuple(regs), init, tuple(trs))
+    return Thread(tid, states_in_order(init, trs), tuple(regs), init, tuple(trs))
 
 
 # w writes and reads x, r only reads it: the table keeps x@w but not x@r

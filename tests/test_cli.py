@@ -270,6 +270,16 @@ def test_parse_sniffs_dfa_and_dlcs(tmp_path, capsys):
     assert capsys.readouterr().out == DLCS
 
 
+def test_non_ascii_offset_digit_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "sup.tso"
+    bad.write_text("domain nat\nthread t {\n  regs a b\n  init q0\n"
+                   "  q0 -> q1 : assume a <\u00b2 b\n}\ntarget t : q1\n",
+                   encoding="utf-8")
+    for argv in (["parse", str(bad)], ["check", str(bad), "--k", "1"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("parse error: line 5")
+
+
 def test_parse_error_exit_and_message(tmp_path, capsys):
     bad = tmp_path / "bad.tso"
     bad.write_text("domain nat\nthread t {\n  init\n}\n")

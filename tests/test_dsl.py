@@ -100,6 +100,17 @@ def test_parse_error_spans():
         parse_program(SAMPLE + "\nleftover\n")
 
 
+def test_relation_offset_takes_ascii_digits_only():
+    # "²" passes str.isdigit() but not int(); it must not join the offset
+    text = "domain nat\nthread t {\n  regs a b\n  init q0\n  q0 -> q1 : assume a <\u00b2 b\n}\n"
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert (e.value.span.line, e.value.span.column) == (5, 24)
+    assert "offset digit" in e.value.message
+    ok = parse_program(text.replace("\u00b2", "12"))
+    assert ok.threads[0].transitions[0].op == Guard(lt(12), "a", "b")
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# lead\ndomain nat # trailing\n\nthread t {\n  regs\n  init q\n}\n"
     p = parse_program(text)

@@ -1,4 +1,7 @@
+import time
+from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +13,7 @@ from tsocbmc import (
 )
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.engine import _seed_order
-from tsocbmc.model import program_index
+from tsocbmc.model import program_index, states_in_order
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -20,12 +23,7 @@ def _load(name):
 
 
 def _thread(tid, regs, trs, init="q0"):
-    states = [init]
-    for tr in trs:
-        for s in (tr.src, tr.dst):
-            if s not in states:
-                states.append(s)
-    return Thread(tid, tuple(states), tuple(regs), init, tuple(trs))
+    return Thread(tid, states_in_order(init, trs), tuple(regs), init, tuple(trs))
 
 
 def test_mp_flip_matches_concrete_oracle():
@@ -154,13 +152,13 @@ def test_tso_reconstruction_values_follow_witness():
 def test_seed_order_single_thread():
     t = _thread("t", ["a"], [Transition("q0", NewValue("a"), "q1")])
     m = ab_machine(Program.make([t], ["x"]), 3)
-    assert _seed_order(m, 0) == [(0, 0, 0)]
+    assert list(_seed_order(m, 0)) == [(0, 0, 0)]
 
 
 def test_seed_order_properties():
     p, _ = _load("sb.tso")
     m = ab_machine(p, 4)
-    seeds = _seed_order(m, 0)
+    seeds = list(_seed_order(m, 0))
     assert len(seeds) == len(set(seeds))
     for act in seeds:
         assert 0 in act
@@ -170,6 +168,31 @@ def test_seed_order_properties():
     assert tail == sorted(tail, reverse=True)
     # two alternating threads over 4 slots: both phases qualify
     assert seeds[0] == (1, 0, 1, 0)
+
+
+def test_seed_order_matches_the_sorted_product():
+    # the reference is the eager form: every product, filtered, then sorted
+    # with the schedules ending on the target thread first
+    def eager(nt, k, tti):
+        if nt == 1:
+            return [(0,) * k]
+        seeds = [act for act in product(range(nt), repeat=k)
+                 if tti in act and all(a != b for a, b in zip(act, act[1:]))]
+        return sorted(seeds, key=lambda act: (act[-1] != tti, act))
+
+    for nt in range(1, 5):
+        for k in range(1, 8):
+            for tti in range(nt):
+                m = SimpleNamespace(nt=nt, k=k)
+                assert list(_seed_order(m, tti)) == eager(nt, k, tti)
+
+
+def test_seed_order_is_lazy():
+    # the eager form would build 3**40 products before the first schedule
+    start = time.perf_counter()
+    first = next(_seed_order(SimpleNamespace(nt=3, k=40), 2))
+    assert time.perf_counter() - start < 1.0
+    assert first == (0, 1) * 19 + (0, 2)
 
 
 def test_monotone_in_k():

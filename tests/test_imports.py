@@ -1,0 +1,33 @@
+"""Every module-level import of a package module is used in that module.
+
+`__init__` is left out: its imports are the package's exports.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "tsocbmc"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_finds_an_unused_import():
+    assert unused_imports("import os\nfrom a import b, c\nc()\n") == ["os", "b"]
+    assert unused_imports("import os.path\nos.path.join()\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    assert unused_imports((SRC / module).read_text()) == []

@@ -5,7 +5,7 @@ from tsocbmc import (
     Program, Read, Relation, Target, Thread, Transition, Write, eval_rel, le,
     lt, validate,
 )
-from tsocbmc.model import program_index
+from tsocbmc.model import program_index, states_in_order
 
 
 @pytest.mark.parametrize("rel,d1,d2,expected", [
@@ -46,12 +46,16 @@ def test_op_renders():
 
 def _thread(tid, regs, trs, init="q0", states=None):
     if states is None:
-        states = [init]
-        for tr in trs:
-            for s in (tr.src, tr.dst):
-                if s not in states:
-                    states.append(s)
+        states = states_in_order(init, trs)
     return Thread(tid, tuple(states), tuple(regs), init, tuple(trs))
+
+
+def test_states_in_order_names_each_state_once_by_first_mention():
+    trs = [Transition("b", NewValue("a"), "c"), Transition("c", NewValue("a"), "a"),
+           Transition("a", NewValue("a"), "b")]
+    assert states_in_order("a", trs) == ("a", "b", "c")
+    assert states_in_order("z", trs, extra=("c", "y")) == ("z", "b", "c", "a", "y")
+    assert states_in_order("z", []) == ("z",)
 
 
 def test_make_computes_largest_offset():

@@ -11,7 +11,7 @@ from tsocbmc import (
     normalize_updates, parse_program_with_target, replay, tso_enabled,
     tso_reach_bounded, tso_step,
 )
-from tsocbmc.model import program_index
+from tsocbmc.model import program_index, states_in_order
 from tsocbmc.selftest import random_program
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -22,12 +22,7 @@ def _prog(*threads, shared=("x",)):
 
 
 def _thread(tid, regs, trs, init="q0"):
-    states = [init]
-    for tr in trs:
-        for s in (tr.src, tr.dst):
-            if s not in states:
-                states.append(s)
-    return Thread(tid, tuple(states), tuple(regs), init, tuple(trs))
+    return Thread(tid, states_in_order(init, trs), tuple(regs), init, tuple(trs))
 
 
 WRITER = _thread("t", ["a"], [
