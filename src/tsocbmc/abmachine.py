@@ -41,10 +41,13 @@ values directly:
   ("copy", dst, src)               dst := src
   ("fresh", dst)                   dst := caller-chosen natural
   ("guard", rel, left, right)      relation test between two columns
-  ("multi", ((dst, src), ...))     simultaneous copies (the context-switch flush)
+  ("multi", ((dst, src), ...))     simultaneous copies (the context-switch
+                                   flush); no dst is ever a src
 
 so the same rules drive both concrete replay (values supplied) and the order
-abstraction (effects interpreted over rank states).  Each move carries the
+abstraction (effects interpreted over rank states).  The rules read each
+operation through the operand record of the program index (see
+model.operands), the same record the concrete oracle (tso) reads.  Each move carries the
 label (rule, thread, transition position, context): the context is the flush
 context of a write and the target of a switch, -1 for the rest.  These
 tuples are the only form of labels and effects, from the search to the
@@ -70,8 +73,8 @@ from itertools import product
 from typing import Optional
 
 from .model import (
-    EQ, Assign, Guard, ModelTooLargeError, NewValue, Program, Read, Write,
-    eval_rel, program_index,
+    EQ, ON_SHARED, OP_ASSIGN, OP_FRESH, OP_GUARD, OP_READ, OP_WRITE,
+    ModelTooLargeError, Program, eval_rel, program_index,
 )
 
 _RULES = ("local", "buffer_read", "memory_read", "write", "switch",
@@ -124,10 +127,10 @@ class AbMachine:
                 raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
                                          "above the limit of 255")
 
-        # One pass over the transitions: per thread, the registers each
+        # One pass over the transitions: per thread, the register ids each
         # transition reads (g) and assigns (kl), and the shared variables the
         # thread reads (read or arw) and buffers writes to.
-        flows: list[list[tuple[int, int, set[str], set[str]]]] = []
+        flows: list[list[tuple[int, int, set[int], set[int]]]] = []
         reads: list[set[int]] = []
         writes: list[set[int]] = []
         for ti, t in enumerate(program.threads):
@@ -135,24 +138,16 @@ class AbMachine:
             edges = []
             rd: set[int] = set()
             wr: set[int] = set()
-            for tr in t.transitions:
-                op = tr.op
-                if isinstance(op, Assign):
-                    g, kl = {op.src}, {op.dst}
-                elif isinstance(op, NewValue):
-                    g, kl = set(), {op.dst}
-                elif isinstance(op, Guard):
-                    g, kl = {op.left, op.right}, set()
-                elif isinstance(op, Read):
-                    g, kl = set(), {op.dst}
-                    rd.add(idx.vid[op.var])
-                elif isinstance(op, Write):
-                    g, kl = {op.src}, set()
-                    wr.add(idx.vid[op.var])
-                else:  # Arw
-                    g, kl = {op.expect, op.update}, set()
-                    rd.add(idx.vid[op.var])
-                edges.append((sid[tr.src], sid[tr.dst], g, kl))
+            for tr, (kind, x, y, z) in zip(t.transitions, idx.ops[ti]):
+                var, regs = (x, (y, z)) if kind in ON_SHARED else (None, (x, y))
+                regs = [r for r in regs if r is not None]
+                # the assigned register comes first
+                n = 1 if kind in (OP_ASSIGN, OP_FRESH, OP_READ) else 0
+                edges.append((sid[tr.src], sid[tr.dst], set(regs[n:]), set(regs[:n])))
+                if kind == OP_WRITE:
+                    wr.add(var)
+                elif var is not None:
+                    rd.add(var)
             flows.append(edges)
             reads.append(rd)
             writes.append(wr)
@@ -175,10 +170,10 @@ class AbMachine:
         self._shared = [col(x) if xi in read_any else None
                         for xi, x in enumerate(idx.vars)]
         self._reg: list[Optional[int]] = []
-        for r in idx.regs:
-            if r not in assigned:
+        for ri, r in enumerate(idx.regs):
+            if ri not in assigned:
                 self._reg.append(0)  # always 0: the sentinel stands in for it
-            elif r in used:
+            elif ri in used:
                 self._reg.append(col(r))
             else:
                 self._reg.append(None)
@@ -200,7 +195,7 @@ class AbMachine:
         # after taking transition pos of thread ti.
         self._dead_regs: list[list[tuple]] = []
         for t, edges in zip(program.threads, flows):
-            live: list[set[str]] = [set() for _ in t.states]
+            live: list[set[int]] = [set() for _ in t.states]
             changed = True
             while changed:
                 changed = False
@@ -213,7 +208,7 @@ class AbMachine:
             for si, di, g, kl in edges:
                 gone = (live[si] | kl) - live[di]
                 # the sentinel (0) and dropped registers (None) need no reset
-                cols = sorted(c for c in (self.i_reg(idx.rid[r]) for r in gone) if c)
+                cols = sorted(c for c in map(self.i_reg, gone) if c)
                 dead.append(tuple(("copy", c, 0) for c in cols))
             self._dead_regs.append(dead)
 
@@ -264,30 +259,29 @@ class AbMachine:
         out = []
         idx = self.idx
         state = s[self.ST + ti]
+        ops = idx.ops[ti]
+        reg = self.i_reg
         for pos, tr in idx.out[ti][state]:
-            op = tr.op
+            kind, x, y, z = ops[pos]
             dst_state = idx.state_id[ti][tr.dst]
             dz = self._dead_regs[ti][pos]
             rule = R_LOCAL
-            if isinstance(op, Assign):
-                eff = _copy(self.i_reg(idx.rid[op.dst]), self.i_reg(idx.rid[op.src]))
-            elif isinstance(op, NewValue):
-                d = self.i_reg(idx.rid[op.dst])
+            if kind == OP_ASSIGN:
+                eff = _copy(reg(x), reg(y))
+            elif kind == OP_FRESH:
+                d = reg(x)
                 eff = (("fresh", d),) if d is not None else ()
-            elif isinstance(op, Guard):
-                eff = (("guard", op.rel, self.i_reg(idx.rid[op.left]),
-                        self.i_reg(idx.rid[op.right])),)
-            elif isinstance(op, Read):
-                x = idx.vid[op.var]
-                rd = self.i_reg(idx.rid[op.dst])
+            elif kind == OP_GUARD:
+                eff = (("guard", z, reg(x), reg(y)),)
+            elif kind == OP_READ:
+                rd = reg(y)
                 if s[self.C + x * nt + ti] >= j:
                     # newest write on x still buffered: read the thread summary
                     rule, eff = R_BUF_READ, _copy(rd, self.i_thr(x, ti))
                 else:
                     rule, eff = R_MEM_READ, _copy(rd, self.i_shared(x))
-            elif isinstance(op, Write):
-                x = idx.vid[op.var]
-                rs = self.i_reg(idx.rid[op.src])
+            elif kind == OP_WRITE:
+                rs = reg(y)
                 buffered = _copy(self.i_thr(x, ti), rs)
                 lo = max(j, self._c_max(s, ti))
                 flushes = [jp for jp in range(lo, k + 1) if s[self.ACT + jp - 1] == ti]
@@ -302,12 +296,10 @@ class AbMachine:
                         s2[self.U + (jp - 1) * self.nx + x] = 1
                     out.append(((R_WRITE, ti, pos, jp), eff + dz, tuple(s2)))
                 continue
-            else:  # Arw
+            else:  # arw
                 if j < self._c_max(s, ti):
                     continue
-                x = idx.vid[op.var]
-                re = self.i_reg(idx.rid[op.expect])
-                ru = self.i_reg(idx.rid[op.update])
+                re, ru = reg(y), reg(z)
                 if s[self.C + x * nt + ti] == j:
                     # newest write on x commits this context: operate on it
                     rule, cell = R_BUF_ARW, self.i_thr(x, ti)

@@ -35,7 +35,7 @@ from .abmachine import (
     R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, GuardFailedError,
     ab_machine,
 )
-from .model import LT, NewValue, Program, Target, eval_rel
+from .model import LT, OP_FRESH, Program, Target, eval_rel
 from .relabs import abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_initial
 from .tso import Label, Run, replay
 from .verdict import BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, Stats, Verdict
@@ -363,7 +363,7 @@ def concrete_run_to_tso(program: Program, run: ConcreteRun) -> Run:
                 raise ConcretizationError("buffered write tagged past the context "
                                           "at an atomic read-write")
             labels.append(Label(tname, delta))
-        elif isinstance(delta.op, NewValue):
+        elif idx.ops[ti][pos][0] == OP_FRESH:
             # a draw into a register nothing reads has no fresh effect, so no
             # recorded value; any natural replays the same run
             value = 0 if step.fresh_value is None else step.fresh_value

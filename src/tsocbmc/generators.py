@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 import time
@@ -164,19 +164,12 @@ def dfa_intersection_oracle(dfas: list[Dfa]) -> bool:
         if all(q in finals[i] for i, q in enumerate(cur)):
             return True
         for a in alphabet:
-            moves = [step[i].get((q, a), []) for i, q in enumerate(cur)]
-            if any(not ms for ms in moves):
-                continue
-            def expand(i, prefix):
-                if i == len(moves):
-                    nxt = tuple(prefix)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-                    return
-                for q2 in moves[i]:
-                    expand(i + 1, prefix + [q2])
-            expand(0, [])
+            # every combination of the automata's moves on a; none if one
+            # automaton has no move
+            for nxt in product(*(step[i].get((q, a), ()) for i, q in enumerate(cur))):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
     return False
 
 
@@ -270,7 +263,6 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
     stats = Stats()
     start = time.perf_counter()
     init = DlcsConfig(m.init, (0,) * len(m.vars), ())
-    seen = {init}
     parents: dict[DlcsConfig, Optional[tuple[DlcsConfig, str]]] = {init: None}
     frontier = deque([init])
 
@@ -292,13 +284,12 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
         return finish(True, REACHABLE, init)
 
     def push(cfg: DlcsConfig, parent: DlcsConfig, label: str, nxt: deque) -> Optional[Verdict]:
-        if cfg in seen:
+        if cfg in parents:
             return None
-        seen.add(cfg)
         parents[cfg] = (parent, label)
         if cfg.state == target_state:
             return finish(True, REACHABLE, cfg)
-        if len(seen) > max_states:
+        if len(parents) > max_states:
             stats.stop_reason = "max_states"
             return finish(False, BOUND_EXHAUSTED)
         nxt.append(cfg)

@@ -124,6 +124,30 @@ class Arw:
 
 Op = Union[Assign, NewValue, Guard, Read, Write, Arw]
 
+# operation kinds; the order is the oracle's (tso): the two below OP_GUARD
+# are always enabled
+OP_ASSIGN, OP_READ, OP_GUARD, OP_WRITE, OP_FRESH, OP_ARW = range(6)
+ON_SHARED = (OP_READ, OP_WRITE, OP_ARW)
+
+
+def operands(op: Op, reg=lambda name: name, var=lambda name: name) -> tuple:
+    """The operand record (kind, x, y, z) of an operation: the shared
+    variable first (read, write, arw), then the registers with the assigned
+    one first, then a guard's relation; unused slots are None.  reg and var
+    map the names; the program index maps them to ids (see resolve).
+    This is the only place that tells the operation classes apart."""
+    if isinstance(op, Assign):
+        return (OP_ASSIGN, reg(op.dst), reg(op.src), None)
+    if isinstance(op, NewValue):
+        return (OP_FRESH, reg(op.dst), None, None)
+    if isinstance(op, Guard):
+        return (OP_GUARD, reg(op.left), reg(op.right), op.rel)
+    if isinstance(op, Read):
+        return (OP_READ, var(op.var), reg(op.dst), None)
+    if isinstance(op, Write):
+        return (OP_WRITE, var(op.var), reg(op.src), None)
+    return (OP_ARW, var(op.var), reg(op.expect), reg(op.update))
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -190,26 +214,6 @@ class Target:
     state: str
 
 
-def _op_regs(op: Op) -> tuple[str, ...]:
-    if isinstance(op, Assign):
-        return (op.dst, op.src)
-    if isinstance(op, NewValue):
-        return (op.dst,)
-    if isinstance(op, Guard):
-        return (op.left, op.right)
-    if isinstance(op, Read):
-        return (op.dst,)
-    if isinstance(op, Write):
-        return (op.src,)
-    return (op.expect, op.update)
-
-
-def _op_var(op: Op) -> str | None:
-    if isinstance(op, (Read, Write, Arw)):
-        return op.var
-    return None
-
-
 def validate(program: Program) -> list[str]:
     """Static checks. Returns a list of diagnostics; empty means valid."""
     diags: list[str] = []
@@ -243,12 +247,13 @@ def validate(program: Program) -> list[str]:
             if tr.src not in states or tr.dst not in states:
                 diags.append(
                     f"thread '{t.id}': transition {tr.src}->{tr.dst} uses undeclared state")
-            for r in _op_regs(tr.op):
-                if r not in regs:
+            kind, x, y, z = operands(tr.op)
+            v, op_regs = (x, (y, z)) if kind in ON_SHARED else (None, (x, y))
+            for r in op_regs:
+                if r is not None and r not in regs:
                     diags.append(
                         f"thread '{t.id}': operation '{tr.op.render()}' uses "
                         f"register '{r}' not owned by the thread")
-            v = _op_var(tr.op)
             if v is not None and v not in program.shared_vars:
                 diags.append(
                     f"thread '{t.id}': operation '{tr.op.render()}' uses "
@@ -275,7 +280,8 @@ class ProgramIndex:
     """Dense integer interning of thread / state / register / variable names.
 
     Built once per validated program; every engine works on these indices and
-    only converts back to names at API boundaries.
+    only converts back to names at API boundaries.  ops[ti][pos] is the
+    resolved operand record of thread ti's transition pos.
     """
 
     def __init__(self, program: Program):
@@ -309,6 +315,12 @@ class ProgramIndex:
             self.out.append(by_state)
             self.thread_transitions.append(t.transitions)
         self.regs = tuple(regs)
+        self.ops = [tuple(self.resolve(tr.op) for tr in trs)
+                    for trs in self.thread_transitions]
+
+    def resolve(self, op: Op) -> tuple:
+        """operands(op) with the variable and registers as their ids."""
+        return operands(op, self.rid.__getitem__, self.vid.__getitem__)
 
     def target_idx(self, target: Target) -> tuple[int, int]:
         if target.thread not in self.tid:

@@ -27,10 +27,10 @@ keeps the same invariant as abstract_of (the reference, which sorts):
 ranks stay dense and equal values share a rank.  A copy only shifts the
 ranks above a class it emptied; a fresh value closes the gap its old
 singleton class leaves, then opens one above the class it lands after.  A
-multi (the context-switch flush) whose destinations are none of its sources
-is applied as its copies one after another, which is the same result; only
-a multi where a destination is also a source, a simultaneous swap, rebuilds
-the tuple through abstract_of.
+multi (the context-switch flush) copies context summaries into shared
+columns, so none of its destinations is a source; it is applied as its
+copies one after another, which gives the simultaneous result, and a multi
+that breaks this contract is refused with a ValueError.
 """
 from __future__ import annotations
 
@@ -85,20 +85,12 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
             states = nxt
         else:  # multi: simultaneous copies; only at a context switch
             pairs = eff[1]
-            if {d for d, _ in pairs}.isdisjoint([s for _, s in pairs]):
-                # no copy overwrites another's source, so one at a time
-                # gives the simultaneous result
-                for d, s in pairs:
-                    states = [_copy(r, d, s) for r in states]
-                continue
-            nxt = []
-            for r in states:
-                r2 = list(r)
-                srcs = [r[s] for _, s in pairs]
-                for (d, _), v in zip(pairs, srcs):
-                    r2[d] = v
-                nxt.append(abstract_of(r2))
-            states = nxt
+            if not {d for d, _ in pairs}.isdisjoint([s for _, s in pairs]):
+                raise ValueError("a multi's destinations must not be its sources")
+            # no copy overwrites another's source, so one at a time gives
+            # the simultaneous result
+            for d, s in pairs:
+                states = [_copy(r, d, s) for r in states]
     return states
 
 

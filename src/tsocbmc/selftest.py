@@ -279,25 +279,20 @@ def suite_update_normalization(seed: int = 0, runs: int = 100) -> SuiteResult:
     return res
 
 
-_SUITES: dict[str, Callable[..., SuiteResult]] = {
-    "cb-vs-abstract": suite_cb_vs_abstract,
-    "step-soundness": suite_step_soundness,
-    "witness-concretization": suite_witness_concretization,
-    "value-inflation": suite_value_inflation,
-    "update-normalization": suite_update_normalization,
+# suite name -> (suite, its size argument, that size at scale 1)
+_SUITES: dict[str, tuple[Callable[..., SuiteResult], str, int]] = {
+    "cb-vs-abstract": (suite_cb_vs_abstract, "programs", 200),
+    "step-soundness": (suite_step_soundness, "steps", 1000),
+    "witness-concretization": (suite_witness_concretization, "want", 100),
+    "value-inflation": (suite_value_inflation, "want", 100),
+    "update-normalization": (suite_update_normalization, "runs", 100),
 }
 
 
 def run_suites(seed: int = 0, scale: float = 1.0,
                only: Optional[str] = None) -> list[SuiteResult]:
-    sizes = {
-        "cb-vs-abstract": {"programs": max(1, round(200 * scale))},
-        "step-soundness": {"steps": max(1, round(1000 * scale))},
-        "witness-concretization": {"want": max(1, round(100 * scale))},
-        "value-inflation": {"want": max(1, round(100 * scale))},
-        "update-normalization": {"runs": max(1, round(100 * scale))},
-    }
     names = [only] if only else list(_SUITES)
     if only and only not in _SUITES:
         raise ValueError(f"unknown suite '{only}' (have: {', '.join(_SUITES)})")
-    return [_SUITES[n](seed=seed, **sizes[n]) for n in names]
+    return [suite(seed=seed, **{arg: max(1, round(base * scale))})
+            for suite, arg, base in (_SUITES[n] for n in names)]

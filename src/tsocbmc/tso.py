@@ -18,12 +18,13 @@ blocks of steps (operations and buffer updates alike) by a single thread.
 
 `tso_enabled` and `tso_step` are the only semantics, and they run on a step
 table built once per program (`_plan`): each thread's moves from each state,
-in declaration order, with state, register and variable names resolved to
-integers, and one Label per move, shared by every call.  `tso_step` finds
-the record of a label's transition by identity and resolves any other label
-by value, with the same result.  The searches map each visited
-configuration, encoded as a byte string, to its parent's key and the label
-that reached it, and rebuild the witness by replaying those labels.
+in declaration order, as the operand record the program index resolved for
+the transition (see model.operands) and one Label per move, shared by every
+call.  `tso_step` finds the record of a label's transition by identity and
+resolves any other label by value through the same function.  The searches
+map each visited configuration, encoded as a byte string, to its parent's
+key and the label that reached it, and rebuild the witness by replaying
+those labels.
 """
 from __future__ import annotations
 
@@ -33,8 +34,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .model import (
-    Arw, Assign, Guard, ModelTooLargeError, NewValue, Program, ProgramIndex,
-    Read, Target, Transition, Write, eval_rel, program_index,
+    OP_ARW, OP_ASSIGN, OP_FRESH, OP_GUARD, OP_READ, OP_WRITE,
+    ModelTooLargeError, Program, Target, Transition, eval_rel, operands,
+    program_index,
 )
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
@@ -122,10 +124,6 @@ def _latest_buffered(buf: tuple[tuple[int, int], ...], x: int) -> Optional[int]:
 
 # --- the step table ----------------------------------------------------------
 
-# move kinds; the two below _GUARD are always enabled
-_ASSIGN, _READ, _GUARD, _WRITE, _NEW, _ARW = range(6)
-
-
 class _ValueLabels(dict):
     """domain_bound -> the labels of one `r := *` transition for the values
     0..domain_bound, built on first use."""
@@ -141,36 +139,14 @@ class _ValueLabels(dict):
         return labels
 
 
-def _record(idx: ProgramIndex, ti: int, tr: Transition) -> tuple:
-    """(tr, ti, src, dst, kind, x, y, z): the transition with its state names
-    resolved in thread ti and its operands as register or variable ids (the
-    relation for a guard, the update register for an arw).  dst is None when
-    thread ti has no such state, which only a label naming another thread's
-    transition can cause."""
-    sid = idx.state_id[ti]
-    rid = idx.rid
-    op = tr.op
-    if isinstance(op, Assign):
-        ops = (_ASSIGN, rid[op.dst], rid[op.src], None)
-    elif isinstance(op, NewValue):
-        ops = (_NEW, rid[op.dst], None, None)
-    elif isinstance(op, Guard):
-        ops = (_GUARD, rid[op.left], rid[op.right], op.rel)
-    elif isinstance(op, Read):
-        ops = (_READ, idx.vid[op.var], rid[op.dst], None)
-    elif isinstance(op, Write):
-        ops = (_WRITE, idx.vid[op.var], rid[op.src], None)
-    else:
-        ops = (_ARW, idx.vid[op.var], rid[op.expect], rid[op.update])
-    return (tr, ti, sid[tr.src], sid.get(tr.dst)) + ops
-
-
 class _Plan:
     """The step table of one program.  moves[ti][state] lists the thread's
     outgoing moves in declaration order as (kind, label, x, y, z), with one
-    shared Label per transition (a _ValueLabels for `r := *`); updates[ti]
-    is the thread's update label; steps maps id(transition) to its _record.
-    The records keep the transitions alive, so those ids are not reused."""
+    shared Label per transition (a _ValueLabels for `r := *`) and the
+    operands from the program index; updates[ti] is the thread's update
+    label; steps maps id(transition) to its record (tr, ti, src, dst, kind,
+    x, y, z) in the thread that owns it.  The records keep the transitions
+    alive, so those ids are not reused."""
 
     def __init__(self, program: Program):
         idx = self.idx = program_index(program)
@@ -179,15 +155,16 @@ class _Plan:
         self.steps: dict[int, tuple] = {}
         self.moves = []
         for ti, tname in enumerate(idx.thread_ids):
+            sid = idx.state_id[ti]
             per_state = []
             for out in idx.out[ti]:
                 moves = []
-                for _, tr in out:
-                    rec = self.steps.setdefault(id(tr), _record(idx, ti, tr))
-                    kind = rec[4]
-                    label = (_ValueLabels(tname, tr) if kind == _NEW
+                for pos, tr in out:
+                    kind, x, y, z = ops = idx.ops[ti][pos]
+                    self.steps.setdefault(id(tr), (tr, ti, sid[tr.src], sid[tr.dst]) + ops)
+                    label = (_ValueLabels(tname, tr) if kind == OP_FRESH
                              else Label(tname, tr))
-                    moves.append((kind, label) + rec[5:])
+                    moves.append((kind, label, x, y, z))
                 per_state.append(tuple(moves))
             self.moves.append(tuple(per_state))
 
@@ -207,17 +184,17 @@ def tso_enabled(program: Program, c: TsoConfig, b: Bounds) -> list[Label]:
     out: list[Label] = []
     for moves, s, buf, update in zip(plan.moves, c.st, c.buf, plan.updates):
         for kind, label, x, y, z in moves[s]:
-            if kind < _GUARD:
+            if kind < OP_GUARD:
                 out.append(label)
-            elif kind == _GUARD:
+            elif kind == OP_GUARD:
                 if eval_rel(z, rval[x], rval[y]):
                     out.append(label)
-            elif kind == _WRITE:
+            elif kind == OP_WRITE:
                 if len(buf) < b.buffer_bound:
                     out.append(label)
-            elif kind == _NEW:
+            elif kind == OP_FRESH:
                 out.extend(label[b.domain_bound])
-            elif not buf and mem[x] == rval[y]:   # _ARW
+            elif not buf and mem[x] == rval[y]:   # OP_ARW
                 out.append(label)
         if buf:
             out.append(update)
@@ -242,7 +219,10 @@ def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
 
     rec = plan.steps.get(id(tr))
     if rec is None or rec[0] is not tr or rec[1] != ti:
-        rec = _record(plan.idx, ti, tr)
+        # an equal transition, or one of another thread: resolve it by value
+        # in thread ti, which may lack the destination state (dst None)
+        sid = plan.idx.state_id[ti]
+        rec = (tr, ti, sid[tr.src], sid.get(tr.dst)) + plan.idx.resolve(tr.op)
     _, _, src, dst, kind, x, y, z = rec
     if c.st[ti] != src:
         raise NotEnabledError(f"{label.render()}: thread is not at state {tr.src}")
@@ -251,32 +231,32 @@ def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
     st = list(c.st)
     st[ti] = dst
     st = tuple(st)
-    if kind == _READ:
+    if kind == OP_READ:
         v = _latest_buffered(c.buf[ti], x)
         if v is None:
             v = c.mem[x]
         rval = list(c.rval)
         rval[y] = v
         return TsoConfig(st, tuple(rval), c.buf, c.mem)
-    if kind == _GUARD:
+    if kind == OP_GUARD:
         if not eval_rel(z, c.rval[x], c.rval[y]):
             raise NotEnabledError(f"{label.render()}: guard is false")
         return TsoConfig(st, c.rval, c.buf, c.mem)
-    if kind == _WRITE:
+    if kind == OP_WRITE:
         buf = list(c.buf)
         buf[ti] = c.buf[ti] + ((x, c.rval[y]),)
         return TsoConfig(st, c.rval, tuple(buf), c.mem)
-    if kind == _NEW:
+    if kind == OP_FRESH:
         if label.value is None or label.value < 0:
             raise NotEnabledError(f"{label.render()}: needs a natural value")
         rval = list(c.rval)
         rval[x] = label.value
         return TsoConfig(st, tuple(rval), c.buf, c.mem)
-    if kind == _ASSIGN:
+    if kind == OP_ASSIGN:
         rval = list(c.rval)
         rval[x] = c.rval[y]
         return TsoConfig(st, tuple(rval), c.buf, c.mem)
-    # _ARW
+    # OP_ARW
     if c.buf[ti]:
         raise NotEnabledError(f"{label.render()}: store buffer must be empty")
     if c.mem[x] != c.rval[y]:
@@ -445,7 +425,7 @@ def normalize_updates(program: Program, run: Run, k: int) -> Run:
     if not cb_partition_check(run, k):
         raise ValueError(f"run does not fit into {k} contexts")
     for label in run.labels:
-        if label.delta is not None and isinstance(label.delta.op, Arw):
+        if label.delta is not None and operands(label.delta.op)[0] == OP_ARW:
             raise ValueError("runs with arw steps cannot be normalized")
     blocks: list[list[Label]] = []
     current: Optional[str] = None

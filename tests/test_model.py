@@ -5,7 +5,10 @@ from tsocbmc import (
     Program, Read, Relation, Target, Thread, Transition, Write, eval_rel, le,
     lt, validate,
 )
-from tsocbmc.model import program_index, states_in_order
+from tsocbmc.model import (
+    OP_ARW, OP_ASSIGN, OP_FRESH, OP_GUARD, OP_READ, OP_WRITE, operands,
+    program_index, states_in_order,
+)
 
 
 @pytest.mark.parametrize("rel,d1,d2,expected", [
@@ -74,6 +77,26 @@ def test_validate_rejects_foreign_register():
     assert any("not owned" in d for d in diags)
 
 
+@pytest.mark.parametrize("op,problems", [
+    (Assign("a", "z"), ["register 'z' not owned by the thread"]),
+    (Assign("z", "w"), ["register 'z' not owned by the thread",
+                        "register 'w' not owned by the thread"]),
+    (NewValue("z"), ["register 'z' not owned by the thread"]),
+    (Guard(lt(1), "z", "a"), ["register 'z' not owned by the thread"]),
+    (Read("y", "z"), ["register 'z' not owned by the thread",
+                      "undeclared shared variable 'y'"]),
+    (Write("x", "z"), ["register 'z' not owned by the thread"]),
+    (Arw("y", "z", "w"), ["register 'z' not owned by the thread",
+                          "register 'w' not owned by the thread",
+                          "undeclared shared variable 'y'"]),
+    (Arw("x", "a", "z"), ["register 'z' not owned by the thread"]),
+])
+def test_validate_names_each_bad_operand_in_order(op, problems):
+    t = _thread("t", ["a"], [Transition("q0", op, "q1")])
+    assert validate(Program.make([t], ["x"])) == [
+        f"thread 't': operation '{op.render()}' uses {p}" for p in problems]
+
+
 def test_validate_rejects_shared_register_name():
     t1 = _thread("t1", ["a"], [])
     t2 = _thread("t2", ["a"], [])
@@ -114,6 +137,24 @@ def test_program_index_interning_and_target():
         idx.target_idx(Target("t3", "p1"))
     with pytest.raises(KeyError):
         idx.target_idx(Target("t1", "p1"))
+
+
+def test_program_index_operand_records():
+    # the variable first, then the registers with the assigned one first,
+    # then a guard's relation; ids in the index, names from operands
+    ops = [Assign("a", "b"), NewValue("b"), Guard(lt(2), "b", "a"),
+           Read("y", "a"), Write("x", "b"), Arw("y", "b", "a")]
+    t = _thread("t", ["a", "b"], [Transition("q0", op, "q0") for op in ops])
+    idx = program_index(Program.make([t], ["x", "y"]))
+    assert idx.ops == [(
+        (OP_ASSIGN, 0, 1, None), (OP_FRESH, 1, None, None),
+        (OP_GUARD, 1, 0, lt(2)), (OP_READ, 1, 0, None),
+        (OP_WRITE, 0, 1, None), (OP_ARW, 1, 1, 0))]
+    assert [operands(op) for op in ops] == [
+        (OP_ASSIGN, "a", "b", None), (OP_FRESH, "b", None, None),
+        (OP_GUARD, "b", "a", lt(2)), (OP_READ, "y", "a", None),
+        (OP_WRITE, "x", "b", None), (OP_ARW, "y", "b", "a")]
+    assert [idx.resolve(op) for op in ops] == list(idx.ops[0])
 
 
 def test_program_index_refuses_invalid():

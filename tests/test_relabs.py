@@ -60,10 +60,13 @@ def test_rel_apply_copy_and_guard():
 
 
 def test_rel_apply_multi_is_simultaneous():
-    # swap through a multi: both copies read the pre-state
-    r = abstract_of((1, 2))
-    out = rel_apply(r, [("multi", ((0, 1), (1, 0)))])
-    assert out == [abstract_of((2, 1))]
+    # a flush's copies all read the pre-state: no destination is a source,
+    # and a multi that would need a simultaneous swap is refused
+    r = abstract_of((0, 1, 2, 3))
+    out = rel_apply(r, [("multi", ((1, 3), (2, 0)))])
+    assert out == [abstract_of((0, 3, 0, 3))]
+    with pytest.raises(ValueError, match="destinations must not be its sources"):
+        rel_apply(abstract_of((1, 2)), [("multi", ((0, 1), (1, 0)))])
 
 
 def test_fresh_placement_count_is_twice_the_classes():
@@ -132,7 +135,6 @@ def _rel_apply_ref(ranks, effects):
     ((0, 2, 1, 2), [("copy", 2, 1)]),            # empties a middle class
     ((0, 1, 2, 1), [("fresh", 2)]),              # fresh on a singleton
     ((0, 1, 1, 2), [("fresh", 1)]),              # fresh on a shared class
-    ((0, 1, 2), [("multi", ((1, 2), (2, 1)))]),  # swap: the _densify path
     ((0, 1, 2), [("guard", LT, 2, 1)]),          # failing guard: no successor
     ((0, 1, 2), [("fresh", 1), ("guard", LT, 1, 2), ("copy", 2, 0)]),
     ((0, 1, 2, 2), [("multi", ((1, 3),))]),      # flush empties a singleton
@@ -161,9 +163,12 @@ def test_rel_apply_matches_reference_on_random_effects():
                                 rng.randrange(n), rng.randrange(n)))
             elif tag == "fresh":
                 effects.append(("fresh", rng.randrange(n)))
-            else:
-                dsts = rng.sample(range(n), rng.randrange(1, n + 1))
-                effects.append(("multi", tuple((d, rng.randrange(n)) for d in dsts)))
+            elif n > 1:
+                # as in a flush, no destination is a source
+                cols = rng.sample(range(n), n)
+                cut = rng.randrange(1, n)
+                effects.append(("multi", tuple((d, rng.choice(cols[cut:]))
+                                               for d in cols[:cut])))
         # list equality: the successors and their order
         assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
 
