@@ -120,12 +120,7 @@ class AbMachine:
         # entries at most max(k + 1, nt, states per thread - 1)
         if k + 1 > 255:
             raise ModelTooLargeError(f"k={k} is above the limit of 254 contexts")
-        if nt > 255:
-            raise ModelTooLargeError(f"{nt} threads is above the limit of 255")
-        for tname, names in zip(idx.thread_ids, idx.state_names):
-            if len(names) > 255:
-                raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
-                                         "above the limit of 255")
+        idx.check_byte_limits()
 
         # One pass over the transitions: per thread, the register ids each
         # transition reads (g) and assigns (kl), and the shared variables the

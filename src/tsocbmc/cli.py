@@ -122,6 +122,8 @@ def _finish(args, verdict: Verdict, target: Target, k: Optional[int],
                 "states_explored": verdict.stats.states_explored,
                 "control_states": verdict.stats.control_states,
                 "peak_frontier": verdict.stats.peak_frontier,
+                "rank_tuples": verdict.stats.rank_tuples,
+                "rel_apply_calls": verdict.stats.rel_apply_calls,
                 "wall_ms": int(round(verdict.stats.wall_ms)),
                 "stop_reason": verdict.stats.stop_reason,
             },

@@ -1,16 +1,28 @@
 """Reachability over the combined abstraction, plus witness processing.
 
 The search space pairs the summarized control state with a rank tuple over
-the summary variables.  Both parts are short vectors of small naturals, so a
-state is stored as its byte string; the encoding is the identity per
-component and therefore injective, which makes the key *be* the state and
-keeps the visited set compact for desk-scale models.
+the summary variables.  Far fewer of each occur than of their pairs (bakery(2)
+at k=3 reaches 263,858 states from 6,186 control tuples and 3,522 rank
+tuples), so each search interns control tuples, rank tuples and effect lists
+to integer ids and stores a state as the one integer cid | rid << 32
+(collapse compression, as in SPIN).  The public byte encoding
+(relabs.canonical_key) is checked once per newly interned tuple instead of
+once per state.
 
 Many rank tuples share one control state, and a control state's successors
-(labels, effects, successor control, whether it hits the target) do not
+(labels, effect lists, successor control, whether it hits the target) do not
 depend on the ranks.  So each search computes them once per control state
-and reuses them for every rank tuple paired with it; the table lives only
-as long as that search.
+and reuses them for every rank tuple paired with it.  Likewise rel_apply
+depends only on the rank tuple and the effect list: its result is memoized
+per effect list in an int array indexed by rank id, which holds the one
+successor rank id inline, or points into a side list of branching results
+(none, or several after a fresh value).  Both tables live only as long as
+that search.
+
+The visited set maps each state to its parent state alone.  A witness
+recovers each step's label as the first move out of the parent, in table
+order, that yields the child: the search keeps a state's first discovery,
+so that is the move it took.
 
 A positive verdict carries an abstract witness: per step, the machine's own
 label and effect tuples (see abmachine) and the rank tuple after the step;
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
@@ -81,6 +94,13 @@ def _rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+# memo entries of check_reach: not computed yet, and the branches offset
+_UNKNOWN = -1
+_BRANCH = -2
+# the cid bits of a search state
+_CID = (1 << 32) - 1
+
+
 def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
     """Context schedules worth searching, most promising first.
 
@@ -127,76 +147,148 @@ def check_reach(program: Program, target: Target, k: int,
     """
     m = ab_machine(program, k)
     tti, tsi = m.idx.target_idx(target)
+    flen = m.flat_len
     klen = key_length(program, k)
     stats = Stats()
     start = time.perf_counter()
 
     r0 = rel_initial(m.nab)
-    visited: dict[bytes, Optional[tuple[bytes, tuple]]] = {}
-    # control state -> [(label, effects, successor control bytes, hits target)]
-    succ: dict[tuple[int, ...], list] = {}
+    # the interned parts of a state: control tuples by cid, rank tuples by
+    # rid and effect lists by eid, each a list plus a dict
+    ctrls: list[tuple[int, ...]] = []
+    ctrl_id: dict[tuple[int, ...], int] = {}
+    ranks: list[tuple[int, ...]] = []
+    rank_id: dict[tuple[int, ...], int] = {}
+    effs: list[tuple] = []
+    eff_id: dict[tuple, int] = {}
+    # per cid, once popped: [(label, eid, successor cid, hits target)]
+    succ: list[Optional[list]] = []
+    # per eid, rel_apply by rid: _UNKNOWN, the one successor rid, or
+    # _BRANCH - i for the successor rids branches[i] (none or several)
+    memo: list[array] = []
+    branches: list[tuple[int, ...]] = [()]
+    # state -> parent state, -1 at a root; a state is cid | rid << 32
+    visited: dict[int, int] = {}
 
-    def finish(found: bool, status: str, node: Optional[bytes] = None) -> Verdict:
+    def intern_ctrl(flat: tuple[int, ...]) -> int:
+        cid = ctrl_id.get(flat)
+        if cid is None:
+            if decode_key(flen, canonical_key(flat, r0)) != (flat, r0):
+                raise AssertionError(f"control state {flat} has no canonical key")
+            cid = ctrl_id[flat] = len(ctrls)
+            ctrls.append(flat)
+            succ.append(None)
+        return cid
+
+    def intern_ranks(r: tuple[int, ...]) -> int:
+        rid = rank_id.get(r)
+        if rid is None:
+            # every control tuple passed its own check, so any one will do
+            if len(canonical_key(ctrls[0], r)) != klen:
+                raise AssertionError(f"rank tuple {r} has no canonical key")
+            rid = rank_id[r] = len(ranks)
+            ranks.append(r)
+        return rid
+
+    def expand(cid: int) -> list:
+        stats.control_states += 1
+        moves = []
+        for core, eff, flat2 in m.transitions_flat(ctrls[cid]):
+            eid = eff_id.get(eff)
+            if eid is None:
+                eid = eff_id[eff] = len(effs)
+                effs.append(eff)
+                memo.append(array("i"))
+            moves.append((core, eid, intern_ctrl(flat2), flat2[m.ST + tti] == tsi))
+        return moves
+
+    def rank_step(eid: int, rid: int) -> int:
+        """Fill the unknown memo entry of (eid, rid) from rel_apply."""
+        stats.rel_apply_calls += 1
+        out = rel_apply(ranks[rid], effs[eid])
+        if len(out) == 1:
+            entry = intern_ranks(out[0])
+        elif out:
+            entry = _BRANCH - len(branches)
+            branches.append(tuple(map(intern_ranks, out)))
+        else:
+            entry = _BRANCH
+        row = memo[eid]
+        if rid >= len(row):
+            row.fromlist([_UNKNOWN] * (len(ranks) - len(row)))
+        row[rid] = entry
+        return entry
+
+    def successors(eid: int, rid: int) -> tuple[int, ...]:
+        row = memo[eid]
+        entry = row[rid] if rid < len(row) else _UNKNOWN
+        if entry == _UNKNOWN:
+            entry = rank_step(eid, rid)
+        return (entry,) if entry >= 0 else branches[_BRANCH - entry]
+
+    def finish(found: bool, status: str, node: int = -1) -> Verdict:
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
-        stats.control_states = len(succ)
+        stats.rank_tuples = len(ranks)
         witness = None
         if found:
-            chain = []
-            cur = node
-            while visited[cur] is not None:
-                prev, core = visited[cur]
-                chain.append((prev, core, cur))
-                cur = prev
+            chain = [node]
+            while visited[chain[-1]] >= 0:
+                chain.append(visited[chain[-1]])
             chain.reverse()
-            act_flat, _ = decode_key(m.flat_len, cur)
-            act = tuple(m.idx.thread_ids[t] for t in act_flat[m.ACT:m.ACT + k])
+            root = ctrls[chain[0] & _CID]
+            act = tuple(m.idx.thread_ids[t] for t in root[m.ACT:m.ACT + k])
             steps = []
-            for prev, core, after in chain:
-                pf, _ = decode_key(m.flat_len, prev)
-                _, ranks_after = decode_key(m.flat_len, after)
-                eff, _ = m.apply_flat(pf, core)
-                steps.append(WitnessStep(core, eff, ranks_after))
+            for s, s2 in zip(chain, chain[1:]):
+                # the BFS keeps a state's first discovery, so its label is
+                # the first move from the parent, in table order, to reach it
+                cid2, rid2 = s2 & _CID, s2 >> 32
+                core, eid = next((core, eid) for core, eid, c, _ in succ[s & _CID]
+                                 if c == cid2 and rid2 in successors(eid, s >> 32))
+                steps.append(WitnessStep(core, effs[eid], ranks[rid2]))
             witness = Witness(k, act, tuple(steps))
         return Verdict(found, status, witness, stats)
 
-    checked = 0
     for act in _seed_order(m, tti):
         flat = m.initial_flat(act)
-        key = canonical_key(flat, r0)
-        assert len(key) == klen
-        if key in visited:
+        # a control tuple first: intern_ranks checks against ctrls[0]
+        cid = intern_ctrl(flat)
+        state = cid | intern_ranks(r0) << 32
+        if state in visited:
             continue
-        visited[key] = None
+        visited[state] = -1
         if flat[m.ST + tti] == tsi:
-            return finish(True, REACHABLE, key)
-        frontier: deque[bytes] = deque([key])
+            return finish(True, REACHABLE, state)
+        frontier: deque[int] = deque([state])
         while frontier:
-            stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-            key = frontier.popleft()
-            flat, ranks = decode_key(m.flat_len, key)
+            if len(frontier) > stats.peak_frontier:
+                stats.peak_frontier = len(frontier)
+            state = frontier.popleft()
+            cid, rid = state & _CID, state >> 32
             stats.states_explored += 1
-            checked += 1
-            if max_mb is not None and checked % 4096 == 0 and _rss_mb() > max_mb:
+            if (max_mb is not None and stats.states_explored % 4096 == 0
+                    and _rss_mb() > max_mb):
                 stats.stop_reason = "max_mb"
                 return finish(False, BOUND_EXHAUSTED)
-            moves = succ.get(flat)
+            moves = succ[cid]
             if moves is None:
-                moves = succ[flat] = [
-                    (core, eff, bytes(flat2), flat2[m.ST + tti] == tsi)
-                    for core, eff, flat2 in m.transitions_flat(flat)]
-            for core, eff, flat2, hit in moves:
-                for ranks2 in rel_apply(ranks, eff):
-                    key2 = canonical_key(flat2, ranks2)
-                    if key2 in visited:
+                moves = succ[cid] = expand(cid)
+            for _, eid, cid2, hit in moves:
+                # successors(eid, rid), inlined: this runs once per move
+                row = memo[eid]
+                entry = row[rid] if rid < len(row) else _UNKNOWN
+                if entry == _UNKNOWN:
+                    entry = rank_step(eid, rid)
+                for rid2 in (entry,) if entry >= 0 else branches[_BRANCH - entry]:
+                    state2 = cid2 | rid2 << 32
+                    if state2 in visited:
                         continue
-                    assert len(key2) == klen
-                    visited[key2] = (key, core)
+                    visited[state2] = state
                     if hit:
-                        return finish(True, REACHABLE, key2)
+                        return finish(True, REACHABLE, state2)
                     if len(visited) > max_states:
                         stats.stop_reason = "max_states"
                         return finish(False, BOUND_EXHAUSTED)
-                    frontier.append(key2)
+                    frontier.append(state2)
     return finish(False, UNREACHABLE)
 
 

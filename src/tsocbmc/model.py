@@ -322,6 +322,18 @@ class ProgramIndex:
         """operands(op) with the variable and registers as their ids."""
         return operands(op, self.rid.__getitem__, self.vid.__getitem__)
 
+    def check_byte_limits(self) -> None:
+        """Reject a model whose thread ids or thread states do not fit the
+        one-byte fields of the search encodings (the oracle's configs and
+        the summarized machine's keys both store them)."""
+        if len(self.thread_ids) > 255:
+            raise ModelTooLargeError(f"{len(self.thread_ids)} threads, "
+                                     "above the limit of 255")
+        for tname, names in zip(self.thread_ids, self.state_names):
+            if len(names) > 255:
+                raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
+                                         "above the limit of 255")
+
     def target_idx(self, target: Target) -> tuple[int, int]:
         if target.thread not in self.tid:
             raise KeyError(f"unknown thread '{target.thread}'")

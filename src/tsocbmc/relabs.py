@@ -136,7 +136,9 @@ def rel_initial(nab: int) -> tuple[int, ...]:
 
 def canonical_key(flat: tuple[int, ...], ranks: tuple[int, ...]) -> bytes:
     """Injective byte encoding of a search state.  Every component is a
-    small natural, so the identity byte map works and decoding is direct."""
+    small natural, so the identity byte map works and decoding is direct.
+    check_reach keeps states as interned ids and checks each new control
+    and rank tuple against this encoding."""
     return bytes(flat) + bytes(ranks)
 
 

@@ -279,13 +279,8 @@ class _Codec:
         self.nt = len(idx.thread_ids)
         self.nm = self.nt + len(idx.regs)
         self.head = self.nm + len(idx.vars)
-        for tname, names in zip(idx.thread_ids, idx.state_names):
-            if len(names) > 255:
-                raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
-                                         "above the limit of 255")
         # the active-thread extra stores thread id + 1
-        if self.nt > 255:
-            raise ModelTooLargeError(f"{self.nt} threads, above the limit of 255")
+        idx.check_byte_limits()
         if len(idx.vars) > 256:
             raise ModelTooLargeError(f"{len(idx.vars)} shared variables, "
                                      "above the limit of 256")

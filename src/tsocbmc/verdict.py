@@ -15,6 +15,8 @@ class Stats:
     states_explored: int = 0
     control_states: int = 0   # distinct control states whose successors were computed
     peak_frontier: int = 0
+    rank_tuples: int = 0      # distinct rank tuples the search interned
+    rel_apply_calls: int = 0  # rel_apply calls, one per memo miss
     wall_ms: float = 0.0
     # the cap that ended the search: "max_states" or "max_mb", or "depth"
     # when dlcs_reach_bounded runs out of depth with states left to explore

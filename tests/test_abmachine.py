@@ -3,12 +3,12 @@ import random
 import pytest
 
 from tsocbmc import (
-    EQ, Guard, NEQ, NewValue, Program, Read, Thread, Transition, Write,
-    gen_bakery,
+    EQ, Bounds, Guard, ModelTooLargeError, NEQ, NewValue, Program, Read,
+    Target, Thread, Transition, Write, gen_bakery, tso_reach_bounded,
 )
 from tsocbmc.abmachine import (
     AbMachine, GuardFailedError, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH,
-    R_WRITE,
+    R_WRITE, ab_machine,
 )
 from tsocbmc.model import states_in_order
 from tsocbmc.selftest import random_program
@@ -249,3 +249,27 @@ def test_values_round_trip():
     vals = tuple(i % 3 for i in range(m.nab))
     by_name = dict(zip(m.names, vals))
     assert tuple(by_name[n] for n in m.names) == vals
+
+
+def _writers(n):
+    return [_thread(f"t{i}", [f"r{i}"], [Transition("q0", Write("x", f"r{i}"), "q1")])
+            for i in range(n)]
+
+
+def _chain(n):
+    return [_thread("t", ["a"], [Transition(f"q{i}", Guard(EQ, "a", "a"), f"q{i + 1}")
+                                 for i in range(n - 1)])]
+
+
+@pytest.mark.parametrize("threads,limit", [
+    (_writers(256), "256 threads, above the limit of 255"),
+    (_chain(256), "thread 't' has 256 states, above the limit of 255"),
+])
+def test_machine_and_oracle_name_the_same_byte_limits(threads, limit):
+    # both searches store thread ids and thread states in one byte; one
+    # check in the program index words the limit the same for both
+    p = Program.make(threads, ["x"])
+    with pytest.raises(ModelTooLargeError, match=f"^{limit}$"):
+        ab_machine(p, 1)
+    with pytest.raises(ModelTooLargeError, match=f"^{limit}$"):
+        tso_reach_bounded(p, Target(threads[0].id, "q1"), Bounds(1, 0, 5))

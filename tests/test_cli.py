@@ -72,6 +72,8 @@ def test_check_json_report(tmp_path, capsys):
     assert data["stats"]["states_explored"] > 0
     # every explored state pairs one of the control states with ranks
     assert 0 < data["stats"]["control_states"] <= data["stats"]["states_explored"]
+    # the search's interned rank tuples and its rel_apply memo misses
+    assert (data["stats"]["rank_tuples"], data["stats"]["rel_apply_calls"]) == (10, 24)
     assert isinstance(data["stats"]["wall_ms"], int)
     assert data["stats"]["stop_reason"] == ""
     assert data["witness"], "a reachable report carries witness steps"

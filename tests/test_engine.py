@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from tsocbmc import (
-    BOUND_EXHAUSTED, Bounds, Guard, NewValue, Program, REACHABLE, Target,
+    BOUND_EXHAUSTED, Bounds, EQ, Guard, NewValue, Program, REACHABLE, Target,
     Thread, Transition, UNREACHABLE, abstract_of, cb_partition_check,
     cb_reach_bounded, check_reach, concrete_run_to_tso, concretize_witness,
     inflate, lt, parse_program_with_target, validate_witness,
@@ -250,13 +250,72 @@ def test_state_counts_after_summary_slicing():
     # visited sets of the unsliced machine (227,792 and 710 states) onto
     # the kept columns gives exactly these counts, with the same control
     # states.  At bakery(2) k=2 the dropped columns never told two states
-    # apart, so the count stays.
+    # apart, so the count stays.  bakery(2) k=3 is the benchmark's large
+    # exhaustive search: its 263,858 states pair only 6,186 control tuples
+    # with 3,522 rank tuples, and rel_apply runs once per distinct (rank
+    # tuple, effect list), 18,047 times instead of once per (state, move).
     from tsocbmc.generators import gen_bakery
-    for n, k, states, control in ((1, 4, 1998, 1373), (2, 2, 710, 214)):
+    for n, k, states, control, ranks, calls in (
+            (1, 4, 1998, 1373, 5, 14), (2, 2, 710, 214, 37, 209),
+            (2, 3, 263858, 6186, 3522, 18047)):
         g = gen_bakery(n)
         v = check_reach(g.program, g.target, k)
         assert v.status == UNREACHABLE
-        assert (v.stats.states_explored, v.stats.control_states) == (states, control)
+        s = v.stats
+        assert (s.states_explored, s.control_states) == (states, control)
+        assert (s.rank_tuples, s.rel_apply_calls) == (ranks, calls)
+
+
+def test_witness_names_the_first_move_to_a_shared_successor():
+    # Both transitions out of q0 reach q1 with the all-equal rank tuple: the
+    # guard passes and the fresh value may join the sentinel's class.  The
+    # search records only the parent state, so the witness recovers the
+    # label; it must name the transition declared first, in either order.
+    from tsocbmc.relabs import rel_apply, rel_initial
+    moves = [Transition("q0", Guard(EQ, "a", "b"), "q1"),
+             Transition("q0", NewValue("a"), "q1")]
+    for first in (0, 1):
+        t = _thread("t", ["a", "b"], [moves[first], moves[1 - first],
+                                      Transition("q1", Guard(EQ, "a", "b"), "q2")])
+        p = Program.make([t], ["x"])
+        m = ab_machine(p, 1)
+        r0 = rel_initial(m.nab)
+        out = m.transitions_flat(m.initial_flat((0,)))
+        assert len(out) == 2 and out[0][2] == out[1][2]
+        assert all(r0 in rel_apply(r0, eff) for _, eff, _ in out)
+        v = check_reach(p, Target("t", "q2"), 1)
+        assert v.reachable
+        assert [s.label[2] for s in v.witness.steps] == [0, 2]
+        assert v.witness.steps[0].effects == out[0][1]
+        run = concretize_witness(p, v.witness)
+        assert validate_witness(p, run)
+        assert cb_partition_check(concrete_run_to_tso(p, run), 1)
+
+
+def test_search_calls_the_public_encoding(monkeypatch):
+    # the interned search still checks each new control and rank tuple
+    # through canonical_key/decode_key and runs rel_apply on memo misses;
+    # the benchmark's traced run wraps these engine globals and fails when
+    # one of them sees no call
+    from tsocbmc import engine
+    from tsocbmc.generators import gen_bakery
+    calls = dict.fromkeys(("rel_apply", "canonical_key", "decode_key"), 0)
+
+    def counted(name):
+        real = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    g = gen_bakery(1)
+    v = check_reach(g.program, g.target, 4)
+    assert v.status == UNREACHABLE and v.stats.states_explored == 1998
+    assert all(calls.values()), calls
+    assert calls["rel_apply"] == v.stats.rel_apply_calls
 
 
 def test_unused_fresh_register_rebuilds_to_a_tso_run():
