@@ -159,20 +159,8 @@ def _cmd_check(args) -> int:
     _check_max_states(args)
     program, inline = _load_program(args.file)
     target = _resolve_target(args, program, inline)
-    max_mb = None
-    env = os.environ.get("TSOCBMC_MAX_MB")
-    if env:
-        try:
-            max_mb = float(env)
-        except ValueError:
-            max_mb = math.nan
-        # nan would turn the cap off, and a cap <= 0 stops the first RSS
-        # check as if memory had run out
-        if not 0 < max_mb < math.inf:
-            raise UsageError("TSOCBMC_MAX_MB must be a positive finite number "
-                             f"of megabytes, got {env!r}")
     verdict = check_reach(program, target, args.k,
-                          max_states=args.max_states, max_mb=max_mb)
+                          max_states=args.max_states, max_mb=_max_mb())
     steps_json: list[dict] = []
     if verdict.reachable:
         run = concretize_witness(program, verdict.witness)
@@ -185,6 +173,23 @@ def _cmd_check(args) -> int:
                 "values": dict(zip(m.names, c_step.values)),
             })
     return _finish(args, verdict, target, args.k, f" k={args.k}", steps_json)
+
+
+def _max_mb() -> Optional[float]:
+    """The memory cap of check and simulate, from TSOCBMC_MAX_MB."""
+    env = os.environ.get("TSOCBMC_MAX_MB")
+    if not env:
+        return None
+    try:
+        max_mb = float(env)
+    except ValueError:
+        max_mb = math.nan
+    # nan would turn the cap off, and a cap <= 0 stops the first RSS check
+    # as if memory had run out
+    if not 0 < max_mb < math.inf:
+        raise UsageError("TSOCBMC_MAX_MB must be a positive finite number "
+                         f"of megabytes, got {env!r}")
+    return max_mb
 
 
 def _check_max_states(args) -> None:
@@ -202,14 +207,15 @@ def _cmd_simulate(args) -> int:
         b = Bounds(args.buffer_bound, args.domain_bound, args.depth)
     except ValueError as e:
         raise UsageError(str(e))
+    max_mb = _max_mb()
     if args.cb is not None:
         if args.cb < 1:
             raise UsageError("--cb expects a positive context count")
         verdict = cb_reach_bounded(program, target, args.cb, b,
-                                   max_states=args.max_states)
+                                   max_states=args.max_states, max_mb=max_mb)
     else:
         verdict = tso_reach_bounded(program, target, b,
-                                    max_states=args.max_states)
+                                    max_states=args.max_states, max_mb=max_mb)
     steps_json = []
     if verdict.reachable:
         steps_json = [{"thread": label.thread, "label": label.render(),

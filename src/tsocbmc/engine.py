@@ -37,7 +37,6 @@ the machine renders them for reports.  From it we can
 """
 from __future__ import annotations
 
-import os
 import time
 from array import array
 from collections import deque
@@ -51,7 +50,9 @@ from .abmachine import (
 from .model import LT, OP_FRESH, Program, Target, eval_rel
 from .relabs import abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_initial
 from .tso import Label, Run, replay
-from .verdict import BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, Stats, Verdict
+from .verdict import (
+    BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, Stats, Verdict, _rss_mb,
+)
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,6 @@ class ConcreteRun:
     k: int
     act: tuple[str, ...]
     steps: tuple[ConcreteStep, ...]
-
-
-def _rss_mb() -> float:
-    """Current resident set size.  Where /proc/self/statm is missing this
-    falls back to the lifetime peak, which only ever grows."""
-    try:
-        with open("/proc/self/statm", "rb") as f:
-            pages = int(f.read().split()[1])
-        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
-    except (OSError, ValueError, IndexError):
-        import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # memo entries of check_reach: not computed yet, and the branches offset

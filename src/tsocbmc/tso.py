@@ -21,10 +21,21 @@ table built once per program (`_plan`): each thread's moves from each state,
 in declaration order, as the operand record the program index resolved for
 the transition (see model.operands) and one Label per move, shared by every
 call.  `tso_step` finds the record of a label's transition by identity and
-resolves any other label by value through the same function.  The searches
-map each visited configuration, encoded as a byte string, to its parent's
-key and the label that reached it, and rebuild the witness by replaying
-those labels.
+resolves any other label by value through the same function.
+
+The searches compress configurations (collapse compression, as in SPIN):
+far fewer thread-local parts and memories occur than configurations
+(bakery(2) at k=4 reaches 194,616 configurations from 5,497 (thread, local
+part, memory) triples).  Each search interns every thread's local part (its
+state, its own registers and its buffer) and the memory tuple to dense ids
+and stores a configuration as one int of fixed-width fields.  A thread's
+moves read and write only its own local part and the memory, so they are
+computed once per (thread, local id, memory id) with `tso_enabled` and
+`tso_step` on the full configuration, checked to leave every other thread's
+part alone, and kept in a move table for the rest of the search.  The
+visited set maps each state to its parent alone; the witness recovers each
+label as the first move out of the parent, in `tso_enabled` order, that
+yields the child, and replays those labels.
 """
 from __future__ import annotations
 
@@ -40,6 +51,7 @@ from .model import (
 )
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
+    _rss_mb,
 )
 
 
@@ -266,138 +278,195 @@ def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
     return TsoConfig(st, c.rval, c.buf, tuple(mem))
 
 
-# --- compact encoding for the explicit search ------------------------------
+# --- the explicit search ----------------------------------------------------
 
-class _Codec:
-    """Configs as byte strings: st + rval + mem, then each buffer's length and
-    (variable, value) entries, then the extras.  Every component must fit in
-    one byte, so the constructor rejects bounds and models above that."""
-
-    def __init__(self, program: Program, buffer_bound: int,
-                 contexts: Optional[int]):
-        idx = program_index(program)
-        self.nt = len(idx.thread_ids)
-        self.nm = self.nt + len(idx.regs)
-        self.head = self.nm + len(idx.vars)
-        # the active-thread extra stores thread id + 1
-        idx.check_byte_limits()
-        if len(idx.vars) > 256:
-            raise ModelTooLargeError(f"{len(idx.vars)} shared variables, "
-                                     "above the limit of 256")
-        if buffer_bound > 255:
-            raise ModelTooLargeError(f"buffer bound {buffer_bound}, "
-                                     "above the limit of 255")
-        if contexts is not None and contexts > 255:
-            raise ModelTooLargeError(f"{contexts} contexts, above the limit of 255")
-
-    def encode(self, c: TsoConfig, extra: tuple[int, ...] = ()) -> bytes:
-        flat = list(c.st)
-        flat += c.rval
-        flat += c.mem
-        for buf in c.buf:
-            flat.append(len(buf))
-            for entry in buf:
-                flat += entry
-        flat += extra
-        return bytes(flat)
-
-    def decode(self, b: bytes, n_extra: int = 0) -> tuple[TsoConfig, tuple[int, ...]]:
-        i = self.head
-        bufs = []
-        for _ in range(self.nt):
-            ln = b[i]
-            if ln:
-                j = i + 1 + 2 * ln
-                bufs.append(tuple(zip(b[i + 1:j:2], b[i + 2:j:2])))
-                i = j
-            else:
-                bufs.append(())
-                i += 1
-        conf = TsoConfig(tuple(b[:self.nt]), tuple(b[self.nt:self.nm]),
-                         tuple(bufs), tuple(b[self.nm:self.head]))
-        return conf, tuple(b[i:i + n_extra])
+def _intern(ids: dict, parts: list, part, width: int) -> int:
+    """The dense id of `part`, which must fit in `width` bits."""
+    i = ids.get(part)
+    if i is None:
+        i = ids[part] = len(parts)
+        if i >> width:
+            raise AssertionError(f"{part} does not fit a {width}-bit field")
+        parts.append(part)
+    return i
 
 
 def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
-         contexts: Optional[int]) -> Verdict:
-    """Level-order search.  With `contexts` set, nodes carry the active thread
-    and the count of maximal single-thread blocks used so far; steps by a
-    different thread open a new block and are only allowed below the cap.
-    Each new key stores its parent key and the shared label that reached it."""
+         contexts: Optional[int], max_mb: Optional[float]) -> Verdict:
+    """Level-order search over interned parts.  With `contexts` set, a state
+    carries the active thread and the count of maximal single-thread blocks
+    used so far; steps by a different thread open a new block and are only
+    allowed below the cap.  Each new state stores its parent state."""
     idx = program_index(program)
-    codec = _Codec(program, b.buffer_bound, contexts)
+    idx.check_byte_limits()
+    if len(idx.vars) > 256:
+        raise ModelTooLargeError(f"{len(idx.vars)} shared variables, "
+                                 "above the limit of 256")
+    if b.buffer_bound > 255:
+        raise ModelTooLargeError(f"buffer bound {b.buffer_bound}, "
+                                 "above the limit of 255")
+    if contexts is not None and contexts > 255:
+        raise ModelTooLargeError(f"{contexts} contexts, above the limit of 255")
     tti, tsi = idx.target_idx(target)
     start = time.perf_counter()
     stats = Stats()
+    nt = len(idx.thread_ids)
+
+    # A state is one int, low bits first: the extras (active thread + 1 in
+    # aw bits, then the blocks used; no bits without contexts), the memory
+    # id, then each thread's local id.  A field is as wide as the count of
+    # its possible parts needs (every value lies in 0..domain_bound), and at
+    # most 32 bits: more ids than that would not fit in memory.
+    vals = b.domain_bound + 1
+    bufs = sum((len(idx.vars) * vals) ** n for n in range(b.buffer_bound + 1))
+    aw = nt.bit_length() if contexts is not None else 0
+    moff = aw + (contexts.bit_length() if contexts is not None else 0)
+    mw = min((vals ** len(idx.vars) - 1).bit_length(), 32)
+    slices, offs, lws = [], [], []
+    off, reg = moff + mw, 0
+    for t in program.threads:
+        slices.append(slice(reg, reg + len(t.regs)))
+        reg += len(t.regs)
+        offs.append(off)
+        lws.append(min((len(t.states) * vals ** len(t.regs) * bufs - 1).bit_length(), 32))
+        off += lws[-1]
+    xmask, amask, mmask = (1 << moff) - 1, (1 << aw) - 1, (1 << mw) - 1
+    lmasks = [(1 << w) - 1 for w in lws]
+    # a thread's move replaces its own local id, the memory id and the extras
+    keeps = [~(lm << o | xmask | mmask << moff) for lm, o in zip(lmasks, offs)]
+
+    # the interned parts: per thread its local parts (state, own register
+    # values, buffer), and the memory tuples, each a list plus a dict
+    locs: list[list] = [[] for _ in range(nt)]
+    loc_ids: list[dict] = [{} for _ in range(nt)]
+    mems: list[tuple[int, ...]] = []
+    mem_ids: dict[tuple[int, ...], int] = {}
+    # per thread, the move table: local id << mw | memory id ->
+    # ((label, local id' << offset | memory id' << moff, hits target), ...)
+    tables: list[dict[int, tuple]] = [{} for _ in range(nt)]
+    threads = tuple(zip(range(nt), offs, lmasks, keeps, tables))
+
+    def local(c: TsoConfig, ti: int) -> tuple:
+        return c.st[ti], c.rval[slices[ti]], c.buf[ti]
+
+    def assemble(parts: list[tuple], mem: tuple[int, ...]) -> TsoConfig:
+        return TsoConfig(tuple(p[0] for p in parts),
+                         tuple(v for p in parts for v in p[1]),
+                         tuple(p[2] for p in parts), mem)
+
+    def fill(ti: int, s: int, key: int) -> tuple:
+        """Thread ti's moves from state s, by tso_enabled and tso_step on the
+        full configuration.  They may change only the thread's own part and
+        the memory, which is what makes the table sound."""
+        stats.control_states += 1
+        parts = [locs[tj][s >> o & lm] for tj, o, lm, _, _ in threads]
+        conf = assemble(parts, mems[s >> moff & mmask])
+        tname = idx.thread_ids[ti]
+        moves = []
+        for label in tso_enabled(program, conf, b):
+            if label.thread != tname:
+                continue
+            succ = tso_step(program, conf, label)
+            part = local(succ, ti)
+            if assemble(parts[:ti] + [part] + parts[ti + 1:], succ.mem) != succ:
+                raise AssertionError(f"{label.render()} changed another "
+                                     "thread's part")
+            delta = (_intern(loc_ids[ti], locs[ti], part, lws[ti]) << offs[ti]
+                     | _intern(mem_ids, mems, succ.mem, mw) << moff)
+            moves.append((label, delta, ti == tti and part[0] == tsi))
+        moves = tables[ti][key] = tuple(moves)
+        return moves
+
+    def expand(s: int):
+        """Per thread allowed to move from s, in thread order: the successor
+        state with the move's delta left out, and the thread's moves."""
+        ex = s & xmask
+        mid = s >> moff & mmask
+        active, blocks = (ex & amask) - 1, ex >> aw
+        for ti, o, lm, keep, table in threads:
+            if contexts is None or ti == active:
+                ex2 = ex
+            elif blocks < contexts:
+                ex2 = (ti + 1) | (blocks + 1) << aw
+            else:
+                continue
+            key = (s >> o & lm) << mw | mid
+            moves = table.get(key)
+            if moves is None:
+                moves = fill(ti, s, key)
+            yield (s & keep) | ex2, moves
 
     init = initial_config(program)
-    n_extra = 2 if contexts is not None else 0
-    init_key = codec.encode(init, (0, 0) if contexts is not None else ())
-    parents: dict[bytes, Optional[tuple[bytes, Label]]] = {init_key: None}
+    s0 = _intern(mem_ids, mems, init.mem, mw) << moff
+    for ti in range(nt):
+        s0 |= _intern(loc_ids[ti], locs[ti], local(init, ti), lws[ti]) << offs[ti]
+    # state -> parent state, -1 at the root
+    parents: dict[int, int] = {s0: -1}
 
-    def finish(status: str, witness_key: Optional[bytes]) -> Verdict:
+    def finish(status: str, found: int = -1) -> Verdict:
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         witness = None
-        if witness_key is not None:
-            labels = []
-            link = parents[witness_key]
-            while link is not None:
-                key, label = link
-                labels.append(label)
-                link = parents[key]
-            witness = replay(program, labels[::-1])
-        return Verdict(witness_key is not None, status, witness, stats)
+        if found >= 0:
+            chain = [found]
+            while parents[chain[-1]] >= 0:
+                chain.append(parents[chain[-1]])
+            chain.reverse()
+            # the search keeps a state's first discovery, so its label is the
+            # first move from the parent, in tso_enabled order, to reach it
+            labels = [next(label for base, moves in expand(s)
+                           for label, delta, _ in moves if base | delta == s2)
+                      for s, s2 in zip(chain, chain[1:])]
+            witness = replay(program, labels)
+        return Verdict(found >= 0, status, witness, stats)
 
     if init.st[tti] == tsi:
-        return finish(REACHABLE, init_key)
+        return finish(REACHABLE, s0)
 
-    tid = idx.tid
-    frontier = [init_key]
+    frontier = [s0]
     depth = 0
     while frontier and depth < b.depth:
         depth += 1
-        next_frontier: list[bytes] = []
-        for key in frontier:
-            conf, extra = codec.decode(key, n_extra)
+        next_frontier: list[int] = []
+        for s in frontier:
             stats.states_explored += 1
-            if contexts is not None:
-                active, blocks = extra[0] - 1, extra[1]
-            for label in tso_enabled(program, conf, b):
-                sextra = extra
-                if contexts is not None:
-                    ti = tid[label.thread]
-                    if ti != active:
-                        if blocks >= contexts:
-                            continue
-                        sextra = (ti + 1, blocks + 1)
-                succ = tso_step(program, conf, label)
-                skey = codec.encode(succ, sextra)
-                if skey in parents:
-                    continue
-                parents[skey] = (key, label)
-                if succ.st[tti] == tsi:
-                    return finish(REACHABLE, skey)
-                if len(parents) > max_states:
-                    stats.stop_reason = "max_states"
-                    return finish(BOUND_EXHAUSTED, None)
-                next_frontier.append(skey)
+            if (max_mb is not None and stats.states_explored % 4096 == 0
+                    and _rss_mb() > max_mb):
+                stats.stop_reason = "max_mb"
+                return finish(BOUND_EXHAUSTED)
+            for base, moves in expand(s):
+                for _, delta, hit in moves:
+                    s2 = base | delta
+                    if s2 in parents:
+                        continue
+                    parents[s2] = s
+                    if hit:
+                        return finish(REACHABLE, s2)
+                    if len(parents) > max_states:
+                        stats.stop_reason = "max_states"
+                        return finish(BOUND_EXHAUSTED)
+                    next_frontier.append(s2)
         frontier = next_frontier
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-    return finish(UNREACHABLE_WITHIN_BOUNDS, None)
+    if frontier:
+        stats.stop_reason = "depth"
+    return finish(UNREACHABLE_WITHIN_BOUNDS)
 
 
 def tso_reach_bounded(program: Program, target: Target, b: Bounds,
-                      max_states: int = 1_000_000) -> Verdict:
-    """Shortest-witness BFS of the bounded TSO system."""
-    return _bfs(program, target, b, max_states, None)
+                      max_states: int = 1_000_000,
+                      max_mb: Optional[float] = None) -> Verdict:
+    """Shortest-witness BFS of the bounded TSO system.  `max_mb` caps the
+    current resident memory, sampled every 4,096 states."""
+    return _bfs(program, target, b, max_states, None, max_mb)
 
 
 def cb_reach_bounded(program: Program, target: Target, k: int, b: Bounds,
-                     max_states: int = 1_000_000) -> Verdict:
+                     max_states: int = 1_000_000,
+                     max_mb: Optional[float] = None) -> Verdict:
     """Like tso_reach_bounded but restricted to runs of at most k contexts."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _bfs(program, target, b, max_states, k)
+    return _bfs(program, target, b, max_states, k, max_mb)
 
 
 def cb_partition_check(run: Run, k: int) -> bool:

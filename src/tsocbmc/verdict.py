@@ -1,6 +1,7 @@
 """Shared result types for the reachability engines."""
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -13,13 +14,16 @@ BOUND_EXHAUSTED = "bound_exhausted"
 @dataclass
 class Stats:
     states_explored: int = 0
-    control_states: int = 0   # distinct control states whose successors were computed
+    # distinct control states whose successors were computed; in the TSO
+    # oracle, the (thread, local part, memory) triples whose moves were
+    control_states: int = 0
     peak_frontier: int = 0
     rank_tuples: int = 0      # distinct rank tuples the search interned
     rel_apply_calls: int = 0  # rel_apply calls, one per memo miss
     wall_ms: float = 0.0
     # the cap that ended the search: "max_states" or "max_mb", or "depth"
-    # when dlcs_reach_bounded runs out of depth with states left to explore
+    # when a bounded search (the TSO oracle, dlcs_reach_bounded) runs out of
+    # depth with states left to explore
     stop_reason: str = ""
 
 
@@ -29,3 +33,16 @@ class Verdict:
     status: str
     witness: Optional[Any] = None
     stats: Stats = field(default_factory=Stats)
+
+
+def _rss_mb() -> float:
+    """Current resident set size, which the searches' max_mb caps.  Where
+    /proc/self/statm is missing this falls back to the lifetime peak, which
+    only ever grows."""
+    try:
+        with open("/proc/self/statm", "rb") as f:
+            pages = int(f.read().split()[1])
+        return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+    except (OSError, ValueError, IndexError):
+        import resource
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import operator
 import random
 from pathlib import Path
@@ -5,12 +7,14 @@ from pathlib import Path
 import pytest
 
 from tsocbmc import (
-    Arw, Assign, Bounds, Guard, Label, ModelTooLargeError, NEQ, NewValue,
+    EQ, Arw, Assign, Bounds, Guard, Label, ModelTooLargeError, NEQ, NewValue,
     NotEnabledError, Program, Read, Target, Thread, Transition, TsoConfig,
     Write, cb_partition_check, cb_reach_bounded, eval_rel, initial_config, lt,
     normalize_updates, parse_program_with_target, replay, tso_enabled,
     tso_reach_bounded, tso_step,
 )
+from tsocbmc import tso
+from tsocbmc.cli import main
 from tsocbmc.model import program_index, states_in_order
 from tsocbmc.selftest import random_program
 
@@ -444,11 +448,89 @@ def test_oracle_outputs_are_pinned(name, k, states, witness):
     assert v.witness.final.st[ti] == si
 
 
+def test_witness_takes_the_first_move_to_each_state():
+    # both moves out of q0 reach the same configuration: the search records
+    # the first, in tso_enabled order, and so must the witness
+    for first, second in ((Guard(EQ, "a", "a"), Assign("a", "a")),
+                          (Assign("a", "a"), Guard(EQ, "a", "a"))):
+        t = _thread("t", ["a"], [Transition("q0", first, "q1"),
+                                 Transition("q0", second, "q1"),
+                                 Transition("q1", Read("x", "a"), "q2")])
+        for search in (lambda p, g: tso_reach_bounded(p, g, Bounds(1, 1, 5)),
+                       lambda p, g: cb_reach_bounded(p, g, 1, Bounds(1, 1, 5))):
+            v = search(_prog(t), Target("t", "q2"))
+            assert [l.delta.op for l in v.witness.labels] == [first, Read("x", "a")]
+
+
 def test_oracle_stop_reason():
     p, tgt = _load("sb.tso")
     v = cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 60), max_states=100)
     assert v.status == "bound_exhausted" and v.stats.stop_reason == "max_states"
     assert cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 60)).stats.stop_reason == ""
+
+
+def test_oracle_depth_stop_reason(capsys):
+    p, tgt = _load("sb.tso")
+    shallow = cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 5))
+    assert shallow.status == "unreachable_within_bounds"
+    assert shallow.stats.stop_reason == "depth"
+    # the search runs dry before its depth: no stop reason
+    full = cb_reach_bounded(p, tgt, 2, Bounds(2, 2, 60))
+    assert full.status == "unreachable_within_bounds" and full.stats.stop_reason == ""
+    assert tso_reach_bounded(p, tgt, Bounds(2, 2, 0)).stats.stop_reason == "depth"
+    assert main(["simulate", str(CORPUS / "sb.tso"), "--cb", "3", "--depth", "5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_move_table_fills_call_tso_enabled_once(monkeypatch, tmp_path, capsys):
+    calls = []
+    enabled = tso.tso_enabled
+
+    def counted(program, c, b):
+        calls.append(c)
+        return enabled(program, c, b)
+
+    monkeypatch.setattr(tso, "tso_enabled", counted)
+    rpt = tmp_path / "sb.json"
+    assert main(["simulate", str(CORPUS / "sb.tso"), "--cb", "3", "--out", str(rpt)]) == 1
+    capsys.readouterr()
+    stats = json.loads(rpt.read_text())["stats"]
+    # one call per (thread, local part, memory) triple, far below the
+    # 3,795 states explored
+    assert stats["states_explored"] == 3795
+    assert len(calls) == stats["control_states"] == 395
+
+
+def test_move_touching_another_thread_is_an_error(monkeypatch):
+    p, tgt = _load("sb.tso")
+    step = tso.tso_step
+
+    def leaky(program, c, label):
+        succ = step(program, c, label)
+        # t1 also bumps the last register, which t2 owns
+        if label.thread == "t1":
+            succ = dataclasses.replace(succ, rval=succ.rval[:-1] + (succ.rval[-1] + 1,))
+        return succ
+
+    monkeypatch.setattr(tso, "tso_step", leaky)
+    with pytest.raises(AssertionError, match="changed another thread's part"):
+        cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 60))
+
+
+def test_simulate_memory_cap(monkeypatch, capsys, tmp_path):
+    rpt = tmp_path / "capped.json"
+    monkeypatch.setenv("TSOCBMC_MAX_MB", "100")
+    monkeypatch.setattr(tso, "_rss_mb", lambda: 1e6)
+    # 7,140 states uncapped: the memory is sampled at the 4,096th
+    assert main(["simulate", str(CORPUS / "sb.tso"), "--cb", "5",
+                 "--out", str(rpt)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "bound_exhausted: target t1:both (4096 states explored)\n"
+    assert captured.err == "stopped by max_mb\n"
+    assert json.loads(rpt.read_text())["stats"]["stop_reason"] == "max_mb"
+    monkeypatch.setenv("TSOCBMC_MAX_MB", "nan")
+    assert main(["simulate", str(CORPUS / "sb.tso"), "--tso"]) == 2
+    assert "TSOCBMC_MAX_MB" in capsys.readouterr().err
 
 
 def _many_threads(n):
