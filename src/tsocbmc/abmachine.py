@@ -120,7 +120,12 @@ class AbMachine:
         # entries at most max(k + 1, nt, states per thread - 1)
         if k + 1 > 255:
             raise ModelTooLargeError(f"k={k} is above the limit of 254 contexts")
-        idx.check_byte_limits()
+        if nt > 255:
+            raise ModelTooLargeError(f"{nt} threads, above the limit of 255")
+        for t in program.threads:
+            if len(t.states) > 255:
+                raise ModelTooLargeError(f"thread '{t.id}' has {len(t.states)} states, "
+                                         "above the limit of 255")
 
         # One pass over the transitions: per thread, the register ids each
         # transition reads (g) and assigns (kl), and the shared variables the

@@ -172,23 +172,15 @@ def states_in_order(first: str, transitions, extra=()) -> tuple[str, ...]:
     return tuple(dict.fromkeys(mentioned + list(extra)))
 
 
-def _n_max(threads) -> int:
-    """The largest guard offset of the threads, 0 if none."""
-    return max((tr.op.rel.n for t in threads for tr in t.transitions
-                if isinstance(tr.op, Guard)), default=0)
-
-
 @dataclass(frozen=True)
 class Program:
     threads: tuple[Thread, ...]
     shared_vars: tuple[str, ...]
-    n_max: int = 0
 
     @staticmethod
     def make(threads, shared_vars) -> "Program":
-        """Build a program, computing n_max from the guard offsets used."""
-        threads = tuple(threads)
-        return Program(threads, tuple(shared_vars), _n_max(threads))
+        """Build a program from any iterables of threads and variables."""
+        return Program(tuple(threads), tuple(shared_vars))
 
     def __hash__(self) -> int:
         # The value hash walks every transition, and the engines look the
@@ -197,7 +189,7 @@ class Program:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.threads, self.shared_vars, self.n_max))
+            h = hash((self.threads, self.shared_vars))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -258,10 +250,6 @@ def validate(program: Program) -> list[str]:
                 diags.append(
                     f"thread '{t.id}': operation '{tr.op.render()}' uses "
                     f"undeclared shared variable '{v}'")
-
-    n_max = _n_max(program.threads)
-    if program.n_max != n_max:
-        diags.append(f"n_max is {program.n_max} but the largest guard offset is {n_max}")
     return diags
 
 
@@ -294,7 +282,6 @@ class ProgramIndex:
         self.vars = program.shared_vars
         self.vid = {x: i for i, x in enumerate(program.shared_vars)}
         self.state_id: list[dict[str, int]] = []
-        self.state_names: list[tuple[str, ...]] = []
         self.init_states: list[int] = []
         regs: list[str] = []
         self.rid: dict[str, int] = {}
@@ -304,7 +291,6 @@ class ProgramIndex:
         for t in program.threads:
             sid = {s: i for i, s in enumerate(t.states)}
             self.state_id.append(sid)
-            self.state_names.append(t.states)
             self.init_states.append(sid[t.init])
             for r in t.regs:
                 self.rid[r] = len(regs)
@@ -321,18 +307,6 @@ class ProgramIndex:
     def resolve(self, op: Op) -> tuple:
         """operands(op) with the variable and registers as their ids."""
         return operands(op, self.rid.__getitem__, self.vid.__getitem__)
-
-    def check_byte_limits(self) -> None:
-        """Reject a model whose thread ids or thread states do not fit the
-        one-byte fields of the search encodings (the oracle's configs and
-        the summarized machine's keys both store them)."""
-        if len(self.thread_ids) > 255:
-            raise ModelTooLargeError(f"{len(self.thread_ids)} threads, "
-                                     "above the limit of 255")
-        for tname, names in zip(self.thread_ids, self.state_names):
-            if len(names) > 255:
-                raise ModelTooLargeError(f"thread '{tname}' has {len(names)} states, "
-                                         "above the limit of 255")
 
     def target_idx(self, target: Target) -> tuple[int, int]:
         if target.thread not in self.tid:

@@ -16,12 +16,10 @@ and `bound_exhausted` means a resource cap was hit first.
 `cb_reach_bounded` additionally restricts runs to at most k contexts: maximal
 blocks of steps (operations and buffer updates alike) by a single thread.
 
-`tso_enabled` and `tso_step` are the only semantics, and they run on a step
-table built once per program (`_plan`): each thread's moves from each state,
-in declaration order, as the operand record the program index resolved for
-the transition (see model.operands) and one Label per move, shared by every
-call.  `tso_step` finds the record of a label's transition by identity and
-resolves any other label by value through the same function.
+`tso_enabled` and `tso_step` are the only semantics.  Both read the program
+index directly: a thread's moves from a state in declaration order, and the
+operand record of each operation (see model.operands).  `tso_step` resolves
+any label by value, so a label need not come from `tso_enabled`.
 
 The searches compress configurations (collapse compression, as in SPIN):
 far fewer thread-local parts and memories occur than configurations
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .model import (
@@ -134,90 +131,35 @@ def _latest_buffered(buf: tuple[tuple[int, int], ...], x: int) -> Optional[int]:
     return None
 
 
-# --- the step table ----------------------------------------------------------
-
-class _ValueLabels(dict):
-    """domain_bound -> the labels of one `r := *` transition for the values
-    0..domain_bound, built on first use."""
-
-    def __init__(self, thread: str, tr: Transition):
-        super().__init__()
-        self.thread = thread
-        self.tr = tr
-
-    def __missing__(self, bound: int) -> tuple[Label, ...]:
-        labels = self[bound] = tuple(Label(self.thread, self.tr, v)
-                                     for v in range(bound + 1))
-        return labels
-
-
-class _Plan:
-    """The step table of one program.  moves[ti][state] lists the thread's
-    outgoing moves in declaration order as (kind, label, x, y, z), with one
-    shared Label per transition (a _ValueLabels for `r := *`) and the
-    operands from the program index; updates[ti] is the thread's update
-    label; steps maps id(transition) to its record (tr, ti, src, dst, kind,
-    x, y, z) in the thread that owns it.  The records keep the transitions
-    alive, so those ids are not reused."""
-
-    def __init__(self, program: Program):
-        idx = self.idx = program_index(program)
-        self.tid = idx.tid
-        self.updates = tuple(Label(tname, None) for tname in idx.thread_ids)
-        self.steps: dict[int, tuple] = {}
-        self.moves = []
-        for ti, tname in enumerate(idx.thread_ids):
-            sid = idx.state_id[ti]
-            per_state = []
-            for out in idx.out[ti]:
-                moves = []
-                for pos, tr in out:
-                    kind, x, y, z = ops = idx.ops[ti][pos]
-                    self.steps.setdefault(id(tr), (tr, ti, sid[tr.src], sid[tr.dst]) + ops)
-                    label = (_ValueLabels(tname, tr) if kind == OP_FRESH
-                             else Label(tname, tr))
-                    moves.append((kind, label, x, y, z))
-                per_state.append(tuple(moves))
-            self.moves.append(tuple(per_state))
-
-
-@lru_cache(maxsize=None)
-def _plan(program: Program) -> _Plan:
-    return _Plan(program)
-
-
 def tso_enabled(program: Program, c: TsoConfig, b: Bounds) -> list[Label]:
     """Enabled labels, in a fixed order: threads in declaration order; per
     thread its transitions in declaration order (values ascending for
-    `r := *`), then the update step.  Repeated calls return the same Label
-    objects."""
-    plan = _plan(program)
+    `r := *`), then the update step.  Each call builds fresh Labels."""
+    idx = program_index(program)
     rval, mem = c.rval, c.mem
     out: list[Label] = []
-    for moves, s, buf, update in zip(plan.moves, c.st, c.buf, plan.updates):
-        for kind, label, x, y, z in moves[s]:
-            if kind < OP_GUARD:
-                out.append(label)
-            elif kind == OP_GUARD:
-                if eval_rel(z, rval[x], rval[y]):
-                    out.append(label)
-            elif kind == OP_WRITE:
-                if len(buf) < b.buffer_bound:
-                    out.append(label)
-            elif kind == OP_FRESH:
-                out.extend(label[b.domain_bound])
-            elif not buf and mem[x] == rval[y]:   # OP_ARW
-                out.append(label)
+    for tname, outs, ops, s, buf in zip(idx.thread_ids, idx.out, idx.ops, c.st, c.buf):
+        for pos, tr in outs[s]:
+            kind, x, y, z = ops[pos]
+            if kind == OP_FRESH:
+                out.extend(Label(tname, tr, v) for v in range(b.domain_bound + 1))
+            elif (kind < OP_GUARD
+                  or kind == OP_GUARD and eval_rel(z, rval[x], rval[y])
+                  or kind == OP_WRITE and len(buf) < b.buffer_bound
+                  or kind == OP_ARW and not buf and mem[x] == rval[y]):
+                out.append(Label(tname, tr))
         if buf:
-            out.append(update)
+            out.append(Label(tname, None))
     return out
 
 
 def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
     """Apply one label.  Checks semantic enabledness (guards, arw conditions,
-    non-empty buffer for updates) but not the exploration bounds."""
-    plan = _plan(program)
-    ti = plan.tid[label.thread]
+    non-empty buffer for updates) but not the exploration bounds.  A label
+    resolves by value: its transition's states by name in the label's
+    thread, its operation through the program index."""
+    idx = program_index(program)
+    ti = idx.tid[label.thread]
     tr = label.delta
     if tr is None:
         if not c.buf[ti]:
@@ -229,20 +171,13 @@ def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
         buf[ti] = rest
         return TsoConfig(c.st, c.rval, tuple(buf), tuple(mem))
 
-    rec = plan.steps.get(id(tr))
-    if rec is None or rec[0] is not tr or rec[1] != ti:
-        # an equal transition, or one of another thread: resolve it by value
-        # in thread ti, which may lack the destination state (dst None)
-        sid = plan.idx.state_id[ti]
-        rec = (tr, ti, sid[tr.src], sid.get(tr.dst)) + plan.idx.resolve(tr.op)
-    _, _, src, dst, kind, x, y, z = rec
-    if c.st[ti] != src:
+    sid = idx.state_id[ti]
+    if c.st[ti] != sid[tr.src]:
         raise NotEnabledError(f"{label.render()}: thread is not at state {tr.src}")
-    if dst is None:
-        raise KeyError(tr.dst)
     st = list(c.st)
-    st[ti] = dst
+    st[ti] = sid[tr.dst]
     st = tuple(st)
+    kind, x, y, z = idx.resolve(tr.op)
     if kind == OP_READ:
         v = _latest_buffered(c.buf[ti], x)
         if v is None:
@@ -298,15 +233,10 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     used so far; steps by a different thread open a new block and are only
     allowed below the cap.  Each new state stores its parent state."""
     idx = program_index(program)
-    idx.check_byte_limits()
-    if len(idx.vars) > 256:
-        raise ModelTooLargeError(f"{len(idx.vars)} shared variables, "
-                                 "above the limit of 256")
+    # `bufs` below sums buffer_bound + 1 powers; the cap keeps that short
     if b.buffer_bound > 255:
         raise ModelTooLargeError(f"buffer bound {b.buffer_bound}, "
                                  "above the limit of 255")
-    if contexts is not None and contexts > 255:
-        raise ModelTooLargeError(f"{contexts} contexts, above the limit of 255")
     tti, tsi = idx.target_idx(target)
     start = time.perf_counter()
     stats = Stats()

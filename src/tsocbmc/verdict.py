@@ -16,6 +16,7 @@ class Stats:
     states_explored: int = 0
     # distinct control states whose successors were computed; in the TSO
     # oracle, the (thread, local part, memory) triples whose moves were
+    # filled into the move table
     control_states: int = 0
     peak_frontier: int = 0
     rank_tuples: int = 0      # distinct rank tuples the search interned

@@ -81,7 +81,6 @@ thread t {
     assert ops[6] == Guard(lt(3), "a", "b")
     assert ops[8] == Read("x", "a")
     assert ops[10] == Arw("x", "a", "b")
-    assert p.n_max == 3
     # declared states are kept as written
     assert p.threads[0].states == ("q0", "q1")
 

