@@ -36,21 +36,23 @@ never commits), and per-context sets u(j) of variables with a write
 committing at the end of j.
 
 Transitions emit effect descriptors over summary columns instead of touching
-values directly:
+values directly, of three kinds:
 
   ("copy", dst, src)               dst := src
   ("fresh", dst)                   dst := caller-chosen natural
   ("guard", rel, left, right)      relation test between two columns
-  ("multi", ((dst, src), ...))     simultaneous copies (the context-switch
-                                   flush); no dst is ever a src
 
 so the same rules drive both concrete replay (values supplied) and the order
-abstraction (effects interpreted over rank states).  The rules read each
-operation through the operand record of the program index (see
-model.operands), the same record the concrete oracle (tso) reads.  Each move carries the
-label (rule, thread, transition position, context): the context is the flush
-context of a write and the target of a switch, -1 for the rest.  These
-tuples are the only form of labels and effects, from the search to the
+abstraction (effects interpreted over rank states).  A move's effects apply
+in list order.  A context switch flushes as plain copies, shared(x) :=
+ctxvar(x, j) for each committed x in variable order, then resets: every copy
+reads a context column and writes a shared one, so none reads a column an
+earlier one wrote, and in order they give the simultaneous flush.  The rules
+read each operation through the operand record of the program index (see
+model.operands), the same record the concrete oracle (tso) reads.  Each move
+carries the label (rule, thread, transition position, context): the context
+is the flush context of a write and the target of a switch, -1 for the rest.
+These tuples are the only form of labels and effects, from the search to the
 witness; `names` holds one unique string per column, and render_label and
 render_effect turn labels and effects into text for reports.
 
@@ -320,10 +322,9 @@ class AbMachine:
         # others have no shared or context column
         flushed = [x for x in range(nx)
                    if s[self.U + (j - 1) * nx + x] and self.i_shared(x) is not None]
-        eff = []
-        if flushed:
-            eff.append(("multi", tuple((self.i_shared(x), self.i_ctx(x, j))
-                                       for x in flushed)))
+        # plain copies shared := ctx summary; none reads a shared column, so
+        # in order they equal the simultaneous flush (module docstring)
+        eff = [("copy", self.i_shared(x), self.i_ctx(x, j)) for x in flushed]
         # the flushed summaries are unreadable from here on (nothing consults
         # a context summary after its flush, or a thread summary once its
         # newest write has committed), so reset them to the sentinel; states
@@ -363,14 +364,10 @@ class AbMachine:
             elif tag == "guard":
                 if not eval_rel(eff[1], vals[eff[2]], vals[eff[3]]):
                     raise GuardFailedError(f"guard {eff[1].render()} failed")
-            elif tag == "fresh":
+            else:  # fresh
                 if fresh_value is None or fresh_value < 0:
                     raise ValueError("a natural fresh value is required")
                 vals[eff[1]] = fresh_value
-            else:  # multi: simultaneous
-                olds = [vals[src] for _, src in eff[1]]
-                for (dst, _), v in zip(eff[1], olds):
-                    vals[dst] = v
         return tuple(vals)
 
     def render_label(self, core) -> str:
@@ -387,17 +384,15 @@ class AbMachine:
         return s
 
     def render_effect(self, eff) -> str:
-        """An effect over the column names, e.g. `x@c1 := a` or
-        `{x := x@c1}` for the simultaneous copies of a flush."""
+        """An effect over the column names, e.g. `x@c1 := a`, `a := *` or
+        `assume a != b`."""
         n = self.names
         tag = eff[0]
         if tag == "copy":
             return f"{n[eff[1]]} := {n[eff[2]]}"
         if tag == "fresh":
             return f"{n[eff[1]]} := *"
-        if tag == "guard":
-            return f"assume {n[eff[2]]} {eff[1].render()} {n[eff[3]]}"
-        return "{" + ", ".join(f"{n[d]} := {n[s]}" for d, s in eff[1]) + "}"
+        return f"assume {n[eff[2]]} {eff[1].render()} {n[eff[3]]}"
 
 
 @lru_cache(maxsize=None)

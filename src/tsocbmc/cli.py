@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from .abmachine import ab_machine
@@ -118,15 +119,8 @@ def _finish(args, verdict: Verdict, target: Target, k: Optional[int],
             "k": k,
             "target": {"thread": target.thread, "state": target.state},
             "witness": steps_json,
-            "stats": {
-                "states_explored": verdict.stats.states_explored,
-                "control_states": verdict.stats.control_states,
-                "peak_frontier": verdict.stats.peak_frontier,
-                "rank_tuples": verdict.stats.rank_tuples,
-                "rel_apply_calls": verdict.stats.rel_apply_calls,
-                "wall_ms": int(round(verdict.stats.wall_ms)),
-                "stop_reason": verdict.stats.stop_reason,
-            },
+            "stats": {**asdict(verdict.stats),
+                      "wall_ms": int(round(verdict.stats.wall_ms))},
         }
         _write_out(args.out, json.dumps(report, indent=2) + "\n")
     if verdict.reachable:

@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 from .abmachine import (
-    R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, GuardFailedError,
-    ab_machine,
+    R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, AbNotEnabledError,
+    GuardFailedError, ab_machine,
 )
 from .model import LT, OP_FRESH, Program, Target, eval_rel
 from .relabs import abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_initial
@@ -322,7 +322,7 @@ def concretize_witness(program: Program, witness: Witness) -> ConcreteRun:
             raise ConcretizationError("fresh may only be followed by resets")
         for eff in eff_core:
             tag = eff[0]
-            if tag in ("copy", "multi"):
+            if tag == "copy":
                 vals = m.apply_effects(vals, (eff,))
             elif tag == "guard":
                 _, rel, a, b = eff
@@ -392,10 +392,10 @@ def validate_witness(program: Program, run: ConcreteRun) -> bool:
     flat = m.initial_flat(act_idx)
     vals = (0,) * m.nab
     for n, step in enumerate(run.steps):
-        eff, flat2 = m.apply_flat(flat, step.label)
         try:
+            eff, flat2 = m.apply_flat(flat, step.label)
             vals2 = m.apply_effects(vals, eff, step.fresh_value)
-        except GuardFailedError as e:
+        except (AbNotEnabledError, GuardFailedError) as e:
             raise ConcretizationError(f"step {n}: {e}") from e
         if vals2 != step.values:
             raise ConcretizationError(f"step {n}: replayed values diverge")

@@ -26,11 +26,9 @@ rel_apply re-ranks incrementally instead of re-sorting the whole tuple, and
 keeps the same invariant as abstract_of (the reference, which sorts):
 ranks stay dense and equal values share a rank.  A copy only shifts the
 ranks above a class it emptied; a fresh value closes the gap its old
-singleton class leaves, then opens one above the class it lands after.  A
-multi (the context-switch flush) copies context summaries into shared
-columns, so none of its destinations is a source; it is applied as its
-copies one after another, which gives the simultaneous result, and a multi
-that breaks this contract is refused with a ValueError.
+singleton class leaves, then opens one above the class it lands after.
+There are three effect kinds, copy, fresh and guard; the context-switch
+flush arrives as plain copies (see abmachine).
 """
 from __future__ import annotations
 
@@ -63,7 +61,7 @@ def rel_check(rel: Relation, rank_left: int, rank_right: int) -> bool:
 def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
     """Successor rank tuples of one effect list (core encoding).
 
-    copy, multi and passing guards give one successor, failing guards give
+    copy and passing guards give one successor, failing guards give
     none, and a fresh assignment branches over every placement of the new
     value relative to the other variables: join class c, then strictly above
     c, for c = 0..m over the others' classes in ascending order.
@@ -77,20 +75,12 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
         elif tag == "guard":
             _, rel, a, b = eff
             states = [r for r in states if rel_check(rel, r[a], r[b])]
-        elif tag == "fresh":
+        else:  # fresh
             d = eff[1]
             nxt = []
             for r in states:
                 _fresh(r, d, nxt)
             states = nxt
-        else:  # multi: simultaneous copies; only at a context switch
-            pairs = eff[1]
-            if not {d for d, _ in pairs}.isdisjoint([s for _, s in pairs]):
-                raise ValueError("a multi's destinations must not be its sources")
-            # no copy overwrites another's source, so one at a time gives
-            # the simultaneous result
-            for d, s in pairs:
-                states = [_copy(r, d, s) for r in states]
     return states
 
 

@@ -32,19 +32,19 @@ from .verdict import BOUND_EXHAUSTED
 _RELS = (EQ, NEQ, LT, lt(1))
 
 
-def random_program(rng: random.Random, n_threads: int = 2, max_states: int = 4,
-                   max_shared: int = 2, max_regs: int = 2,
-                   rels=_RELS, allow_arw: bool = True,
-                   max_transitions: int = 6) -> Program:
-    shared = tuple(f"x{i}" for i in range(rng.randint(1, max_shared)))
+def random_program(rng: random.Random, n_threads: int = 2,
+                   allow_arw: bool = True) -> Program:
+    """Up to 2 shared variables; per thread 2-4 states, 1-2 registers and
+    2-6 transitions."""
+    shared = tuple(f"x{i}" for i in range(rng.randint(1, 2)))
     threads = []
     for t in range(n_threads):
-        ns = rng.randint(2, max_states)
+        ns = rng.randint(2, 4)
         states = tuple(f"q{s}" for s in range(ns))
-        nr = rng.randint(1, max_regs)
+        nr = rng.randint(1, 2)
         regs = tuple(f"t{t}r{i}" for i in range(nr))
         trs = []
-        for _ in range(rng.randint(2, max_transitions)):
+        for _ in range(rng.randint(2, 6)):
             src = states[rng.randrange(ns)]
             dst = states[rng.randrange(ns)]
             r1 = regs[rng.randrange(nr)]
@@ -56,7 +56,7 @@ def random_program(rng: random.Random, n_threads: int = 2, max_states: int = 4,
             elif roll < 0.30:
                 op = NewValue(r1)
             elif roll < 0.55:
-                op = Guard(rels[rng.randrange(len(rels))], r1, r2)
+                op = Guard(_RELS[rng.randrange(len(_RELS))], r1, r2)
             elif roll < 0.75:
                 op = Read(x, r1)
             elif roll < 0.95 or not allow_arw:
@@ -74,14 +74,15 @@ def random_target(rng: random.Random, program: Program) -> Target:
 
 
 def random_cb_run(program: Program, k: int, bounds: Bounds,
-                  rng: random.Random, max_steps: int = 40) -> Run:
-    """Random walk under the bounded TSO semantics, switching threads at
-    most k-1 times (so the result fits into k contexts)."""
+                  rng: random.Random) -> Run:
+    """Random walk of at most 40 steps under the bounded TSO semantics,
+    switching threads at most k-1 times (so the result fits into k
+    contexts)."""
     c = initial_config(program)
     labels = []
     active: Optional[str] = None
     blocks = 0
-    for _ in range(max_steps):
+    for _ in range(40):
         allowed = [l for l in tso_enabled(program, c, bounds)
                    if l.thread == active or blocks < k]
         if not allowed:
@@ -116,13 +117,13 @@ class SuiteResult:
 
 
 def suite_cb_vs_abstract(seed: int = 0, programs: int = 200,
-                         ks=(1, 2, 3),
-                         bounds: Bounds = Bounds(2, 3, 300)) -> SuiteResult:
+                         ks=(1, 2, 3)) -> SuiteResult:
     """Anything the bounded concrete search reaches within k contexts, the
     abstraction must reach too; and every abstract witness must concretize
     and validate."""
     rng = random.Random(seed)
     res = SuiteResult("cb-vs-abstract")
+    bounds = Bounds(2, 3, 300)
     for pi in range(programs):
         p = random_program(rng)
         tgt = random_target(rng, p)
@@ -182,10 +183,9 @@ def suite_step_soundness(seed: int = 0, steps: int = 1000) -> SuiteResult:
 
 
 def _reachable_witness_runs(rng: random.Random, want: int,
-                            on_hit: Callable, res: SuiteResult,
-                            max_attempts: int = 6000) -> None:
+                            on_hit: Callable, res: SuiteResult) -> None:
     attempts = 0
-    while res.cases < want and attempts < max_attempts:
+    while res.cases < want and attempts < 6000:
         attempts += 1
         p = random_program(rng)
         tgt = random_target(rng, p)

@@ -1,10 +1,11 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from tsocbmc import (
     EQ, Guard, ModelTooLargeError, NEQ, NewValue, Program, Read, Thread,
-    Transition, Write, gen_bakery,
+    Transition, Write, check_reach, gen_bakery, parse_program_with_target,
 )
 from tsocbmc.abmachine import (
     AbMachine, GuardFailedError, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH,
@@ -12,6 +13,8 @@ from tsocbmc.abmachine import (
 )
 from tsocbmc.model import states_in_order
 from tsocbmc.selftest import random_program
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _thread(tid, regs, trs, init="q0"):
@@ -134,8 +137,8 @@ def test_switch_commits_and_canonicalizes():
     # the finished context's schedule entry reads the out-of-range marker nt
     assert s2[m.J] == 2 and s2[m.ACT:m.ACT + m.k] == (m.nt, 1)
     assert _u(m, s2, 1) == set() and _c(m, s2, "x", "w") == 0
-    # commit is the multi copy shared := ctx summary, then the dead resets
-    assert eff == (("multi", ((1, 4),)), ("copy", 4, 0), ("copy", 5, 0))
+    # commit is the copy shared := ctx summary, then the dead resets
+    assert eff == (("copy", 1, 4), ("copy", 4, 0), ("copy", 5, 0))
     # no switch out of the last context
     assert not any(c[0] == R_SWITCH for c, _, _ in m.transitions_flat(s2))
 
@@ -158,8 +161,7 @@ def test_effect_renders():
     assert m.render_effect(("copy", 2, 0)) == "a := $zero"
     assert m.render_effect(("fresh", 2)) == "a := *"
     assert m.render_effect(("guard", NEQ, 2, 3)) == "assume a != b"
-    assert m.render_effect(("multi", ((1, 4),))) == "{x := x@c1}"
-    assert m.render_effect(("multi", ((1, 4), (5, 0)))) == "{x := x@c1, x@w := $zero}"
+    assert m.render_effect(("copy", 1, 4)) == "x := x@c1"
 
 
 def test_apply_effects():
@@ -173,9 +175,6 @@ def test_apply_effects():
         m.apply_effects(vals, [("fresh", 1)])
     got = m.apply_effects(vals, [("fresh", 1)], fresh_value=9)
     assert got[1] == 9
-    # multi reads all sources before writing
-    got = m.apply_effects(vals, [("multi", ((1, 2), (2, 1)))])
-    assert got[1] == vals[2] and got[2] == vals[1]
 
 
 def test_dead_register_reset_appended():
@@ -265,9 +264,70 @@ def _chain(n):
     (_writers(256), "256 threads, above the limit of 255"),
     (_chain(256), "thread 't' has 256 states, above the limit of 255"),
 ])
-def test_machine_and_oracle_name_the_same_byte_limits(threads, limit):
+def test_machine_names_its_byte_limits(threads, limit):
     # the machine's keys store thread ids and thread states in one byte; the
     # oracle's interned encoding has no such limit (see test_tso)
     p = Program.make(threads, ["x"])
     with pytest.raises(ModelTooLargeError, match=f"^{limit}$"):
         ab_machine(p, 1)
+
+
+def _reads_a_written_column(effects):
+    """Whether some effect reads a column an earlier one of the list wrote."""
+    written = set()
+    for e in effects:
+        # a copy reads e[2], a guard e[2] and e[3], a fresh value nothing
+        if written.intersection(e[2:]):
+            return True
+        if e[0] != "guard":
+            written.add(e[1])
+    return False
+
+
+def _control_closure_switches(m):
+    """Effect lists of every switch move from the control states reachable
+    over transitions_flat, ignoring values (a superset of the search's)."""
+    seen = set(m.all_initial_flats())
+    todo = list(seen)
+    while todo:
+        for core, eff, s2 in m.transitions_flat(todo.pop()):
+            if core[0] == R_SWITCH:
+                yield eff
+            if s2 not in seen:
+                seen.add(s2)
+                todo.append(s2)
+
+
+def test_switch_flush_copies_read_no_written_column(monkeypatch):
+    # A switch flushes as plain copies applied in order; that equals the
+    # simultaneous flush exactly when no effect reads a column an earlier
+    # effect of the same list wrote.
+    lists = []
+    for name in ("mp.tso", "sb.tso"):
+        p = parse_program_with_target((CORPUS / name).read_text())[0]
+        for k in range(1, 6):
+            lists.extend(_control_closure_switches(ab_machine(p, k)))
+    rng = random.Random(0)
+    for _ in range(300):
+        p = random_program(rng)
+        for k in (1, 2, 3):
+            lists.extend(_control_closure_switches(ab_machine(p, k)))
+    # bakery(2)'s control closure is too large at k = 4; take every switch
+    # move of the search's own control states instead
+    emit = AbMachine.transitions_flat
+
+    def spy(self, s):
+        out = emit(self, s)
+        lists.extend(eff for core, eff, _ in out if core[0] == R_SWITCH)
+        return out
+
+    monkeypatch.setattr(AbMachine, "transitions_flat", spy)
+    g = gen_bakery(2)
+    before = len(lists)
+    for k in range(1, 5):
+        check_reach(g.program, g.target, k)
+    assert len(lists) - before > 4_000
+    # resets copy the sentinel (column 0); every other copy is a flush
+    flushes = sum(1 for eff in lists for e in eff if e[0] == "copy" and e[2] != 0)
+    assert len(lists) > 80_000 and flushes > 30_000
+    assert not any(map(_reads_a_written_column, lists))

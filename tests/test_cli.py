@@ -1,9 +1,10 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from tsocbmc import parse_dlcs, parse_program_with_target
+from tsocbmc import Stats, parse_dlcs, parse_program_with_target
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.cli import main
 
@@ -69,6 +70,8 @@ def test_check_json_report(tmp_path, capsys):
     assert data["reachable"] is True
     assert data["k"] == 2
     assert data["target"] == {"thread": "r", "state": "done"}
+    # the stats object is Stats itself, field by field in order
+    assert list(data["stats"]) == [f.name for f in fields(Stats)]
     assert data["stats"]["states_explored"] > 0
     # every explored state pairs one of the control states with ranks
     assert 0 < data["stats"]["control_states"] <= data["stats"]["states_explored"]

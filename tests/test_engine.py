@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -6,7 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from tsocbmc import (
-    BOUND_EXHAUSTED, Bounds, EQ, Guard, NewValue, Program, REACHABLE, Target,
+    BOUND_EXHAUSTED, Bounds, ConcretizationError, EQ, Guard, NewValue, Program,
+    REACHABLE, Target,
     Thread, Transition, UNREACHABLE, abstract_of, cb_partition_check,
     cb_reach_bounded, check_reach, concrete_run_to_tso, concretize_witness,
     inflate, lt, parse_program_with_target, validate_witness,
@@ -137,6 +139,16 @@ def test_inflate_preserves_validity_and_ranks():
     assert inflate(run, 1, 0) == run
     with pytest.raises(ValueError):
         inflate(run, 0, 1)
+
+
+def test_validate_names_the_step_of_a_label_not_enabled():
+    # mp's witness starts with two steps of the writer; swapped, the second
+    # transition comes first, from a state the thread is not in
+    p, tgt = _load("mp.tso")
+    run = concretize_witness(p, check_reach(p, tgt, 2).witness)
+    steps = (run.steps[1], run.steps[0]) + run.steps[2:]
+    with pytest.raises(ConcretizationError, match="^step 0: label .* is not enabled$"):
+        validate_witness(p, replace(run, steps=steps))
 
 
 def test_tso_reconstruction_values_follow_witness():

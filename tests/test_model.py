@@ -61,7 +61,7 @@ def test_states_in_order_names_each_state_once_by_first_mention():
     assert states_in_order("z", []) == ("z",)
 
 
-def test_make_computes_largest_offset():
+def test_offset_guards_validate():
     t = _thread("t", ["a", "b"], [Transition("q0", Guard(lt(4), "a", "b"), "q1"),
                                   Transition("q0", Guard(le(2), "a", "b"), "q1")])
     p = Program.make([t], ["x"])

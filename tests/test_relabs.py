@@ -59,16 +59,6 @@ def test_rel_apply_copy_and_guard():
     assert rel_apply(r, [("guard", LT, 1, 0)]) == []
 
 
-def test_rel_apply_multi_is_simultaneous():
-    # a flush's copies all read the pre-state: no destination is a source,
-    # and a multi that would need a simultaneous swap is refused
-    r = abstract_of((0, 1, 2, 3))
-    out = rel_apply(r, [("multi", ((1, 3), (2, 0)))])
-    assert out == [abstract_of((0, 3, 0, 3))]
-    with pytest.raises(ValueError, match="destinations must not be its sources"):
-        rel_apply(abstract_of((1, 2)), [("multi", ((0, 1), (1, 0)))])
-
-
 def test_fresh_placement_count_is_twice_the_classes():
     # others form m classes: m join-slots plus m strictly-between/above slots
     for vals in [(0, 0, 0), (0, 1, 2), (0, 5, 5, 9)]:
@@ -112,18 +102,13 @@ def _rel_apply_ref(ranks, effects):
             elif eff[0] == "guard":
                 if rel_check(eff[1], r[eff[2]], r[eff[3]]):
                     nxt.append(r)
-            elif eff[0] == "fresh":
+            else:  # fresh
                 d = eff[1]
                 classes = sorted({v for i, v in enumerate(r) if i != d})
                 doubled = {v: 2 * i for i, v in enumerate(classes)}
                 for slot in range(2 * len(classes)):
                     r2 = [slot if i == d else doubled[v] for i, v in enumerate(r)]
                     nxt.append(_densify_ref(r2))
-            else:
-                r2 = list(r)
-                for d, s in eff[1]:
-                    r2[d] = r[s]
-                nxt.append(_densify_ref(r2))
         states = nxt
     return states
 
@@ -137,10 +122,10 @@ def _rel_apply_ref(ranks, effects):
     ((0, 1, 1, 2), [("fresh", 1)]),              # fresh on a shared class
     ((0, 1, 2), [("guard", LT, 2, 1)]),          # failing guard: no successor
     ((0, 1, 2), [("fresh", 1), ("guard", LT, 1, 2), ("copy", 2, 0)]),
-    ((0, 1, 2, 2), [("multi", ((1, 3),))]),      # flush empties a singleton
-    ((0, 1, 1, 2), [("multi", ((1, 2),))]),      # already in the source's class
-    ((0, 1, 2, 3), [("multi", ((1, 3), (2, 3)))]),  # two pairs, one source
-    ((0, 2, 1, 3, 1), [("multi", ((1, 3), (2, 4))),  # a flush as _switch
+    ((0, 1, 2, 2), [("copy", 1, 3)]),            # flush empties a singleton
+    ((0, 1, 1, 2), [("copy", 1, 2), ("copy", 3, 0)]),  # a no-op, then a move
+    ((0, 1, 2, 3), [("copy", 1, 3), ("copy", 2, 3)]),  # two copies, one source
+    ((0, 2, 1, 3, 1), [("copy", 1, 3), ("copy", 2, 4),  # a flush as _switch
                        ("copy", 3, 0), ("copy", 4, 0)]),  # emits it
 ])
 def test_rel_apply_matches_reference_cases(ranks, effects):
@@ -155,7 +140,7 @@ def test_rel_apply_matches_reference_on_random_effects():
         ranks = abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
         effects = []
         for _ in range(rng.randrange(1, 5)):
-            tag = rng.choice(("copy", "guard", "fresh", "multi"))
+            tag = rng.choice(("copy", "guard", "fresh", "flush"))
             if tag == "copy":
                 effects.append(("copy", rng.randrange(n), rng.randrange(n)))
             elif tag == "guard":
@@ -164,11 +149,10 @@ def test_rel_apply_matches_reference_on_random_effects():
             elif tag == "fresh":
                 effects.append(("fresh", rng.randrange(n)))
             elif n > 1:
-                # as in a flush, no destination is a source
+                # copies as in a flush: no destination is a source
                 cols = rng.sample(range(n), n)
                 cut = rng.randrange(1, n)
-                effects.append(("multi", tuple((d, rng.choice(cols[cut:]))
-                                               for d in cols[:cut])))
+                effects.extend(("copy", d, rng.choice(cols[cut:])) for d in cols[:cut])
         # list equality: the successors and their order
         assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
 
