@@ -264,9 +264,10 @@ def _chain(n):
     (_writers(256), "256 threads, above the limit of 255"),
     (_chain(256), "thread 't' has 256 states, above the limit of 255"),
 ])
-def test_machine_names_its_byte_limits(threads, limit):
+def test_machine_and_oracle_name_the_same_byte_limits(threads, limit):
     # the machine's keys store thread ids and thread states in one byte; the
-    # oracle's interned encoding has no such limit (see test_tso)
+    # oracle's interned encoding has no such limit (see test_tso), so only the
+    # machine is checked here
     p = Program.make(threads, ["x"])
     with pytest.raises(ModelTooLargeError, match=f"^{limit}$"):
         ab_machine(p, 1)
