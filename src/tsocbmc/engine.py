@@ -17,7 +17,11 @@ depends only on the rank tuple and the effect list: its result is memoized
 per effect list in an int array indexed by rank id, which holds the one
 successor rank id inline, or points into a side list of branching results
 (none, or several after a fresh value).  Both tables live only as long as
-that search.
+that search.  On instances where the memo rarely hits, the miss path is
+what counts: a single result that is the input tuple object itself (see
+relabs.rel_apply) keeps its rank id with no lookup, the search loop drops a
+move with no successor before anything else, and it visits a single
+successor without building a tuple for it.
 
 The visited set maps each state to its parent state alone.  A witness
 recovers each step's label as the first move out of the parent, in table
@@ -43,10 +47,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
-from .abmachine import (
-    R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, AbNotEnabledError,
-    GuardFailedError, ab_machine,
-)
+from .abmachine import R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, ab_machine
 from .model import LT, OP_FRESH, Program, Target, eval_rel
 from .relabs import abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_initial
 from .tso import Label, Run, replay
@@ -194,9 +195,12 @@ def check_reach(program: Program, target: Target, k: int,
     def rank_step(eid: int, rid: int) -> int:
         """Fill the unknown memo entry of (eid, rid) from rel_apply."""
         stats.rel_apply_calls += 1
-        out = rel_apply(ranks[rid], effs[eid])
+        r = ranks[rid]
+        out = rel_apply(r, effs[eid])
         if len(out) == 1:
-            entry = intern_ranks(out[0])
+            # rel_apply hands back the input tuple itself when nothing moved
+            r2 = out[0]
+            entry = rid if r2 is r else intern_ranks(r2)
         elif out:
             entry = _BRANCH - len(branches)
             branches.append(tuple(map(intern_ranks, out)))
@@ -267,17 +271,27 @@ def check_reach(program: Program, target: Target, k: int,
                 entry = row[rid] if rid < len(row) else _UNKNOWN
                 if entry == _UNKNOWN:
                     entry = rank_step(eid, rid)
-                for rid2 in (entry,) if entry >= 0 else branches[_BRANCH - entry]:
-                    state2 = cid2 | rid2 << 32
-                    if state2 in visited:
-                        continue
-                    visited[state2] = state
-                    if hit:
-                        return finish(True, REACHABLE, state2)
-                    if len(visited) > max_states:
-                        stats.stop_reason = "max_states"
-                        return finish(False, BOUND_EXHAUSTED)
-                    frontier.append(state2)
+                # entry becomes the first successor rid and more the rest,
+                # so the common single successor builds no tuple
+                if entry >= 0:
+                    more = ()
+                elif entry == _BRANCH:
+                    continue
+                else:
+                    entry, *more = branches[_BRANCH - entry]
+                while True:
+                    state2 = cid2 | entry << 32
+                    if state2 not in visited:
+                        visited[state2] = state
+                        if hit:
+                            return finish(True, REACHABLE, state2)
+                        if len(visited) > max_states:
+                            stats.stop_reason = "max_states"
+                            return finish(False, BOUND_EXHAUSTED)
+                        frontier.append(state2)
+                    if not more:
+                        break
+                    entry = more.pop(0)
     return finish(False, UNREACHABLE)
 
 
@@ -395,7 +409,9 @@ def validate_witness(program: Program, run: ConcreteRun) -> bool:
         try:
             eff, flat2 = m.apply_flat(flat, step.label)
             vals2 = m.apply_effects(vals, eff, step.fresh_value)
-        except (AbNotEnabledError, GuardFailedError) as e:
+        except ValueError as e:
+            # a label not enabled, a failing guard, or a fresh step without
+            # a natural value
             raise ConcretizationError(f"step {n}: {e}") from e
         if vals2 != step.values:
             raise ConcretizationError(f"step {n}: replayed values diverge")

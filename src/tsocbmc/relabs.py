@@ -29,13 +29,21 @@ ranks above a class it emptied; a fresh value closes the gap its old
 singleton class leaves, then opens one above the class it lands after.
 There are three effect kinds, copy, fresh and guard; the context-switch
 flush arrives as plain copies (see abmachine).
+
+rel_apply runs on every memo miss of the search, and most effect lists give
+at most one successor, so it carries a single tuple through the list: a
+failing guard ends it with no successor, a copy within one class is
+skipped, and only a copy across classes builds a new tuple.  Only a fresh
+value branches, and the effects after it then run once per placement.  When
+nothing moves, the one successor is the input tuple object itself, which
+lets the search keep its rank id without a lookup.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .abmachine import ab_machine
-from .model import LT, EQ, NEQ, Program, Relation
+from .model import Program, Relation, RelKind
 from .model import program_index
 
 
@@ -45,17 +53,20 @@ def abstract_of(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(remap[v] for v in values)
 
 
+# the guard kinds, bound once: rel_check compares them by identity
+_EQ, _NEQ, _LT = RelKind.EQ, RelKind.NEQ, RelKind.LT
+
+
 def rel_check(rel: Relation, rank_left: int, rank_right: int) -> bool:
-    if rel.kind == EQ.kind:
+    kind = rel.kind
+    if kind is _EQ:
         return rank_left == rank_right
-    if rel.kind == NEQ.kind:
+    if kind is _NEQ:
         return rank_left != rank_right
-    if rel.kind == LT.kind:
+    # <N for any N, and <=N for N >= 1, need a strict rank gap
+    if kind is _LT or rel.n:
         return rank_left < rank_right
-    # <=: exact for offset 0, strict for any positive offset
-    if rel.n == 0:
-        return rank_left <= rank_right
-    return rank_left < rank_right
+    return rank_left <= rank_right
 
 
 def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
@@ -65,31 +76,39 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
     none, and a fresh assignment branches over every placement of the new
     value relative to the other variables: join class c, then strictly above
     c, for c = 0..m over the others' classes in ascending order.
+
+    One tuple is carried through the list and replaced only when a copy
+    moves a variable to another class, so when nothing changes the result
+    is [ranks] with the input tuple itself.  The list ends at the first
+    failing guard, and a fresh value applies the rest of the list to each
+    placement in turn.
     """
-    states = [ranks]
-    for eff in effects:
+    r = ranks
+    rest = iter(effects)
+    for eff in rest:
         tag = eff[0]
         if tag == "copy":
             _, d, s = eff
-            states = [_copy(r, d, s) for r in states]
+            old, new = r[d], r[s]
+            if old != new:
+                r = _copy(r, d, old, new)
         elif tag == "guard":
             _, rel, a, b = eff
-            states = [r for r in states if rel_check(rel, r[a], r[b])]
+            if not rel_check(rel, r[a], r[b]):
+                return []
         else:  # fresh
-            d = eff[1]
-            nxt = []
-            for r in states:
-                _fresh(r, d, nxt)
-            states = nxt
-    return states
+            tail = tuple(rest)
+            out: list[tuple[int, ...]] = []
+            for p in _fresh(r, eff[1]):
+                out += rel_apply(p, tail)
+            return out
+    return [r]
 
 
-def _copy(r: tuple[int, ...], d: int, s: int) -> tuple[int, ...]:
-    """r with d moved into s's class, re-ranked in place: only when d's old
-    class empties do the ranks above it shift down by one."""
-    old, new = r[d], r[s]
-    if old == new:
-        return r
+def _copy(r: tuple[int, ...], d: int, old: int, new: int) -> tuple[int, ...]:
+    """r with d moved from class old into class new, re-ranked in place:
+    only when d's old class empties do the ranks above it shift down by
+    one."""
     r2 = list(r)
     r2[d] = new
     if old in r2:
@@ -97,8 +116,8 @@ def _copy(r: tuple[int, ...], d: int, s: int) -> tuple[int, ...]:
     return tuple([v - 1 if v > old else v for v in r2])
 
 
-def _fresh(r: tuple[int, ...], d: int, out: list) -> None:
-    """Append every placement of a fresh value at d to out."""
+def _fresh(r: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
+    """Every placement of a fresh value at d, in rel_apply's order."""
     old = r[d]
     if r.count(old) > 1:
         # d shares its class: the others' ranks are already dense
@@ -109,6 +128,7 @@ def _fresh(r: tuple[int, ...], d: int, out: list) -> None:
         others = [v - 1 if v > old else v for v in r]
         width = max(r)
     others[d] = 0
+    out = []
     for c in range(width):
         joined = list(others)
         joined[d] = c
@@ -117,6 +137,7 @@ def _fresh(r: tuple[int, ...], d: int, out: list) -> None:
         above = [v + 1 if v > c else v for v in others]
         above[d] = c + 1
         out.append(tuple(above))
+    return out
 
 
 def rel_initial(nab: int) -> tuple[int, ...]:

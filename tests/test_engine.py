@@ -151,6 +151,17 @@ def test_validate_names_the_step_of_a_label_not_enabled():
         validate_witness(p, replace(run, steps=steps))
 
 
+def test_validate_names_the_step_of_a_missing_fresh_value():
+    # mp's witness draws a fresh value at step 0
+    p, tgt = _load("mp.tso")
+    run = concretize_witness(p, check_reach(p, tgt, 2).witness)
+    assert run.steps[0].fresh_value is not None
+    steps = (replace(run.steps[0], fresh_value=None),) + run.steps[1:]
+    with pytest.raises(ConcretizationError,
+                       match="^step 0: a natural fresh value is required$"):
+        validate_witness(p, replace(run, steps=steps))
+
+
 def test_tso_reconstruction_values_follow_witness():
     p, tgt = _load("mp.tso")
     run = concretize_witness(p, check_reach(p, tgt, 2).witness)

@@ -1,0 +1,111 @@
+"""check_reach against a plain breadth-first search of the same abstraction.
+
+The reference keeps (control tuple, rank tuple) pairs as they are: no
+interning, no memo of rel_apply and no per-control successor table.  It
+walks the schedules in _seed_order, expands every popped state with
+AbMachine.transitions_flat and rel_apply, and keeps each state's first
+discovery.  check_reach must agree with it on the status, the states
+explored, the peak frontier and the witness.
+"""
+import random
+from collections import deque
+from pathlib import Path
+
+import pytest
+
+from tsocbmc import (
+    BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, check_reach, gen_bakery,
+    parse_program_with_target, rel_apply, rel_initial,
+)
+from tsocbmc.abmachine import ab_machine
+from tsocbmc.engine import _seed_order
+from tsocbmc.selftest import random_program, random_target
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def reference_search(program, target, k, max_states=2_000_000):
+    """(status, states explored, peak frontier, witness steps), where a
+    witness step is (label, effects, rank tuple after) and the witness is
+    None unless the status is reachable."""
+    m = ab_machine(program, k)
+    ti, si = m.idx.target_idx(target)
+    r0 = rel_initial(m.nab)
+    # state -> (parent state, label, effects), None at a root
+    visited = {}
+    explored = peak = 0
+
+    def result(status, state=None):
+        if status != REACHABLE:
+            return status, explored, peak, None
+        steps = []
+        while visited[state] is not None:
+            parent, label, eff = visited[state]
+            steps.append((label, eff, state[1]))
+            state = parent
+        return status, explored, peak, (state[0][m.ACT:m.ACT + k], steps[::-1])
+
+    for act in _seed_order(m, ti):
+        state = (m.initial_flat(act), r0)
+        if state in visited:
+            continue
+        visited[state] = None
+        if state[0][m.ST + ti] == si:
+            return result(REACHABLE, state)
+        frontier = deque([state])
+        while frontier:
+            peak = max(peak, len(frontier))
+            state = frontier.popleft()
+            explored += 1
+            flat, ranks = state
+            for label, eff, flat2 in m.transitions_flat(flat):
+                for ranks2 in rel_apply(ranks, eff):
+                    state2 = (flat2, ranks2)
+                    if state2 in visited:
+                        continue
+                    visited[state2] = (state, label, eff)
+                    if flat2[m.ST + ti] == si:
+                        return result(REACHABLE, state2)
+                    if len(visited) > max_states:
+                        return result(BOUND_EXHAUSTED)
+                    frontier.append(state2)
+    return result(UNREACHABLE)
+
+
+def assert_same_search(program, target, k, max_states=2_000_000):
+    want = reference_search(program, target, k, max_states)
+    v = check_reach(program, target, k, max_states=max_states)
+    got = (v.status, v.stats.states_explored, v.stats.peak_frontier, None)
+    if v.witness is not None:
+        m = ab_machine(program, k)
+        act = tuple(m.idx.tid[t] for t in v.witness.act)
+        got = got[:3] + ((act, [(s.label, s.effects, s.rel_after)
+                                for s in v.witness.steps]),)
+    assert got == want
+    return want[0]
+
+
+@pytest.mark.parametrize("name", ["mp", "sb"])
+def test_corpus_matches_the_reference(name):
+    p, tgt = parse_program_with_target((CORPUS / f"{name}.tso").read_text())
+    statuses = [assert_same_search(p, tgt, k) for k in range(1, 6)]
+    assert REACHABLE in statuses and UNREACHABLE in statuses
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                 (2, 1), (2, 2), (2, 3)])
+def test_bakery_matches_the_reference(n, k):
+    g = gen_bakery(n)
+    assert assert_same_search(g.program, g.target, k) == UNREACHABLE
+
+
+def test_random_programs_match_the_reference():
+    # a cap that ends a few of the larger searches, so capped runs compare too
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(200):
+        p = random_program(rng)
+        tgt = random_target(rng, p)
+        for k in (1, 2, 3):
+            seen.add(assert_same_search(p, tgt, k, max_states=500))
+    assert seen == {REACHABLE, UNREACHABLE, BOUND_EXHAUSTED}

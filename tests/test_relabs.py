@@ -127,9 +127,29 @@ def _rel_apply_ref(ranks, effects):
     ((0, 1, 2, 3), [("copy", 1, 3), ("copy", 2, 3)]),  # two copies, one source
     ((0, 2, 1, 3, 1), [("copy", 1, 3), ("copy", 2, 4),  # a flush as _switch
                        ("copy", 3, 0), ("copy", 4, 0)]),  # emits it
+    ((0, 1, 2), [("guard", LT, 2, 1), ("fresh", 1)]),   # fails before a fresh
+    ((0, 1, 1, 2), [("fresh", 1), ("fresh", 3)]),       # two fresh values
+    ((0, 1, 2), [("fresh", 1), ("copy", 2, 1), ("fresh", 2),
+                 ("guard", NEQ, 1, 2)]),                 # fresh, copy, fresh
+    ((0, 1, 2), [("fresh", 1), ("guard", lt(2), 0, 1)]),  # offset guards
+    ((0, 1, 2), [("fresh", 1), ("guard", le(1), 1, 2)]),  # after a fresh
+    ((0, 0, 1), [("fresh", 2), ("guard", le(1), 1, 2),
+                 ("guard", lt(2), 0, 2)]),
 ])
 def test_rel_apply_matches_reference_cases(ranks, effects):
     assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
+
+
+def test_rel_apply_returns_the_input_when_nothing_moves():
+    # passing guards and copies within one class change no rank, so the
+    # result is the input tuple itself, not an equal copy
+    r = (0, 1, 1, 2, 0)
+    for effects in ([], [("copy", 1, 2)], [("guard", EQ, 1, 2)],
+                    [("copy", 4, 0), ("guard", lt(2), 0, 3), ("copy", 2, 1),
+                     ("guard", LE, 1, 2), ("guard", NEQ, 0, 3)]):
+        out = rel_apply(r, effects)
+        assert out == [r]
+        assert out[0] is r
 
 
 def test_rel_apply_matches_reference_on_random_effects():
