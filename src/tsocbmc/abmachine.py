@@ -118,16 +118,10 @@ class AbMachine:
         self.U = self.C + nx * nt
         self.flat_len = self.U + k * nx
 
-        # every key component is one byte: ranks stay below nab and control
-        # entries at most max(k + 1, nt, states per thread - 1)
+        # k is the one size a one-line --k raises with no bigger model, and
+        # _seed_order recurses once per context (k=1200 overflows the stack)
         if k + 1 > 255:
             raise ModelTooLargeError(f"k={k} is above the limit of 254 contexts")
-        if nt > 255:
-            raise ModelTooLargeError(f"{nt} threads, above the limit of 255")
-        for t in program.threads:
-            if len(t.states) > 255:
-                raise ModelTooLargeError(f"thread '{t.id}' has {len(t.states)} states, "
-                                         "above the limit of 255")
 
         # One pass over the transitions: per thread, the register ids each
         # transition reads (g) and assigns (kl), and the shared variables the
@@ -186,26 +180,27 @@ class AbMachine:
         # one unique name per summary column, in column order
         self.names: tuple[str, ...] = tuple(names)
         self.nab = len(names)
-        if self.nab > 255:
-            raise ModelTooLargeError(f"{self.nab} summary variables at k={k} is above "
-                                     "the limit of 255")
 
         # Backward register liveness per thread.  A register that cannot be
         # read again before being overwritten is reset to the sentinel after
         # each step, so runs differing only in stale register values fall
         # together.  _dead_regs[ti][pos] holds the reset effects to append
-        # after taking transition pos of thread ti.
+        # after taking transition pos of thread ti.  The worklist revisits a
+        # state's incoming edges only when its live set grew, so the pass is
+        # linear in a chain's length.
         self._dead_regs: list[list[tuple]] = []
         for t, edges in zip(program.threads, flows):
             live: list[set[int]] = [set() for _ in t.states]
-            changed = True
-            while changed:
-                changed = False
-                for si, di, g, kl in edges:
+            into: list[list] = [[] for _ in t.states]  # edges by destination
+            for e in edges:
+                into[e[1]].append(e)
+            todo = list(range(len(t.states)))
+            while todo:
+                for si, di, g, kl in into[todo.pop()]:
                     new = g | (live[di] - kl)
                     if not new <= live[si]:
                         live[si] |= new
-                        changed = True
+                        todo.append(si)
             dead = []
             for si, di, g, kl in edges:
                 gone = (live[si] | kl) - live[di]

@@ -5,9 +5,9 @@ the summary variables.  Far fewer of each occur than of their pairs (bakery(2)
 at k=3 reaches 263,858 states from 6,186 control tuples and 3,522 rank
 tuples), so each search interns control tuples, rank tuples and effect lists
 to integer ids and stores a state as the one integer cid | rid << 32
-(collapse compression, as in SPIN).  The public byte encoding
-(relabs.canonical_key) is checked once per newly interned tuple instead of
-once per state.
+(collapse compression, as in SPIN).  The public key encoding
+(relabs.canonical_key, the control tuple followed by the rank tuple) is
+checked once per newly interned tuple instead of once per state.
 
 Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do not

@@ -260,8 +260,8 @@ class InvalidProgramError(ValueError):
 
 
 class ModelTooLargeError(ValueError):
-    """The model is valid but above a limit of the search encoding; the
-    message names the limit."""
+    """The model is valid but k (abstraction) or the buffer bound (oracle)
+    is above its limit; the message names the limit."""
 
 
 class ProgramIndex:

@@ -145,20 +145,21 @@ def rel_initial(nab: int) -> tuple[int, ...]:
     return (0,) * nab
 
 
-def canonical_key(flat: tuple[int, ...], ranks: tuple[int, ...]) -> bytes:
-    """Injective byte encoding of a search state.  Every component is a
-    small natural, so the identity byte map works and decoding is direct.
+def canonical_key(flat: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, ...]:
+    """Injective encoding of a search state: the control vector, then the
+    ranks.  Each component is a natural below max(k + 2, threads + 1, states
+    per thread, summary columns), the paper's polynomial state size.
     check_reach keeps states as interned ids and checks each new control
     and rank tuple against this encoding."""
-    return bytes(flat) + bytes(ranks)
+    return flat + ranks
 
 
-def decode_key(flat_len: int, key: bytes) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return tuple(key[:flat_len]), tuple(key[flat_len:])
+def decode_key(flat_len: int, key: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return key[:flat_len], key[flat_len:]
 
 
 def key_length(program: Program, k: int) -> int:
-    """Byte length of every canonical key of (program, k): the machine's
+    """Length of every canonical key of (program, k): the machine's
     control vector, then one rank per summary column it keeps.  Which
     columns exist is the machine's decision (see abmachine)."""
     program_index(program)  # an invalid program fails here, before the k check

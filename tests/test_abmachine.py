@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from tsocbmc import (
-    EQ, Guard, ModelTooLargeError, NEQ, NewValue, Program, Read, Thread,
-    Transition, Write, check_reach, gen_bakery, parse_program_with_target,
+    EQ, Guard, NEQ, REACHABLE, UNREACHABLE, NewValue, Program, Read, Target,
+    Thread, Transition, Write, cb_partition_check, check_reach,
+    concrete_run_to_tso, concretize_witness, gen_bakery,
+    parse_program_with_target, validate_witness,
 )
 from tsocbmc.abmachine import (
     AbMachine, GuardFailedError, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH,
@@ -260,17 +262,28 @@ def _chain(n):
                                  for i in range(n - 1)])]
 
 
-@pytest.mark.parametrize("threads,limit", [
-    (_writers(256), "256 threads, above the limit of 255"),
-    (_chain(256), "thread 't' has 256 states, above the limit of 255"),
+@pytest.mark.parametrize("threads,target", [
+    (_writers(256), Target("t0", "q1")),
+    (_chain(256), Target("t", "q255")),
+], ids=[
+    # the ids the test ran under while these models were above a byte limit
+    "threads0-256 threads, above the limit of 255",
+    "threads1-thread 't' has 256 states, above the limit of 255",
 ])
-def test_machine_and_oracle_name_the_same_byte_limits(threads, limit):
-    # the machine's keys store thread ids and thread states in one byte; the
-    # oracle's interned encoding has no such limit (see test_tso), so only the
-    # machine is checked here
+def test_machine_and_oracle_name_the_same_byte_limits(threads, target):
+    # a key holds one natural per component, so thread ids and thread states
+    # past 255 build and are decided like any other model
     p = Program.make(threads, ["x"])
-    with pytest.raises(ModelTooLargeError, match=f"^{limit}$"):
-        ab_machine(p, 1)
+    for k in (1, 2):
+        v = check_reach(p, target, k)
+        assert v.status in (REACHABLE, UNREACHABLE)
+        if v.reachable:
+            run = concretize_witness(p, v.witness)
+            assert validate_witness(p, run)
+            tso_run = concrete_run_to_tso(p, run)
+            tti, tsi = ab_machine(p, k).idx.target_idx(target)
+            assert tso_run.final.st[tti] == tsi
+            assert cb_partition_check(tso_run, k)
 
 
 def _reads_a_written_column(effects):

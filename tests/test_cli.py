@@ -172,24 +172,29 @@ def test_check_out_names_every_summary_column_once(text, clash, tmp_path, capsys
     assert any(clash in e for step in witness for e in step["effects"])
 
 
-def test_model_above_encoding_limits_exits_2(tmp_path, capsys):
+def test_model_above_encoding_limits_exits_2(capsys):
     # failures must never exit 1, which reads as "reachable"
-    # bakery(11) at k=4 keeps 267 summary variables after the slice drops
-    # those no step reads
-    big = tmp_path / "bakery11.tso"
-    assert main(["gen", "bakery", "--n", "11", "--out", str(big)]) == 0
-    assert main(["check", str(big), "--k", "4"]) == 2
-    captured = capsys.readouterr()
-    assert "model too large" in captured.err
-    assert "267 summary variables" in captured.err and "255" in captured.err
-    assert "Traceback" not in captured.err + captured.out
     assert main(["check", MP, "--k", "300"]) == 2
-    err = capsys.readouterr().err
-    assert "model too large" in err and "k=300" in err
+    captured = capsys.readouterr()
+    assert "model too large" in captured.err and "k=300" in captured.err
+    assert "Traceback" not in captured.err + captured.out
     # bakery(6) at k=4 had 268 summary variables before the slice; 117 now
     from tsocbmc.abmachine import AbMachine
     from tsocbmc.generators import gen_bakery
     assert AbMachine(gen_bakery(6).program, 4).nab == 117
+
+
+def test_model_past_255_summary_variables_is_searched(tmp_path, capsys):
+    # bakery(11) at k=4 keeps 267 summary variables after the slice drops
+    # those no step reads; the search runs until its state cap
+    big = tmp_path / "bakery11.tso"
+    assert main(["gen", "bakery", "--n", "11", "--out", str(big)]) == 0
+    assert main(["check", str(big), "--k", "4", "--max-states", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "stopped by max_states\n"
+    assert "Traceback" not in captured.out
+    program, _ = parse_program_with_target(big.read_text())
+    assert ab_machine(program, 4).nab == 267
 
 
 def test_oracle_encoding_limits_exit_2(tmp_path, capsys):

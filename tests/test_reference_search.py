@@ -1,11 +1,16 @@
-"""check_reach against a plain breadth-first search of the same abstraction.
+"""The interned searches against plain breadth-first searches of the same
+state spaces.
 
-The reference keeps (control tuple, rank tuple) pairs as they are: no
-interning, no memo of rel_apply and no per-control successor table.  It
-walks the schedules in _seed_order, expands every popped state with
+The abstraction's reference keeps (control tuple, rank tuple) pairs as they
+are: no interning, no memo of rel_apply and no per-control successor table.
+It walks the schedules in _seed_order, expands every popped state with
 AbMachine.transitions_flat and rel_apply, and keeps each state's first
 discovery.  check_reach must agree with it on the status, the states
 explored, the peak frontier and the witness.
+
+The oracle's reference does the same for tso_reach_bounded and
+cb_reach_bounded: level by level over (TsoConfig, active thread, blocks
+used) through tso_enabled and tso_step, with no interning and no move table.
 """
 import random
 from collections import deque
@@ -14,11 +19,14 @@ from pathlib import Path
 import pytest
 
 from tsocbmc import (
-    BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, check_reach, gen_bakery,
-    parse_program_with_target, rel_apply, rel_initial,
+    BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, UNREACHABLE_WITHIN_BOUNDS, Bounds,
+    cb_reach_bounded, check_reach, gen_bakery, initial_config,
+    parse_program_with_target, rel_apply, rel_initial, tso_enabled,
+    tso_reach_bounded, tso_step,
 )
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.engine import _seed_order
+from tsocbmc.model import program_index
 from tsocbmc.selftest import random_program, random_target
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -109,3 +117,84 @@ def test_random_programs_match_the_reference():
         for k in (1, 2, 3):
             seen.add(assert_same_search(p, tgt, k, max_states=500))
     assert seen == {REACHABLE, UNREACHABLE, BOUND_EXHAUSTED}
+
+
+def oracle_reference_search(program, target, b, contexts=None, max_states=1_000_000):
+    """(status, states explored, peak frontier, witness labels) of the
+    bounded concrete search, with at most `contexts` blocks when given.  A
+    state is (configuration, active thread, blocks used); a step by another
+    thread than the active one opens a block."""
+    ti, si = program_index(program).target_idx(target)
+    # state -> (parent state, label), None at the root
+    state = (initial_config(program), None, 0)
+    visited = {state: None}
+    explored = peak = depth = 0
+
+    def result(status, state=None):
+        if status != REACHABLE:
+            return status, explored, peak, None
+        labels = []
+        while visited[state] is not None:
+            state, label = visited[state]
+            labels.append(label)
+        return status, explored, peak, labels[::-1]
+
+    if state[0].st[ti] == si:
+        return result(REACHABLE, state)
+    frontier = [state]
+    while frontier and depth < b.depth:
+        depth += 1
+        level, frontier = frontier, []
+        for state in level:
+            explored += 1
+            conf, active, blocks = state
+            for label in tso_enabled(program, conf, b):
+                if contexts is not None and label.thread != active:
+                    if blocks == contexts:
+                        continue
+                    active2, blocks2 = label.thread, blocks + 1
+                else:
+                    active2, blocks2 = active, blocks
+                state2 = (tso_step(program, conf, label), active2, blocks2)
+                if state2 in visited:
+                    continue
+                visited[state2] = (state, label)
+                if state2[0].st[ti] == si:
+                    return result(REACHABLE, state2)
+                if len(visited) > max_states:
+                    return result(BOUND_EXHAUSTED)
+                frontier.append(state2)
+        peak = max(peak, len(frontier))
+    return result(UNREACHABLE_WITHIN_BOUNDS)
+
+
+def assert_same_oracle_search(program, target, b, contexts=None, max_states=1_000_000):
+    want = oracle_reference_search(program, target, b, contexts, max_states)
+    if contexts is None:
+        v = tso_reach_bounded(program, target, b, max_states=max_states)
+    else:
+        v = cb_reach_bounded(program, target, contexts, b, max_states=max_states)
+    labels = None if v.witness is None else list(v.witness.labels)
+    assert (v.status, v.stats.states_explored, v.stats.peak_frontier, labels) == want
+    return want[0]
+
+
+@pytest.mark.parametrize("name", ["mp", "sb"])
+def test_corpus_matches_the_oracle_reference(name):
+    p, tgt = parse_program_with_target((CORPUS / f"{name}.tso").read_text())
+    statuses = [assert_same_oracle_search(p, tgt, Bounds(2, 2, 40), contexts)
+                for contexts in (None, 1, 2, 3, 4)]
+    assert REACHABLE in statuses and UNREACHABLE_WITHIN_BOUNDS in statuses
+
+
+def test_random_programs_match_the_oracle_reference():
+    # a cap that ends a few of the larger searches, so capped runs compare too
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(150):
+        p = random_program(rng)
+        tgt = random_target(rng, p)
+        for contexts in (None, 1, 2, 3):
+            seen.add(assert_same_oracle_search(p, tgt, Bounds(2, 2, 30), contexts,
+                                               max_states=800))
+    assert seen == {REACHABLE, UNREACHABLE_WITHIN_BOUNDS, BOUND_EXHAUSTED}
