@@ -31,7 +31,6 @@ from .model import (
     InvalidProgramError, ModelTooLargeError, Program, Target, program_index,
     validate,
 )
-from .selftest import run_suites
 from .tso import Bounds, cb_reach_bounded, tso_reach_bounded
 from .verdict import BOUND_EXHAUSTED, Verdict
 
@@ -241,6 +240,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here so that check and simulate do not compile the suites
+    from .selftest import run_suites
     if not 0 < args.scale < math.inf:   # also rejects nan
         raise UsageError("--scale expects a positive finite multiplier")
     try:

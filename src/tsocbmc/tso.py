@@ -26,14 +26,19 @@ far fewer thread-local parts and memories occur than configurations
 (bakery(2) at k=4 reaches 194,616 configurations from 5,497 (thread, local
 part, memory) triples).  Each search interns every thread's local part (its
 state, its own registers and its buffer) and the memory tuple to dense ids
-and stores a configuration as one int of fixed-width fields.  A thread's
-moves read and write only its own local part and the memory, so they are
-computed once per (thread, local id, memory id) with `tso_enabled` and
-`tso_step` on the full configuration, checked to leave every other thread's
-part alone, and kept in a move table for the rest of the search.  The
-visited set maps each state to its parent alone; the witness recovers each
-label as the first move out of the parent, in `tso_enabled` order, that
-yields the child, and replays those labels.
+and stores a configuration as one int of fixed-width fields, the extras
+(active thread and blocks used) lowest.  A thread's moves read and write
+only its own local part and the memory, so they are computed once per
+(thread, local id, memory id) with `tso_enabled` and `tso_step` on the full
+configuration and kept in a move table for the rest of the search.  The
+fill checks each successor against the parent: other threads' control
+states, registers and buffers must be unchanged.  Which threads may move,
+and the extras after each one's move, depend on the extras alone; a mover
+table per extras value, built when the value first occurs, holds them, and
+the search loop walks it and the move tables inline.  The visited set maps
+each state to its parent alone; the witness recovers each label from the
+same tables as the first move out of the parent, in `tso_enabled` order,
+that yields the child, and replays those labels.
 """
 from __future__ import annotations
 
@@ -226,12 +231,21 @@ def _intern(ids: dict, parts: list, part, width: int) -> int:
     return i
 
 
+def _same_outside(a: tuple, b: tuple, lo: int, hi: int) -> bool:
+    """True iff a and b have one length and agree outside positions lo..hi-1."""
+    return a is b or len(a) == len(b) and a[:lo] == b[:lo] and a[hi:] == b[hi:]
+
+
 def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
          contexts: Optional[int], max_mb: Optional[float]) -> Verdict:
     """Level-order search over interned parts.  With `contexts` set, a state
     carries the active thread and the count of maximal single-thread blocks
     used so far; steps by a different thread open a new block and are only
-    allowed below the cap.  Each new state stores its parent state."""
+    allowed below the cap.  That rule lives in the mover table: per extras
+    value, the threads allowed to move, each with the extras after its move,
+    built the first time the value is seen.  The loop walks a popped state's
+    movers and their move tables inline, and each new state stores its
+    parent state."""
     idx = program_index(program)
     # `bufs` below sums buffer_bound + 1 powers; the cap keeps that short
     if b.buffer_bound > 255:
@@ -271,48 +285,23 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     loc_ids: list[dict] = [{} for _ in range(nt)]
     mems: list[tuple[int, ...]] = []
     mem_ids: dict[tuple[int, ...], int] = {}
-    # per thread, the move table: local id << mw | memory id ->
+    # per thread, the move table: a state's bits of the thread's local id
+    # and the memory id (the state masked by the key mask) ->
     # ((label, local id' << offset | memory id' << moff, hits target), ...)
     tables: list[dict[int, tuple]] = [{} for _ in range(nt)]
     threads = tuple(zip(range(nt), offs, lmasks, keeps, tables))
+    # the mover table: extras -> ((thread, key mask, keep mask, move table,
+    # extras after the move), ...) for the threads allowed to move
+    movers: dict[int, tuple] = {}
 
     def local(c: TsoConfig, ti: int) -> tuple:
         return c.st[ti], c.rval[slices[ti]], c.buf[ti]
 
-    def assemble(parts: list[tuple], mem: tuple[int, ...]) -> TsoConfig:
-        return TsoConfig(tuple(p[0] for p in parts),
-                         tuple(v for p in parts for v in p[1]),
-                         tuple(p[2] for p in parts), mem)
-
-    def fill(ti: int, s: int, key: int) -> tuple:
-        """Thread ti's moves from state s, by tso_enabled and tso_step on the
-        full configuration.  They may change only the thread's own part and
-        the memory, which is what makes the table sound."""
-        stats.control_states += 1
-        parts = [locs[tj][s >> o & lm] for tj, o, lm, _, _ in threads]
-        conf = assemble(parts, mems[s >> moff & mmask])
-        tname = idx.thread_ids[ti]
-        moves = []
-        for label in tso_enabled(program, conf, b):
-            if label.thread != tname:
-                continue
-            succ = tso_step(program, conf, label)
-            part = local(succ, ti)
-            if assemble(parts[:ti] + [part] + parts[ti + 1:], succ.mem) != succ:
-                raise AssertionError(f"{label.render()} changed another "
-                                     "thread's part")
-            delta = (_intern(loc_ids[ti], locs[ti], part, lws[ti]) << offs[ti]
-                     | _intern(mem_ids, mems, succ.mem, mw) << moff)
-            moves.append((label, delta, ti == tti and part[0] == tsi))
-        moves = tables[ti][key] = tuple(moves)
-        return moves
-
-    def expand(s: int):
-        """Per thread allowed to move from s, in thread order: the successor
-        state with the move's delta left out, and the thread's moves."""
-        ex = s & xmask
-        mid = s >> moff & mmask
+    def mover(ex: int) -> tuple:
+        """The threads allowed to move from a state with extras ex, in
+        thread order: the active one, and the others while a block is left."""
         active, blocks = (ex & amask) - 1, ex >> aw
+        ms = []
         for ti, o, lm, keep, table in threads:
             if contexts is None or ti == active:
                 ex2 = ex
@@ -320,11 +309,37 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
                 ex2 = (ti + 1) | (blocks + 1) << aw
             else:
                 continue
-            key = (s >> o & lm) << mw | mid
-            moves = table.get(key)
-            if moves is None:
-                moves = fill(ti, s, key)
-            yield (s & keep) | ex2, moves
+            ms.append((ti, lm << o | mmask << moff, keep, table, ex2))
+        ms = movers[ex] = tuple(ms)
+        return ms
+
+    def fill(ti: int, s: int, key: int) -> tuple:
+        """Thread ti's moves from state s, by tso_enabled and tso_step on the
+        full configuration.  They may change only the thread's own part and
+        the memory, which is what makes the table sound: each successor must
+        equal the parent, in length and value, outside ti's control state,
+        ti's register slice and ti's buffer."""
+        stats.control_states += 1
+        st, rv, bf = zip(*(locs[tj][s >> o & lm] for tj, o, lm, _, _ in threads))
+        conf = TsoConfig(st, sum(rv, ()), bf, mems[s >> moff & mmask])
+        tname = idx.thread_ids[ti]
+        lo, hi = slices[ti].start, slices[ti].stop
+        moves = []
+        for label in tso_enabled(program, conf, b):
+            if label.thread != tname:
+                continue
+            succ = tso_step(program, conf, label)
+            if not (_same_outside(succ.st, conf.st, ti, ti + 1)
+                    and _same_outside(succ.rval, conf.rval, lo, hi)
+                    and _same_outside(succ.buf, conf.buf, ti, ti + 1)):
+                raise AssertionError(f"{label.render()} changed another "
+                                     "thread's part")
+            part = local(succ, ti)
+            delta = (_intern(loc_ids[ti], locs[ti], part, lws[ti]) << offs[ti]
+                     | _intern(mem_ids, mems, succ.mem, mw) << moff)
+            moves.append((label, delta, ti == tti and part[0] == tsi))
+        moves = tables[ti][key] = tuple(moves)
+        return moves
 
     init = initial_config(program)
     s0 = _intern(mem_ids, mems, init.mem, mw) << moff
@@ -333,7 +348,10 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     # state -> parent state, -1 at the root
     parents: dict[int, int] = {s0: -1}
 
-    def finish(status: str, found: int = -1) -> Verdict:
+    def finish(status: str, explored: int, peak: int, found: int = -1,
+               stop: str = "") -> Verdict:
+        stats.states_explored, stats.peak_frontier = explored, peak
+        stats.stop_reason = stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         witness = None
         if found >= 0:
@@ -342,44 +360,56 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
                 chain.append(parents[chain[-1]])
             chain.reverse()
             # the search keeps a state's first discovery, so its label is the
-            # first move from the parent, in tso_enabled order, to reach it
-            labels = [next(label for base, moves in expand(s)
-                           for label, delta, _ in moves if base | delta == s2)
+            # first move from the parent, in tso_enabled order, to reach it;
+            # the search filled every table up to that move
+            labels = [next(label for _, kmask, keep, table, ex2 in movers[s & xmask]
+                           for label, delta, _ in table[s & kmask]
+                           if (s & keep | ex2) | delta == s2)
                       for s, s2 in zip(chain, chain[1:])]
             witness = replay(program, labels)
         return Verdict(found >= 0, status, witness, stats)
 
     if init.st[tti] == tsi:
-        return finish(REACHABLE, s0)
+        return finish(REACHABLE, 0, 0, s0)
 
     frontier = [s0]
-    depth = 0
+    explored = peak = depth = 0
+    # new states the cap still admits; the search stops when it goes negative
+    room = max_states - len(parents)
     while frontier and depth < b.depth:
         depth += 1
         next_frontier: list[int] = []
+        push = next_frontier.append
         for s in frontier:
-            stats.states_explored += 1
-            if (max_mb is not None and stats.states_explored % 4096 == 0
+            explored += 1
+            if (max_mb is not None and not explored & 4095
                     and _rss_mb() > max_mb):
-                stats.stop_reason = "max_mb"
-                return finish(BOUND_EXHAUSTED)
-            for base, moves in expand(s):
+                return finish(BOUND_EXHAUSTED, explored, peak, stop="max_mb")
+            ms = movers.get(s & xmask)
+            if ms is None:
+                ms = mover(s & xmask)
+            for ti, kmask, keep, table, ex2 in ms:
+                key = s & kmask
+                moves = table.get(key)
+                if moves is None:
+                    moves = fill(ti, s, key)
+                base = s & keep | ex2
                 for _, delta, hit in moves:
                     s2 = base | delta
                     if s2 in parents:
                         continue
                     parents[s2] = s
                     if hit:
-                        return finish(REACHABLE, s2)
-                    if len(parents) > max_states:
-                        stats.stop_reason = "max_states"
-                        return finish(BOUND_EXHAUSTED)
-                    next_frontier.append(s2)
+                        return finish(REACHABLE, explored, peak, s2)
+                    room -= 1
+                    if room < 0:
+                        return finish(BOUND_EXHAUSTED, explored, peak,
+                                      stop="max_states")
+                    push(s2)
         frontier = next_frontier
-        stats.peak_frontier = max(stats.peak_frontier, len(frontier))
-    if frontier:
-        stats.stop_reason = "depth"
-    return finish(UNREACHABLE_WITHIN_BOUNDS)
+        peak = max(peak, len(frontier))
+    return finish(UNREACHABLE_WITHIN_BOUNDS, explored, peak,
+                  stop="depth" if frontier else "")
 
 
 def tso_reach_bounded(program: Program, target: Target, b: Bounds,

@@ -119,25 +119,30 @@ def test_random_programs_match_the_reference():
     assert seen == {REACHABLE, UNREACHABLE, BOUND_EXHAUSTED}
 
 
-def oracle_reference_search(program, target, b, contexts=None, max_states=1_000_000):
-    """(status, states explored, peak frontier, witness labels) of the
-    bounded concrete search, with at most `contexts` blocks when given.  A
-    state is (configuration, active thread, blocks used); a step by another
-    thread than the active one opens a block."""
+def oracle_reference_search(program, target, b, contexts=None, max_states=1_000_000,
+                            visited=None):
+    """(status, states explored, peak frontier, witness labels, stop reason)
+    of the bounded concrete search, with at most `contexts` blocks when
+    given.  A state is (configuration, active thread, blocks used); a step by
+    another thread than the active one opens a block.  The stop reason is
+    "max_states" when the cap ends the search, "depth" when the depth runs
+    out with states left to explore, and empty otherwise.  A caller that
+    passes an empty dict as `visited` sees the states the search stored."""
     ti, si = program_index(program).target_idx(target)
     # state -> (parent state, label), None at the root
     state = (initial_config(program), None, 0)
-    visited = {state: None}
+    visited = {} if visited is None else visited
+    visited[state] = None
     explored = peak = depth = 0
 
-    def result(status, state=None):
+    def result(status, state=None, stop=""):
         if status != REACHABLE:
-            return status, explored, peak, None
+            return status, explored, peak, None, stop
         labels = []
         while visited[state] is not None:
             state, label = visited[state]
             labels.append(label)
-        return status, explored, peak, labels[::-1]
+        return status, explored, peak, labels[::-1], stop
 
     if state[0].st[ti] == si:
         return result(REACHABLE, state)
@@ -162,10 +167,10 @@ def oracle_reference_search(program, target, b, contexts=None, max_states=1_000_
                 if state2[0].st[ti] == si:
                     return result(REACHABLE, state2)
                 if len(visited) > max_states:
-                    return result(BOUND_EXHAUSTED)
+                    return result(BOUND_EXHAUSTED, stop="max_states")
                 frontier.append(state2)
         peak = max(peak, len(frontier))
-    return result(UNREACHABLE_WITHIN_BOUNDS)
+    return result(UNREACHABLE_WITHIN_BOUNDS, stop="depth" if frontier else "")
 
 
 def assert_same_oracle_search(program, target, b, contexts=None, max_states=1_000_000):
@@ -175,7 +180,9 @@ def assert_same_oracle_search(program, target, b, contexts=None, max_states=1_00
     else:
         v = cb_reach_bounded(program, target, contexts, b, max_states=max_states)
     labels = None if v.witness is None else list(v.witness.labels)
-    assert (v.status, v.stats.states_explored, v.stats.peak_frontier, labels) == want
+    got = (v.status, v.stats.states_explored, v.stats.peak_frontier, labels,
+           v.stats.stop_reason)
+    assert got == want
     return want[0]
 
 
@@ -198,3 +205,22 @@ def test_random_programs_match_the_oracle_reference():
             seen.add(assert_same_oracle_search(p, tgt, Bounds(2, 2, 30), contexts,
                                                max_states=800))
     assert seen == {REACHABLE, UNREACHABLE_WITHIN_BOUNDS, BOUND_EXHAUSTED}
+
+
+def test_oracle_caps_and_depths_at_their_edges():
+    # sb at three contexts stores `stored` states, the target's among them,
+    # and its witness has 15 labels: caps and depths on either side of those.
+    # The target is checked before the cap, so a cap of stored - 1 still
+    # reaches it and the caps start one lower
+    p, tgt = parse_program_with_target((CORPUS / "sb.tso").read_text())
+    b = Bounds(2, 2, 60)
+    visited = {}
+    want = oracle_reference_search(p, tgt, b, 3, visited=visited)
+    assert want[0] == REACHABLE and len(want[3]) == 15
+    stored = len(visited)
+    statuses = {assert_same_oracle_search(p, tgt, b, 3, max_states=cap)
+                for cap in range(stored - 2, stored + 2)}
+    assert statuses == {REACHABLE, BOUND_EXHAUSTED}
+    statuses = [assert_same_oracle_search(p, tgt, Bounds(2, 2, depth), 3)
+                for depth in (14, 15)]
+    assert statuses == [UNREACHABLE_WITHIN_BOUNDS, REACHABLE]

@@ -9,8 +9,8 @@ from tsocbmc import (
     EQ, Arw, Assign, Bounds, Guard, Label, ModelTooLargeError, NEQ, NewValue,
     NotEnabledError, Program, Read, Target, Thread, Transition, TsoConfig,
     Write, cb_partition_check, cb_reach_bounded, eval_rel, initial_config, lt,
-    normalize_updates, parse_program_with_target, replay, tso_enabled,
-    tso_reach_bounded, tso_step,
+    gen_bakery, normalize_updates, parse_program_with_target, replay,
+    tso_enabled, tso_reach_bounded, tso_step,
 )
 from tsocbmc import tso
 from tsocbmc.cli import main
@@ -442,6 +442,19 @@ def test_oracle_outputs_are_pinned(name, k, states, witness):
     assert v.reachable and v.stats.states_explored == states
     assert [l.render() for l in v.witness.labels] == witness
     ti, si = program_index(p).target_idx(tgt)
+    assert v.witness.final.st[ti] == si
+
+
+def test_bakery_oracle_search_is_pinned():
+    # the benchmark's oracle search: its counts, so that a search exploring
+    # less cannot pass for a faster one
+    g = gen_bakery(2)
+    v = cb_reach_bounded(g.program, g.target, 4, Bounds(2, 2, 60), max_states=4_000_000)
+    assert v.status == "reachable"
+    assert (v.stats.states_explored, v.stats.control_states,
+            v.stats.peak_frontier) == (194_616, 5_497, 13_608)
+    assert len(v.witness.labels) == 38 and cb_partition_check(v.witness, 4)
+    ti, si = program_index(g.program).target_idx(g.target)
     assert v.witness.final.st[ti] == si
 
 
