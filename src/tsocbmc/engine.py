@@ -2,7 +2,7 @@
 
 The search space pairs the summarized control state with a rank tuple over
 the summary variables.  Far fewer of each occur than of their pairs (bakery(2)
-at k=3 reaches 263,858 states from 6,186 control tuples and 3,522 rank
+at k=3 reaches 142,000 states from 2,764 control tuples and 3,522 rank
 tuples), so each search interns control tuples, rank tuples and effect lists
 to integer ids and stores a state as the one integer cid | rid << 32
 (collapse compression, as in SPIN).  The public key encoding
@@ -92,16 +92,19 @@ _CID = (1 << 32) - 1
 
 
 def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
-    """Context schedules worth searching, most promising first.
+    """The context schedules to search: with two or more threads, the
+    repeat-free length-k schedules that end on the target thread, in
+    lexicographic order.
 
-    A run can only hit the target while the target thread is active, and
-    the maximal blocks of a run never repeat a thread across a boundary
-    (shorter block lists embed via empty trailing contexts).  So for two or
-    more threads it suffices to try repeat-free schedules that mention the
-    target thread.  Schedules ending with the target thread go first: the
-    common witness shape does all its other work before the target thread's
-    final look.  Within each group the order is lexicographic.  The
-    schedules are generated lazily, so a cap can end the search before a
+    This loses no run.  A hit is a step of the target thread, so cut a
+    reaching run at its hit: it has at most k maximal blocks, no two
+    neighbours share a thread, and the last block is the target's.  It
+    embeds into a repeat-free length-k schedule ending on the target by
+    leading empty contexts, because a switch is enabled in every state with
+    j < k.  A write the run flushed after the target's last context becomes
+    a write that never commits, which the machine offers too.
+
+    The schedules are generated lazily, so a cap can end the search before a
     large k has enumerated them all.
     """
     k, nt = m.k, m.nt
@@ -109,19 +112,18 @@ def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
         yield (0,) * k
         return
 
-    def walk(prefix: tuple[int, ...], ends_on_target: bool):
+    def walk(prefix: tuple[int, ...]):
         # depth first in lexicographic order over repeat-free schedules
         for t in range(nt):
             if prefix and t == prefix[-1]:
                 continue
             act = prefix + (t,)
             if len(act) < k:
-                yield from walk(act, ends_on_target)
-            elif (t == tti) == ends_on_target and tti in act:
+                yield from walk(act)
+            elif t == tti:
                 yield act
 
-    yield from walk((), True)
-    yield from walk((), False)
+    yield from walk(())
 
 
 def check_reach(program: Program, target: Target, k: int,
@@ -131,11 +133,19 @@ def check_reach(program: Program, target: Target, k: int,
 
     The combined state space is finite, so with no caps hit the negative
     answer is definitive for this k.  Search order is deterministic:
-    schedules in the _seed_order, breadth-first within each, transitions in
-    program order.  The visited set is shared across schedules; converging
-    runs are explored once.
+    schedules in the _seed_order (those ending on the target thread),
+    breadth-first within each, transitions in program order.  The visited
+    set is shared across schedules; converging runs are explored once.
+
+    A one-thread program is searched at k=1: its buffer updates are its own
+    steps, so a run within k contexts exists iff one exists within one.  The
+    limit on k still applies to the k asked for, and the witness is then a
+    one-context run, which fits in any k.
     """
     m = ab_machine(program, k)
+    if m.nt == 1 and k > 1:
+        k = 1
+        m = ab_machine(program, k)
     tti, tsi = m.idx.target_idx(target)
     flen = m.flat_len
     klen = key_length(program, k)

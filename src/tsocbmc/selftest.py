@@ -117,7 +117,7 @@ class SuiteResult:
 
 
 def suite_cb_vs_abstract(seed: int = 0, programs: int = 200,
-                         ks=(1, 2, 3)) -> SuiteResult:
+                         ks=(1, 2, 3), threads: int = 2) -> SuiteResult:
     """Anything the bounded concrete search reaches within k contexts, the
     abstraction must reach too; and every abstract witness must concretize
     and validate."""
@@ -125,7 +125,7 @@ def suite_cb_vs_abstract(seed: int = 0, programs: int = 200,
     res = SuiteResult("cb-vs-abstract")
     bounds = Bounds(2, 3, 300)
     for pi in range(programs):
-        p = random_program(rng)
+        p = random_program(rng, threads)
         tgt = random_target(rng, p)
         for k in ks:
             oracle = cb_reach_bounded(p, tgt, k, bounds, max_states=120_000)

@@ -136,7 +136,8 @@ def test_check_max_mb_env(monkeypatch, capsys):
 
 
 # thread c1 writes and reads x, so its summary x@c1 sits beside the summary
-# x@c1 of context 1
+# x@c1 of context 1; the idle thread d keeps the search at k=2, since a
+# one-thread program is searched at k=1, where no context summary exists
 THREAD_C1 = """domain nat
 vars x
 thread c1 {
@@ -146,6 +147,11 @@ thread c1 {
   q1 -> q2 : write x a
   q2 -> q3 : read x b
   q3 -> q4 : assume b = a
+}
+thread d {
+  regs r
+  init q0
+  q0 -> q1 : r := *
 }
 target c1 : q4
 """
@@ -172,12 +178,21 @@ def test_check_out_names_every_summary_column_once(text, clash, tmp_path, capsys
     assert any(clash in e for step in witness for e in step["effects"])
 
 
-def test_model_above_encoding_limits_exits_2(capsys):
+def test_model_above_encoding_limits_exits_2(tmp_path, capsys):
     # failures must never exit 1, which reads as "reachable"
     assert main(["check", MP, "--k", "300"]) == 2
     captured = capsys.readouterr()
     assert "model too large" in captured.err and "k=300" in captured.err
     assert "Traceback" not in captured.err + captured.out
+    # a one-thread program is searched at k=1, but the limit holds for the
+    # k asked for
+    one = tmp_path / "one.tso"
+    one.write_text("domain nat\nvars x\nthread t {\n  regs a\n  init q0\n"
+                   "  q0 -> q1 : write x a\n}\ntarget t : q1\n")
+    assert main(["check", str(one), "--k", "300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "model too large: k=300 is above the limit of 254 contexts\n"
+    assert main(["check", str(one), "--k", "254"]) == 1
     # bakery(6) at k=4 had 268 summary variables before the slice; 117 now
     from tsocbmc.abmachine import AbMachine
     from tsocbmc.generators import gen_bakery

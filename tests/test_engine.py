@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import pytest
 
 from tsocbmc import (
-    BOUND_EXHAUSTED, Bounds, ConcretizationError, EQ, Guard, NewValue, Program,
-    REACHABLE, Target,
+    BOUND_EXHAUSTED, Bounds, ConcretizationError, EQ, Guard, ModelTooLargeError,
+    NewValue, Program, REACHABLE, Target,
     Thread, Transition, UNREACHABLE, abstract_of, cb_partition_check,
     cb_reach_bounded, check_reach, concrete_run_to_tso, concretize_witness,
     inflate, lt, parse_program_with_target, validate_witness,
@@ -184,24 +184,22 @@ def test_seed_order_properties():
     seeds = list(_seed_order(m, 0))
     assert len(seeds) == len(set(seeds))
     for act in seeds:
-        assert 0 in act
+        assert act[-1] == 0
         assert all(x != y for x, y in zip(act, act[1:]))
-    # schedules that end on the target thread come first
-    tail = [act[-1] == 0 for act in seeds]
-    assert tail == sorted(tail, reverse=True)
-    # two alternating threads over 4 slots: both phases qualify
-    assert seeds[0] == (1, 0, 1, 0)
+    # two alternating threads over 4 slots: only the phase ending on the
+    # target qualifies
+    assert seeds == [(1, 0, 1, 0)]
 
 
 def test_seed_order_matches_the_sorted_product():
-    # the reference is the eager form: every product, filtered, then sorted
-    # with the schedules ending on the target thread first
+    # the reference is the eager form: every product, filtered to the
+    # repeat-free schedules that end on the target thread, then sorted
     def eager(nt, k, tti):
         if nt == 1:
             return [(0,) * k]
-        seeds = [act for act in product(range(nt), repeat=k)
-                 if tti in act and all(a != b for a, b in zip(act, act[1:]))]
-        return sorted(seeds, key=lambda act: (act[-1] != tti, act))
+        return sorted(act for act in product(range(nt), repeat=k)
+                      if act[-1] == tti
+                      and all(a != b for a, b in zip(act, act[1:])))
 
     for nt in range(1, 5):
         for k in range(1, 8):
@@ -216,6 +214,26 @@ def test_seed_order_is_lazy():
     first = next(_seed_order(SimpleNamespace(nt=3, k=40), 2))
     assert time.perf_counter() - start < 1.0
     assert first == (0, 1) * 19 + (0, 2)
+
+
+def test_one_thread_program_is_searched_in_one_context():
+    # a single thread's buffer updates are its own steps, so one context
+    # holds every run of it: a 256-state guard chain costs the same at any
+    # k, and its one-context witness fits any k.  The limit on k still
+    # applies to the k asked for
+    t = _thread("t", ["a"], [Transition(f"q{i}", Guard(EQ, "a", "a"), f"q{i + 1}")
+                             for i in range(255)])
+    p = Program.make([t], ["x"])
+    tgt = Target("t", "q255")
+    for k in (2, 254):
+        v = check_reach(p, tgt, k)
+        assert v.reachable and v.stats.states_explored == 255
+        assert (v.witness.k, v.witness.act) == (1, ("t",))
+        run = concretize_witness(p, v.witness)
+        assert validate_witness(p, run)
+        assert cb_partition_check(concrete_run_to_tso(p, run), k)
+    with pytest.raises(ModelTooLargeError, match="k=255"):
+        check_reach(p, tgt, 255)
 
 
 def test_monotone_in_k():
@@ -238,7 +256,7 @@ def test_memory_cap_reads_current_not_peak_rss():
     # the cap is sampled every 4,096 states, so the search must be longer
     v = check_reach(g.program, g.target, 6, max_mb=base + 150)
     assert v.status == UNREACHABLE
-    assert v.stats.states_explored == 11420
+    assert v.stats.states_explored == 5731
 
 
 def test_control_successors_computed_once_per_control_state(monkeypatch):
@@ -257,30 +275,28 @@ def test_control_successors_computed_once_per_control_state(monkeypatch):
     g = gen_bakery(1)
     v = check_reach(g.program, g.target, 2)
     assert v.status == UNREACHABLE
-    assert v.stats.states_explored == 248
-    assert len(calls) == 173
+    assert v.stats.states_explored == 145
+    assert len(calls) == 101
     assert len(set(calls)) == len(calls)
     assert v.stats.control_states == len(calls)
     # a second search on the same machine starts from an empty table
     calls.clear()
     v2 = check_reach(g.program, g.target, 2)
-    assert v2.stats.states_explored == 248
-    assert len(calls) == 173
+    assert v2.stats.states_explored == 145
+    assert len(calls) == 101
 
 
 def test_state_counts_after_summary_slicing():
-    # The machine keeps only summaries some step can read.  Projecting the
-    # visited sets of the unsliced machine (227,792 and 710 states) onto
-    # the kept columns gives exactly these counts, with the same control
-    # states.  At bakery(2) k=2 the dropped columns never told two states
-    # apart, so the count stays.  bakery(2) k=3 is the benchmark's large
-    # exhaustive search: its 263,858 states pair only 6,186 control tuples
-    # with 3,522 rank tuples, and rel_apply runs once per distinct (rank
-    # tuple, effect list), 18,047 times instead of once per (state, move).
+    # The machine keeps only summaries some step can read, and the search
+    # walks only the schedules that end on the target thread.  bakery(2)
+    # k=3 is the benchmark's large exhaustive search: its 142,000 states
+    # pair only 2,764 control tuples with 3,522 rank tuples, and rel_apply
+    # runs once per distinct (rank tuple, effect list), 18,005 times instead
+    # of once per (state, move).
     from tsocbmc.generators import gen_bakery
     for n, k, states, control, ranks, calls in (
-            (1, 4, 1998, 1373, 5, 14), (2, 2, 710, 214, 37, 209),
-            (2, 3, 263858, 6186, 3522, 18047)):
+            (1, 4, 1020, 701, 5, 14), (2, 2, 410, 122, 37, 209),
+            (2, 3, 142000, 2764, 3522, 18005)):
         g = gen_bakery(n)
         v = check_reach(g.program, g.target, k)
         assert v.status == UNREACHABLE
@@ -336,7 +352,7 @@ def test_search_calls_the_public_encoding(monkeypatch):
         monkeypatch.setattr(engine, name, counted(name))
     g = gen_bakery(1)
     v = check_reach(g.program, g.target, 4)
-    assert v.status == UNREACHABLE and v.stats.states_explored == 1998
+    assert v.status == UNREACHABLE and v.stats.states_explored == 1020
     assert all(calls.values()), calls
     assert calls["rel_apply"] == v.stats.rel_apply_calls
 

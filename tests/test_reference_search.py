@@ -3,17 +3,21 @@ state spaces.
 
 The abstraction's reference keeps (control tuple, rank tuple) pairs as they
 are: no interning, no memo of rel_apply and no per-control successor table.
-It walks the schedules in _seed_order, expands every popped state with
+It walks the schedules it is given, expands every popped state with
 AbMachine.transitions_flat and rel_apply, and keeps each state's first
-discovery.  check_reach must agree with it on the status, the states
-explored, the peak frontier and the witness.
+discovery.  Over the schedules in _seed_order, check_reach must agree with
+it on the status, the states explored, the peak frontier and the witness.
+Over every repeat-free schedule that contains the target thread, it must
+agree on the status and the witness, so a schedule _seed_order drops
+wrongly shows as a missed hit.
 
 The oracle's reference does the same for tso_reach_bounded and
 cb_reach_bounded: level by level over (TsoConfig, active thread, blocks
 used) through tso_enabled and tso_step, with no interning and no move table.
 """
 import random
-from collections import deque
+from collections import Counter, deque
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -32,10 +36,20 @@ from tsocbmc.selftest import random_program, random_target
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
-def reference_search(program, target, k, max_states=2_000_000):
+def every_schedule(m, tti):
+    """Every repeat-free length-k schedule that contains the target thread,
+    for two or more threads: those ending on it first, then the rest, each
+    group in lexicographic order."""
+    acts = [act for act in product(range(m.nt), repeat=m.k)
+            if tti in act and all(a != b for a, b in zip(act, act[1:]))]
+    return sorted(acts, key=lambda act: (act[-1] != tti, act))
+
+
+def reference_search(program, target, k, max_states=2_000_000, schedules=_seed_order):
     """(status, states explored, peak frontier, witness steps), where a
     witness step is (label, effects, rank tuple after) and the witness is
-    None unless the status is reachable."""
+    None unless the status is reachable.  schedules(machine, target thread)
+    gives the schedules to walk, in order."""
     m = ab_machine(program, k)
     ti, si = m.idx.target_idx(target)
     r0 = rel_initial(m.nab)
@@ -53,7 +67,7 @@ def reference_search(program, target, k, max_states=2_000_000):
             state = parent
         return status, explored, peak, (state[0][m.ACT:m.ACT + k], steps[::-1])
 
-    for act in _seed_order(m, ti):
+    for act in schedules(m, ti):
         state = (m.initial_flat(act), r0)
         if state in visited:
             continue
@@ -80,8 +94,8 @@ def reference_search(program, target, k, max_states=2_000_000):
     return result(UNREACHABLE)
 
 
-def assert_same_search(program, target, k, max_states=2_000_000):
-    want = reference_search(program, target, k, max_states)
+def searched(program, target, k, max_states):
+    """check_reach's verdict in the form reference_search returns."""
     v = check_reach(program, target, k, max_states=max_states)
     got = (v.status, v.stats.states_explored, v.stats.peak_frontier, None)
     if v.witness is not None:
@@ -89,7 +103,24 @@ def assert_same_search(program, target, k, max_states=2_000_000):
         act = tuple(m.idx.tid[t] for t in v.witness.act)
         got = got[:3] + ((act, [(s.label, s.effects, s.rel_after)
                                 for s in v.witness.steps]),)
-    assert got == want
+    return got
+
+
+def assert_same_search(program, target, k, max_states=2_000_000):
+    want = reference_search(program, target, k, max_states)
+    assert searched(program, target, k, max_states) == want
+    return want[0]
+
+
+def assert_same_verdict_over_every_schedule(program, target, k, max_states=2_000_000):
+    """The status and witness of the reference over every schedule, or
+    "capped" when only that reference, walking more schedules, stops at the
+    cap and check_reach decides unreachable."""
+    want = reference_search(program, target, k, max_states, every_schedule)
+    status, _, _, witness = searched(program, target, k, max_states)
+    if want[0] == BOUND_EXHAUSTED and status == UNREACHABLE:
+        return "capped"
+    assert (status, witness) == (want[0], want[3])
     return want[0]
 
 
@@ -117,6 +148,28 @@ def test_random_programs_match_the_reference():
         for k in (1, 2, 3):
             seen.add(assert_same_search(p, tgt, k, max_states=500))
     assert seen == {REACHABLE, UNREACHABLE, BOUND_EXHAUSTED}
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                 (2, 1), (2, 2), (2, 3)])
+def test_bakery_matches_every_schedule(n, k):
+    g = gen_bakery(n)
+    assert assert_same_verdict_over_every_schedule(g.program, g.target, k) == UNREACHABLE
+
+
+def test_random_programs_match_every_schedule():
+    # two and three threads at k=1..4, with a cap that keeps each reference
+    # search short; the cases the cap leaves open are counted, not compared
+    rng = random.Random(31)
+    seen = Counter()
+    for threads in (2, 3):
+        for _ in range(100):
+            p = random_program(rng, threads)
+            tgt = random_target(rng, p)
+            for k in (1, 2, 3, 4):
+                seen[assert_same_verdict_over_every_schedule(p, tgt, k, max_states=400)] += 1
+    print(dict(seen))
+    assert seen[REACHABLE] > seen[UNREACHABLE] > 0
 
 
 def oracle_reference_search(program, target, b, contexts=None, max_states=1_000_000,
