@@ -269,7 +269,8 @@ class ProgramIndex:
 
     Built once per validated program; every engine works on these indices and
     only converts back to names at API boundaries.  ops[ti][pos] is the
-    resolved operand record of thread ti's transition pos.
+    resolved operand record of thread ti's transition pos.  Register ids run
+    thread by thread: reg_slices[ti] is the span of ids thread ti owns.
     """
 
     def __init__(self, program: Program):
@@ -285,6 +286,7 @@ class ProgramIndex:
         self.init_states: list[int] = []
         regs: list[str] = []
         self.rid: dict[str, int] = {}
+        self.reg_slices: list[slice] = []
         # outgoing transitions per (thread, state), in declaration order
         self.out: list[list[list[tuple[int, Transition]]]] = []
         self.thread_transitions: list[tuple[Transition, ...]] = []
@@ -295,6 +297,7 @@ class ProgramIndex:
             for r in t.regs:
                 self.rid[r] = len(regs)
                 regs.append(r)
+            self.reg_slices.append(slice(len(regs) - len(t.regs), len(regs)))
             by_state: list[list[tuple[int, Transition]]] = [[] for _ in t.states]
             for pos, tr in enumerate(t.transitions):
                 by_state[sid[tr.src]].append((pos, tr))

@@ -16,29 +16,32 @@ and `bound_exhausted` means a resource cap was hit first.
 `cb_reach_bounded` additionally restricts runs to at most k contexts: maximal
 blocks of steps (operations and buffer updates alike) by a single thread.
 
-`tso_enabled` and `tso_step` are the only semantics.  Both read the program
-index directly: a thread's moves from a state in declaration order, and the
-operand record of each operation (see model.operands).  `tso_step` resolves
-any label by value, so a label need not come from `tso_enabled`.
+`tso_enabled` and `thread_step` are the only semantics.  Both read the
+program index directly: a thread's moves from a state in declaration order,
+the operand record of each operation (see model.operands) and each thread's
+register slice.  A step reads and writes only its own thread's part and the
+memory, and `thread_step` takes just those (the thread's control state, its
+register slice and its buffer, plus the memory) with a label, and returns
+the thread's new part and the new memory.  `tso_step` resolves any label by
+value, so a label need not come from `tso_enabled`; it runs `thread_step` on
+the label's thread and splices the result into the configuration.
 
 The searches compress configurations (collapse compression, as in SPIN):
 far fewer thread-local parts and memories occur than configurations
 (bakery(2) at k=4 reaches 194,616 configurations from 5,497 (thread, local
-part, memory) triples).  Each search interns every thread's local part (its
-state, its own registers and its buffer) and the memory tuple to dense ids
-and stores a configuration as one int of fixed-width fields, the extras
-(active thread and blocks used) lowest.  A thread's moves read and write
-only its own local part and the memory, so they are computed once per
-(thread, local id, memory id) with `tso_enabled` and `tso_step` on the full
-configuration and kept in a move table for the rest of the search.  The
-fill checks each successor against the parent: other threads' control
-states, registers and buffers must be unchanged.  Which threads may move,
-and the extras after each one's move, depend on the extras alone; a mover
-table per extras value, built when the value first occurs, holds them, and
-the search loop walks it and the move tables inline.  The visited set maps
-each state to its parent alone; the witness recovers each label from the
-same tables as the first move out of the parent, in `tso_enabled` order,
-that yields the child, and replays those labels.
+part, memory) triples).  Each search interns every thread's local part and
+the memory tuple to dense ids and stores a configuration as one int of
+fixed-width fields, the extras (active thread and blocks used) lowest.
+Since a thread's moves depend on its local part and the memory alone, they
+are computed once per (thread, local id, memory id), by `tso_enabled` for
+that thread and `thread_step` on the interned part, and kept in a move
+table for the rest of the search.  Which threads may move, and the extras
+after each one's move, depend on the extras alone; a mover table per extras
+value, built when the value first occurs, holds them, and the search loop
+walks it and the move tables inline.  The visited set maps each state to
+its parent alone; the witness recovers each label from the same tables as
+the first move out of the parent, in `tso_enabled` order, that yields the
+child, and replays those labels.
 """
 from __future__ import annotations
 
@@ -47,9 +50,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import (
-    OP_ARW, OP_ASSIGN, OP_FRESH, OP_GUARD, OP_READ, OP_WRITE,
-    ModelTooLargeError, Program, Target, Transition, eval_rel, operands,
-    program_index,
+    OP_ARW, OP_ASSIGN, OP_FRESH, OP_GUARD, OP_READ, OP_WRITE, ON_SHARED,
+    ModelTooLargeError, Program, ProgramIndex, Target, Transition, eval_rel,
+    operands, program_index,
 )
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
@@ -136,15 +139,21 @@ def _latest_buffered(buf: tuple[tuple[int, int], ...], x: int) -> Optional[int]:
     return None
 
 
-def tso_enabled(program: Program, c: TsoConfig, b: Bounds) -> list[Label]:
+def tso_enabled(program: Program, c: TsoConfig, b: Bounds,
+                thread: Optional[str] = None) -> list[Label]:
     """Enabled labels, in a fixed order: threads in declaration order; per
     thread its transitions in declaration order (values ascending for
-    `r := *`), then the update step.  Each call builds fresh Labels."""
+    `r := *`), then the update step.  With `thread` named, only that
+    thread's labels, as the oracle's move tables need; without it, every
+    thread's, as a walk over whole configurations needs.  Each call builds
+    fresh Labels."""
     idx = program_index(program)
     rval, mem = c.rval, c.mem
     out: list[Label] = []
-    for tname, outs, ops, s, buf in zip(idx.thread_ids, idx.out, idx.ops, c.st, c.buf):
-        for pos, tr in outs[s]:
+    tis = range(len(idx.thread_ids)) if thread is None else (idx.tid[thread],)
+    for ti in tis:
+        tname, ops, buf = idx.thread_ids[ti], idx.ops[ti], c.buf[ti]
+        for pos, tr in idx.out[ti][c.st[ti]]:
             kind, x, y, z = ops[pos]
             if kind == OP_FRESH:
                 out.extend(Label(tname, tr, v) for v in range(b.domain_bound + 1))
@@ -158,64 +167,74 @@ def tso_enabled(program: Program, c: TsoConfig, b: Bounds) -> list[Label]:
     return out
 
 
-def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
-    """Apply one label.  Checks semantic enabledness (guards, arw conditions,
-    non-empty buffer for updates) but not the exploration bounds.  A label
-    resolves by value: its transition's states by name in the label's
-    thread, its operation through the program index."""
-    idx = program_index(program)
-    ti = idx.tid[label.thread]
+def _put(t: tuple, i: int, v) -> tuple:
+    return t[:i] + (v,) + t[i + 1:]
+
+
+def thread_step(idx: ProgramIndex, ti: int, part: tuple,
+                mem: tuple[int, ...], label: Label) -> tuple[tuple, tuple[int, ...]]:
+    """Thread ti's step by `label` from its own part alone: part is (control
+    state, the thread's register values in reg_slices order, its buffer),
+    and the result is (the thread's new part, the new memory).  No other
+    thread's part goes in, so none can change.  Raises NotEnabledError for a
+    disabled label: a wrong source state, a false guard, a failing arw, an
+    update of an empty buffer, `r := *` without a natural value, or an
+    operation on a register the thread does not own.  The exploration
+    bounds are not checked."""
+    s, regs, buf = part
     tr = label.delta
     if tr is None:
-        if not c.buf[ti]:
+        if not buf:
             raise NotEnabledError(f"{label.render()}: store buffer is empty")
-        (x, v), rest = c.buf[ti][0], c.buf[ti][1:]
-        mem = list(c.mem)
-        mem[x] = v
-        buf = list(c.buf)
-        buf[ti] = rest
-        return TsoConfig(c.st, c.rval, tuple(buf), tuple(mem))
-
+        x, v = buf[0]
+        return (s, regs, buf[1:]), _put(mem, x, v)
     sid = idx.state_id[ti]
-    if c.st[ti] != sid[tr.src]:
+    if s != sid[tr.src]:
         raise NotEnabledError(f"{label.render()}: thread is not at state {tr.src}")
-    st = list(c.st)
-    st[ti] = sid[tr.dst]
-    st = tuple(st)
+    s = sid[tr.dst]
     kind, x, y, z = idx.resolve(tr.op)
+    sl = idx.reg_slices[ti]
+    lo, hi = sl.start, sl.stop
+    for r in (y, z) if kind in ON_SHARED else (x, y):
+        if r is not None and not lo <= r < hi:
+            raise NotEnabledError(f"{label.render()}: register {idx.regs[r]} "
+                                  f"is not thread {label.thread}'s")
     if kind == OP_READ:
-        v = _latest_buffered(c.buf[ti], x)
-        if v is None:
-            v = c.mem[x]
-        rval = list(c.rval)
-        rval[y] = v
-        return TsoConfig(st, tuple(rval), c.buf, c.mem)
+        v = _latest_buffered(buf, x)
+        return (s, _put(regs, y - lo, mem[x] if v is None else v), buf), mem
     if kind == OP_GUARD:
-        if not eval_rel(z, c.rval[x], c.rval[y]):
+        if not eval_rel(z, regs[x - lo], regs[y - lo]):
             raise NotEnabledError(f"{label.render()}: guard is false")
-        return TsoConfig(st, c.rval, c.buf, c.mem)
+        return (s, regs, buf), mem
     if kind == OP_WRITE:
-        buf = list(c.buf)
-        buf[ti] = c.buf[ti] + ((x, c.rval[y]),)
-        return TsoConfig(st, c.rval, tuple(buf), c.mem)
+        return (s, regs, buf + ((x, regs[y - lo]),)), mem
     if kind == OP_FRESH:
         if label.value is None or label.value < 0:
             raise NotEnabledError(f"{label.render()}: needs a natural value")
-        rval = list(c.rval)
-        rval[x] = label.value
-        return TsoConfig(st, tuple(rval), c.buf, c.mem)
+        return (s, _put(regs, x - lo, label.value), buf), mem
     if kind == OP_ASSIGN:
-        rval = list(c.rval)
-        rval[x] = c.rval[y]
-        return TsoConfig(st, tuple(rval), c.buf, c.mem)
+        return (s, _put(regs, x - lo, regs[y - lo]), buf), mem
     # OP_ARW
-    if c.buf[ti]:
+    if buf:
         raise NotEnabledError(f"{label.render()}: store buffer must be empty")
-    if c.mem[x] != c.rval[y]:
+    if mem[x] != regs[y - lo]:
         raise NotEnabledError(f"{label.render()}: memory value differs from expected")
-    mem = list(c.mem)
-    mem[x] = c.rval[z]
-    return TsoConfig(st, c.rval, c.buf, tuple(mem))
+    return (s, regs, buf), _put(mem, x, regs[z - lo])
+
+
+def tso_step(program: Program, c: TsoConfig, label: Label) -> TsoConfig:
+    """Apply one label: thread_step on the label's thread, spliced back into
+    the configuration, so it checks semantic enabledness but not the
+    exploration bounds.  A label resolves by value: its thread by name, its
+    transition's states by name in that thread, its operation through the
+    program index."""
+    idx = program_index(program)
+    ti = idx.tid[label.thread]
+    sl = idx.reg_slices[ti]
+    (s, regs, buf), mem = thread_step(idx, ti, (c.st[ti], c.rval[sl], c.buf[ti]),
+                                      c.mem, label)
+    return TsoConfig(_put(c.st, ti, s), c.rval[:sl.start] + regs + c.rval[sl.stop:],
+                     _put(c.buf, ti, buf), mem)
 
 
 # --- the explicit search ----------------------------------------------------
@@ -229,11 +248,6 @@ def _intern(ids: dict, parts: list, part, width: int) -> int:
             raise AssertionError(f"{part} does not fit a {width}-bit field")
         parts.append(part)
     return i
-
-
-def _same_outside(a: tuple, b: tuple, lo: int, hi: int) -> bool:
-    """True iff a and b have one length and agree outside positions lo..hi-1."""
-    return a is b or len(a) == len(b) and a[:lo] == b[:lo] and a[hi:] == b[hi:]
 
 
 def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
@@ -266,11 +280,9 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     aw = nt.bit_length() if contexts is not None else 0
     moff = aw + (contexts.bit_length() if contexts is not None else 0)
     mw = min((vals ** len(idx.vars) - 1).bit_length(), 32)
-    slices, offs, lws = [], [], []
-    off, reg = moff + mw, 0
+    offs, lws = [], []
+    off = moff + mw
     for t in program.threads:
-        slices.append(slice(reg, reg + len(t.regs)))
-        reg += len(t.regs)
         offs.append(off)
         lws.append(min((len(t.states) * vals ** len(t.regs) * bufs - 1).bit_length(), 32))
         off += lws[-1]
@@ -294,9 +306,6 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     # extras after the move), ...) for the threads allowed to move
     movers: dict[int, tuple] = {}
 
-    def local(c: TsoConfig, ti: int) -> tuple:
-        return c.st[ti], c.rval[slices[ti]], c.buf[ti]
-
     def mover(ex: int) -> tuple:
         """The threads allowed to move from a state with extras ex, in
         thread order: the active one, and the others while a block is left."""
@@ -314,37 +323,27 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
         return ms
 
     def fill(ti: int, s: int, key: int) -> tuple:
-        """Thread ti's moves from state s, by tso_enabled and tso_step on the
-        full configuration.  They may change only the thread's own part and
-        the memory, which is what makes the table sound: each successor must
-        equal the parent, in length and value, outside ti's control state,
-        ti's register slice and ti's buffer."""
+        """Thread ti's moves from state s: its labels by tso_enabled, each
+        stepped by thread_step on the thread's interned part and the memory."""
         stats.control_states += 1
-        st, rv, bf = zip(*(locs[tj][s >> o & lm] for tj, o, lm, _, _ in threads))
-        conf = TsoConfig(st, sum(rv, ()), bf, mems[s >> moff & mmask])
-        tname = idx.thread_ids[ti]
-        lo, hi = slices[ti].start, slices[ti].stop
+        parts = [locs[tj][s >> o & lm] for tj, o, lm, _, _ in threads]
+        st, rv, bf = zip(*parts)
+        mem = mems[s >> moff & mmask]
         moves = []
-        for label in tso_enabled(program, conf, b):
-            if label.thread != tname:
-                continue
-            succ = tso_step(program, conf, label)
-            if not (_same_outside(succ.st, conf.st, ti, ti + 1)
-                    and _same_outside(succ.rval, conf.rval, lo, hi)
-                    and _same_outside(succ.buf, conf.buf, ti, ti + 1)):
-                raise AssertionError(f"{label.render()} changed another "
-                                     "thread's part")
-            part = local(succ, ti)
-            delta = (_intern(loc_ids[ti], locs[ti], part, lws[ti]) << offs[ti]
-                     | _intern(mem_ids, mems, succ.mem, mw) << moff)
-            moves.append((label, delta, ti == tti and part[0] == tsi))
+        for label in tso_enabled(program, TsoConfig(st, sum(rv, ()), bf, mem), b,
+                                 idx.thread_ids[ti]):
+            part2, mem2 = thread_step(idx, ti, parts[ti], mem, label)
+            delta = (_intern(loc_ids[ti], locs[ti], part2, lws[ti]) << offs[ti]
+                     | _intern(mem_ids, mems, mem2, mw) << moff)
+            moves.append((label, delta, ti == tti and part2[0] == tsi))
         moves = tables[ti][key] = tuple(moves)
         return moves
 
     init = initial_config(program)
     s0 = _intern(mem_ids, mems, init.mem, mw) << moff
-    for ti in range(nt):
-        s0 |= _intern(loc_ids[ti], locs[ti], local(init, ti), lws[ti]) << offs[ti]
+    for ti, sl in enumerate(idx.reg_slices):
+        part = init.st[ti], init.rval[sl], init.buf[ti]
+        s0 |= _intern(loc_ids[ti], locs[ti], part, lws[ti]) << offs[ti]
     # state -> parent state, -1 at the root
     parents: dict[int, int] = {s0: -1}
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -15,7 +14,7 @@ from tsocbmc import (
 from tsocbmc import tso
 from tsocbmc.cli import main
 from tsocbmc.model import program_index, states_in_order
-from tsocbmc.selftest import random_program
+from tsocbmc.selftest import random_cb_run, random_program
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -274,6 +273,19 @@ def _enabled_ref(program, c, b):
     return out
 
 
+def _regs_ref(op):
+    """The registers an operation names, the assigned one first."""
+    if isinstance(op, Assign):
+        return [op.dst, op.src]
+    if isinstance(op, Guard):
+        return [op.left, op.right]
+    if isinstance(op, (NewValue, Read)):
+        return [op.dst]
+    if isinstance(op, Write):
+        return [op.src]
+    return [op.expect, op.update]
+
+
 def _step_ref(program, c, label):
     idx = program_index(program)
     ti = idx.tid[label.thread]
@@ -292,6 +304,9 @@ def _step_ref(program, c, label):
     st = list(c.st)
     st[ti] = idx.state_id[ti][tr.dst]
     op = tr.op
+    for r in _regs_ref(op):
+        if r not in program.threads[ti].regs:
+            raise NotEnabledError(f"{label.render()}: register {r} is not thread {label.thread}'s")
     if isinstance(op, Assign):
         rval = list(c.rval)
         rval[idx.rid[op.dst]] = c.rval[idx.rid[op.src]]
@@ -375,7 +390,7 @@ def test_semantics_match_reference_on_random_walks():
 
 def test_step_resolves_labels_by_value():
     # a label built from an equal Transition or naming a thread that does not
-    # own it steps exactly like the name-based semantics
+    # own it steps, or fails, exactly like the name-based semantics
     a = _thread("a", ["ra"], [Transition("q0", NewValue("ra"), "q1"),
                               Transition("q1", Write("x", "ra"), "q2")])
     b = _thread("b", ["rb"], [Transition("q0", Read("x", "rb"), "q1")],)
@@ -384,9 +399,12 @@ def test_step_resolves_labels_by_value():
     twin = Transition("q0", NewValue("ra"), "q1")
     assert twin is not a.transitions[0]
     assert tso_step(p, c, Label("a", twin, 4)) == _step_ref(p, c, Label("a", twin, 4))
-    # b is at q0 too, so a's first transition applies to b's state and a's register
+    # b is at q0 too, so a's first transition matches b's state, but its
+    # register is a's: not enabled for b, as in the name-based semantics
     foreign = Label("b", a.transitions[0], 3)
-    assert tso_step(p, c, foreign) == _step_ref(p, c, foreign)
+    with pytest.raises(NotEnabledError, match="register ra is not thread b's"):
+        tso_step(p, c, foreign)
+    assert _outcome(tso_step, p, c, foreign) == _outcome(_step_ref, p, c, foreign)
     # b has no state q2: the reference fails on the name, so does tso_step
     c2 = tso_step(p, c, Label("b", b.transitions[0]))
     for label in (Label("b", a.transitions[1]), Label("b", b.transitions[0])):
@@ -496,9 +514,10 @@ def test_move_table_fills_call_tso_enabled_once(monkeypatch, tmp_path, capsys):
     calls = []
     enabled = tso.tso_enabled
 
-    def counted(program, c, b):
-        calls.append(c)
-        return enabled(program, c, b)
+    def counted(program, c, b, thread=None):
+        labels = enabled(program, c, b, thread)
+        calls.append((thread, labels))
+        return labels
 
     monkeypatch.setattr(tso, "tso_enabled", counted)
     rpt = tmp_path / "sb.json"
@@ -509,22 +528,92 @@ def test_move_table_fills_call_tso_enabled_once(monkeypatch, tmp_path, capsys):
     # 3,795 states explored
     assert stats["states_explored"] == 3795
     assert len(calls) == stats["control_states"] == 395
+    # each call names the one thread whose moves it fills
+    assert {thread for thread, _ in calls} == {"t1", "t2"}
+    assert all(l.thread == thread for thread, labels in calls for l in labels)
 
 
-def test_move_touching_another_thread_is_an_error(monkeypatch):
-    p, tgt = _load("sb.tso")
-    step = tso.tso_step
+def test_every_step_changes_only_its_thread_and_the_memory():
+    # what makes the oracle's move tables sound: a step by one thread leaves
+    # every other thread's control state, registers and buffer as they were
+    rng = random.Random(41)
+    steps = 0
+    for n in (2, 3):
+        for _ in range(150):
+            p = random_program(rng, n_threads=n)
+            idx = program_index(p)
+            bounds = Bounds(rng.randint(0, 2), rng.randint(0, 2), 0)
+            run = random_cb_run(p, rng.randint(1, 4), bounds, rng)
+            c = run.initial
+            for label, c2 in run.steps:
+                assert (len(c2.st), len(c2.rval), len(c2.buf), len(c2.mem)) == \
+                    (len(c.st), len(c.rval), len(c.buf), len(c.mem))
+                for tj, t in enumerate(p.threads):
+                    if t.id != label.thread:
+                        regs = [idx.rid[r] for r in t.regs]
+                        assert c2.st[tj] == c.st[tj] and c2.buf[tj] == c.buf[tj]
+                        assert [c2.rval[r] for r in regs] == [c.rval[r] for r in regs]
+                c = c2
+                steps += 1
+    assert steps > 2_000
 
-    def leaky(program, c, label):
-        succ = step(program, c, label)
-        # t1 also bumps the last register, which t2 owns
-        if label.thread == "t1":
-            succ = dataclasses.replace(succ, rval=succ.rval[:-1] + (succ.rval[-1] + 1,))
-        return succ
 
-    monkeypatch.setattr(tso, "tso_step", leaky)
-    with pytest.raises(AssertionError, match="changed another thread's part"):
-        cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 60))
+def test_a_thread_cannot_step_on_another_threads_register():
+    a = _thread("a", ["ra"], [Transition("p0", Assign("ra", "ra"), "p1")], init="p0")
+    b = _thread("b", ["rb"], [Transition("q0", NewValue("rb"), "q1")])
+    p = _prog(a, b)
+    c = tso_step(p, initial_config(p), Label("b", b.transitions[0], 5))
+    assert c.rval == (0, 5)
+    # a is at p0, but rb is b's: a's step must not copy ra into it
+    with pytest.raises(NotEnabledError, match="register rb is not thread a's"):
+        tso_step(p, c, Label("a", Transition("p0", Assign("rb", "ra"), "p1")))
+
+
+def test_steps_of_a_thread_whose_registers_do_not_start_at_zero():
+    # thread b owns register ids 2..4; each kind must read and write them
+    # there, and leave a's registers at 0..1 alone
+    a = _thread("a", ["a0", "a1"], [Transition("q0", NewValue("a0"), "q1"),
+                                    Transition("q1", Write("y", "a0"), "q2")])
+    b = _thread("b", ["u", "v", "w"], [
+        Transition("q0", NewValue("u"), "q1"),
+        Transition("q1", Assign("v", "u"), "q2"),
+        Transition("q2", Read("y", "w"), "q3"),
+        Transition("q3", Write("x", "w"), "q4"),
+        Transition("q4", Read("x", "u"), "q5"),
+        Transition("q5", Guard(NEQ, "u", "v"), "q6"),
+        Transition("q5", Guard(EQ, "u", "v"), "q7"),
+        Transition("q6", Arw("x", "u", "v"), "q8"),
+        Transition("q6", Arw("x", "v", "u"), "q7"),
+    ])
+    p = _prog(a, b, shared=("x", "y"))
+    assert program_index(p).reg_slices == [slice(0, 2), slice(2, 5)]
+    tb = b.transitions
+    c = initial_config(p)
+    for label, want in [
+        (Label("a", a.transitions[0], 4), TsoConfig((1, 0), (4, 0, 0, 0, 0), ((), ()), (0, 0))),
+        (Label("a", a.transitions[1]), TsoConfig((2, 0), (4, 0, 0, 0, 0), (((1, 4),), ()), (0, 0))),
+        (Label("a", None), TsoConfig((2, 0), (4, 0, 0, 0, 0), ((), ()), (0, 4))),
+        # 7 lies above any domain_bound a search would use: witness replay
+        # steps values the search never drew
+        (Label("b", tb[0], 7), TsoConfig((2, 1), (4, 0, 7, 0, 0), ((), ()), (0, 4))),
+        (Label("b", tb[1]), TsoConfig((2, 2), (4, 0, 7, 7, 0), ((), ()), (0, 4))),
+        # y from memory, then x from b's own buffer over memory's 0
+        (Label("b", tb[2]), TsoConfig((2, 3), (4, 0, 7, 7, 4), ((), ()), (0, 4))),
+        (Label("b", tb[3]), TsoConfig((2, 4), (4, 0, 7, 7, 4), ((), ((0, 4),)), (0, 4))),
+        (Label("b", tb[4]), TsoConfig((2, 5), (4, 0, 4, 7, 4), ((), ((0, 4),)), (0, 4))),
+        (Label("b", tb[6]), "guard is false"),
+        (Label("b", tb[5]), TsoConfig((2, 6), (4, 0, 4, 7, 4), ((), ((0, 4),)), (0, 4))),
+        (Label("b", tb[7]), "store buffer must be empty"),
+        (Label("b", None), TsoConfig((2, 6), (4, 0, 4, 7, 4), ((), ()), (4, 4))),
+        (Label("b", tb[8]), "memory value differs from expected"),
+        (Label("b", tb[7]), TsoConfig((2, 8), (4, 0, 4, 7, 4), ((), ()), (7, 4))),
+    ]:
+        if isinstance(want, str):
+            with pytest.raises(NotEnabledError, match=want):
+                tso_step(p, c, label)
+        else:
+            c = tso_step(p, c, label)
+            assert c == want, label.render()
 
 
 def test_simulate_memory_cap(monkeypatch, capsys, tmp_path):
