@@ -5,7 +5,8 @@ reachability through the abstraction), simulate (bounded concrete search,
 plain or context-bounded), gen (emit generated programs), selftest (the
 randomized differential suites).  Exit codes: 0 for unreachable or plain
 success, 1 for reachable, 2 for usage or parse errors or a bound above its
-limit (k for check, the buffer bound for simulate), 3 when a search gave up
+limit (k <= 254 for check; for simulate a buffer bound of at most 255 and a
+domain bound of at most 250), 3 when a search gave up
 on a resource bound (state count, or current resident memory against
 TSOCBMC_MAX_MB), 4 for an internal error such as a witness that fails to
 concretize.  No failure exits 0 or 1.

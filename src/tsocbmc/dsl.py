@@ -38,18 +38,23 @@ Lossy-channel format::
     q0 -> q1 : send a x
 
 with ops `x := y`, `x := *`, `assume x = y`, `assume x != y`,
-`send a x`, `recv a x`.
+`send a x`, `recv a x`.  Copies and guards are the program model's `Assign`
+and `Guard` (`=` and `!=` only).  `x := *` keeps its own class, `DlcsFresh`:
+it draws a value distinct from every variable, where a program's `r := *`
+(`NewValue`) draws any natural.
 
 Rendering is canonical: parse(render(m)) == m for all three formats.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from .model import (
-    EQ, LE, LT, NEQ, Arw, Assign, Guard, NewValue, Op, Program, Read,
-    Relation, RelKind, Target, Thread, Transition, Write, states_in_order,
+    EQ, LE, LT, NEQ, OP_ASSIGN, OP_GUARD, Arw, Assign, Guard, NewValue, Op,
+    Program, Read, Relation, RelKind, Target, Thread, Transition, Write,
+    operands, states_in_order,
 )
 
 
@@ -379,8 +384,13 @@ def parse_dfa(text: str) -> Dfa:
     return dfa
 
 
+def _duplicates(what: str, names: tuple[str, ...]) -> list[str]:
+    return [f"duplicate {what} '{n}'" for n, c in Counter(names).items() if c > 1]
+
+
 def validate_dfa(dfa: Dfa) -> list[str]:
-    diags = []
+    diags = (_duplicates("state", dfa.states) + _duplicates("letter", dfa.alphabet)
+             + _duplicates("final state", dfa.finals))
     states = set(dfa.states)
     letters = set(dfa.alphabet)
     if dfa.init not in states:
@@ -408,38 +418,11 @@ def render_dfa(dfa: Dfa) -> str:
 
 
 @dataclass(frozen=True)
-class DlcsAssign:
-    dst: str
-    src: str
-
-    def render(self) -> str:
-        return f"{self.dst} := {self.src}"
-
-
-@dataclass(frozen=True)
 class DlcsFresh:
     dst: str
 
     def render(self) -> str:
         return f"{self.dst} := *"
-
-
-@dataclass(frozen=True)
-class DlcsEq:
-    left: str
-    right: str
-
-    def render(self) -> str:
-        return f"assume {self.left} = {self.right}"
-
-
-@dataclass(frozen=True)
-class DlcsNeq:
-    left: str
-    right: str
-
-    def render(self) -> str:
-        return f"assume {self.left} != {self.right}"
 
 
 @dataclass(frozen=True)
@@ -460,7 +443,7 @@ class DlcsRecv:
         return f"recv {self.letter} {self.var}"
 
 
-DlcsOp = Union[DlcsAssign, DlcsFresh, DlcsEq, DlcsNeq, DlcsSend, DlcsRecv]
+DlcsOp = Union[Assign, Guard, DlcsFresh, DlcsSend, DlcsRecv]
 
 
 @dataclass(frozen=True)
@@ -498,19 +481,16 @@ def parse_dlcs(text: str) -> DlcsModel:
         op: DlcsOp
         if p.at_keyword("assume"):
             left, rel, right = _parse_guard(p, "variable")
-            if rel == EQ:
-                op = DlcsEq(left, right)
-            elif rel == NEQ:
-                op = DlcsNeq(left, right)
-            else:
+            if rel not in (EQ, NEQ):
                 raise p.fail("channel models only support = and != guards", t)
+            op = Guard(rel, left, right)
         elif p.at_keyword("send") or p.at_keyword("recv"):
             kind = DlcsSend if p.next().text == "send" else DlcsRecv
             letter = p.expect_ident("a letter").text
             op = kind(letter, p.expect_ident("a variable").text)
         else:
             dst_var, src_var = _parse_assign(p, "variable")
-            op = DlcsFresh(dst_var) if src_var is None else DlcsAssign(dst_var, src_var)
+            op = DlcsFresh(dst_var) if src_var is None else Assign(dst_var, src_var)
         transitions.append((src, op, dst))
     t = p.peek()
     if t.kind != "eof":
@@ -524,7 +504,8 @@ def parse_dlcs(text: str) -> DlcsModel:
 
 
 def validate_dlcs(m: DlcsModel) -> list[str]:
-    diags = []
+    diags = (_duplicates("state", m.states) + _duplicates("variable", m.vars)
+             + _duplicates("letter", m.alphabet))
     states = set(m.states)
     dvars = set(m.vars)
     letters = set(m.alphabet)
@@ -541,10 +522,12 @@ def validate_dlcs(m: DlcsModel) -> list[str]:
             used = (op.var,)
         elif isinstance(op, DlcsFresh):
             used = (op.dst,)
-        elif isinstance(op, DlcsAssign):
-            used = (op.dst, op.src)
         else:
-            used = (op.left, op.right)
+            kind, x, y, rel = operands(op)
+            if kind != OP_ASSIGN and (kind != OP_GUARD or rel not in (EQ, NEQ)):
+                diags.append(f"op '{op.render()}' is not a channel model operation")
+                continue
+            used = (x, y)
         for v in used:
             if v not in dvars:
                 diags.append(f"op '{op.render()}' uses undeclared variable")

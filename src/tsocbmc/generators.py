@@ -24,12 +24,12 @@ from typing import Optional
 import time
 
 from .dsl import (
-    Dfa, DlcsAssign, DlcsEq, DlcsFresh, DlcsModel, DlcsNeq, DlcsRecv,
-    DlcsSend, render_program, validate_dfa, validate_dlcs,
+    Dfa, DlcsFresh, DlcsModel, DlcsRecv, DlcsSend, render_program,
+    validate_dfa, validate_dlcs,
 )
 from .model import (
-    EQ, LT, NEQ, Arw, Assign, Guard, NewValue, Program, Read, Target,
-    Thread, Transition, Write, states_in_order,
+    EQ, LT, NEQ, OP_ASSIGN, Arw, Assign, Guard, NewValue, Program, Read,
+    Target, Thread, Transition, Write, eval_rel, operands, states_in_order,
 )
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
@@ -304,11 +304,7 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
             stats.states_explored += 1
             for op, dst in out[cfg.state]:
                 succs: list[tuple[DlcsConfig, str]] = []
-                if isinstance(op, DlcsAssign):
-                    xv = list(cfg.xval)
-                    xv[vid[op.dst]] = xv[vid[op.src]]
-                    succs.append((DlcsConfig(dst, tuple(xv), cfg.channel), op.render()))
-                elif isinstance(op, DlcsFresh):
+                if isinstance(op, DlcsFresh):
                     used = set(cfg.xval)
                     for d in pool:
                         if d in used:
@@ -317,18 +313,12 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
                         xv[vid[op.dst]] = d
                         succs.append((DlcsConfig(dst, tuple(xv), cfg.channel),
                                       f"{op.dst} := {d}"))
-                elif isinstance(op, DlcsEq):
-                    if cfg.xval[vid[op.left]] == cfg.xval[vid[op.right]]:
-                        succs.append((DlcsConfig(dst, cfg.xval, cfg.channel), op.render()))
-                elif isinstance(op, DlcsNeq):
-                    if cfg.xval[vid[op.left]] != cfg.xval[vid[op.right]]:
-                        succs.append((DlcsConfig(dst, cfg.xval, cfg.channel), op.render()))
                 elif isinstance(op, DlcsSend):
                     if len(cfg.channel) < channel_len:
                         entry = (op.letter, cfg.xval[vid[op.var]])
                         succs.append((DlcsConfig(dst, cfg.xval, (entry,) + cfg.channel),
                                       op.render()))
-                else:  # DlcsRecv: the oldest entry sits at the tail
+                elif isinstance(op, DlcsRecv):  # the oldest entry sits at the tail
                     if cfg.channel:
                         letter, d = cfg.channel[-1]
                         if letter == op.letter:
@@ -336,6 +326,14 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
                             xv[vid[op.var]] = d
                             succs.append((DlcsConfig(dst, tuple(xv), cfg.channel[:-1]),
                                           op.render()))
+                else:
+                    kind, x, y, rel = operands(op, vid.__getitem__)
+                    if kind == OP_ASSIGN:
+                        xv = list(cfg.xval)
+                        xv[x] = xv[y]
+                        succs.append((DlcsConfig(dst, tuple(xv), cfg.channel), op.render()))
+                    elif eval_rel(rel, cfg.xval[x], cfg.xval[y]):
+                        succs.append((DlcsConfig(dst, cfg.xval, cfg.channel), op.render()))
                 for cfg2, label in succs:
                     v = push(cfg2, cfg, label, nxt)
                     if v is not None:
@@ -376,6 +374,8 @@ def gen_dlcs_reduction(m: DlcsModel) -> GenResult:
     for q in m.states:
         if q.startswith("_"):
             raise ValueError("state names starting with '_' are reserved")
+    if {"dollar", "tmp"} & set(m.vars):
+        raise ValueError("variable names 'dollar' and 'tmp' are reserved")
 
     xvars = tuple(f"x_{a}" for a in m.alphabet)
     yvars = tuple(f"y_{a}" for a in m.alphabet)
@@ -404,14 +404,8 @@ def gen_dlcs_reduction(m: DlcsModel) -> GenResult:
         tchain(Guard(NEQ, "r_dollar", "r_tmp"),
                final=m.init if pos == len(shared) - 1 else None)
 
-    for gi, (src, op, dst) in enumerate(m.transitions):
-        if isinstance(op, DlcsAssign):
-            t_trs.append(Transition(src, Assign(rx(op.dst), rx(op.src)), dst))
-        elif isinstance(op, DlcsEq):
-            t_trs.append(Transition(src, Guard(EQ, rx(op.left), rx(op.right)), dst))
-        elif isinstance(op, DlcsNeq):
-            t_trs.append(Transition(src, Guard(NEQ, rx(op.left), rx(op.right)), dst))
-        elif isinstance(op, DlcsFresh):
+    for src, op, dst in m.transitions:
+        if isinstance(op, DlcsFresh):
             cur = src
             tchain(NewValue("r_tmp"))
             tchain(Guard(NEQ, "r_tmp", "r_dollar"))
@@ -422,12 +416,16 @@ def gen_dlcs_reduction(m: DlcsModel) -> GenResult:
             cur = src
             tchain(Write(f"x_{op.letter}", rx(op.var)))
             t_trs.append(Transition(cur, Write(f"x_{op.letter}", "r_dollar"), dst))
-        else:  # DlcsRecv
+        elif isinstance(op, DlcsRecv):
             cur = src
             tchain(Read(f"y_{op.letter}", rx(op.var)))
             tchain(Guard(NEQ, rx(op.var), "r_dollar"))
             tchain(Read(f"y_{op.letter}", "r_tmp"))
             t_trs.append(Transition(cur, Guard(EQ, "r_tmp", "r_dollar"), dst))
+        else:
+            kind, x, y, rel = operands(op, rx)
+            t_trs.append(Transition(src, Assign(x, y) if kind == OP_ASSIGN
+                                    else Guard(rel, x, y), dst))
 
     ch_trs: list[Transition] = []
     ch_trs.append(Transition("_c0", NewValue("ch_dollar"), "_c1"))

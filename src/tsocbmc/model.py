@@ -63,7 +63,8 @@ def eval_rel(rel: Relation, d1: int, d2: int) -> bool:
 
 @dataclass(frozen=True)
 class Assign:
-    """dst := src (both registers of the same thread)."""
+    """dst := src (both registers of the same thread, or both variables of
+    a channel model)."""
     dst: str
     src: str
 

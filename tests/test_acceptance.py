@@ -17,8 +17,8 @@ from tsocbmc import (
     validate_witness,
 )
 from tsocbmc.abmachine import ab_machine
-from tsocbmc.dsl import DlcsEq, DlcsFresh, DlcsNeq, DlcsRecv, DlcsSend
-from tsocbmc.model import program_index
+from tsocbmc.dsl import DlcsFresh, DlcsRecv, DlcsSend
+from tsocbmc.model import EQ, NEQ, program_index
 from tsocbmc.selftest import (
     suite_cb_vs_abstract, suite_step_soundness, suite_update_normalization,
     suite_value_inflation, suite_witness_concretization,
@@ -123,20 +123,20 @@ DLCS_INSTANCES = (
         (("q0", DlcsFresh("v"), "q1"),
          ("q1", DlcsSend("a", "v"), "q2"),
          ("q2", DlcsRecv("a", "w"), "q2"),
-         ("q2", DlcsEq("w", "v"), "qF")), "qF")),
+         ("q2", Guard(EQ, "w", "v"), "qF")), "qF")),
     # w starts at 0, so the mismatch fires before any receive
     ("initial-mismatch", True, DlcsModel(
         ("q0", "q1", "q2", "qF"), ("v", "w"), ("a",), "q0",
         (("q0", DlcsFresh("v"), "q1"),
          ("q1", DlcsSend("a", "v"), "q2"),
          ("q2", DlcsRecv("a", "w"), "q2"),
-         ("q2", DlcsNeq("w", "v"), "qF")), "qF")),
+         ("q2", Guard(NEQ, "w", "v"), "qF")), "qF")),
     # the received zero payload can never differ from the sent one
     ("zero-payload-mismatch", False, DlcsModel(
         ("q0", "q1", "q2", "qF"), ("v", "w"), ("a",), "q0",
         (("q0", DlcsSend("a", "v"), "q1"),
          ("q1", DlcsRecv("a", "w"), "q2"),
-         ("q2", DlcsNeq("w", "v"), "qF")), "qF")),
+         ("q2", Guard(NEQ, "w", "v"), "qF")), "qF")),
 )
 
 

@@ -269,6 +269,17 @@ def test_simulate_modes(capsys):
     capsys.readouterr()
 
 
+def test_simulate_domain_bound_limit(tmp_path, capsys):
+    assert main(["simulate", MP, "--tso", "--domain-bound", "251"]) == 2
+    assert "limit of 250" in capsys.readouterr().err
+    # no `:= *`, so the search stays small at the largest bound
+    one = tmp_path / "one.tso"
+    one.write_text("domain nat\nvars x\nthread t {\n  regs a\n  init q0\n"
+                   "  q0 -> q1 : write x a\n}\ntarget t : q1\n")
+    assert main(["simulate", str(one), "--tso", "--domain-bound", "250"]) == 1
+    capsys.readouterr()
+
+
 def test_parse_canonicalizes_program(tmp_path, capsys):
     messy = tmp_path / "messy.tso"
     messy.write_text("# c\ndomain nat\nvars data flag\nthread w {\n"
@@ -357,6 +368,19 @@ def test_gen_dlcs(tmp_path, capsys):
     p, tgt = parse_program_with_target(text)
     assert {t.id for t in p.threads} == {"t", "t_ch"}
     assert tgt.state == m.target
+
+
+def test_gen_and_parse_reject_duplicate_declarations(tmp_path, capsys):
+    # their generated programs would declare a register or variable twice
+    dfa = tmp_path / "dup.dfa"
+    dfa.write_text("dfa\nalphabet a a\nstates p p\ninit p\nfinals p\np a -> p\n")
+    dlcs = tmp_path / "dup.dlcs"
+    dlcs.write_text("dlcs\nstates q\nvars v v\nalphabet a a\ninit q\ntarget q\n")
+    for argv in (["gen", "intersection", str(dfa)], ["parse", str(dfa)],
+                 ["gen", "dlcs", str(dlcs)], ["parse", str(dlcs)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "duplicate" in captured.err and captured.out == "", argv
 
 
 def test_selftest_tiny(capsys):

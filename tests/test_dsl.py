@@ -1,11 +1,14 @@
 import pytest
 
+from dataclasses import replace
+
 from tsocbmc import (
-    EQ, NEQ, Arw, Guard, NewValue, ParseError, Read, Target, Write, lt,
-    parse_dfa, parse_dlcs, parse_program, parse_program_with_target,
-    render_dfa, render_dlcs, render_program, validate_dfa,
+    EQ, LT, NEQ, Arw, Assign, Dfa, DlcsModel, Guard, NewValue, ParseError,
+    Read, Target, Write, lt, parse_dfa, parse_dlcs, parse_program,
+    parse_program_with_target, render_dfa, render_dlcs, render_program,
+    validate_dfa,
 )
-from tsocbmc.dsl import DlcsRecv, DlcsSend, validate_dlcs
+from tsocbmc.dsl import DlcsFresh, DlcsRecv, DlcsSend, validate_dlcs
 
 SAMPLE = """\
 # two threads passing a value
@@ -146,6 +149,14 @@ def test_dfa_bad_reference():
         parse_dfa("dfa\nalphabet a\nstates s0\ninit s9\nfinals s0\n")
 
 
+def test_dfa_duplicate_declarations():
+    d = Dfa(("p", "p"), ("a", "a"), "p", ("p", "p"), ())
+    assert validate_dfa(d) == ["duplicate state 'p'", "duplicate letter 'a'",
+                               "duplicate final state 'p'"]
+    with pytest.raises(ParseError, match="duplicate letter 'a'"):
+        parse_dfa("dfa\nalphabet a a\nstates p\ninit p\nfinals p\n")
+
+
 DLCS = """dlcs
 states q0 q1 qF
 vars v
@@ -167,6 +178,40 @@ def test_dlcs_round_trip():
     assert validate_dlcs(m) == []
     m2 = parse_dlcs(render_dlcs(m))
     assert m2 == m
+
+
+DLCS_COPIES_AND_GUARDS = """dlcs
+states q0 q1 q2 qF
+vars v w
+alphabet a
+init q0
+q0 -> q1 : w := v
+q1 -> q2 : assume v = w
+q2 -> qF : assume v != w
+"""
+
+
+def test_dlcs_copies_and_guards_are_program_ops():
+    m = parse_dlcs(DLCS_COPIES_AND_GUARDS)
+    assert [op for _, op, _ in m.transitions] == [
+        Assign("w", "v"), Guard(EQ, "v", "w"), Guard(NEQ, "v", "w")]
+    assert render_dlcs(m) == DLCS_COPIES_AND_GUARDS
+    assert parse_dlcs(render_dlcs(m)) == m
+    assert validate_dlcs(m) == []
+    # shared classes must not open the format to other program operations
+    for op in (Read("v", "w"), Guard(LT, "v", "w")):
+        odd = replace(m, transitions=(("q0", op, "q1"),))
+        assert validate_dlcs(odd) == [
+            f"op '{op.render()}' is not a channel model operation"]
+
+
+def test_dlcs_duplicate_declarations():
+    m = DlcsModel(("q", "q"), ("v", "v"), ("a", "a"), "q",
+                  (("q", DlcsFresh("v"), "q"),))
+    assert validate_dlcs(m) == ["duplicate state 'q'", "duplicate variable 'v'",
+                                "duplicate letter 'a'"]
+    with pytest.raises(ParseError, match="duplicate variable 'v'"):
+        parse_dlcs("dlcs\nstates q\nvars v v\nalphabet a\ninit q\n")
 
 
 def test_dlcs_rejects_order_guards():

@@ -8,7 +8,7 @@ from tsocbmc import (
     gen_bakery, gen_dlcs_reduction, gen_intersection,
     parse_program_with_target, tso_reach_bounded, validate, validate_witness,
 )
-from tsocbmc.dsl import DlcsEq, DlcsFresh, DlcsRecv, DlcsSend
+from tsocbmc.dsl import DlcsFresh, DlcsRecv, DlcsSend
 from tsocbmc.model import Guard
 
 
@@ -122,6 +122,9 @@ def test_intersection_input_checks():
     bad = Dfa(("q",), ("a",), "nowhere", ("q",), ())
     with pytest.raises(ValueError):
         dfa_intersection_oracle([bad])
+    duplicate = Dfa(("q", "q"), ("a",), "q", ("q",), ())
+    with pytest.raises(ValueError, match="duplicate state 'q'"):
+        gen_intersection([duplicate])
 
 
 # --- lossy data channel ------------------------------------------------------
@@ -153,7 +156,7 @@ NEEDS_LOSS = DlcsModel(
         # the channel is a queue: without loss the receive yields v, so
         # reaching qF forces the first message to be dropped
         ("q4", DlcsRecv("a", "r"), "q5"),
-        ("q5", DlcsEq("r", "w"), "qF"),
+        ("q5", Guard(EQ, "r", "w"), "qF"),
     ),
 )
 
@@ -210,6 +213,14 @@ def test_dlcs_reduction_input_checks():
     reserved = DlcsModel(("_q0",), ("v",), ("a",), "_q0", (), "_q0")
     with pytest.raises(ValueError):
         gen_dlcs_reduction(reserved)
+    # r_dollar and r_tmp are the reduction's own registers
+    for name in ("dollar", "tmp"):
+        clash = DlcsModel(("q0",), (name,), ("a",), "q0", (), "q0")
+        with pytest.raises(ValueError, match="'dollar' and 'tmp' are reserved"):
+            gen_dlcs_reduction(clash)
+    duplicate = DlcsModel(("q0",), ("v", "v"), ("a",), "q0", (), "q0")
+    with pytest.raises(ValueError, match="duplicate variable 'v'"):
+        gen_dlcs_reduction(duplicate)
 
 
 def test_dlcs_reduction_text_round_trip():
