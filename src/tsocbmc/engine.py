@@ -7,7 +7,9 @@ tuples), so each search interns control tuples, rank tuples and effect lists
 to integer ids and stores a state as the one integer cid | rid << 32
 (collapse compression, as in SPIN).  The public key encoding
 (relabs.canonical_key, the control tuple followed by the rank tuple) is
-checked once per newly interned tuple instead of once per state.
+checked once per new control tuple; a concatenation splits back at the
+control length whatever the rank tuple, so a new rank tuple costs one
+dictionary lookup and nothing more.
 
 Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do not
@@ -18,15 +20,18 @@ per effect list in an int array indexed by rank id, which holds the one
 successor rank id inline, or points into a side list of branching results
 (none, or several after a fresh value).  Both tables live only as long as
 that search.  On instances where the memo rarely hits, the miss path is
-what counts: a single result that is the input tuple object itself (see
-relabs.rel_apply) keeps its rank id with no lookup, the search loop drops a
-move with no successor before anything else, and it visits a single
-successor without building a tuple for it.
+what counts, and it runs inline in the search loop, in one place: a single
+result that is the input tuple object itself (see relabs.rel_apply) keeps
+its rank id with no lookup, a moved one is interned with one lookup, the
+loop drops a move with no successor before anything else, and it visits a
+single successor without building a tuple for it.
 
 The visited set maps each state to its parent state alone.  A witness
 recovers each step's label as the first move out of the parent, in table
 order, that yields the child: the search keeps a state's first discovery,
-so that is the move it took.
+so that is the move it took.  It reads the memo entries the search filled:
+when the child was discovered, every move of the parent up to the
+discovering one had been processed, so recovery runs no rel_apply.
 
 A positive verdict carries an abstract witness: per step, the machine's own
 label and effect tuples (see abmachine) and the rank tuple after the step;
@@ -173,7 +178,8 @@ def check_reach(program: Program, target: Target, k: int,
     def intern_ctrl(flat: tuple[int, ...]) -> int:
         cid = ctrl_id.get(flat)
         if cid is None:
-            if decode_key(flen, canonical_key(flat, r0)) != (flat, r0):
+            key = canonical_key(flat, r0)
+            if len(key) != klen or decode_key(flen, key) != (flat, r0):
                 raise AssertionError(f"control state {flat} has no canonical key")
             cid = ctrl_id[flat] = len(ctrls)
             ctrls.append(flat)
@@ -183,9 +189,6 @@ def check_reach(program: Program, target: Target, k: int,
     def intern_ranks(r: tuple[int, ...]) -> int:
         rid = rank_id.get(r)
         if rid is None:
-            # every control tuple passed its own check, so any one will do
-            if len(canonical_key(ctrls[0], r)) != klen:
-                raise AssertionError(f"rank tuple {r} has no canonical key")
             rid = rank_id[r] = len(ranks)
             ranks.append(r)
         return rid
@@ -202,34 +205,19 @@ def check_reach(program: Program, target: Target, k: int,
             moves.append((core, eid, intern_ctrl(flat2), flat2[m.ST + tti] == tsi))
         return moves
 
-    def rank_step(eid: int, rid: int) -> int:
-        """Fill the unknown memo entry of (eid, rid) from rel_apply."""
-        stats.rel_apply_calls += 1
-        r = ranks[rid]
-        out = rel_apply(r, effs[eid])
-        if len(out) == 1:
-            # rel_apply hands back the input tuple itself when nothing moved
-            r2 = out[0]
-            entry = rid if r2 is r else intern_ranks(r2)
-        elif out:
-            entry = _BRANCH - len(branches)
-            branches.append(tuple(map(intern_ranks, out)))
-        else:
-            entry = _BRANCH
-        row = memo[eid]
-        if rid >= len(row):
-            row.fromlist([_UNKNOWN] * (len(ranks) - len(row)))
-        row[rid] = entry
-        return entry
-
-    def successors(eid: int, rid: int) -> tuple[int, ...]:
+    def filled(eid: int, rid: int) -> tuple[int, ...]:
+        """The successor rids the search stored for (eid, rid)."""
         row = memo[eid]
         entry = row[rid] if rid < len(row) else _UNKNOWN
         if entry == _UNKNOWN:
-            entry = rank_step(eid, rid)
+            raise AssertionError(f"witness step from rank id {rid} reads an "
+                                 "unfilled memo entry")
         return (entry,) if entry >= 0 else branches[_BRANCH - entry]
 
-    def finish(found: bool, status: str, node: int = -1) -> Verdict:
+    def finish(found: bool, status: str, explored: int, peak: int, misses: int,
+               node: int = -1, stop: str = "") -> Verdict:
+        stats.states_explored, stats.peak_frontier = explored, peak
+        stats.rel_apply_calls, stats.stop_reason = misses, stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         stats.rank_tuples = len(ranks)
         witness = None
@@ -243,44 +231,73 @@ def check_reach(program: Program, target: Target, k: int,
             steps = []
             for s, s2 in zip(chain, chain[1:]):
                 # the BFS keeps a state's first discovery, so its label is
-                # the first move from the parent, in table order, to reach it
-                cid2, rid2 = s2 & _CID, s2 >> 32
+                # the first move from the parent, in table order, to reach
+                # it; the search had processed every move up to that one, so
+                # their memo entries are filled
+                cid2, rid, rid2 = s2 & _CID, s >> 32, s2 >> 32
                 core, eid = next((core, eid) for core, eid, c, _ in succ[s & _CID]
-                                 if c == cid2 and rid2 in successors(eid, s >> 32))
+                                 if c == cid2 and rid2 in filled(eid, rid))
                 steps.append(WitnessStep(core, effs[eid], ranks[rid2]))
             witness = Witness(k, act, tuple(steps))
         return Verdict(found, status, witness, stats)
 
+    # bound once per search: the loop below calls it on every memo miss
+    apply = rel_apply
+    explored = peak = misses = 0
+    # new states the cap still admits; the search stops when it goes negative
+    room = max_states
     for act in _seed_order(m, tti):
         flat = m.initial_flat(act)
-        # a control tuple first: intern_ranks checks against ctrls[0]
-        cid = intern_ctrl(flat)
-        state = cid | intern_ranks(r0) << 32
+        state = intern_ctrl(flat) | intern_ranks(r0) << 32
         if state in visited:
             continue
         visited[state] = -1
+        room -= 1
         if flat[m.ST + tti] == tsi:
-            return finish(True, REACHABLE, state)
+            return finish(True, REACHABLE, explored, peak, misses, state)
         frontier: deque[int] = deque([state])
+        pop, push = frontier.popleft, frontier.append
         while frontier:
-            if len(frontier) > stats.peak_frontier:
-                stats.peak_frontier = len(frontier)
-            state = frontier.popleft()
+            if len(frontier) > peak:
+                peak = len(frontier)
+            state = pop()
             cid, rid = state & _CID, state >> 32
-            stats.states_explored += 1
-            if (max_mb is not None and stats.states_explored % 4096 == 0
+            explored += 1
+            if (max_mb is not None and not explored & 4095
                     and _rss_mb() > max_mb):
-                stats.stop_reason = "max_mb"
-                return finish(False, BOUND_EXHAUSTED)
+                return finish(False, BOUND_EXHAUSTED, explored, peak, misses,
+                              stop="max_mb")
             moves = succ[cid]
             if moves is None:
                 moves = succ[cid] = expand(cid)
             for _, eid, cid2, hit in moves:
-                # successors(eid, rid), inlined: this runs once per move
                 row = memo[eid]
                 entry = row[rid] if rid < len(row) else _UNKNOWN
                 if entry == _UNKNOWN:
-                    entry = rank_step(eid, rid)
+                    # the memo miss: rel_apply, then intern what it gave
+                    misses += 1
+                    r = ranks[rid]
+                    out = apply(r, effs[eid])
+                    if len(out) == 1:
+                        # rel_apply hands back the input tuple itself when
+                        # nothing moved
+                        r2 = out[0]
+                        if r2 is r:
+                            entry = rid
+                        else:
+                            # one lookup, whether r2 is new or not
+                            n = len(ranks)
+                            entry = rank_id.setdefault(r2, n)
+                            if entry == n:
+                                ranks.append(r2)
+                    elif out:
+                        entry = _BRANCH - len(branches)
+                        branches.append(tuple(map(intern_ranks, out)))
+                    else:
+                        entry = _BRANCH
+                    if rid >= len(row):
+                        row.fromlist([_UNKNOWN] * (len(ranks) - len(row)))
+                    row[rid] = entry
                 # entry becomes the first successor rid and more the rest,
                 # so the common single successor builds no tuple
                 if entry >= 0:
@@ -294,15 +311,17 @@ def check_reach(program: Program, target: Target, k: int,
                     if state2 not in visited:
                         visited[state2] = state
                         if hit:
-                            return finish(True, REACHABLE, state2)
-                        if len(visited) > max_states:
-                            stats.stop_reason = "max_states"
-                            return finish(False, BOUND_EXHAUSTED)
-                        frontier.append(state2)
+                            return finish(True, REACHABLE, explored, peak, misses,
+                                          state2)
+                        room -= 1
+                        if room < 0:
+                            return finish(False, BOUND_EXHAUSTED, explored, peak,
+                                          misses, stop="max_states")
+                        push(state2)
                     if not more:
                         break
                     entry = more.pop(0)
-    return finish(False, UNREACHABLE)
+    return finish(False, UNREACHABLE, explored, peak, misses)
 
 
 class ConcretizationError(ValueError):

@@ -150,7 +150,7 @@ def canonical_key(flat: tuple[int, ...], ranks: tuple[int, ...]) -> tuple[int, .
     ranks.  Each component is a natural below max(k + 2, threads + 1, states
     per thread, summary columns), the paper's polynomial state size.
     check_reach keeps states as interned ids and checks each new control
-    and rank tuple against this encoding."""
+    tuple against this encoding."""
     return flat + ranks
 
 

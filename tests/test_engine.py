@@ -332,10 +332,11 @@ def test_witness_names_the_first_move_to_a_shared_successor():
 
 
 def test_search_calls_the_public_encoding(monkeypatch):
-    # the interned search still checks each new control and rank tuple
-    # through canonical_key/decode_key and runs rel_apply on memo misses;
-    # the benchmark's traced run wraps these engine globals and fails when
-    # one of them sees no call
+    # the interned search checks each new control tuple, not each new rank
+    # tuple, through canonical_key/decode_key, and runs rel_apply once per
+    # memo miss; a witness reads the memo entries the search filled, so its
+    # recovery runs no rel_apply of its own.  The benchmark's traced run
+    # wraps these engine globals and fails when one of them sees no call
     from tsocbmc import engine
     from tsocbmc.generators import gen_bakery
     calls = dict.fromkeys(("rel_apply", "canonical_key", "decode_key"), 0)
@@ -351,10 +352,16 @@ def test_search_calls_the_public_encoding(monkeypatch):
     for name in calls:
         monkeypatch.setattr(engine, name, counted(name))
     g = gen_bakery(1)
-    v = check_reach(g.program, g.target, 4)
-    assert v.status == UNREACHABLE and v.stats.states_explored == 1020
-    assert all(calls.values()), calls
-    assert calls["rel_apply"] == v.stats.rel_apply_calls
+    sb, sb_target = _load("sb.tso")
+    for program, target, k, status, states in (
+            (g.program, g.target, 4, UNREACHABLE, 1020),
+            (sb, sb_target, 3, REACHABLE, 582)):
+        calls.update(dict.fromkeys(calls, 0))
+        v = check_reach(program, target, k)
+        assert v.status == status and v.stats.states_explored == states
+        assert (v.witness is not None) == (status == REACHABLE)
+        assert all(calls.values()), calls
+        assert calls["rel_apply"] == v.stats.rel_apply_calls
 
 
 def test_unused_fresh_register_rebuilds_to_a_tso_run():
