@@ -43,10 +43,17 @@ and `Guard` (`=` and `!=` only).  `x := *` keeps its own class, `DlcsFresh`:
 it draws a value distinct from every variable, where a program's `r := *`
 (`NewValue`) draws any natural.
 
+Lexical rules, shared by all three formats: a name is a letter or `_`
+followed by letters, digits and `_`, or a run of digits (so `12ab` is two
+names); `#` starts a comment that runs to the end of the line; relation
+offsets (`<N`, `<=N`) take ASCII digits only.  Any keyword may also be used
+as a name.
+
 Rendering is canonical: parse(render(m)) == m for all three formats.
 """
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -84,82 +91,35 @@ class _Token:
         return SourceSpan(self.line, self.col, max(1, len(self.text)))
 
 
-_SYMBOLS = ("->", ":=", "{", "}", ":", "*")
+_TOKEN_RE = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<skip>[ \t\r]+|\#[^\n]*)
+  | (?P<ident>\d+|[^\W\d]\w*)       # a number, or a name that starts with no digit
+  | (?P<rel><=?[0-9]*|!=|=)         # = != < <= and offset forms <N <=N
+  | (?P<sym>->|:=|[{}:*])
+  | (?P<bad>.)
+""", re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "<=!":
-            # relation tokens: = != < <= and offset forms <N <=N
-            j = i
-            if text.startswith("!=", i):
-                j = i + 2
-            elif text.startswith("<=", i):
-                j = i + 2
-            elif ch == "<":
-                j = i + 1
-            elif ch == "=":
-                j = i + 1
-            else:
-                raise ParseError(f"stray '{ch}'", SourceSpan(line, start_col, 1))
-            base = text[i:j]
-            if base in ("<", "<="):
-                while j < n and text[j] in "0123456789":
-                    j += 1
-                # str.isdigit() also holds for digits such as '²' that int()
-                # rejects; an offset takes ASCII digits only
-                if j < n and text[j].isdigit():
-                    raise ParseError(f"offset digit '{text[j]}' is not 0-9",
-                                     SourceSpan(line, col + j - i, 1))
-            toks.append(_Token("rel", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token("sym", sym, line, start_col))
-                i += len(sym)
-                col += len(sym)
-                matched = True
-                break
-        if not matched:
-            raise ParseError(f"unexpected character '{ch}'", SourceSpan(line, start_col, 1))
-    toks.append(_Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            what = "stray" if tok == "!" else "unexpected character"
+            raise ParseError(f"{what} '{tok}'", SourceSpan(line, col, 1))
+        elif kind != "skip":
+            # str.isdigit() also holds for digits such as '²' that int()
+            # rejects; an offset takes ASCII digits only
+            after = text[m.end():m.end() + 1]
+            if tok[0] == "<" and after.isdigit():
+                raise ParseError(f"offset digit '{after}' is not 0-9",
+                                 SourceSpan(line, col + len(tok), 1))
+            toks.append(_Token(kind, tok, line, col))
+    toks.append(_Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -168,8 +128,9 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def peek(self, ahead: int = 0) -> _Token:
+        # lookahead stops at the closing eof token
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
@@ -187,30 +148,27 @@ class _Parser:
             raise self.fail(f"expected {what}", t)
         return t
 
-    def expect_sym(self, sym: str) -> _Token:
+    def at(self, text: str) -> bool:
+        # keyword and symbol texts never collide, so the text alone decides
+        return self.peek().text == text
+
+    def expect(self, text: str) -> _Token:
         t = self.next()
-        if t.kind != "sym" or t.text != sym:
-            raise self.fail(f"expected '{sym}'", t)
+        if t.text != text:
+            raise self.fail(f"expected '{text}'", t)
         return t
 
-    def expect_keyword(self, kw: str) -> _Token:
-        t = self.next()
-        if t.kind != "ident" or t.text != kw:
-            raise self.fail(f"expected '{kw}'", t)
-        return t
-
-    def at_keyword(self, kw: str) -> bool:
-        t = self.peek()
-        return t.kind == "ident" and t.text == kw
-
-    def ident_list(self) -> list[str]:
-        # the list runs to the end of the introducing keyword's line; the
-        # tokenizer keeps no newline tokens, so compare source lines instead
+    def names(self, keyword: str) -> list[str]:
+        """The keyword, then the names after it up to the end of its line."""
+        line = self.expect(keyword).line
         names = []
-        line = self.toks[self.pos - 1].line if self.pos else None
         while self.peek().kind == "ident" and self.peek().line == line:
             names.append(self.next().text)
         return names
+
+    def end(self) -> None:
+        if self.peek().kind != "eof":
+            raise self.fail("unexpected trailing input")
 
 
 def _parse_relation(p: _Parser) -> Relation:
@@ -229,7 +187,7 @@ def _parse_relation(p: _Parser) -> Relation:
 
 def _parse_guard(p: _Parser, what: str) -> tuple[str, Relation, str]:
     """`assume LEFT REL RIGHT`, with LEFT and RIGHT named as `what`."""
-    p.expect_keyword("assume")
+    p.expect("assume")
     left = p.expect_ident(f"a {what}").text
     rel = _parse_relation(p)
     return left, rel, p.expect_ident(f"a {what}").text
@@ -238,24 +196,31 @@ def _parse_guard(p: _Parser, what: str) -> tuple[str, Relation, str]:
 def _parse_assign(p: _Parser, what: str) -> tuple[str, Optional[str]]:
     """`DST := SRC` or `DST := *`; the source is None for `*`."""
     dst = p.expect_ident("an operation").text
-    p.expect_sym(":=")
+    p.expect(":=")
     nxt = p.next()
-    if nxt.kind == "sym" and nxt.text == "*":
+    if nxt.text == "*":
         return dst, None
     if nxt.kind == "ident":
         return dst, nxt.text
     raise p.fail(f"expected a {what} or '*' after ':='", nxt)
 
 
+def _op_word(p: _Parser) -> str:
+    """The keyword that opens an operation, or '' for `DST := ...`: a name
+    followed by ':=' is an assignment's destination, whatever it spells."""
+    return "" if p.peek(1).text == ":=" else p.peek().text
+
+
 def _parse_op(p: _Parser) -> Op:
-    if p.at_keyword("assume"):
+    word = _op_word(p)
+    if word == "assume":
         left, rel, right = _parse_guard(p, "register")
         return Guard(rel, left, right)
-    if p.at_keyword("read") or p.at_keyword("write"):
+    if word in ("read", "write"):
         kind = Read if p.next().text == "read" else Write
         var = p.expect_ident("a shared variable").text
         return kind(var, p.expect_ident("a register").text)
-    if p.at_keyword("arw"):
+    if word == "arw":
         p.next()
         var = p.expect_ident("a shared variable").text
         expect = p.expect_ident("a register").text
@@ -266,28 +231,24 @@ def _parse_op(p: _Parser) -> Op:
 
 
 def _parse_thread(p: _Parser) -> Thread:
-    p.expect_keyword("thread")
+    p.expect("thread")
     tid = p.expect_ident("a thread name").text
-    p.expect_sym("{")
-    p.expect_keyword("regs")
-    regs = p.ident_list()
-    declared_states: Optional[list[str]] = None
-    if p.at_keyword("states"):
-        p.next()
-        declared_states = p.ident_list()
-    p.expect_keyword("init")
+    p.expect("{")
+    regs = p.names("regs")
+    declared_states = p.names("states") if p.at("states") else None
+    p.expect("init")
     init = p.expect_ident("the initial state").text
     transitions: list[Transition] = []
-    while not (p.peek().kind == "sym" and p.peek().text == "}"):
+    while not p.at("}"):
         if p.peek().kind == "eof":
             raise p.fail("unterminated thread block")
         src = p.expect_ident("a state").text
-        p.expect_sym("->")
+        p.expect("->")
         dst = p.expect_ident("a state").text
-        p.expect_sym(":")
+        p.expect(":")
         op = _parse_op(p)
         transitions.append(Transition(src, op, dst))
-    p.expect_sym("}")
+    p.expect("}")
     if declared_states is not None:
         states = tuple(declared_states)
     else:
@@ -298,29 +259,26 @@ def _parse_thread(p: _Parser) -> Thread:
 def parse_program_with_target(text: str) -> tuple[Program, Optional[Target]]:
     """Parse a program file; returns the program and its inline target, if any."""
     p = _Parser(text)
-    p.expect_keyword("domain")
+    p.expect("domain")
     dom = p.expect_ident("a domain name")
     if dom.text != "nat":
         raise p.fail(f"unsupported domain '{dom.text}'", dom)
     shared: list[str] = []
-    while p.at_keyword("vars"):
-        p.next()
-        shared.extend(p.ident_list())
+    while p.at("vars"):
+        shared.extend(p.names("vars"))
     threads: list[Thread] = []
-    while p.at_keyword("thread"):
+    while p.at("thread"):
         threads.append(_parse_thread(p))
     if not threads:
         raise p.fail("a program needs at least one thread")
     target: Optional[Target] = None
-    if p.at_keyword("target"):
+    if p.at("target"):
         p.next()
         tt = p.expect_ident("a thread name").text
-        p.expect_sym(":")
+        p.expect(":")
         ts = p.expect_ident("a state").text
         target = Target(tt, ts)
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.fail("unexpected trailing input", t)
+    p.end()
     return Program.make(threads, shared), target
 
 
@@ -358,25 +316,20 @@ class Dfa:
 
 def parse_dfa(text: str) -> Dfa:
     p = _Parser(text)
-    p.expect_keyword("dfa")
-    p.expect_keyword("alphabet")
-    alphabet = p.ident_list()
-    p.expect_keyword("states")
-    states = p.ident_list()
-    p.expect_keyword("init")
+    p.expect("dfa")
+    alphabet = p.names("alphabet")
+    states = p.names("states")
+    p.expect("init")
     init = p.expect_ident("the initial state").text
-    p.expect_keyword("finals")
-    finals = p.ident_list()
+    finals = p.names("finals")
     transitions: list[tuple[str, str, str]] = []
     while p.peek().kind == "ident":
         src = p.next().text
         letter = p.expect_ident("a letter").text
-        p.expect_sym("->")
+        p.expect("->")
         dst = p.expect_ident("a state").text
         transitions.append((src, letter, dst))
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.fail("unexpected trailing input", t)
+    p.end()
     dfa = Dfa(tuple(states), tuple(alphabet), init, tuple(finals), tuple(transitions))
     diags = validate_dfa(dfa)
     if diags:
@@ -458,33 +411,31 @@ class DlcsModel:
 
 def parse_dlcs(text: str) -> DlcsModel:
     p = _Parser(text)
-    p.expect_keyword("dlcs")
-    p.expect_keyword("states")
-    states = p.ident_list()
-    p.expect_keyword("vars")
-    dvars = p.ident_list()
-    p.expect_keyword("alphabet")
-    alphabet = p.ident_list()
-    p.expect_keyword("init")
+    p.expect("dlcs")
+    states = p.names("states")
+    dvars = p.names("vars")
+    alphabet = p.names("alphabet")
+    p.expect("init")
     init = p.expect_ident("the initial state").text
     target = None
-    if p.at_keyword("target"):
+    if p.at("target") and p.peek(1).text != "->":  # else a transition's source
         p.next()
         target = p.expect_ident("a state").text
     transitions: list[tuple[str, DlcsOp, str]] = []
     while p.peek().kind == "ident":
         src = p.next().text
-        p.expect_sym("->")
+        p.expect("->")
         dst = p.expect_ident("a state").text
-        p.expect_sym(":")
+        p.expect(":")
         t = p.peek()
+        word = _op_word(p)
         op: DlcsOp
-        if p.at_keyword("assume"):
+        if word == "assume":
             left, rel, right = _parse_guard(p, "variable")
             if rel not in (EQ, NEQ):
                 raise p.fail("channel models only support = and != guards", t)
             op = Guard(rel, left, right)
-        elif p.at_keyword("send") or p.at_keyword("recv"):
+        elif word in ("send", "recv"):
             kind = DlcsSend if p.next().text == "send" else DlcsRecv
             letter = p.expect_ident("a letter").text
             op = kind(letter, p.expect_ident("a variable").text)
@@ -492,9 +443,7 @@ def parse_dlcs(text: str) -> DlcsModel:
             dst_var, src_var = _parse_assign(p, "variable")
             op = DlcsFresh(dst_var) if src_var is None else Assign(dst_var, src_var)
         transitions.append((src, op, dst))
-    t = p.peek()
-    if t.kind != "eof":
-        raise p.fail("unexpected trailing input", t)
+    p.end()
     m = DlcsModel(tuple(states), tuple(dvars), tuple(alphabet), init,
                   tuple(transitions), target)
     diags = validate_dlcs(m)

@@ -481,6 +481,35 @@ def test_mutated_models_never_crash(tmp_path, capsys):
     assert seen[0] and seen[1] and seen[2]
 
 
+def test_mutated_dfa_and_dlcs_files_never_crash(tmp_path, capsys):
+    # parse and gen end every mutant in success or a parse/usage error, and
+    # every program gen emits parses back
+    import random
+    rng = random.Random(2025)
+    golden = Path(__file__).resolve().parent / "golden"
+    out = tmp_path / "gen.tso"
+    seen = {0: 0, 2: 0}
+    for name in ("ends_a.dfa", "even.dfa", "chan.dlcs"):
+        text = (golden / name).read_text()
+        for n in range(100):
+            f = str(tmp_path / f"m{n}_{name}")
+            mutant = _mutate(text, rng)
+            Path(f).write_text(mutant)
+            gen = (["intersection", f, f] if name.endswith(".dfa")
+                   else ["dlcs", f])
+            for argv in (["parse", f], ["gen", *gen, "--out", str(out)]):
+                out.unlink(missing_ok=True)
+                rc = main(argv)
+                got = capsys.readouterr()
+                assert rc in seen, (argv, rc, got.err, mutant)
+                assert "Traceback" not in got.out + got.err, mutant
+                seen[rc] += 1
+            if rc == 0:
+                assert main(["parse", str(out)]) == 0, mutant
+                capsys.readouterr()
+    assert seen[0] and seen[2]
+
+
 def test_dlcs_search_names_what_ended_it():
     from tsocbmc import dlcs_reach_bounded
     m = parse_dlcs(DLCS)

@@ -4,11 +4,11 @@ from dataclasses import replace
 
 from tsocbmc import (
     EQ, LT, NEQ, Arw, Assign, Dfa, DlcsModel, Guard, NewValue, ParseError,
-    Read, Target, Write, lt, parse_dfa, parse_dlcs, parse_program,
-    parse_program_with_target, render_dfa, render_dlcs, render_program,
-    validate_dfa,
+    Program, Read, Target, Thread, Transition, Write, lt, parse_dfa, parse_dlcs,
+    parse_program, parse_program_with_target, render_dfa, render_dlcs,
+    render_program, validate, validate_dfa,
 )
-from tsocbmc.dsl import DlcsFresh, DlcsRecv, DlcsSend, validate_dlcs
+from tsocbmc.dsl import DlcsFresh, DlcsRecv, DlcsSend, _tokenize, validate_dlcs
 
 SAMPLE = """\
 # two threads passing a value
@@ -218,3 +218,64 @@ def test_dlcs_rejects_order_guards():
     bad = "dlcs\nstates q0 q1\nvars v\nalphabet a\ninit q0\nq0 -> q1 : assume v < v\n"
     with pytest.raises(ParseError):
         parse_dlcs(bad)
+
+
+def _scan(text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+    except ParseError as e:
+        return (e.message, (e.span.line, e.span.column, e.span.length))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a\r\nb\tc", [("ident", "a", 1, 1), ("ident", "b", 2, 1),
+                   ("ident", "c", 2, 3), ("eof", "", 2, 4)]),
+    ("12ab", [("ident", "12", 1, 1), ("ident", "ab", 1, 3), ("eof", "", 1, 5)]),
+    ("é", [("ident", "é", 1, 1), ("eof", "", 1, 2)]),
+    ("q0 -> q1", [("ident", "q0", 1, 1), ("sym", "->", 1, 4),
+                  ("ident", "q1", 1, 7), ("eof", "", 1, 9)]),
+    ("a - b", ("unexpected character '-'", (1, 3, 1))),
+    ("a := b : c", [("ident", "a", 1, 1), ("sym", ":=", 1, 3), ("ident", "b", 1, 6),
+                    ("sym", ":", 1, 8), ("ident", "c", 1, 10), ("eof", "", 1, 11)]),
+    ("<=12", [("rel", "<=12", 1, 1), ("eof", "", 1, 5)]),
+    ("=5", [("rel", "=", 1, 1), ("ident", "5", 1, 2), ("eof", "", 1, 3)]),
+    ("a ! b", ("stray '!'", (1, 3, 1))),
+    ("a <² b", ("offset digit '²' is not 0-9", (1, 4, 1))),
+    # the end of input sits after a trailing comment, not at its '#'
+    ("x # c", [("ident", "x", 1, 1), ("eof", "", 1, 6)]),
+])
+def test_scanner_contract(text, expected):
+    assert _scan(text) == expected
+
+
+def test_registers_named_like_operations_round_trip():
+    ops = [NewValue("read"), Assign("assume", "read"), Assign("write", "assume"),
+           Assign("arw", "write"), Read("x", "read"), Write("x", "assume"),
+           Arw("x", "read", "write"), Guard(LT, "read", "assume")]
+    states = tuple(f"q{i}" for i in range(len(ops) + 1))
+    t = Thread("t", states, ("read", "write", "arw", "assume"), "q0",
+               tuple(Transition(states[i], op, states[i + 1])
+                     for i, op in enumerate(ops)))
+    p = Program.make([t], ["x"])
+    assert validate(p) == []
+    assert parse_program(render_program(p)) == p
+
+
+def test_dlcs_variables_named_like_operations_round_trip():
+    m = DlcsModel(("q0", "q1", "q2", "q3"), ("send", "assume", "recv"), ("a",), "q0",
+                  (("q0", DlcsFresh("send"), "q1"),
+                   ("q1", Assign("assume", "send"), "q2"),
+                   ("q2", Assign("recv", "assume"), "q3"),
+                   ("q3", DlcsSend("a", "send"), "q0"),
+                   ("q3", Guard(NEQ, "assume", "recv"), "q0")))
+    assert validate_dlcs(m) == []
+    assert parse_dlcs(render_dlcs(m)) == m
+
+
+def test_dlcs_state_named_target_round_trips():
+    m = DlcsModel(("target", "q1"), ("v",), ("a",), "target",
+                  (("target", DlcsSend("a", "v"), "q1"),))
+    assert validate_dlcs(m) == []
+    assert parse_dlcs(render_dlcs(m)) == m
+    aimed = replace(m, target="target")
+    assert parse_dlcs(render_dlcs(aimed)) == aimed
