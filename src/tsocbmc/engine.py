@@ -14,24 +14,26 @@ dictionary lookup and nothing more.
 Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do not
 depend on the ranks.  So each search computes them once per control state
-and reuses them for every rank tuple paired with it.  Likewise rel_apply
-depends only on the rank tuple and the effect list: its result is memoized
-per effect list in an int array indexed by rank id, which holds the one
-successor rank id inline, or points into a side list of branching results
-(none, or several after a fresh value).  Both tables live only as long as
-that search.  On instances where the memo rarely hits, the miss path is
-what counts, and it runs inline in the search loop, in one place: a single
-result that is the input tuple object itself (see relabs.rel_apply) keeps
-its rank id with no lookup, a moved one is interned with one lookup, the
-loop drops a move with no successor before anything else, and it visits a
-single successor without building a tuple for it.
+and reuses them for every rank tuple paired with it.  Likewise the rank
+step depends only on the rank tuple and the effect list: its result is
+memoized per effect list in an int array indexed by rank id, which holds
+the one successor rank id inline, or points into a side list of branching
+results (none, or several after a fresh value).  Both tables live only as
+long as that search.  On instances where the memo rarely hits, the miss
+path is what counts, and it runs inline in the search loop, in one place:
+it runs the effect list's rank kernel (relabs.rank_kernel, fetched once
+when the list is interned), or rel_apply for a list with a fresh value,
+which may branch.  A single result that is the input tuple object itself
+keeps its rank id with no lookup, a moved one is interned with one lookup,
+the loop drops a move with no successor before anything else, and it
+visits a single successor without building a tuple for it.
 
 The visited set maps each state to its parent state alone.  A witness
 recovers each step's label as the first move out of the parent, in table
 order, that yields the child: the search keeps a state's first discovery,
 so that is the move it took.  It reads the memo entries the search filled:
 when the child was discovered, every move of the parent up to the
-discovering one had been processed, so recovery runs no rel_apply.
+discovering one had been processed, so recovery runs no rank step.
 
 A positive verdict carries an abstract witness: per step, the machine's own
 label and effect tuples (see abmachine) and the rank tuple after the step;
@@ -50,11 +52,14 @@ import time
 from array import array
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .abmachine import R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, ab_machine
 from .model import LT, OP_FRESH, Program, Target, eval_rel
-from .relabs import abstract_of, canonical_key, decode_key, key_length, rel_apply, rel_initial
+from .relabs import (
+    abstract_of, canonical_key, decode_key, key_length, rank_kernel, rel_apply,
+    rel_initial,
+)
 from .tso import Label, Run, replay
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE, Stats, Verdict, _rss_mb,
@@ -166,9 +171,11 @@ def check_reach(program: Program, target: Target, k: int,
     rank_id: dict[tuple[int, ...], int] = {}
     effs: list[tuple] = []
     eff_id: dict[tuple, int] = {}
+    # per eid, the list's rank kernel, or None for a list with a fresh value
+    kernels: list[Optional[Callable]] = []
     # per cid, once popped: [(label, eid, successor cid, hits target)]
     succ: list[Optional[list]] = []
-    # per eid, rel_apply by rid: _UNKNOWN, the one successor rid, or
+    # per eid, the rank step by rid: _UNKNOWN, the one successor rid, or
     # _BRANCH - i for the successor rids branches[i] (none or several)
     memo: list[array] = []
     branches: list[tuple[int, ...]] = [()]
@@ -201,6 +208,7 @@ def check_reach(program: Program, target: Target, k: int,
             if eid is None:
                 eid = eff_id[eff] = len(effs)
                 effs.append(eff)
+                kernels.append(rank_kernel(eff))
                 memo.append(array("i"))
             moves.append((core, eid, intern_ctrl(flat2), flat2[m.ST + tti] == tsi))
         return moves
@@ -242,6 +250,7 @@ def check_reach(program: Program, target: Target, k: int,
         return Verdict(found, status, witness, stats)
 
     # bound once per search: the loop below calls it on every memo miss
+    # of a list with a fresh value
     apply = rel_apply
     explored = peak = misses = 0
     # new states the cap still admits; the search stops when it goes negative
@@ -274,22 +283,28 @@ def check_reach(program: Program, target: Target, k: int,
                 row = memo[eid]
                 entry = row[rid] if rid < len(row) else _UNKNOWN
                 if entry == _UNKNOWN:
-                    # the memo miss: rel_apply, then intern what it gave
+                    # the memo miss: the list's kernel, or rel_apply for a
+                    # list with a fresh value, then intern what it gave
                     misses += 1
                     r = ranks[rid]
-                    out = apply(r, effs[eid])
-                    if len(out) == 1:
-                        # rel_apply hands back the input tuple itself when
+                    kernel = kernels[eid]
+                    if kernel is None:
+                        out = apply(r, effs[eid])
+                        # a single successor is stored inline, as a kernel's
+                        r2 = out[0] if len(out) == 1 else None
+                    else:
+                        out = ()
+                        r2 = kernel(r)
+                    if r2 is r:
+                        # a kernel hands back the input tuple itself when
                         # nothing moved
-                        r2 = out[0]
-                        if r2 is r:
-                            entry = rid
-                        else:
-                            # one lookup, whether r2 is new or not
-                            n = len(ranks)
-                            entry = rank_id.setdefault(r2, n)
-                            if entry == n:
-                                ranks.append(r2)
+                        entry = rid
+                    elif r2 is not None:
+                        # one lookup, whether r2 is new or not
+                        n = len(ranks)
+                        entry = rank_id.setdefault(r2, n)
+                        if entry == n:
+                            ranks.append(r2)
                     elif out:
                         entry = _BRANCH - len(branches)
                         branches.append(tuple(map(intern_ranks, out)))

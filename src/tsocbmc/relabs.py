@@ -30,17 +30,24 @@ singleton class leaves, then opens one above the class it lands after.
 There are three effect kinds, copy, fresh and guard; the context-switch
 flush arrives as plain copies (see abmachine).
 
-rel_apply runs on every memo miss of the search, and most effect lists give
-at most one successor, so it carries a single tuple through the list: a
-failing guard ends it with no successor, a copy within one class is
-skipped, and only a copy across classes builds a new tuple.  Only a fresh
-value branches, and the effects after it then run once per placement.  When
-nothing moves, the one successor is the input tuple object itself, which
-lets the search keep its rank id without a lookup.
+rel_apply is the reference rank step.  Most effect lists give at most one
+successor, so it carries a single tuple through the list: a failing guard
+ends it with no successor, a copy within one class is skipped, and only a
+copy across classes builds a new tuple.  Only a fresh value branches, and
+the effects after it then run once per placement.  When nothing moves, the
+one successor is the input tuple object itself, which lets the search keep
+its rank id without a lookup.
+
+On a memo miss the search runs an effect list's rank kernel instead, or
+rel_apply for a list with a fresh value.  rank_kernel compiles a fresh-free
+list once into straight-line code with the same result: no dispatch on the
+effect tag, no unpacking, the guard comparisons and copies written out per
+column.  Kernels are cached per effect list across searches.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Callable, Optional, Sequence
 
 from .abmachine import ab_machine
 from .model import Program, Relation, RelKind
@@ -138,6 +145,58 @@ def _fresh(r: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
         above[d] = c + 1
         out.append(tuple(above))
     return out
+
+
+# kernels kept across searches; a machine has tens of distinct effect lists
+_KERNELS = 1024
+
+
+def _fails(rel: Relation) -> str:
+    """The operator on (left rank, right rank) under which rel_check fails,
+    chosen as rel_check chooses its comparison."""
+    kind = rel.kind
+    if kind is _EQ:
+        return "!="
+    if kind is _NEQ:
+        return "=="
+    if kind is _LT or rel.n:
+        return ">="
+    return ">"
+
+
+@lru_cache(maxsize=_KERNELS)
+def rank_kernel(effects: tuple) -> Optional[Callable]:
+    """rel_apply for one fresh-free effect list, compiled to straight-line
+    code: the kernel maps a rank tuple to its single successor (the input
+    tuple itself when nothing moved), or to None when a guard fails.  A
+    list with a fresh value branches and gets no kernel (None).
+
+    The generated source holds only int column indices and fixed
+    operators; every column is checked to be an int before any is built.
+    """
+    if any(eff[0] != "copy" and eff[0] != "guard" for eff in effects):
+        return None
+    for eff in effects:
+        cols = eff[1:] if eff[0] == "copy" else eff[2:]
+        if any(type(c) is not int for c in cols):
+            raise TypeError(f"effect {eff!r} has a column that is not an int")
+    lines = ["def kernel(r):"]
+    for eff in effects:
+        if eff[0] == "copy":
+            _, d, s = eff
+            if d != s:  # _copy, inline; a self copy never moves
+                lines += [f" o = r[{d}]; n = r[{s}]",
+                          " if o != n:",
+                          f"  l = list(r); l[{d}] = n",
+                          "  r = tuple(l) if o in l else"
+                          " tuple([v - 1 if v > o else v for v in l])"]
+        else:
+            _, rel, a, b = eff
+            lines.append(f" if r[{a}] {_fails(rel)} r[{b}]: return None")
+    lines.append(" return r")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<rank kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def rel_initial(nab: int) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ class Stats:
     # never counted.  The two figures do not compare across engines.
     peak_frontier: int = 0
     rank_tuples: int = 0      # distinct rank tuples the search interned
-    rel_apply_calls: int = 0  # rel_apply calls, one per memo miss
+    rel_apply_calls: int = 0  # memo misses: one rank kernel or rel_apply call each
     wall_ms: float = 0.0
     # the cap that ended the search: "max_states" or "max_mb", or "depth"
     # when a bounded search (the TSO oracle, dlcs_reach_bounded) runs out of

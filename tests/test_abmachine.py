@@ -270,7 +270,7 @@ def _chain(n):
     "threads0-256 threads, above the limit of 255",
     "threads1-thread 't' has 256 states, above the limit of 255",
 ])
-def test_machine_and_oracle_name_the_same_byte_limits(threads, target):
+def test_machine_decides_models_past_the_byte_limits(threads, target):
     # a key holds one natural per component, so thread ids and thread states
     # past 255 build and are decided like any other model
     p = Program.make(threads, ["x"])

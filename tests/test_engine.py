@@ -333,13 +333,15 @@ def test_witness_names_the_first_move_to_a_shared_successor():
 
 def test_search_calls_the_public_encoding(monkeypatch):
     # the interned search checks each new control tuple, not each new rank
-    # tuple, through canonical_key/decode_key, and runs rel_apply once per
-    # memo miss; a witness reads the memo entries the search filled, so its
-    # recovery runs no rel_apply of its own.  The benchmark's traced run
-    # wraps these engine globals and fails when one of them sees no call
+    # tuple, through canonical_key/decode_key, and runs once per memo miss
+    # either the effect list's rank kernel or, for a list with a fresh
+    # value, rel_apply; a witness reads the memo entries the search filled,
+    # so its recovery runs neither.  The benchmark's traced run wraps these
+    # engine globals and fails when one of them sees no call
     from tsocbmc import engine
     from tsocbmc.generators import gen_bakery
     calls = dict.fromkeys(("rel_apply", "canonical_key", "decode_key"), 0)
+    kernel_calls = 0
 
     def counted(name):
         real = getattr(engine, name)
@@ -349,19 +351,34 @@ def test_search_calls_the_public_encoding(monkeypatch):
             return real(*args)
         return wrapper
 
+    real_kernel = engine.rank_kernel
+
+    def counted_kernel(effects):
+        kernel = real_kernel(effects)
+        if kernel is None:
+            return None
+
+        def wrapper(r):
+            nonlocal kernel_calls
+            kernel_calls += 1
+            return kernel(r)
+        return wrapper
+
     for name in calls:
         monkeypatch.setattr(engine, name, counted(name))
+    monkeypatch.setattr(engine, "rank_kernel", counted_kernel)
     g = gen_bakery(1)
     sb, sb_target = _load("sb.tso")
     for program, target, k, status, states in (
             (g.program, g.target, 4, UNREACHABLE, 1020),
             (sb, sb_target, 3, REACHABLE, 582)):
         calls.update(dict.fromkeys(calls, 0))
+        kernel_calls = 0
         v = check_reach(program, target, k)
         assert v.status == status and v.stats.states_explored == states
         assert (v.witness is not None) == (status == REACHABLE)
-        assert all(calls.values()), calls
-        assert calls["rel_apply"] == v.stats.rel_apply_calls
+        assert all(calls.values()) and kernel_calls, (calls, kernel_calls)
+        assert kernel_calls + calls["rel_apply"] == v.stats.rel_apply_calls
 
 
 def test_unused_fresh_register_rebuilds_to_a_tso_run():

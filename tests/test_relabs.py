@@ -6,6 +6,7 @@ from tsocbmc import (
     EQ, LE, LT, NEQ, abstract_of, canonical_key, decode_key,
     key_length, le, lt, parse_program, rel_apply, rel_check, rel_initial,
 )
+from tsocbmc.relabs import rank_kernel
 
 
 def _rank_oracle(values):
@@ -175,6 +176,54 @@ def test_rel_apply_matches_reference_on_random_effects():
                 effects.extend(("copy", d, rng.choice(cols[cut:])) for d in cols[:cut])
         # list equality: the successors and their order
         assert rel_apply(ranks, effects) == _rel_apply_ref(ranks, effects)
+
+
+def test_rank_kernel_matches_rel_apply_on_random_effects():
+    # the recipe above without fresh values, which get no kernel
+    rng = random.Random(12)
+    rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
+    for _ in range(3000):
+        n = rng.randrange(1, 8)
+        ranks = abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
+        effects = []
+        for _ in range(rng.randrange(1, 5)):
+            tag = rng.choice(("copy", "guard", "flush"))
+            if tag == "copy":
+                effects.append(("copy", rng.randrange(n), rng.randrange(n)))
+            elif tag == "guard":
+                effects.append(("guard", rng.choice(rels),
+                                rng.randrange(n), rng.randrange(n)))
+            elif n > 1:
+                cols = rng.sample(range(n), n)
+                cut = rng.randrange(1, n)
+                effects.extend(("copy", d, rng.choice(cols[cut:])) for d in cols[:cut])
+        got = rank_kernel(tuple(effects))(ranks)
+        want = rel_apply(ranks, effects)
+        if not want:
+            assert got is None
+        else:
+            assert want == [got]
+            # the input tuple itself exactly when nothing moved
+            assert (got is ranks) == (want[0] is ranks)
+        # a fresh value anywhere in the list: no kernel
+        at = rng.randrange(len(effects) + 1)
+        with_fresh = effects[:at] + [("fresh", rng.randrange(n))] + effects[at:]
+        assert rank_kernel(tuple(with_fresh)) is None
+
+
+def test_rank_kernel_rejects_a_column_that_is_not_an_int(monkeypatch):
+    # columns are the only values formatted into a kernel's source, so a
+    # column that is not an int fails before any source is compiled
+    from tsocbmc import relabs
+
+    def no_compile(*args):
+        raise AssertionError("kernel source compiled")
+    monkeypatch.setattr(relabs, "compile", no_compile, raising=False)
+    for effects in ((("copy", 0, "1"),),
+                    (("copy", None, 0),),
+                    (("guard", EQ, 0, 1), ("guard", LT, 1.5, 0))):
+        with pytest.raises(TypeError, match="not an int"):
+            rank_kernel(effects)
 
 
 def test_abstract_of_dense_classes():
