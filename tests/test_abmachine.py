@@ -265,11 +265,7 @@ def _chain(n):
 @pytest.mark.parametrize("threads,target", [
     (_writers(256), Target("t0", "q1")),
     (_chain(256), Target("t", "q255")),
-], ids=[
-    # the ids the test ran under while these models were above a byte limit
-    "threads0-256 threads, above the limit of 255",
-    "threads1-thread 't' has 256 states, above the limit of 255",
-])
+], ids=["256-threads", "256-states"])
 def test_machine_decides_models_past_the_byte_limits(threads, target):
     # a key holds one natural per component, so thread ids and thread states
     # past 255 build and are decided like any other model
