@@ -4,7 +4,7 @@ The search space pairs the summarized control state with a rank tuple over
 the summary variables.  Far fewer of each occur than of their pairs (bakery(2)
 at k=3 reaches 142,000 states from 2,764 control tuples and 3,522 rank
 tuples), so each search interns control tuples, rank tuples and effect lists
-to integer ids and stores a state as the one integer cid | rid << 32
+to integer ids and stores a state as a rank id in the set of its control id
 (collapse compression, as in SPIN).  The public key encoding
 (relabs.canonical_key, the control tuple followed by the rank tuple) is
 checked once per new control tuple; a concatenation splits back at the
@@ -19,21 +19,39 @@ step depends only on the rank tuple and the effect list: its result is
 memoized per effect list in an int array indexed by rank id, which holds
 the one successor rank id inline, or points into a side list of branching
 results (none, or several after a fresh value).  Both tables live only as
-long as that search.  On instances where the memo rarely hits, the miss
-path is what counts, and it runs inline in the search loop, in one place:
-it runs the effect list's rank kernel (relabs.rank_kernel, fetched once
-when the list is interned), or rel_apply for a list with a fresh value,
-which may branch.  A single result that is the input tuple object itself
-keeps its rank id with no lookup, a moved one is interned with one lookup,
-the loop drops a move with no successor before anything else, and it
-visits a single successor without building a tuple for it.
+long as that search.  A memo miss runs the effect list's rank kernel
+(relabs.rank_kernel, fetched once when the list is interned), or rel_apply
+for a list with a fresh value, which may branch.  A single result that is
+the input tuple object itself keeps its rank id with no lookup, and a moved
+one is interned with one lookup.
 
-The visited set maps each state to its parent state alone.  A witness
-recovers each step's label as the first move out of the parent, in table
-order, that yields the child: the search keeps a state's first discovery,
-so that is the move it took.  It reads the memo entries the search filled:
-when the child was discovered, every move of the parent up to the
-discovering one had been processed, so recovery runs no rank step.
+Within each schedule the search runs level by level (level-synchronous
+breadth-first search).  A level maps each control id to its batch of rank
+ids, and holds the control ids in the order in which they first received a
+new state.  Each move of a control state is applied to its whole batch at
+once: the batch reads the move's memo row, only the entries not computed
+yet run the miss path, and the successor rank ids not yet seen with the
+successor control id (one set per control id) join its batch in the next
+level.  Within a level, the batches of the control states with a move to
+the target are probed first, in level order, with those moves alone.  The
+first whose moves yield any state ends the search at the least (control
+tuple, rank tuple) among the states it yields, and states_explored is the
+states of the earlier levels plus the batches probed up to and including
+that one.  Otherwise every batch is expanded in level order, and each
+counts in states_explored once.  peak_frontier is the largest level, the
+root level never counted.  max_states is checked after each control
+state's batch, so a search may store up to one batch's new states past the
+cap.  The memory cap is sampled after a batch, every 4,096 explored states
+or so.
+
+No parent pointers are stored.  A reachable verdict keeps the levels of the
+hitting schedule and walks them backward: each state's parent is the least
+(control tuple, rank tuple, move index) in the level before (for the
+target, in the hitting batch) whose move yields it.  Every batch of those
+levels was applied to every move that can yield a state there, so the walk
+reads the memo entries the search filled and runs no rank step.  The
+verdict, states_explored, peak_frontier and the witness depend only on
+which rank ids each batch holds, never on the order a set yields them.
 
 A positive verdict carries an abstract witness: per step, the machine's own
 label and effect tuples (see abmachine) and the rank tuple after the step;
@@ -97,8 +115,6 @@ class ConcreteRun:
 # memo entries of check_reach: not computed yet, and the branches offset
 _UNKNOWN = -1
 _BRANCH = -2
-# the cid bits of a search state
-_CID = (1 << 32) - 1
 
 
 def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
@@ -144,8 +160,8 @@ def check_reach(program: Program, target: Target, k: int,
     The combined state space is finite, so with no caps hit the negative
     answer is definitive for this k.  Search order is deterministic:
     schedules in the _seed_order (those ending on the target thread),
-    breadth-first within each, transitions in program order.  The visited
-    set is shared across schedules; converging runs are explored once.
+    level by level within each (see the module docstring).  The seen set is
+    shared across schedules; converging runs are explored once.
 
     A one-thread program is searched at k=1: its buffer updates are its own
     steps, so a run within k contexts exists iff one exists within one.  The
@@ -173,14 +189,15 @@ def check_reach(program: Program, target: Target, k: int,
     eff_id: dict[tuple, int] = {}
     # per eid, the list's rank kernel, or None for a list with a fresh value
     kernels: list[Optional[Callable]] = []
-    # per cid, once popped: [(label, eid, successor cid, hits target)]
-    succ: list[Optional[list]] = []
+    # per cid, once expanded: its moves [(label, eid, successor cid)] in
+    # table order, split into those that miss and those that hit the target
+    succ: list[Optional[tuple[list, list]]] = []
     # per eid, the rank step by rid: _UNKNOWN, the one successor rid, or
     # _BRANCH - i for the successor rids branches[i] (none or several)
     memo: list[array] = []
     branches: list[tuple[int, ...]] = [()]
-    # state -> parent state, -1 at a root; a state is cid | rid << 32
-    visited: dict[int, int] = {}
+    # per cid, the rids seen with it in this search
+    seen: list[set[int]] = []
 
     def intern_ctrl(flat: tuple[int, ...]) -> int:
         cid = ctrl_id.get(flat)
@@ -191,6 +208,7 @@ def check_reach(program: Program, target: Target, k: int,
             cid = ctrl_id[flat] = len(ctrls)
             ctrls.append(flat)
             succ.append(None)
+            seen.append(set())
         return cid
 
     def intern_ranks(r: tuple[int, ...]) -> int:
@@ -200,9 +218,9 @@ def check_reach(program: Program, target: Target, k: int,
             ranks.append(r)
         return rid
 
-    def expand(cid: int) -> list:
+    def expand(cid: int) -> tuple[list, list]:
         stats.control_states += 1
-        moves = []
+        moves: tuple[list, list] = ([], [])
         for core, eff, flat2 in m.transitions_flat(ctrls[cid]):
             eid = eff_id.get(eff)
             if eid is None:
@@ -210,133 +228,183 @@ def check_reach(program: Program, target: Target, k: int,
                 effs.append(eff)
                 kernels.append(rank_kernel(eff))
                 memo.append(array("i"))
-            moves.append((core, eid, intern_ctrl(flat2), flat2[m.ST + tti] == tsi))
+            moves[flat2[m.ST + tti] == tsi].append((core, eid, intern_ctrl(flat2)))
         return moves
+
+    # bound once per search: step calls it on every memo miss of a list
+    # with a fresh value
+    apply = rel_apply
+    misses = 0
+
+    def step(eid: int, rids: list[int]) -> list[int]:
+        """The successor rids of a batch under one effect list, in batch
+        order with branches expanded; only _UNKNOWN memo entries run the
+        list's kernel, or rel_apply for a list with a fresh value."""
+        nonlocal misses
+        row = memo[eid]
+        if len(row) < len(ranks):
+            row.fromlist([_UNKNOWN] * (len(ranks) - len(row)))
+        entries = list(map(row.__getitem__, rids))
+        unknown = entries.count(_UNKNOWN)
+        if unknown:
+            misses += unknown
+            kernel = kernels[eid]
+            for i, entry in enumerate(entries):
+                if entry != _UNKNOWN:
+                    continue
+                rid = rids[i]
+                r = ranks[rid]
+                if kernel is None:
+                    out = apply(r, effs[eid])
+                    # a single successor is stored inline, as a kernel's
+                    r2 = out[0] if len(out) == 1 else None
+                else:
+                    out = ()
+                    r2 = kernel(r)
+                if r2 is r:
+                    # a kernel hands back the input tuple itself when
+                    # nothing moved
+                    entry = rid
+                elif r2 is not None:
+                    # one lookup, whether r2 is new or not
+                    n = len(ranks)
+                    entry = rank_id.setdefault(r2, n)
+                    if entry == n:
+                        ranks.append(r2)
+                elif out:
+                    entry = _BRANCH - len(branches)
+                    branches.append(tuple(map(intern_ranks, out)))
+                else:
+                    entry = _BRANCH
+                row[rid] = entries[i] = entry
+        if min(entries) >= 0:
+            return entries
+        kids = [entry for entry in entries if entry >= 0]
+        for entry in entries:
+            if entry < _BRANCH:
+                kids.extend(branches[_BRANCH - entry])
+        return kids
 
     def filled(eid: int, rid: int) -> tuple[int, ...]:
         """The successor rids the search stored for (eid, rid)."""
-        row = memo[eid]
-        entry = row[rid] if rid < len(row) else _UNKNOWN
+        entry = memo[eid][rid]
         if entry == _UNKNOWN:
             raise AssertionError(f"witness step from rank id {rid} reads an "
                                  "unfilled memo entry")
         return (entry,) if entry >= 0 else branches[_BRANCH - entry]
 
-    def finish(found: bool, status: str, explored: int, peak: int, misses: int,
-               node: int = -1, stop: str = "") -> Verdict:
+    def parent(into: dict[int, set[int]], batches: dict[int, list[int]],
+               cid2: int, rid2: int) -> tuple[int, int, tuple, int]:
+        """(cid, rid, label, eid) of the least (control tuple, rank tuple,
+        move index) in batches whose move's filled memo entry yields the
+        state (cid2, rid2); into maps a cid to the cids with a move to it.
+        The moves into cid2 all hit the target or all miss it, so their
+        index in one part of succ keeps their table order."""
+        for cid in sorted((c for c in into[cid2] if c in batches),
+                          key=ctrls.__getitem__):
+            moves = [(j, core, eid) for part in succ[cid]
+                     for j, (core, eid, c) in enumerate(part) if c == cid2]
+            best = min(((ranks[rid], j, rid, core, eid) for rid in batches[cid]
+                        for j, core, eid in moves if rid2 in filled(eid, rid)),
+                       default=None)
+            if best is not None:
+                return cid, best[2], best[3], best[4]
+        raise AssertionError(f"state ({cid2}, {rid2}) has no parent in its level")
+
+    def finish(status: str, explored: int, peak: int, stop: str = "",
+               target: tuple[int, int] = (-1, -1), walk: list = ()) -> Verdict:
+        """The verdict.  A reachable one names its target state and the
+        batches to walk back through, the hitting batch first."""
         stats.states_explored, stats.peak_frontier = explored, peak
         stats.rel_apply_calls, stats.stop_reason = misses, stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         stats.rank_tuples = len(ranks)
         witness = None
-        if found:
-            chain = [node]
-            while visited[chain[-1]] >= 0:
-                chain.append(visited[chain[-1]])
-            chain.reverse()
-            root = ctrls[chain[0] & _CID]
-            act = tuple(m.idx.thread_ids[t] for t in root[m.ACT:m.ACT + k])
+        if status == REACHABLE:
+            into: dict[int, set[int]] = {}
+            for cid, moves in enumerate(succ):
+                for part in moves or ():
+                    for _, _, c in part:
+                        into.setdefault(c, set()).add(cid)
+            cid2, rid2 = target
             steps = []
-            for s, s2 in zip(chain, chain[1:]):
-                # the BFS keeps a state's first discovery, so its label is
-                # the first move from the parent, in table order, to reach
-                # it; the search had processed every move up to that one, so
-                # their memo entries are filled
-                cid2, rid, rid2 = s2 & _CID, s >> 32, s2 >> 32
-                core, eid = next((core, eid) for core, eid, c, _ in succ[s & _CID]
-                                 if c == cid2 and rid2 in filled(eid, rid))
+            for batches in walk:
+                cid, rid, core, eid = parent(into, batches, cid2, rid2)
                 steps.append(WitnessStep(core, effs[eid], ranks[rid2]))
-            witness = Witness(k, act, tuple(steps))
-        return Verdict(found, status, witness, stats)
+                cid2, rid2 = cid, rid
+            root = ctrls[cid2]
+            act = tuple(m.idx.thread_ids[t] for t in root[m.ACT:m.ACT + k])
+            witness = Witness(k, act, tuple(reversed(steps)))
+        return Verdict(status == REACHABLE, status, witness, stats)
 
-    # bound once per search: the loop below calls it on every memo miss
-    # of a list with a fresh value
-    apply = rel_apply
-    explored = peak = misses = 0
-    # new states the cap still admits; the search stops when it goes negative
+    explored = peak = 0
+    # new states the cap admits past the finished levels; the search stops
+    # when a level outgrows it
     room = max_states
+    # the explored count at which the resident memory is next sampled
+    sample_at = 4096
     for act in _seed_order(m, tti):
         flat = m.initial_flat(act)
-        state = intern_ctrl(flat) | intern_ranks(r0) << 32
-        if state in visited:
+        cid, rid = intern_ctrl(flat), intern_ranks(r0)
+        if rid in seen[cid]:
             continue
-        visited[state] = -1
+        seen[cid].add(rid)
         room -= 1
         if flat[m.ST + tti] == tsi:
-            return finish(True, REACHABLE, explored, peak, misses, state)
-        frontier: deque[int] = deque([state])
-        pop, push = frontier.popleft, frontier.append
-        while frontier:
-            if len(frontier) > peak:
-                peak = len(frontier)
-            state = pop()
-            cid, rid = state & _CID, state >> 32
-            explored += 1
-            if (max_mb is not None and not explored & 4095
-                    and _rss_mb() > max_mb):
-                return finish(False, BOUND_EXHAUSTED, explored, peak, misses,
-                              stop="max_mb")
-            moves = succ[cid]
-            if moves is None:
-                moves = succ[cid] = expand(cid)
-            for _, eid, cid2, hit in moves:
-                row = memo[eid]
-                entry = row[rid] if rid < len(row) else _UNKNOWN
-                if entry == _UNKNOWN:
-                    # the memo miss: the list's kernel, or rel_apply for a
-                    # list with a fresh value, then intern what it gave
-                    misses += 1
-                    r = ranks[rid]
-                    kernel = kernels[eid]
-                    if kernel is None:
-                        out = apply(r, effs[eid])
-                        # a single successor is stored inline, as a kernel's
-                        r2 = out[0] if len(out) == 1 else None
-                    else:
-                        out = ()
-                        r2 = kernel(r)
-                    if r2 is r:
-                        # a kernel hands back the input tuple itself when
-                        # nothing moved
-                        entry = rid
-                    elif r2 is not None:
-                        # one lookup, whether r2 is new or not
-                        n = len(ranks)
-                        entry = rank_id.setdefault(r2, n)
-                        if entry == n:
-                            ranks.append(r2)
-                    elif out:
-                        entry = _BRANCH - len(branches)
-                        branches.append(tuple(map(intern_ranks, out)))
-                    else:
-                        entry = _BRANCH
-                    if rid >= len(row):
-                        row.fromlist([_UNKNOWN] * (len(ranks) - len(row)))
-                    row[rid] = entry
-                # entry becomes the first successor rid and more the rest,
-                # so the common single successor builds no tuple
-                if entry >= 0:
-                    more = ()
-                elif entry == _BRANCH:
+            return finish(REACHABLE, explored, peak, target=(cid, rid))
+        # per level of this schedule, each cid's batch of rids
+        levels = [{cid: [rid]}]
+        while True:
+            level = levels[-1]
+            # the batches with a move to the target go first, in level
+            # order, and the first whose hit moves yield a state ends the
+            # search at the least of those states
+            probed = 0
+            for cid, rids in level.items():
+                if succ[cid] is None:
+                    succ[cid] = expand(cid)
+                hits = succ[cid][1]
+                if not hits:
                     continue
-                else:
-                    entry, *more = branches[_BRANCH - entry]
-                while True:
-                    state2 = cid2 | entry << 32
-                    if state2 not in visited:
-                        visited[state2] = state
-                        if hit:
-                            return finish(True, REACHABLE, explored, peak, misses,
-                                          state2)
-                        room -= 1
-                        if room < 0:
-                            return finish(False, BOUND_EXHAUSTED, explored, peak,
-                                          misses, stop="max_states")
-                        push(state2)
-                    if not more:
-                        break
-                    entry = more.pop(0)
-    return finish(False, UNREACHABLE, explored, peak, misses)
+                probed += len(rids)
+                found = [(cid2, rid2) for _, eid, cid2 in hits
+                         for rid2 in step(eid, rids)]
+                if found:
+                    return finish(REACHABLE, explored + probed, peak,
+                                  target=min(found, key=lambda s: (ctrls[s[0]],
+                                                                   ranks[s[1]])),
+                                  walk=[{cid: rids}] + levels[-2::-1])
+            nxt: dict[int, list[int]] = {}
+            size = 0
+            for cid, rids in level.items():
+                explored += len(rids)
+                for _, eid, cid2 in succ[cid][0]:
+                    kids = step(eid, rids)
+                    if not kids:
+                        continue
+                    have = seen[cid2]
+                    new = set(kids) - have
+                    if new:
+                        have |= new
+                        size += len(new)
+                        batch = nxt.get(cid2)
+                        if batch is None:
+                            nxt[cid2] = list(new)
+                        else:
+                            batch.extend(new)
+                if size > room:
+                    # checked once per batch, which may overshoot the cap
+                    return finish(BOUND_EXHAUSTED, explored, peak, "max_states")
+                if max_mb is not None and explored >= sample_at:
+                    sample_at = explored + 4096
+                    if _rss_mb() > max_mb:
+                        return finish(BOUND_EXHAUSTED, explored, peak, "max_mb")
+            if not nxt:
+                break
+            room -= size
+            peak = max(peak, size)
+            levels.append(nxt)
+    return finish(UNREACHABLE, explored, peak)
 
 
 class ConcretizationError(ValueError):

@@ -18,9 +18,8 @@ class Stats:
     # oracle, the (thread, local part, memory) triples whose moves were
     # filled into the move table
     control_states: int = 0
-    # check_reach: the longest FIFO queue seen before a pop; the TSO oracle
-    # and dlcs_reach_bounded: the largest finished BFS level, the root level
-    # never counted.  The two figures do not compare across engines.
+    # the largest finished BFS level, the root level never counted, in
+    # check_reach, the TSO oracle and dlcs_reach_bounded alike
     peak_frontier: int = 0
     rank_tuples: int = 0      # distinct rank tuples the search interned
     rel_apply_calls: int = 0  # memo misses: one rank kernel or rel_apply call each

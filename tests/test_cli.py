@@ -135,6 +135,21 @@ def test_check_max_mb_env(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_check_memory_cap(monkeypatch, capsys, tmp_path):
+    from tsocbmc import engine
+    path, rpt = tmp_path / "bakery1.tso", tmp_path / "capped.json"
+    assert main(["gen", "bakery", "--n", "1", "--out", str(path)]) == 0
+    monkeypatch.setenv("TSOCBMC_MAX_MB", "100")
+    monkeypatch.setattr(engine, "_rss_mb", lambda: 1e6)
+    # 5,731 states uncapped: the memory is sampled after the batch that
+    # takes the search past 4,096 explored states
+    assert main(["check", str(path), "--k", "6", "--out", str(rpt)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "bound_exhausted: target mon:viol k=6 (4099 states explored)\n"
+    assert captured.err == "stopped by max_mb\n"
+    assert json.loads(rpt.read_text())["stats"]["stop_reason"] == "max_mb"
+
+
 # thread c1 writes and reads x, so its summary x@c1 sits beside the summary
 # x@c1 of context 1; the idle thread d keeps the search at k=2, since a
 # one-thread program is searched at k=1, where no context summary exists

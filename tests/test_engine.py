@@ -259,6 +259,18 @@ def test_memory_cap_reads_current_not_peak_rss():
     assert v.stats.states_explored == 5731
 
 
+def test_memory_cap_stops_the_search(monkeypatch):
+    from tsocbmc import engine
+    from tsocbmc.generators import gen_bakery
+    monkeypatch.setattr(engine, "_rss_mb", lambda: 1e6)
+    g = gen_bakery(1)
+    # 5,731 states uncapped: the memory is sampled after the batch that
+    # takes the search past 4,096 explored states
+    v = check_reach(g.program, g.target, 6, max_mb=100)
+    assert v.status == BOUND_EXHAUSTED and v.stats.stop_reason == "max_mb"
+    assert v.stats.states_explored == 4099
+
+
 def test_control_successors_computed_once_per_control_state(monkeypatch):
     # many rank tuples share a control state; its successors are computed
     # on first sight and reused for the rest of that search only
@@ -371,7 +383,7 @@ def test_search_calls_the_public_encoding(monkeypatch):
     sb, sb_target = _load("sb.tso")
     for program, target, k, status, states in (
             (g.program, g.target, 4, UNREACHABLE, 1020),
-            (sb, sb_target, 3, REACHABLE, 582)):
+            (sb, sb_target, 3, REACHABLE, 580)):
         calls.update(dict.fromkeys(calls, 0))
         kernel_calls = 0
         v = check_reach(program, target, k)

@@ -2,10 +2,10 @@
 state spaces.
 
 The abstraction's reference keeps (control tuple, rank tuple) pairs as they
-are: no interning, no memo of rel_apply and no per-control successor table.
-It walks the schedules it is given, expands every popped state with
-AbMachine.transitions_flat and rel_apply, and keeps each state's first
-discovery.  Over the schedules in _seed_order, check_reach must agree with
+are: no interning and no memo of rel_apply.  It walks the schedules it is
+given level by level, by the rule check_reach follows, and steps every
+state with AbMachine.transitions_flat, cached per control tuple, and
+rel_apply.  Over the schedules in _seed_order, check_reach must agree with
 it on the status, the states explored, the peak frontier and the witness.
 Over every repeat-free schedule that contains the target thread, it must
 agree on the status and the witness, so a schedule _seed_order drops
@@ -16,7 +16,7 @@ cb_reach_bounded: level by level over (TsoConfig, active thread, blocks
 used) through tso_enabled and tso_step, with no interning and no move table.
 """
 import random
-from collections import Counter, deque
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -46,52 +46,81 @@ def every_schedule(m, tti):
 
 
 def reference_search(program, target, k, max_states=2_000_000, schedules=_seed_order):
-    """(status, states explored, peak frontier, witness steps), where a
-    witness step is (label, effects, rank tuple after) and the witness is
-    None unless the status is reachable.  schedules(machine, target thread)
-    gives the schedules to walk, in order."""
+    """(status, states explored, peak frontier, witness), where the witness
+    is None unless the status is reachable, and otherwise the schedule and
+    its steps, each (label, effects, rank tuple after).  schedules(machine,
+    target thread) gives the schedules to walk, in order."""
     m = ab_machine(program, k)
     ti, si = m.idx.target_idx(target)
     r0 = rel_initial(m.nab)
-    # state -> (parent state, label, effects), None at a root
-    visited = {}
-    explored = peak = 0
+    table = {}
 
-    def result(status, state=None):
-        if status != REACHABLE:
-            return status, explored, peak, None
+    def moves(flat):
+        # transitions_flat per control tuple, computed on first sight
+        if flat not in table:
+            table[flat] = m.transitions_flat(flat)
+        return table[flat]
+
+    def hits(flat):
+        return flat[m.ST + ti] == si
+
+    def witness(walk, state):
+        # walk back through the batches, each step from the least
+        # (control tuple, rank tuple, move index) whose move yields the state
         steps = []
-        while visited[state] is not None:
-            parent, label, eff = visited[state]
-            steps.append((label, eff, state[1]))
-            state = parent
-        return status, explored, peak, (state[0][m.ACT:m.ACT + k], steps[::-1])
+        for level in walk:
+            flat2, ranks2 = state
+            flat, ranks, _, label, eff = min(
+                (flat, ranks, j, label, eff)
+                for flat, batch in level.items()
+                for j, (label, eff, to) in enumerate(moves(flat)) if to == flat2
+                for ranks in batch if ranks2 in rel_apply(ranks, eff))
+            steps.append((label, eff, ranks2))
+            state = (flat, ranks)
+        return state[0][m.ACT:m.ACT + k], steps[::-1]
 
+    # level by level per schedule; each level maps a control tuple to its
+    # batch of rank tuples, in the order the control tuples first received
+    # a new state.  The batches with a move to the target are probed first,
+    # and the first whose hit moves yield a state ends the search
+    seen = set()
+    explored = peak = 0
     for act in schedules(m, ti):
-        state = (m.initial_flat(act), r0)
-        if state in visited:
+        root = (m.initial_flat(act), r0)
+        if root in seen:
             continue
-        visited[state] = None
-        if state[0][m.ST + ti] == si:
-            return result(REACHABLE, state)
-        frontier = deque([state])
-        while frontier:
-            peak = max(peak, len(frontier))
-            state = frontier.popleft()
-            explored += 1
-            flat, ranks = state
-            for label, eff, flat2 in m.transitions_flat(flat):
-                for ranks2 in rel_apply(ranks, eff):
-                    state2 = (flat2, ranks2)
-                    if state2 in visited:
-                        continue
-                    visited[state2] = (state, label, eff)
-                    if flat2[m.ST + ti] == si:
-                        return result(REACHABLE, state2)
-                    if len(visited) > max_states:
-                        return result(BOUND_EXHAUSTED)
-                    frontier.append(state2)
-    return result(UNREACHABLE)
+        seen.add(root)
+        if hits(root[0]):
+            return REACHABLE, explored, peak, witness([], root)
+        levels = [{root[0]: [r0]}]
+        while levels[-1]:
+            level = levels[-1]
+            probed = 0
+            for flat, batch in level.items():
+                to_target = [(eff, to) for _, eff, to in moves(flat) if hits(to)]
+                if not to_target:
+                    continue
+                probed += len(batch)
+                found = [(to, ranks2) for eff, to in to_target
+                         for ranks in batch for ranks2 in rel_apply(ranks, eff)]
+                if found:
+                    walk = [{flat: batch}] + levels[-2::-1]
+                    return REACHABLE, explored + probed, peak, witness(walk, min(found))
+            # no move to the target yields a state now, so none is stored
+            nxt = {}
+            for flat, batch in level.items():
+                explored += len(batch)
+                for _, eff, to in moves(flat):
+                    for ranks in batch:
+                        for ranks2 in rel_apply(ranks, eff):
+                            if (to, ranks2) not in seen:
+                                seen.add((to, ranks2))
+                                nxt.setdefault(to, []).append(ranks2)
+                if len(seen) > max_states:
+                    return BOUND_EXHAUSTED, explored, peak, None
+            peak = max(peak, sum(map(len, nxt.values())))
+            levels.append(nxt)
+    return UNREACHABLE, explored, peak, None
 
 
 def searched(program, target, k, max_states):
@@ -148,6 +177,16 @@ def test_random_programs_match_the_reference():
         for k in (1, 2, 3):
             seen.add(assert_same_search(p, tgt, k, max_states=500))
     assert seen == {REACHABLE, UNREACHABLE, BOUND_EXHAUSTED}
+
+
+def test_caps_at_their_edges():
+    # sb at k=2 is unreachable and stores its 189 states: a cap of 189 lets
+    # the search finish, and one lower ends it after the batch that stores
+    # the last state
+    p, tgt = parse_program_with_target((CORPUS / "sb.tso").read_text())
+    statuses = [assert_same_search(p, tgt, 2, max_states=cap)
+                for cap in range(187, 191)]
+    assert statuses == [BOUND_EXHAUSTED] * 2 + [UNREACHABLE] * 2
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (1, 3), (1, 4),
