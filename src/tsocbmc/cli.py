@@ -44,7 +44,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
             return f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}")
 
 

@@ -57,9 +57,9 @@ A positive verdict carries an abstract witness: per step, the machine's own
 label and effect tuples (see abmachine) and the rank tuple after the step;
 the machine renders them for reports.  From it we can
 
-  * concretize: replay the steps assigning actual naturals, inflating the
-    value space (shifting everything >= some point upward) whenever a gap
-    or offset constraint needs room, and
+  * concretize: keep every drawn value as a point in one order, then
+    number the points N + 1 apart, N the largest guard offset, so each
+    strict rank gap covers every offset, and
   * reconstruct a plain store-buffer run whose context blocks match the
     abstract schedule, flushing each buffered write at the end of its
     chosen context.
@@ -69,11 +69,11 @@ from __future__ import annotations
 import time
 from array import array
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .abmachine import R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, ab_machine
-from .model import LT, OP_FRESH, Program, Target, eval_rel
+from .model import OP_FRESH, Program, Target
 from .relabs import (
     abstract_of, canonical_key, decode_key, key_length, rank_kernel, rel_apply,
     rel_initial,
@@ -412,82 +412,67 @@ class ConcretizationError(ValueError):
 
 
 def concretize_witness(program: Program, witness: Witness) -> ConcreteRun:
-    """Assign actual naturals to an abstract witness.
+    """Assign actual naturals to an abstract witness, in two passes.
 
-    Values are replayed step by step.  A fresh value is placed according to
-    its rank in the step's rank tuple: joining a class copies that class's
-    value; a slot between classes takes the midpoint, first inflating if the
-    gap is a single unit; a slot above the top takes top+1.  A failing
-    offset guard (only those with a positive offset can fail, the rank
-    invariant settles the rest) is repaired by inflating at the right-hand
-    value.  Inflation shifts every value >= a point upward everywhere in the
-    run built so far, which keeps ranks, and so the replayed schedule,
-    intact.
+    A drawn value never changes, so the first pass keeps every value as a
+    point in one order, the sentinel's point lowest.  A fresh value that
+    joins a class of the step's rank tuple takes that class's point;
+    otherwise it becomes a new point right after the point of the class
+    below it.  Dead points keep their place, so the live values stay in
+    rank order at every step.  The second pass numbers the points in order,
+    N + 1 apart where N is the largest guard offset in the witness, so every
+    strict rank gap covers every offset, and replays each step on those
+    values.
     """
     m = ab_machine(program, witness.k)
-    vals = (0,) * m.nab
-    run = ConcreteRun(witness.k, witness.act, ())
-
-    def make_room(at: int, amount: int) -> None:
-        # the run so far, and the values of the step in progress
-        nonlocal run, vals
-        run = inflate(run, at, amount)
-        vals = tuple(v + amount if v >= at else v for v in vals)
-
-    for step in witness.steps:
-        eff_core = step.effects
-        ra = step.rel_after
-        fresh: Optional[int] = None
-        fresh_at = [n for n, e in enumerate(eff_core) if e[0] == "fresh"]
-        if len(fresh_at) > 1 or (fresh_at and any(
-                e[0] != "copy" or e[2] != 0
-                for e in eff_core[fresh_at[0] + 1:])):
-            # the placement below reads ranks of the step's final values; a
-            # later effect may only zero a variable (whose final rank is then
-            # the sentinel's), anything else could shift the classes under us
-            raise ConcretizationError("fresh may only be followed by resets")
-        for eff in eff_core:
-            tag = eff[0]
-            if tag == "copy":
-                vals = m.apply_effects(vals, (eff,))
-            elif tag == "guard":
-                _, rel, a, b = eff
-                if eval_rel(rel, vals[a], vals[b]):
-                    continue
-                # ranks guarantee everything except positive offsets
-                if rel.n < 1:
-                    raise ConcretizationError("guard fails below its rank promise")
-                if rel.kind == LT.kind:
-                    need = vals[a] + rel.n + 1 - vals[b]
-                else:
-                    need = vals[a] + rel.n - vals[b]
-                make_room(vals[b], need)
-                assert eval_rel(rel, vals[a], vals[b])
-            else:  # fresh
+    order = [0]                     # point ids, lowest value first
+    pts = [0] * m.nab               # each column's point
+    drawn: list[Optional[int]] = []  # per step, the drawn value's point
+    gap = 1
+    for n, step in enumerate(witness.steps):
+        d = None
+        for i, eff in enumerate(step.effects):
+            if eff[0] == "copy":
+                pts[eff[1]] = pts[eff[2]]
+            elif eff[0] == "guard":
+                gap = max(gap, eff[1].n + 1)
+            elif d is None and all(e[0] == "copy" and e[2] == 0
+                                   for e in step.effects[i + 1:]):
+                # the placement reads the ranks of the step's final values; a
+                # later effect may only zero a column, to the sentinel's rank
                 d = eff[1]
-                rd = ra[d]
-                join = [i for i in range(m.nab) if i != d and ra[i] == rd]
-                if join:
-                    fresh = vals[join[0]]
-                else:
-                    below = [vals[i] for i in range(m.nab) if i != d and ra[i] == rd - 1]
-                    above = [vals[i] for i in range(m.nab) if i != d and ra[i] == rd + 1]
-                    if not below:
-                        raise ConcretizationError("fresh placed below the sentinel")
-                    v_lo = below[0]
-                    if not above:
-                        fresh = v_lo + 1
-                    else:
-                        v_hi = above[0]
-                        if v_hi - v_lo < 2:
-                            make_room(v_hi, v_lo + 2 - v_hi)
-                            v_hi = v_lo + 2
-                        fresh = (v_lo + v_hi) // 2
-                vals = m.apply_effects(vals, (eff,), fresh)
-        if abstract_of(vals) != ra:
-            raise ConcretizationError("concrete replay left the witness ranks")
-        run = replace(run, steps=run.steps + (ConcreteStep(step.label, fresh, vals),))
-    return run
+            else:
+                raise ConcretizationError(f"step {n}: fresh may only be "
+                                          "followed by resets")
+        point = None
+        if d is not None:
+            ra = step.rel_after
+            cls = {ra[i]: pts[i] for i in range(m.nab) if i != d}
+            if ra[d] in cls:
+                point = cls[ra[d]]
+            elif ra[d] - 1 in cls:
+                point = len(order)
+                order.insert(order.index(cls[ra[d] - 1]) + 1, point)
+            else:
+                raise ConcretizationError(f"step {n}: fresh placed below "
+                                          "the sentinel")
+            pts[d] = point
+        drawn.append(point)
+
+    value = {p: i * gap for i, p in enumerate(order)}
+    vals = (0,) * m.nab
+    steps = []
+    for n, (step, p) in enumerate(zip(witness.steps, drawn)):
+        fresh = None if p is None else value[p]
+        try:
+            vals = m.apply_effects(vals, step.effects, fresh)
+        except ValueError as e:
+            raise ConcretizationError(f"step {n}: {e}") from e
+        if abstract_of(vals) != step.rel_after:
+            raise ConcretizationError(f"step {n}: concrete replay left the "
+                                      "witness ranks")
+        steps.append(ConcreteStep(step.label, fresh, vals))
+    return ConcreteRun(witness.k, witness.act, tuple(steps))
 
 
 def inflate(run: ConcreteRun, at: int, amount: int) -> ConcreteRun:

@@ -15,7 +15,7 @@ Relation tests soften to what ranks can express:
 
 Distance constraints (the N offsets) cannot be decided from ranks alone;
 requiring a strict rank gap is the exact necessary condition, and witness
-concretization later restores sufficiency by inflating gaps.
+concretization later restores sufficiency by spacing values widely.
 
 A fresh value lands either inside one of the m+1 existing classes or in one
 of the m+1 slots strictly between adjacent classes or above the top class.

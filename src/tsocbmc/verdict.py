@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -41,11 +42,12 @@ class Verdict:
 def _rss_mb() -> float:
     """Current resident set size, which the searches' max_mb caps.  Where
     /proc/self/statm is missing this falls back to the lifetime peak, which
-    only ever grows."""
+    only ever grows, and which macOS gives in bytes, not KiB."""
     try:
         with open("/proc/self/statm", "rb") as f:
             pages = int(f.read().split()[1])
         return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
     except (OSError, ValueError, IndexError):
         import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / (2**20 if sys.platform == "darwin" else 1024)

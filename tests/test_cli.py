@@ -341,6 +341,17 @@ def test_parse_error_exit_and_message(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_file_not_utf8_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.tso"
+    bad.write_bytes(b"domain nat\n\xff\n")
+    good = tmp_path / "even.dfa"
+    good.write_text(DFA_EVEN)
+    for argv in (["check", str(bad), "--k", "1"], ["parse", str(bad)],
+                 ["gen", "intersection", str(good), str(bad)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith(f"cannot read {bad}: "), argv
+
+
 def test_gen_bakery_round_trips_through_check(tmp_path, capsys):
     out = tmp_path / "bakery.tso"
     assert main(["gen", "bakery", "--n", "2", "--out", str(out)]) == 0

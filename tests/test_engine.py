@@ -86,24 +86,73 @@ def _pre_guard_values(run, m, pick):
     raise AssertionError("guard step not found")
 
 
-def test_offset_guard_needs_inflation():
-    # the fresh value's rank only promises b > a; the offset forces room
-    t = _thread("t", ["a", "b"], [
-        Transition("q0", NewValue("a"), "q1"),
-        Transition("q1", NewValue("b"), "q2"),
-        Transition("q2", Guard(lt(3), "a", "b"), "q3"),
-    ])
+def _offset_guard_witness(above_zero=False):
+    # the fresh value's rank only promises b > a; the offset asks for more.
+    # With above_zero, a must also exceed z, a register that stays 0
+    guards = [Guard(lt(0), "z", "a")] if above_zero else []
+    ops = [NewValue("a"), *guards, NewValue("b"), Guard(lt(3), "a", "b")]
+    t = _thread("t", ["a", "b", "z"], [
+        Transition(f"q{n}", op, f"q{n + 1}") for n, op in enumerate(ops)])
     p = Program.make([t], ["x"])
-    tgt = Target("t", "q3")
-    v = check_reach(p, tgt, 1)
+    v = check_reach(p, Target("t", f"q{len(ops)}"), 1)
     assert v.reachable
-    run = concretize_witness(p, v.witness)
+    return p, v.witness
+
+
+def test_offset_guard_needs_inflation():
+    p, witness = _offset_guard_witness()
+    run = concretize_witness(p, witness)
     assert validate_witness(p, run)
     m = ab_machine(p, 1)
     pre = _pre_guard_values(run, m, lambda op: op.rel == lt(3))
     a = pre[m.i_reg(m.idx.rid["a"])]
     b = pre[m.i_reg(m.idx.rid["b"])]
     assert a + 3 < b
+    # the largest guard offset is 3, so values are numbered 4 apart
+    assert all(v % 4 == 0 for s in run.steps for v in s.values)
+
+
+def test_values_are_spaced_one_past_the_largest_offset():
+    # a is drawn above the sentinel and b above a; with the largest guard
+    # offset 3 their points are numbered 4 apart
+    p, witness = _offset_guard_witness(above_zero=True)
+    run = concretize_witness(p, witness)
+    assert validate_witness(p, run)
+    assert [s.fresh_value for s in run.steps if s.fresh_value is not None] == [4, 8]
+
+
+def test_dead_value_keeps_its_place():
+    # sb's a_one is drawn at step 0 and dies before b_one is drawn; b_one
+    # lands right above the sentinel, below a_one's old value, which keeps
+    # its place in the order of drawn values
+    p, tgt = _load("sb.tso")
+    run = concretize_witness(p, check_reach(p, tgt, 3).witness)
+    assert validate_witness(p, run)
+    names = ab_machine(p, 3).names
+    a_one, b_one = names.index("a_one"), names.index("b_one")
+    assert run.steps[0].fresh_value == run.steps[0].values[a_one] == 2
+    n = next(n for n, s in enumerate(run.steps) if s.values[b_one])
+    assert all(s.values[a_one] == 0 for s in run.steps[n:])
+    assert run.steps[n].fresh_value == run.steps[n].values[b_one] == 1
+
+
+def test_rss_fallback_reads_the_platforms_unit(monkeypatch):
+    # without /proc/self/statm the cap reads the peak, ru_maxrss: bytes on
+    # macOS, KiB elsewhere
+    import resource
+    import sys
+    from tsocbmc import verdict
+
+    def no_statm(*args, **kwargs):
+        raise OSError("no /proc/self/statm")
+
+    peak = {"darwin": 512 * 2**20, "linux": 512 * 2**10}
+    monkeypatch.setattr(verdict, "open", no_statm, raising=False)
+    monkeypatch.setattr(resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_maxrss=peak[sys.platform]))
+    for platform in peak:
+        monkeypatch.setattr(sys, "platform", platform)
+        assert verdict._rss_mb() == 512
 
 
 def test_fresh_between_classes_inflates_the_gap():
