@@ -18,19 +18,22 @@ and reuses them for every rank tuple paired with it.  Likewise the rank
 step depends only on the rank tuple and the effect list: its result is
 memoized per effect list in an int array indexed by rank id, which holds
 the one successor rank id inline, or points into a side list of branching
-results (none, or several after a fresh value).  Both tables live only as
-long as that search.  A memo miss runs the effect list's rank kernel
-(relabs.rank_kernel, fetched once when the list is interned), or rel_apply
-for a list with a fresh value, which may branch.  A single result that is
-the input tuple object itself keeps its rank id with no lookup, and a moved
-one is interned with one lookup.
+results (none, or several after a fresh value); relabs defines the
+encoding.  Both tables live only as long as that search.  The memo misses
+of a fresh-free effect list are computed by its rank kernel
+(relabs.rank_kernel, fetched once when the list is interned), which takes
+the batch's unknown rank ids, fills their memo entries and interns the
+moved tuples itself: a rank id whose tuple nothing moved is kept with no
+lookup, and a moved tuple costs one.  A list with a fresh value, which may
+branch, runs rel_apply once per miss and the search interns its results.
 
 Within each schedule the search runs level by level (level-synchronous
 breadth-first search).  A level maps each control id to its batch of rank
 ids, and holds the control ids in the order in which they first received a
 new state.  Each move of a control state is applied to its whole batch at
 once: the batch reads the move's memo row, only the entries not computed
-yet run the miss path, and the successor rank ids not yet seen with the
+yet run the miss path (a batch with none computed takes its successor ids
+from the kernel as they are), and the successor rank ids not yet seen with the
 successor control id (one set per control id) join its batch in the next
 level.  Within a level, the batches of the control states with a move to
 the target are probed first, in level order, with those moves alone.  The
@@ -75,8 +78,8 @@ from typing import Callable, Iterator, Optional
 from .abmachine import R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, ab_machine
 from .model import OP_FRESH, Program, Target
 from .relabs import (
-    abstract_of, canonical_key, decode_key, key_length, rank_kernel, rel_apply,
-    rel_initial,
+    NO_SUCCESSOR, UNKNOWN, abstract_of, canonical_key, decode_key, key_length,
+    rank_kernel, rel_apply, rel_initial,
 )
 from .tso import Label, Run, replay
 from .verdict import (
@@ -112,9 +115,8 @@ class ConcreteRun:
     steps: tuple[ConcreteStep, ...]
 
 
-# memo entries of check_reach: not computed yet, and the branches offset
-_UNKNOWN = -1
-_BRANCH = -2
+# grows a memo row by one entry not computed yet
+_UNKNOWN_ROW = array("i", [UNKNOWN])
 
 
 def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
@@ -180,11 +182,11 @@ def check_reach(program: Program, target: Target, k: int,
 
     r0 = rel_initial(m.nab)
     # the interned parts of a state: control tuples by cid, rank tuples by
-    # rid and effect lists by eid, each a list plus a dict
+    # rid (r0 first) and effect lists by eid, each a list plus a dict
     ctrls: list[tuple[int, ...]] = []
     ctrl_id: dict[tuple[int, ...], int] = {}
-    ranks: list[tuple[int, ...]] = []
-    rank_id: dict[tuple[int, ...], int] = {}
+    ranks: list[tuple[int, ...]] = [r0]
+    rank_id: dict[tuple[int, ...], int] = {r0: 0}
     effs: list[tuple] = []
     eff_id: dict[tuple, int] = {}
     # per eid, the list's rank kernel, or None for a list with a fresh value
@@ -192,8 +194,8 @@ def check_reach(program: Program, target: Target, k: int,
     # per cid, once expanded: its moves [(label, eid, successor cid)] in
     # table order, split into those that miss and those that hit the target
     succ: list[Optional[tuple[list, list]]] = []
-    # per eid, the rank step by rid: _UNKNOWN, the one successor rid, or
-    # _BRANCH - i for the successor rids branches[i] (none or several)
+    # per eid, the rank step by rid: UNKNOWN, the one successor rid, or
+    # NO_SUCCESSOR - i for the successor rids branches[i] (none or several)
     memo: list[array] = []
     branches: list[tuple[int, ...]] = [()]
     # per cid, the rids seen with it in this search
@@ -210,13 +212,6 @@ def check_reach(program: Program, target: Target, k: int,
             succ.append(None)
             seen.append(set())
         return cid
-
-    def intern_ranks(r: tuple[int, ...]) -> int:
-        rid = rank_id.get(r)
-        if rid is None:
-            rid = rank_id[r] = len(ranks)
-            ranks.append(r)
-        return rid
 
     def expand(cid: int) -> tuple[list, list]:
         stats.control_states += 1
@@ -238,60 +233,63 @@ def check_reach(program: Program, target: Target, k: int,
 
     def step(eid: int, rids: list[int]) -> list[int]:
         """The successor rids of a batch under one effect list, in batch
-        order with branches expanded; only _UNKNOWN memo entries run the
-        list's kernel, or rel_apply for a list with a fresh value."""
+        order with branches expanded.  Only the UNKNOWN memo entries are
+        computed: by the list's kernel, which fills them and, for a batch
+        with no entry known, returns the kids itself; or by rel_apply for a
+        list with a fresh value."""
         nonlocal misses
         row = memo[eid]
-        if len(row) < len(ranks):
-            row.fromlist([_UNKNOWN] * (len(ranks) - len(row)))
+        grow = len(ranks) - len(row)
+        if grow > 0:
+            row.extend(_UNKNOWN_ROW * grow)
         entries = list(map(row.__getitem__, rids))
-        unknown = entries.count(_UNKNOWN)
+        unknown = entries.count(UNKNOWN)
         if unknown:
             misses += unknown
             kernel = kernels[eid]
-            for i, entry in enumerate(entries):
-                if entry != _UNKNOWN:
-                    continue
-                rid = rids[i]
-                r = ranks[rid]
-                if kernel is None:
-                    out = apply(r, effs[eid])
-                    # a single successor is stored inline, as a kernel's
-                    r2 = out[0] if len(out) == 1 else None
-                else:
-                    out = ()
-                    r2 = kernel(r)
-                if r2 is r:
-                    # a kernel hands back the input tuple itself when
-                    # nothing moved
-                    entry = rid
-                elif r2 is not None:
-                    # one lookup, whether r2 is new or not
-                    n = len(ranks)
-                    entry = rank_id.setdefault(r2, n)
-                    if entry == n:
-                        ranks.append(r2)
-                elif out:
-                    entry = _BRANCH - len(branches)
-                    branches.append(tuple(map(intern_ranks, out)))
-                else:
-                    entry = _BRANCH
-                row[rid] = entries[i] = entry
+            if kernel is not None:
+                if unknown == len(entries):
+                    return kernel(rids, ranks, rank_id, row)
+                kernel([rid for rid, entry in zip(rids, entries)
+                        if entry == UNKNOWN], ranks, rank_id, row)
+                entries = list(map(row.__getitem__, rids))
+            else:
+                effects = effs[eid]
+                for i, entry in enumerate(entries):
+                    if entry != UNKNOWN:
+                        continue
+                    rid = rids[i]
+                    out = []
+                    for r2 in apply(ranks[rid], effects):
+                        # one lookup, whether r2 is new or not
+                        n = len(ranks)
+                        rid2 = rank_id.setdefault(r2, n)
+                        if rid2 == n:
+                            ranks.append(r2)
+                        out.append(rid2)
+                    if len(out) == 1:
+                        entry = out[0]
+                    elif out:
+                        entry = NO_SUCCESSOR - len(branches)
+                        branches.append(tuple(out))
+                    else:
+                        entry = NO_SUCCESSOR
+                    row[rid] = entries[i] = entry
         if min(entries) >= 0:
             return entries
         kids = [entry for entry in entries if entry >= 0]
         for entry in entries:
-            if entry < _BRANCH:
-                kids.extend(branches[_BRANCH - entry])
+            if entry < NO_SUCCESSOR:
+                kids.extend(branches[NO_SUCCESSOR - entry])
         return kids
 
     def filled(eid: int, rid: int) -> tuple[int, ...]:
         """The successor rids the search stored for (eid, rid)."""
         entry = memo[eid][rid]
-        if entry == _UNKNOWN:
+        if entry == UNKNOWN:
             raise AssertionError(f"witness step from rank id {rid} reads an "
                                  "unfilled memo entry")
-        return (entry,) if entry >= 0 else branches[_BRANCH - entry]
+        return (entry,) if entry >= 0 else branches[NO_SUCCESSOR - entry]
 
     def parent(into: dict[int, set[int]], batches: dict[int, list[int]],
                cid2: int, rid2: int) -> tuple[int, int, tuple, int]:
@@ -345,7 +343,7 @@ def check_reach(program: Program, target: Target, k: int,
     sample_at = 4096
     for act in _seed_order(m, tti):
         flat = m.initial_flat(act)
-        cid, rid = intern_ctrl(flat), intern_ranks(r0)
+        cid, rid = intern_ctrl(flat), 0  # r0 is rank id 0
         if rid in seen[cid]:
             continue
         seen[cid].add(rid)

@@ -35,14 +35,17 @@ successor, so it carries a single tuple through the list: a failing guard
 ends it with no successor, a copy within one class is skipped, and only a
 copy across classes builds a new tuple.  Only a fresh value branches, and
 the effects after it then run once per placement.  When nothing moves, the
-one successor is the input tuple object itself, which lets the search keep
-its rank id without a lookup.
+one successor is the input tuple object itself; the rank kernels below test
+the same identity to keep a rank id without a lookup.
 
-On a memo miss the search runs an effect list's rank kernel instead, or
-rel_apply for a list with a fresh value.  rank_kernel compiles a fresh-free
-list once into straight-line code with the same result: no dispatch on the
-effect tag, no unpacking, the guard comparisons and copies written out per
-column.  Kernels are cached per effect list across searches.
+The search memoizes the rank step per effect list and rank id (see
+engine.check_reach), and computes its memo misses in batches.  For a
+fresh-free list, rank_kernel compiles the whole miss path once: a loop over
+a batch of rank ids that runs rel_apply's step with the guard comparisons
+and copies written out per column (no dispatch on the effect tag, no
+unpacking), interns each moved tuple, writes the memo entry and returns the
+successor ids.  A list with a fresh value runs rel_apply per miss.  Kernels
+are cached per effect list across searches.
 """
 from __future__ import annotations
 
@@ -105,6 +108,8 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
                 return []
         else:  # fresh
             tail = tuple(rest)
+            if not tail:
+                return _fresh(r, eff[1])
             out: list[tuple[int, ...]] = []
             for p in _fresh(r, eff[1]):
                 out += rel_apply(p, tail)
@@ -150,6 +155,14 @@ def _fresh(r: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
 # kernels kept across searches; a machine has tens of distinct effect lists
 _KERNELS = 1024
 
+# The entries of a memo row, one per rank id, for one effect list (see
+# engine.check_reach): the one successor rank id (>= 0), UNKNOWN before the
+# step is computed, NO_SUCCESSOR when a guard fails, and NO_SUCCESSOR - i for
+# the i-th branching result.  Branch 0 is the empty one, so NO_SUCCESSOR
+# is also that branch.
+UNKNOWN = -1
+NO_SUCCESSOR = -2
+
 
 def _fails(rel: Relation) -> str:
     """The operator on (left rank, right rank) under which rel_check fails,
@@ -166,10 +179,16 @@ def _fails(rel: Relation) -> str:
 
 @lru_cache(maxsize=_KERNELS)
 def rank_kernel(effects: tuple) -> Optional[Callable]:
-    """rel_apply for one fresh-free effect list, compiled to straight-line
-    code: the kernel maps a rank tuple to its single successor (the input
-    tuple itself when nothing moved), or to None when a guard fails.  A
-    list with a fresh value branches and gets no kernel (None).
+    """The whole memo miss of one fresh-free effect list for a batch of
+    rank ids, compiled to straight-line code; None for a list with a fresh
+    value, which branches.
+
+    kernel(rids, ranks, rank_id, row) runs rel_apply's step on each
+    ranks[rid] with the guards and copies written out per column, and
+    writes row[rid]: NO_SUCCESSOR when a guard fails, rid itself when
+    nothing moved, and otherwise the rank id of the new tuple, interned
+    with one rank_id.get and appended to ranks when it is new.  It returns
+    the successor rank ids in batch order.
 
     The generated source holds only int column indices and fixed
     operators; every column is checked to be an int before any is built.
@@ -180,21 +199,34 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
         cols = eff[1:] if eff[0] == "copy" else eff[2:]
         if any(type(c) is not int for c in cols):
             raise TypeError(f"effect {eff!r} has a column that is not an int")
-    lines = ["def kernel(r):"]
+    lines = ["def kernel(rids, ranks, rank_id, row):",
+             " kids = []; add = kids.append; get = rank_id.get",
+             " for rid in rids:",
+             "  r = q = ranks[rid]"]
+    moves = False
     for eff in effects:
         if eff[0] == "copy":
             _, d, s = eff
             if d != s:  # _copy, inline; a self copy never moves
-                lines += [f" o = r[{d}]; n = r[{s}]",
-                          " if o != n:",
-                          f"  l = list(r); l[{d}] = n",
-                          "  r = tuple(l) if o in l else"
+                moves = True
+                lines += [f"  o = r[{d}]; n = r[{s}]",
+                          "  if o != n:",
+                          f"   l = list(r); l[{d}] = n",
+                          "   r = tuple(l) if o in l else"
                           " tuple([v - 1 if v > o else v for v in l])"]
         else:
             _, rel, a, b = eff
-            lines.append(f" if r[{a}] {_fails(rel)} r[{b}]: return None")
-    lines.append(" return r")
-    namespace: dict = {}
+            lines.append(f"  if r[{a}] {_fails(rel)} r[{b}]:"
+                         " row[rid] = NO_SUCCESSOR; continue")
+    if moves:
+        lines += ["  if r is q: row[rid] = rid; add(rid); continue",
+                  "  e = get(r)",
+                  "  if e is None: e = rank_id[r] = len(ranks); ranks.append(r)",
+                  "  row[rid] = e; add(e)"]
+    else:
+        lines.append("  row[rid] = rid; add(rid)")
+    lines.append(" return kids")
+    namespace: dict = {"NO_SUCCESSOR": NO_SUCCESSOR}
     exec(compile("\n".join(lines), "<rank kernel>", "exec"), namespace)
     return namespace["kernel"]
 

@@ -1,4 +1,5 @@
 import random
+from array import array
 
 import pytest
 
@@ -6,7 +7,7 @@ from tsocbmc import (
     EQ, LE, LT, NEQ, abstract_of, canonical_key, decode_key,
     key_length, le, lt, parse_program, rel_apply, rel_check, rel_initial,
 )
-from tsocbmc.relabs import rank_kernel
+from tsocbmc.relabs import NO_SUCCESSOR, UNKNOWN, rank_kernel
 
 
 def _rank_oracle(values):
@@ -179,12 +180,12 @@ def test_rel_apply_matches_reference_on_random_effects():
 
 
 def test_rank_kernel_matches_rel_apply_on_random_effects():
-    # the recipe above without fresh values, which get no kernel
+    # the recipe above without fresh values, which get no kernel, run on a
+    # random batch of rank ids whose memo row already holds other entries
     rng = random.Random(12)
     rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
-    for _ in range(3000):
+    for _ in range(1500):
         n = rng.randrange(1, 8)
-        ranks = abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
         effects = []
         for _ in range(rng.randrange(1, 5)):
             tag = rng.choice(("copy", "guard", "flush"))
@@ -197,14 +198,37 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
                 cols = rng.sample(range(n), n)
                 cut = rng.randrange(1, n)
                 effects.extend(("copy", d, rng.choice(cols[cut:])) for d in cols[:cut])
-        got = rank_kernel(tuple(effects))(ranks)
-        want = rel_apply(ranks, effects)
-        if not want:
-            assert got is None
-        else:
-            assert want == [got]
-            # the input tuple itself exactly when nothing moved
-            assert (got is ranks) == (want[0] is ranks)
+        ranks = list(dict.fromkeys(
+            abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
+            for _ in range(rng.randrange(1, 9))))
+        rank_id = {r: i for i, r in enumerate(ranks)}
+        # known entries are left alone: the batch holds only unknown rids
+        row = array("i", [rng.choice((UNKNOWN, 0, NO_SUCCESSOR, NO_SUCCESSOR - 3))
+                          for _ in ranks])
+        before = row.tolist()
+        batch = [rid for rid in range(len(ranks)) if row[rid] == UNKNOWN]
+        rng.shuffle(batch)
+        old = list(ranks)
+        kids = rank_kernel(tuple(effects))(batch, ranks, rank_id, row)
+
+        new = []
+        for rid in batch:
+            want = rel_apply(old[rid], effects)
+            entry = row[rid]
+            if not want:
+                assert entry == NO_SUCCESSOR
+                continue
+            assert len(want) == 1 and ranks[entry] == want[0]
+            # the rid is kept exactly when nothing moved
+            assert (entry == rid) == (want[0] == old[rid])
+            if want[0] not in old and want[0] not in new:
+                new.append(want[0])
+        # new tuples are interned in batch order, one rank id each
+        assert ranks == old + new
+        assert rank_id == {r: i for i, r in enumerate(ranks)}
+        assert kids == [row[rid] for rid in batch if row[rid] != NO_SUCCESSOR]
+        assert all(row[rid] == before[rid] for rid in range(len(old))
+                   if rid not in batch)
         # a fresh value anywhere in the list: no kernel
         at = rng.randrange(len(effects) + 1)
         with_fresh = effects[:at] + [("fresh", rng.randrange(n))] + effects[at:]

@@ -4,7 +4,8 @@ import pytest
 
 from tsocbmc import Bounds, replay, validate
 from tsocbmc.selftest import (
-    SuiteResult, random_cb_run, random_program, random_target, run_suites,
+    SuiteResult, _reachable_witness_runs, random_cb_run, random_program,
+    random_target, run_suites,
 )
 
 
@@ -33,6 +34,18 @@ def test_random_cb_run_respects_the_partition():
         assert blocks <= k
         # the run replays: random_cb_run built it step by step
         assert replay(p, list(run.labels)).final == run.final
+
+
+def test_witness_runs_count_only_witnesses_with_steps():
+    # a target the initial state hits has an empty witness, which tests no
+    # concretization or inflation, so it is not a case
+    steps = []
+    res = SuiteResult("demo")
+    _reachable_witness_runs(random.Random(0), 40,
+                            lambda p, tgt, k, v: steps.append(len(v.witness.steps)),
+                            res)
+    assert res.ok and res.cases == len(steps) == 40
+    assert min(steps) > 0
 
 
 def test_suite_result_lines():
