@@ -261,10 +261,10 @@ def check_reach(program: Program, target: Target, k: int,
                     rid = rids[i]
                     out = []
                     for r2 in apply(ranks[rid], effects):
-                        # one lookup, whether r2 is new or not
-                        n = len(ranks)
-                        rid2 = rank_id.setdefault(r2, n)
-                        if rid2 == n:
+                        # interned as the kernels of relabs.rank_kernel do
+                        rid2 = rank_id.get(r2)
+                        if rid2 is None:
+                            rid2 = rank_id[r2] = len(ranks)
                             ranks.append(r2)
                         out.append(rid2)
                     if len(out) == 1:

@@ -219,6 +219,8 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
             lines.append(f"  if r[{a}] {_fails(rel)} r[{b}]:"
                          " row[rid] = NO_SUCCESSOR; continue")
     if moves:
+        # the same interning as engine.check_reach's step does for lists
+        # with a fresh value
         lines += ["  if r is q: row[rid] = rid; add(rid); continue",
                   "  e = get(r)",
                   "  if e is None: e = rank_id[r] = len(ranks); ranks.append(r)",

@@ -184,7 +184,7 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
     # random batch of rank ids whose memo row already holds other entries
     rng = random.Random(12)
     rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
-    for _ in range(1500):
+    for _ in range(3000):
         n = rng.randrange(1, 8)
         effects = []
         for _ in range(rng.randrange(1, 5)):
@@ -205,12 +205,15 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
         # known entries are left alone: the batch holds only unknown rids
         row = array("i", [rng.choice((UNKNOWN, 0, NO_SUCCESSOR, NO_SUCCESSOR - 3))
                           for _ in ranks])
+        # at least one unknown entry, so every list meets rel_apply
+        row[rng.randrange(len(ranks))] = UNKNOWN
         before = row.tolist()
         batch = [rid for rid in range(len(ranks)) if row[rid] == UNKNOWN]
         rng.shuffle(batch)
         old = list(ranks)
         kids = rank_kernel(tuple(effects))(batch, ranks, rank_id, row)
 
+        assert batch
         new = []
         for rid in batch:
             want = rel_apply(old[rid], effects)
