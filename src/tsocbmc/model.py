@@ -125,8 +125,7 @@ class Arw:
 
 Op = Union[Assign, NewValue, Guard, Read, Write, Arw]
 
-# operation kinds; the order is the oracle's (tso): the two below OP_GUARD
-# are always enabled
+# operation kinds
 OP_ASSIGN, OP_READ, OP_GUARD, OP_WRITE, OP_FRESH, OP_ARW = range(6)
 ON_SHARED = (OP_READ, OP_WRITE, OP_ARW)
 

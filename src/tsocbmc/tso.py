@@ -16,15 +16,18 @@ and `bound_exhausted` means a resource cap was hit first.
 `cb_reach_bounded` additionally restricts runs to at most k contexts: maximal
 blocks of steps (operations and buffer updates alike) by a single thread.
 
-`tso_enabled` and `thread_step` are the only semantics.  Both read the
-program index directly: a thread's moves from a state in declaration order,
-the operand record of each operation (see model.operands) and each thread's
-register slice.  A step reads and writes only its own thread's part and the
-memory, and `thread_step` takes just those (the thread's control state, its
-register slice and its buffer, plus the memory) with a label, and returns
-the thread's new part and the new memory.  `tso_step` resolves any label by
-value, so a label need not come from `tso_enabled`; it runs `thread_step` on
-the label's thread and splices the result into the configuration.
+There is one enumeration and one reference step.  `_thread_moves` yields a
+thread's enabled moves, in a fixed order, from the thread's own part (its
+control state, its register slice and its buffer) and the memory, each with
+the thread's new part and the new memory; `tso_enabled` is the labels of
+those moves.  `thread_step` takes the same part, the memory and a label,
+resolves the label's operation by value and returns the thread's new part
+and the new memory, or raises NotEnabledError; `tso_step` runs it on the
+label's thread and splices the result into the configuration, so a label
+need not come from `tso_enabled`.  Both read the program index directly: a
+thread's moves from a state in declaration order, the operand record of
+each operation (see model.operands) and each thread's register slice.  A
+step reads and writes only its own thread's part and the memory.
 
 The searches compress configurations (collapse compression, as in SPIN):
 far fewer thread-local parts and memories occur than configurations
@@ -33,15 +36,17 @@ part, memory) triples).  Each search interns every thread's local part and
 the memory tuple to dense ids and stores a configuration as one int of
 fixed-width fields, the extras (active thread and blocks used) lowest.
 Since a thread's moves depend on its local part and the memory alone, they
-are computed once per (thread, local id, memory id), by `tso_enabled` for
-that thread and `thread_step` on the interned part, and kept in a move
-table for the rest of the search.  Which threads may move, and the extras
-after each one's move, depend on the extras alone; a mover table per extras
-value, built when the value first occurs, holds them, and the search loop
-walks it and the move tables inline.  The visited set maps each state to
-its parent alone; the witness recovers each label from the same tables as
-the first move out of the parent, in `tso_enabled` order, that yields the
-child, and replays those labels.
+are enumerated once per (thread, local id, memory id) on the interned part,
+and a move table keeps their successor ids for the rest of the search.
+Which threads may move, and the extras after each one's move, depend on the
+extras alone; a mover table per extras value, built when the value first
+occurs, holds them, and the search loop walks it and the move tables
+inline.  The visited set maps each state to its parent alone.  The witness
+decodes each parent and child and names the step between them by the
+reference step: the first label of `tso_enabled` on the parent, by the
+thread whose move leads to the child's extras, that `tso_step` takes to the
+child.  So every reachable verdict checks the search's successors along its
+witness against `thread_step`.
 """
 from __future__ import annotations
 
@@ -139,32 +144,48 @@ def _latest_buffered(buf: tuple[tuple[int, int], ...], x: int) -> Optional[int]:
     return None
 
 
-def tso_enabled(program: Program, c: TsoConfig, b: Bounds,
-                thread: Optional[str] = None) -> list[Label]:
-    """Enabled labels, in a fixed order: threads in declaration order; per
-    thread its transitions in declaration order (values ascending for
-    `r := *`), then the update step.  With `thread` named, only that
-    thread's labels, as the oracle's move tables need; without it, every
-    thread's, as a walk over whole configurations needs.  Each call builds
-    fresh Labels."""
+def _thread_moves(idx: ProgramIndex, ti: int, part: tuple,
+                  mem: tuple[int, ...], b: Bounds):
+    """Thread ti's enabled moves from its own part (as thread_step takes it)
+    and the memory, in a fixed order: its transitions in declaration order
+    (values ascending for `r := *`), then the update step.  Each move is
+    (transition or None for the update, the drawn value or None, the
+    thread's new part, the new memory)."""
+    s, regs, buf = part
+    lo, ops, sid = idx.reg_slices[ti].start, idx.ops[ti], idx.state_id[ti]
+    for pos, tr in idx.out[ti][s]:
+        kind, x, y, z = ops[pos]
+        s2 = sid[tr.dst]
+        if kind == OP_ASSIGN:
+            yield tr, None, (s2, _put(regs, x - lo, regs[y - lo]), buf), mem
+        elif kind == OP_READ:
+            v = _latest_buffered(buf, x)
+            yield tr, None, (s2, _put(regs, y - lo, mem[x] if v is None else v), buf), mem
+        elif kind == OP_GUARD:
+            if eval_rel(z, regs[x - lo], regs[y - lo]):
+                yield tr, None, (s2, regs, buf), mem
+        elif kind == OP_WRITE:
+            if len(buf) < b.buffer_bound:
+                yield tr, None, (s2, regs, buf + ((x, regs[y - lo]),)), mem
+        elif kind == OP_FRESH:
+            for v in range(b.domain_bound + 1):
+                yield tr, v, (s2, _put(regs, x - lo, v), buf), mem
+        elif not buf and mem[x] == regs[y - lo]:  # OP_ARW
+            yield tr, None, (s2, regs, buf), _put(mem, x, regs[z - lo])
+    if buf:
+        x, v = buf[0]
+        yield None, None, (s, regs, buf[1:]), _put(mem, x, v)
+
+
+def tso_enabled(program: Program, c: TsoConfig, b: Bounds) -> list[Label]:
+    """Enabled labels: the labels of each thread's moves by `_thread_moves`,
+    the one enumeration, threads in declaration order.  Each call builds
+    fresh Labels; `tso_step`, the one reference step, takes any of them."""
     idx = program_index(program)
-    rval, mem = c.rval, c.mem
-    out: list[Label] = []
-    tis = range(len(idx.thread_ids)) if thread is None else (idx.tid[thread],)
-    for ti in tis:
-        tname, ops, buf = idx.thread_ids[ti], idx.ops[ti], c.buf[ti]
-        for pos, tr in idx.out[ti][c.st[ti]]:
-            kind, x, y, z = ops[pos]
-            if kind == OP_FRESH:
-                out.extend(Label(tname, tr, v) for v in range(b.domain_bound + 1))
-            elif (kind < OP_GUARD
-                  or kind == OP_GUARD and eval_rel(z, rval[x], rval[y])
-                  or kind == OP_WRITE and len(buf) < b.buffer_bound
-                  or kind == OP_ARW and not buf and mem[x] == rval[y]):
-                out.append(Label(tname, tr))
-        if buf:
-            out.append(Label(tname, None))
-    return out
+    return [Label(tname, tr, v)
+            for ti, (tname, sl) in enumerate(zip(idx.thread_ids, idx.reg_slices))
+            for tr, v, _, _ in _thread_moves(idx, ti, (c.st[ti], c.rval[sl], c.buf[ti]),
+                                             c.mem, b)]
 
 
 def _put(t: tuple, i: int, v) -> tuple:
@@ -259,7 +280,10 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     value, the threads allowed to move, each with the extras after its move,
     built the first time the value is seen.  The loop walks a popped state's
     movers and their move tables inline, and each new state stores its
-    parent state."""
+    parent state.  A move table is filled by the one enumeration,
+    `_thread_moves`, on the mover's interned part; a witness names its steps
+    by the one reference step, `tso_step`, and so checks the table entries
+    it passes through."""
     idx = program_index(program)
     # `bufs` below sums buffer_bound + 1 powers; the cap keeps that short
     if b.buffer_bound > 255:
@@ -301,8 +325,9 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     mems: list[tuple[int, ...]] = []
     mem_ids: dict[tuple[int, ...], int] = {}
     # per thread, the move table: a state's bits of the thread's local id
-    # and the memory id (the state masked by the key mask) ->
-    # ((label, local id' << offset | memory id' << moff, hits target), ...)
+    # and the memory id (the state masked by the key mask) -> (the deltas
+    # local id' << offset | memory id' << moff of its moves, whether any
+    # move puts the target thread at the target state)
     tables: list[dict[int, tuple]] = [{} for _ in range(nt)]
     threads = tuple(zip(range(nt), offs, lmasks, keeps, tables))
     # the mover table: extras -> ((thread, key mask, keep mask, move table,
@@ -326,21 +351,35 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
         return ms
 
     def fill(ti: int, s: int, key: int) -> tuple:
-        """Thread ti's moves from state s: its labels by tso_enabled, each
-        stepped by thread_step on the thread's interned part and the memory."""
+        """Thread ti's moves from state s, enumerated on its interned part
+        and the memory alone."""
         stats.control_states += 1
-        parts = [locs[tj][s >> o & lm] for tj, o, lm, _, _ in threads]
-        st, rv, bf = zip(*parts)
-        mem = mems[s >> moff & mmask]
-        moves = []
-        for label in tso_enabled(program, TsoConfig(st, sum(rv, ()), bf, mem), b,
-                                 idx.thread_ids[ti]):
-            part2, mem2 = thread_step(idx, ti, parts[ti], mem, label)
-            delta = (_intern(loc_ids[ti], locs[ti], part2, lws[ti]) << offs[ti]
-                     | _intern(mem_ids, mems, mem2, mw) << moff)
-            moves.append((label, delta, ti == tti and part2[0] == tsi))
-        moves = tables[ti][key] = tuple(moves)
+        lids, parts, o = loc_ids[ti], locs[ti], offs[ti]
+        deltas, hit = [], False
+        for _, _, part2, mem2 in _thread_moves(idx, ti, parts[s >> o & lmasks[ti]],
+                                               mems[s >> moff & mmask], b):
+            deltas.append(_intern(lids, parts, part2, lws[ti]) << o
+                          | _intern(mem_ids, mems, mem2, mw) << moff)
+            hit = hit or ti == tti and part2[0] == tsi
+        moves = tables[ti][key] = tuple(deltas), hit
         return moves
+
+    def config(s: int) -> TsoConfig:
+        st, rv, bf = zip(*(locs[ti][s >> o & lm] for ti, o, lm, _, _ in threads))
+        return TsoConfig(st, sum(rv, ()), bf, mems[s >> moff & mmask])
+
+    def label_of(s: int, s2: int) -> Label:
+        """The step from s to its child s2: the first label of tso_enabled,
+        by the thread whose move gives s2's extras, that tso_step takes from
+        s's configuration to s2's.  The search kept s2's first discovery, the
+        first such move in the same order, so this is the move it made."""
+        tis = {ti for ti, _, _, _, ex2 in movers[s & xmask] if ex2 == s2 & xmask}
+        c, c2 = config(s), config(s2)
+        for label in tso_enabled(program, c, b):
+            if idx.tid[label.thread] in tis and tso_step(program, c, label) == c2:
+                return label
+        # raised, not asserted, so that the check also runs under -O
+        raise AssertionError(f"no enabled step leads from {c} to {c2}")
 
     init = initial_config(program)
     s0 = _intern(mem_ids, mems, init.mem, mw) << moff
@@ -361,14 +400,8 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
             while parents[chain[-1]] >= 0:
                 chain.append(parents[chain[-1]])
             chain.reverse()
-            # the search keeps a state's first discovery, so its label is the
-            # first move from the parent, in tso_enabled order, to reach it;
-            # the search filled every table up to that move
-            labels = [next(label for _, kmask, keep, table, ex2 in movers[s & xmask]
-                           for label, delta, _ in table[s & kmask]
-                           if (s & keep | ex2) | delta == s2)
-                      for s, s2 in zip(chain, chain[1:])]
-            witness = replay(program, labels)
+            witness = replay(program, [label_of(s, s2)
+                                       for s, s2 in zip(chain, chain[1:])])
         return Verdict(found >= 0, status, witness, stats)
 
     if init.st[tti] == tsi:
@@ -378,6 +411,9 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
     explored = peak = depth = 0
     # new states the cap still admits; the search stops when it goes negative
     room = max_states - len(parents)
+    # a table that hits names no hitting move: read the target thread's
+    # state from the new local id
+    tlocs, toff, tlm = locs[tti], offs[tti], lmasks[tti]
     while frontier and depth < b.depth:
         depth += 1
         next_frontier: list[int] = []
@@ -395,13 +431,14 @@ def _bfs(program: Program, target: Target, b: Bounds, max_states: int,
                 moves = table.get(key)
                 if moves is None:
                     moves = fill(ti, s, key)
+                deltas, hit = moves
                 base = s & keep | ex2
-                for _, delta, hit in moves:
+                for delta in deltas:
                     s2 = base | delta
                     if s2 in parents:
                         continue
                     parents[s2] = s
-                    if hit:
+                    if hit and tlocs[delta >> toff & tlm][0] == tsi:
                         return finish(REACHABLE, explored, peak, s2)
                     room -= 1
                     if room < 0:

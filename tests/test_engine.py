@@ -1,3 +1,4 @@
+import random
 import time
 from dataclasses import replace
 from itertools import product
@@ -8,10 +9,10 @@ import pytest
 
 from tsocbmc import (
     BOUND_EXHAUSTED, Bounds, ConcretizationError, EQ, Guard, ModelTooLargeError,
-    NewValue, Program, REACHABLE, Target,
-    Thread, Transition, UNREACHABLE, abstract_of, cb_partition_check,
+    NewValue, Program, REACHABLE, Read, Target,
+    Thread, Transition, UNREACHABLE, Write, abstract_of, cb_partition_check,
     cb_reach_bounded, check_reach, concrete_run_to_tso, concretize_witness,
-    inflate, lt, parse_program_with_target, validate_witness,
+    inflate, le, lt, parse_program_with_target, validate_witness,
 )
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.engine import _seed_order
@@ -119,6 +120,59 @@ def test_values_are_spaced_one_past_the_largest_offset():
     run = concretize_witness(p, witness)
     assert validate_witness(p, run)
     assert [s.fresh_value for s in run.steps if s.fresh_value is not None] == [4, 8]
+
+
+def _offset_guard_program(rng):
+    """Two threads, each a chain of 3-5 steps over its own three registers:
+    fresh values, guards `lt(n)`/`le(n)` with n in 1..3 between two distinct
+    registers, reads and writes of x and y."""
+    threads = []
+    for t in range(2):
+        n = rng.randint(3, 5)
+        states = tuple(f"q{i}" for i in range(n + 1))
+        regs = (f"t{t}a", f"t{t}b", f"t{t}c")
+        trs = []
+        for i in range(n):
+            r1, r2 = rng.sample(regs, 2)
+            x = rng.choice(("x", "y"))
+            roll = rng.random()
+            if roll < 0.35:
+                op = NewValue(r1)
+            elif roll < 0.7:
+                op = Guard(rng.choice((lt, le))(rng.randint(1, 3)), r1, r2)
+            elif roll < 0.85:
+                op = Read(x, r1)
+            else:
+                op = Write(x, r1)
+            trs.append(Transition(states[i], op, states[i + 1]))
+        threads.append(Thread(f"t{t}", states, regs, "q0", tuple(trs)))
+    return Program.make(threads, ("x", "y"))
+
+
+def test_random_offset_guard_witnesses_rebuild_to_tso_runs():
+    # the witnesses of selftest.random_program carry no guard with an
+    # offset, so the spacing of drawn values gets its own random programs
+    rng = random.Random(2)
+    with_offsets = 0
+    for _ in range(200):
+        p = _offset_guard_program(rng)
+        th = rng.choice(p.threads)
+        tgt, k = Target(th.id, th.states[-1]), rng.randint(1, 3)
+        v = check_reach(p, tgt, k)
+        if not v.reachable:
+            continue
+        trs = program_index(p).thread_transitions
+        ops = [trs[ti][pos].op for _, ti, pos, _ in (s.label for s in v.witness.steps)
+               if pos >= 0]
+        if not any(isinstance(op, Guard) and op.rel.n for op in ops):
+            continue
+        with_offsets += 1
+        run = concretize_witness(p, v.witness)
+        assert validate_witness(p, run)
+        tso_run = concrete_run_to_tso(p, run)
+        tti, tsi = program_index(p).target_idx(tgt)
+        assert tso_run.final.st[tti] == tsi and cb_partition_check(tso_run, k)
+    assert with_offsets == 23
 
 
 def test_dead_value_keeps_its_place():

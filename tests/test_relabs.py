@@ -253,6 +253,16 @@ def test_rank_kernel_rejects_a_column_that_is_not_an_int(monkeypatch):
             rank_kernel(effects)
 
 
+def test_each_rank_kernel_has_its_own_filename():
+    # cProfile keys functions by (filename, line, name): one shared filename
+    # would fold every kernel into one entry
+    kernels = [rank_kernel((("copy", 0, 1),)),
+               rank_kernel((("copy", 0, 1), ("guard", lt(2), 1, 0))),
+               rank_kernel((("guard", LE, 0, 1),))]
+    names = [k.__code__.co_filename for k in kernels]
+    assert len(set(names)) == 3 and all(n.startswith("<rank kernel ") for n in names)
+
+
 def test_abstract_of_dense_classes():
     # three classes, {3} < {0, 1} < {2}, on ranks 0..2 with none skipped
     assert abstract_of((4, 4, 7, 1)) == (1, 1, 2, 0)

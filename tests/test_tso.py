@@ -59,7 +59,12 @@ def test_read_prefers_newest_buffered_entry():
     p = _prog(t)
     c = initial_config(p)
     for tr, v in zip(t.transitions, (3, 5, None, None, None)):
-        c = tso_step(p, c, Label("t", tr, v))
+        before, c = c, tso_step(p, c, Label("t", tr, v))
+    # the search's enumerator reads the newest entry too; the random walks
+    # below seldom buffer two entries on one variable before a read
+    read, update = Label("t", t.transitions[4]), Label("t", None)
+    assert _enumerated(p, before, Bounds(2, 0, 0)) == [(read, c), (update, _step_ref(
+        p, before, update))]
     idx_r = 2
     assert c.rval[idx_r] == 5          # newest entry wins
     assert c.buf[0] == ((0, 3), (0, 5))  # FIFO order preserved
@@ -366,6 +371,21 @@ def _probe_labels(program, rng):
     return out
 
 
+def _enumerated(program, c, b):
+    """Every thread's moves by tso._thread_moves, as (label, successor
+    configuration)."""
+    idx = program_index(program)
+    out = []
+    for ti, (tname, sl) in enumerate(zip(idx.thread_ids, idx.reg_slices)):
+        part = c.st[ti], c.rval[sl], c.buf[ti]
+        for tr, v, (s, regs, buf), mem in tso._thread_moves(idx, ti, part, c.mem, b):
+            out.append((Label(tname, tr, v),
+                        TsoConfig(tso._put(c.st, ti, s),
+                                  c.rval[:sl.start] + regs + c.rval[sl.stop:],
+                                  tso._put(c.buf, ti, buf), mem)))
+    return out
+
+
 def test_semantics_match_reference_on_random_walks():
     rng = random.Random(23)
     steps = probes = 0
@@ -376,6 +396,8 @@ def test_semantics_match_reference_on_random_walks():
         for _ in range(rng.randint(5, 25)):
             got = tso_enabled(p, c, bounds)
             assert got == _enabled_ref(p, c, bounds)
+            # the enumerator's successors are the reference step's
+            assert _enumerated(p, c, bounds) == [(l, _step_ref(p, c, l)) for l in got]
             for label in got:
                 assert tso_step(p, c, label) == _step_ref(p, c, label)
                 steps += 1
@@ -510,27 +532,64 @@ def test_oracle_depth_stop_reason(capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_move_table_fills_call_tso_enabled_once(monkeypatch, tmp_path, capsys):
-    calls = []
-    enabled = tso.tso_enabled
+def test_move_table_fills_enumerate_each_part_once(monkeypatch, tmp_path, capsys):
+    p, tgt = _load("sb.tso")
+    run = cb_reach_bounded(p, tgt, 3, Bounds(2, 2, 60)).witness
+    fills, enabled_calls, inside = [], [], []
+    moves, enabled = tso._thread_moves, tso.tso_enabled
 
-    def counted(program, c, b, thread=None):
-        labels = enabled(program, c, b, thread)
-        calls.append((thread, labels))
-        return labels
+    def counted_moves(idx, ti, part, mem, b):
+        if not inside:
+            fills.append(ti)
+        return moves(idx, ti, part, mem, b)
 
-    monkeypatch.setattr(tso, "tso_enabled", counted)
+    def counted_enabled(program, c, b):
+        inside.append(c)
+        try:
+            return enabled(program, c, b)
+        finally:
+            enabled_calls.append(inside.pop())
+
+    monkeypatch.setattr(tso, "_thread_moves", counted_moves)
+    monkeypatch.setattr(tso, "tso_enabled", counted_enabled)
     rpt = tmp_path / "sb.json"
     assert main(["simulate", str(CORPUS / "sb.tso"), "--cb", "3", "--out", str(rpt)]) == 1
     capsys.readouterr()
-    stats = json.loads(rpt.read_text())["stats"]
-    # one call per (thread, local part, memory) triple, far below the
-    # 3,795 states explored
+    report = json.loads(rpt.read_text())
+    stats = report["stats"]
+    # the fills enumerate one thread's moves per (thread, local part,
+    # memory) triple, far below the 3,795 states explored
     assert stats["states_explored"] == 3795
-    assert len(calls) == stats["control_states"] == 395
-    # each call names the one thread whose moves it fills
-    assert {thread for thread, _ in calls} == {"t1", "t2"}
-    assert all(l.thread == thread for thread, labels in calls for l in labels)
+    assert len(fills) == stats["control_states"] == 395
+    assert set(fills) == {0, 1}
+    # tso_enabled runs only in the witness recovery, once per label, on the
+    # configurations the witness passes through
+    assert len(enabled_calls) == len(report["witness"]) == len(SB_WITNESS)
+    assert enabled_calls == [run.initial] + [c for _, c in run.steps[:-1]]
+
+
+def test_witness_recovery_rejects_a_wrong_successor(monkeypatch):
+    # an enumerator whose update commits the newest buffered entry, not the
+    # oldest: mp's writer buffers data then flag, so the search now finds a
+    # run that commits flag first, which no reference step takes
+    moves = tso._thread_moves
+
+    def newest_first(idx, ti, part, mem, b):
+        s, regs, buf = part
+        for tr, v, part2, mem2 in moves(idx, ti, part, mem, b):
+            if tr is None:
+                x, val = buf[-1]
+                part2, mem2 = (s, regs, buf[:-1]), tso._put(mem, x, val)
+            yield tr, v, part2, mem2
+
+    p, tgt = _load("mp.tso")
+    b = Bounds(2, 2, 60)
+    assert cb_reach_bounded(p, tgt, 2, b).reachable
+    monkeypatch.setattr(tso, "_thread_moves", newest_first)
+    for search in (lambda: cb_reach_bounded(p, tgt, 2, b),
+                   lambda: tso_reach_bounded(p, tgt, b)):
+        with pytest.raises(AssertionError, match="no enabled step leads from"):
+            search()
 
 
 def test_every_step_changes_only_its_thread_and_the_memory():
@@ -608,12 +667,16 @@ def test_steps_of_a_thread_whose_registers_do_not_start_at_zero():
         (Label("b", tb[8]), "memory value differs from expected"),
         (Label("b", tb[7]), TsoConfig((2, 8), (4, 0, 4, 7, 4), ((), ()), (7, 4))),
     ]:
+        # the search's enumerator offers the same step, or none
+        moves = _enumerated(p, c, Bounds(1, 7, 0))
         if isinstance(want, str):
             with pytest.raises(NotEnabledError, match=want):
                 tso_step(p, c, label)
+            assert label not in [l for l, _ in moves]
         else:
             c = tso_step(p, c, label)
             assert c == want, label.render()
+            assert (label, c) in moves
 
 
 def test_simulate_memory_cap(monkeypatch, capsys, tmp_path):
