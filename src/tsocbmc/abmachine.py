@@ -390,7 +390,12 @@ class AbMachine:
         return f"assume {n[eff[2]]} {eff[1].render()} {n[eff[3]]}"
 
 
-@lru_cache(maxsize=None)
+# machines kept across calls, one per (program, k); a bench pass uses at
+# most 24, and each holds a few KB
+_MACHINES = 128
+
+
+@lru_cache(maxsize=_MACHINES)
 def ab_machine(program: Program, k: int) -> AbMachine:
     return AbMachine(program, k)
 

@@ -15,25 +15,26 @@ Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do not
 depend on the ranks.  So each search computes them once per control state
 and reuses them for every rank tuple paired with it.  Likewise the rank
-step depends only on the rank tuple and the effect list: its result is
-memoized per effect list in an int array indexed by rank id, which holds
-the one successor rank id inline, or points into a side list of branching
-results (none, or several after a fresh value); relabs defines the
-encoding.  Both tables live only as long as that search.  The memo misses
-of a fresh-free effect list are computed by its rank kernel
-(relabs.rank_kernel, fetched once when the list is interned), which takes
-the batch's unknown rank ids, fills their memo entries and interns the
-moved tuples itself: a rank id whose tuple nothing moved is kept with no
-lookup, and a moved tuple costs one.  A list with a fresh value, which may
-branch, runs rel_apply once per miss and the search interns its results.
+step depends only on the rank tuple and the effect list, and each search
+memoizes it.  A fresh-free effect list has at most one successor: its memo
+is an int array indexed by rank id, holding the successor rank id or one of
+relabs' markers UNKNOWN and NO_SUCCESSOR, and its misses are computed by its
+rank kernel (relabs.rank_kernel, fetched once when the list is interned).
+The kernel takes the batch's unknown rank ids, fills their entries and
+interns the moved tuples itself: a rank id whose tuple nothing moved is
+kept with no lookup, and a moved tuple costs one.  Only a list with a fresh
+value branches; its results are kept in one dict from (effect list id,
+rank id) to the tuple of successor rank ids, and each miss runs rel_apply
+once, its results interned in order.  These tables live only as long as
+that search.
 
 Within each schedule the search runs level by level (level-synchronous
 breadth-first search).  A level maps each control id to its batch of rank
 ids, and holds the control ids in the order in which they first received a
 new state.  Each move of a control state is applied to its whole batch at
-once: the batch reads the move's memo row, only the entries not computed
-yet run the miss path (a batch with none computed takes its successor ids
-from the kernel as they are), and the successor rank ids not yet seen with the
+once: the batch reads the move's memo, only the entries not computed yet
+run the miss path (a batch with none computed takes its successor ids from
+the kernel as they are), and the successor rank ids not yet seen with the
 successor control id (one set per control id) join its batch in the next
 level.  Within a level, the batches of the control states with a move to
 the target are probed first, in level order, with those moves alone.  The
@@ -78,8 +79,8 @@ from typing import Callable, Iterator, Optional
 from .abmachine import R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, ab_machine
 from .model import OP_FRESH, Program, Target
 from .relabs import (
-    NO_SUCCESSOR, UNKNOWN, abstract_of, canonical_key, decode_key, key_length,
-    rank_kernel, rel_apply, rel_initial,
+    UNKNOWN, abstract_of, canonical_key, decode_key, key_length, rank_kernel,
+    rel_apply, rel_initial,
 )
 from .tso import Label, Run, replay
 from .verdict import (
@@ -194,10 +195,11 @@ def check_reach(program: Program, target: Target, k: int,
     # per cid, once expanded: its moves [(label, eid, successor cid)] in
     # table order, split into those that miss and those that hit the target
     succ: list[Optional[tuple[list, list]]] = []
-    # per eid, the rank step by rid: UNKNOWN, the one successor rid, or
-    # NO_SUCCESSOR - i for the successor rids branches[i] (none or several)
+    # per eid, a fresh-free list's rank step by rid (see relabs.rank_kernel):
+    # UNKNOWN, NO_SUCCESSOR or the successor rid
     memo: list[array] = []
-    branches: list[tuple[int, ...]] = [()]
+    # per (eid, rid) of a list with a fresh value, the successor rids
+    fresh: dict[tuple[int, int], tuple[int, ...]] = {}
     # per cid, the rids seen with it in this search
     seen: list[set[int]] = []
 
@@ -226,18 +228,33 @@ def check_reach(program: Program, target: Target, k: int,
             moves[flat2[m.ST + tti] == tsi].append((core, eid, intern_ctrl(flat2)))
         return moves
 
-    # bound once per search: step calls it on every memo miss of a list
-    # with a fresh value
-    apply = rel_apply
     misses = 0
 
     def step(eid: int, rids: list[int]) -> list[int]:
         """The successor rids of a batch under one effect list, in batch
-        order with branches expanded.  Only the UNKNOWN memo entries are
-        computed: by the list's kernel, which fills them and, for a batch
-        with no entry known, returns the kids itself; or by rel_apply for a
-        list with a fresh value."""
+        order.  Only the memo misses are computed: by the list's kernel,
+        which fills them and, for a batch with no entry known, returns the
+        kids itself; or by rel_apply for a list with a fresh value."""
         nonlocal misses
+        kernel = kernels[eid]
+        if kernel is None:
+            effects = effs[eid]
+            kids = []
+            for rid in rids:
+                out = fresh.get((eid, rid))
+                if out is None:
+                    misses += 1
+                    out = []
+                    for r2 in rel_apply(ranks[rid], effects):
+                        # interned as the kernels of relabs.rank_kernel do
+                        rid2 = rank_id.get(r2)
+                        if rid2 is None:
+                            rid2 = rank_id[r2] = len(ranks)
+                            ranks.append(r2)
+                        out.append(rid2)
+                    out = fresh[eid, rid] = tuple(out)
+                kids += out
+            return kids
         row = memo[eid]
         grow = len(ranks) - len(row)
         if grow > 0:
@@ -246,50 +263,26 @@ def check_reach(program: Program, target: Target, k: int,
         unknown = entries.count(UNKNOWN)
         if unknown:
             misses += unknown
-            kernel = kernels[eid]
-            if kernel is not None:
-                if unknown == len(entries):
-                    return kernel(rids, ranks, rank_id, row)
-                kernel([rid for rid, entry in zip(rids, entries)
-                        if entry == UNKNOWN], ranks, rank_id, row)
-                entries = list(map(row.__getitem__, rids))
-            else:
-                effects = effs[eid]
-                for i, entry in enumerate(entries):
-                    if entry != UNKNOWN:
-                        continue
-                    rid = rids[i]
-                    out = []
-                    for r2 in apply(ranks[rid], effects):
-                        # interned as the kernels of relabs.rank_kernel do
-                        rid2 = rank_id.get(r2)
-                        if rid2 is None:
-                            rid2 = rank_id[r2] = len(ranks)
-                            ranks.append(r2)
-                        out.append(rid2)
-                    if len(out) == 1:
-                        entry = out[0]
-                    elif out:
-                        entry = NO_SUCCESSOR - len(branches)
-                        branches.append(tuple(out))
-                    else:
-                        entry = NO_SUCCESSOR
-                    row[rid] = entries[i] = entry
+            if unknown == len(entries):
+                return kernel(rids, ranks, rank_id, row)
+            kernel([rid for rid, entry in zip(rids, entries)
+                    if entry == UNKNOWN], ranks, rank_id, row)
+            entries = list(map(row.__getitem__, rids))
         if min(entries) >= 0:
             return entries
-        kids = [entry for entry in entries if entry >= 0]
-        for entry in entries:
-            if entry < NO_SUCCESSOR:
-                kids.extend(branches[NO_SUCCESSOR - entry])
-        return kids
+        return [entry for entry in entries if entry >= 0]
 
     def filled(eid: int, rid: int) -> tuple[int, ...]:
         """The successor rids the search stored for (eid, rid)."""
-        entry = memo[eid][rid]
-        if entry == UNKNOWN:
+        if kernels[eid] is None:
+            kids = fresh.get((eid, rid))
+        else:
+            entry = memo[eid][rid]
+            kids = None if entry == UNKNOWN else (entry,) if entry >= 0 else ()
+        if kids is None:
             raise AssertionError(f"witness step from rank id {rid} reads an "
                                  "unfilled memo entry")
-        return (entry,) if entry >= 0 else branches[NO_SUCCESSOR - entry]
+        return kids
 
     def parent(into: dict[int, set[int]], batches: dict[int, list[int]],
                cid2: int, rid2: int) -> tuple[int, int, tuple, int]:
@@ -343,9 +336,9 @@ def check_reach(program: Program, target: Target, k: int,
     sample_at = 4096
     for act in _seed_order(m, tti):
         flat = m.initial_flat(act)
+        # a root is always new: a state with j = 1 keeps its schedule's act
+        # entries, and each schedule stores its root first
         cid, rid = intern_ctrl(flat), 0  # r0 is rank id 0
-        if rid in seen[cid]:
-            continue
         seen[cid].add(rid)
         room -= 1
         if flat[m.ST + tti] == tsi:

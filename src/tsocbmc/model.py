@@ -320,6 +320,11 @@ class ProgramIndex:
         return ti, self.state_id[ti][target.state]
 
 
-@lru_cache(maxsize=None)
+# indexes kept across calls; a bench pass uses at most 24 programs, and each
+# index holds a few KB
+_PROGRAMS = 128
+
+
+@lru_cache(maxsize=_PROGRAMS)
 def program_index(program: Program) -> ProgramIndex:
     return ProgramIndex(program)

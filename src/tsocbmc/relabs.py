@@ -44,8 +44,9 @@ fresh-free list, rank_kernel compiles the whole miss path once: a loop over
 a batch of rank ids that runs rel_apply's step with the guard comparisons
 and copies written out per column (no dispatch on the effect tag, no
 unpacking), interns each moved tuple, writes the memo entry and returns the
-successor ids.  A list with a fresh value runs rel_apply per miss.  Kernels
-are cached per effect list across searches.
+successor ids.  A list with a fresh value runs rel_apply per miss, and the
+search keeps its results in a dict of its own.  Kernels are cached per
+effect list across searches.
 """
 from __future__ import annotations
 
@@ -109,8 +110,6 @@ def rel_apply(ranks: tuple[int, ...], effects) -> list[tuple[int, ...]]:
                 return []
         else:  # fresh
             tail = tuple(rest)
-            if not tail:
-                return _fresh(r, eff[1])
             out: list[tuple[int, ...]] = []
             for p in _fresh(r, eff[1]):
                 out += rel_apply(p, tail)
@@ -158,11 +157,9 @@ _KERNELS = 1024
 # numbers the kernels' filenames in compile order
 _KERNEL_NUMBERS = count()
 
-# The entries of a memo row, one per rank id, for one effect list (see
-# engine.check_reach): the one successor rank id (>= 0), UNKNOWN before the
-# step is computed, NO_SUCCESSOR when a guard fails, and NO_SUCCESSOR - i for
-# the i-th branching result.  Branch 0 is the empty one, so NO_SUCCESSOR
-# is also that branch.
+# The entries of a kernel's memo row, one per rank id (see
+# engine.check_reach): the successor rank id, UNKNOWN before the step is
+# computed, and NO_SUCCESSOR when a guard fails.
 UNKNOWN = -1
 NO_SUCCESSOR = -2
 

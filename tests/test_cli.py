@@ -352,6 +352,19 @@ def test_file_not_utf8_is_a_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"cannot read {bad}: "), argv
 
 
+def test_unwritable_out_and_mismatched_alphabets_are_usage_errors(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.json"
+    assert main(["check", MP, "--k", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+    ab = tmp_path / "even.dfa"
+    ab.write_text(DFA_EVEN)
+    a_only = tmp_path / "a.dfa"
+    a_only.write_text("dfa\nalphabet a\nstates p\ninit p\nfinals p\np a -> p\n")
+    assert main(["gen", "intersection", str(ab), str(a_only)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "alphabet mismatch\n" and captured.out == ""
+
+
 def test_gen_bakery_round_trips_through_check(tmp_path, capsys):
     out = tmp_path / "bakery.tso"
     assert main(["gen", "bakery", "--n", "2", "--out", str(out)]) == 0

@@ -100,6 +100,9 @@ def test_parse_error_spans():
         parse_program("domain nat\n")  # no threads
     with pytest.raises(ParseError):
         parse_program(SAMPLE + "\nleftover\n")
+    with pytest.raises(ParseError, match="unterminated thread block") as e:
+        parse_program("domain nat\nthread t {\n  regs a\n  init q0\n")
+    assert e.value.span.line == 5
 
 
 def test_relation_offset_takes_ascii_digits_only():
@@ -212,6 +215,13 @@ def test_dlcs_duplicate_declarations():
                                 "duplicate letter 'a'"]
     with pytest.raises(ParseError, match="duplicate variable 'v'"):
         parse_dlcs("dlcs\nstates q\nvars v v\nalphabet a\ninit q\n")
+
+
+def test_dlcs_undeclared_target():
+    m = DlcsModel(("q",), ("v",), ("a",), "q", (), "qX")
+    assert validate_dlcs(m) == ["target state 'qX' undeclared"]
+    with pytest.raises(ParseError, match="target state 'qX' undeclared"):
+        parse_dlcs("dlcs\nstates q\nvars v\nalphabet a\ninit q\ntarget qX\n")
 
 
 def test_dlcs_rejects_order_guards():

@@ -1,9 +1,10 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 from tsocbmc import (
-    Bounds, Dfa, DlcsModel, EQ, LT, NEQ, Target, check_reach,
+    Assign, Bounds, Dfa, DlcsModel, EQ, LT, NEQ, Target, check_reach,
     concretize_witness, dfa_intersection_oracle, dlcs_reach_bounded,
     gen_bakery, gen_dlcs_reduction, gen_intersection,
     parse_program_with_target, tso_reach_bounded, validate, validate_witness,
@@ -204,6 +205,28 @@ def test_dlcs_loss_is_expressible():
     g = gen_dlcs_reduction(NEEDS_LOSS)
     assert tso_reach_bounded(g.program, g.target, Bounds(2, 3, 200),
                              max_states=2_000_000).reachable
+
+
+COPY_THEN = DlcsModel(("q0", "q1", "q2", "qF"), ("v", "w"), ("a",), "q0",
+                      (("q0", DlcsFresh("v"), "q1"), ("q1", Assign("w", "v"), "q2")),
+                      "qF")
+
+
+@pytest.mark.parametrize("m,expect,witness", [
+    # w := v after a fresh v, so w = v and never w != v
+    (replace(COPY_THEN, transitions=COPY_THEN.transitions
+             + (("q2", Guard(EQ, "w", "v"), "qF"),)), True,
+     ("v := 1", "w := v", "assume w = v")),
+    (replace(COPY_THEN, transitions=COPY_THEN.transitions
+             + (("q2", Guard(NEQ, "w", "v"), "qF"),)), False, None),
+    # the initial state is the target
+    (DlcsModel(("q0",), ("v",), ("a",), "q0", (), "q0"), True, ()),
+], ids=["copy-then-equal", "copy-then-differ", "init-is-target"])
+def test_dlcs_oracle_and_reduction_agree(m, expect, witness):
+    v = dlcs_reach_bounded(m, m.target, channel_len=3, fresh_values=3)
+    assert (v.reachable, v.witness) == (expect, witness)
+    g = gen_dlcs_reduction(m)
+    assert check_reach(g.program, g.target, g.k_hint).reachable == expect
 
 
 def test_dlcs_reduction_input_checks():

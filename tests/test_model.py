@@ -121,6 +121,7 @@ def test_validate_rejects_bad_init_and_duplicates():
     assert any("duplicate register" in d for d in diags)
     assert any("init state 'q7' undeclared" in d for d in diags)
     assert any("duplicate shared variable" in d for d in diags)
+    assert "duplicate thread id 't'" in validate(Program.make([bad, bad], ["x"]))
 
 
 def test_program_index_interning_and_target():

@@ -159,6 +159,9 @@ def test_bounds_validation():
         Bounds(-1, 2, 10)
     with pytest.raises(ValueError):
         Bounds(1, 300, 10)
+    p, tgt = _load("mp.tso")
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        cb_reach_bounded(p, tgt, 0, Bounds(1, 1, 10))
 
 
 @pytest.mark.parametrize("threads,k,ok", [
