@@ -72,13 +72,14 @@ def _sniff_kind(text: str) -> str:
 def _load_program(path: str, text: Optional[str] = None
                   ) -> tuple[Program, Optional[Target]]:
     """Parse and validate a program file; `text` is its content when the
-    caller has read it already."""
+    caller has read it already.  An invalid program raises
+    InvalidProgramError, each diagnostic prefixed with the path."""
     if text is None:
         text = _read_text(path)
     program, inline = parse_program_with_target(text)
     diags = validate(program)
     if diags:
-        raise UsageError(f"{path}: " + "; ".join(diags))
+        raise InvalidProgramError([f"{path}: {d}" for d in diags])
     return program, inline
 
 
@@ -243,12 +244,16 @@ def _cmd_gen(args) -> int:
 def _cmd_selftest(args) -> int:
     # imported here so that check and simulate do not compile the suites
     from .selftest import run_suites
+    bad_scale = UsageError("--scale expects a positive finite multiplier")
     if not 0 < args.scale < math.inf:   # also rejects nan
-        raise UsageError("--scale expects a positive finite multiplier")
+        raise bad_scale
     try:
         results = run_suites(seed=args.seed, scale=args.scale, only=args.suite)
     except ValueError as e:
         raise UsageError(str(e))
+    except OverflowError:
+        # a case count past the largest float, before any suite ran
+        raise bad_scale
     for res in results:
         print(res.line())
         for f in res.failures[:10]:

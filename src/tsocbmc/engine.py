@@ -12,41 +12,40 @@ control length whatever the rank tuple, so a new rank tuple costs one
 dictionary lookup and nothing more.
 
 Many rank tuples share one control state, and a control state's successors
-(labels, effect lists, successor control, whether it hits the target) do not
-depend on the ranks.  So each search computes them once per control state
-and reuses them for every rank tuple paired with it.  Likewise the rank
-step depends only on the rank tuple and the effect list, and each search
-memoizes it.  A fresh-free effect list has at most one successor: its memo
-is an int array indexed by rank id, holding the successor rank id or one of
-relabs' markers UNKNOWN and NO_SUCCESSOR, and its misses are computed by its
-rank kernel (relabs.rank_kernel, fetched once when the list is interned).
-The kernel takes the batch's unknown rank ids, fills their entries and
-interns the moved tuples itself: a rank id whose tuple nothing moved is
-kept with no lookup, and a moved tuple costs one.  Only a list with a fresh
-value branches; its results are kept in one dict from (effect list id,
-rank id) to the tuple of successor rank ids, and each miss runs rel_apply
-once, its results interned in order.  These tables live only as long as
-that search.
+(labels, effect lists, successor control, whether it hits the target) do
+not depend on the ranks.  So each search computes them once per control
+state and reuses them for every rank tuple paired with it.  Likewise the
+rank step depends only on the rank tuple and the effect list, and each
+search memoizes it.  A fresh-free effect list has at most one successor:
+its memo is an int array indexed by rank id, holding the successor rank id
+or one of relabs' markers UNKNOWN and NO_SUCCESSOR.  Its rank kernel
+(relabs.rank_kernel, fetched once when the list is interned) is the only
+code of the search loop that reads the row.  The kernel takes a whole
+batch, returns each known successor as stored, and computes only the
+UNKNOWN entries: it fills them and interns the moved tuples itself, a rank
+id whose tuple nothing moved kept with no lookup and a moved tuple costing
+one.  Only a list with a fresh value branches; its results are kept in one
+dict from (effect list id, rank id) to the tuple of successor rank ids, and
+each miss runs rel_apply once, its results interned in order.  These tables
+live only as long as that search.
 
 Within each schedule the search runs level by level (level-synchronous
 breadth-first search).  A level maps each control id to its batch of rank
 ids, and holds the control ids in the order in which they first received a
 new state.  Each move of a control state is applied to its whole batch at
-once: the batch reads the move's memo, only the entries not computed yet
-run the miss path (a batch with none computed takes its successor ids from
-the kernel as they are), and the successor rank ids not yet seen with the
-successor control id (one set per control id) join its batch in the next
-level.  Within a level, the batches of the control states with a move to
-the target are probed first, in level order, with those moves alone.  The
-first whose moves yield any state ends the search at the least (control
-tuple, rank tuple) among the states it yields, and states_explored is the
-states of the earlier levels plus the batches probed up to and including
-that one.  Otherwise every batch is expanded in level order, and each
-counts in states_explored once.  peak_frontier is the largest level, the
-root level never counted.  max_states is checked after each control
-state's batch, so a search may store up to one batch's new states past the
-cap.  The memory cap is sampled after a batch, every 4,096 explored states
-or so.
+once, in one call of the list's kernel (or of the fresh-value path), and
+the successor rank ids not yet seen with the successor control id (one set
+per control id) join its batch in the next level.  Within a level, the
+batches of the control states with a move to the target are probed first,
+in level order, with those moves alone.  The first whose moves yield any
+state ends the search at the least (control tuple, rank tuple) among the
+states it yields, and states_explored is the states of the earlier levels
+plus the batches probed up to and including that one.  Otherwise every
+batch is expanded in level order, and each counts in states_explored once.
+peak_frontier is the largest level, the root level never counted.
+max_states is checked after each control state's batch, so a search may
+store up to one batch's new states past the cap.  The memory cap is sampled
+after a batch, every 4,096 explored states or so.
 
 No parent pointers are stored.  A reachable verdict keeps the levels of the
 hitting schedule and walks them backward: each state's parent is the least
@@ -228,14 +227,10 @@ def check_reach(program: Program, target: Target, k: int,
             moves[flat2[m.ST + tti] == tsi].append((core, eid, intern_ctrl(flat2)))
         return moves
 
-    misses = 0
-
     def step(eid: int, rids: list[int]) -> list[int]:
         """The successor rids of a batch under one effect list, in batch
-        order.  Only the memo misses are computed: by the list's kernel,
-        which fills them and, for a batch with no entry known, returns the
-        kids itself; or by rel_apply for a list with a fresh value."""
-        nonlocal misses
+        order: the list's kernel does the whole memo lookup; a list with a
+        fresh value runs rel_apply once per miss."""
         kernel = kernels[eid]
         if kernel is None:
             effects = effs[eid]
@@ -243,7 +238,6 @@ def check_reach(program: Program, target: Target, k: int,
             for rid in rids:
                 out = fresh.get((eid, rid))
                 if out is None:
-                    misses += 1
                     out = []
                     for r2 in rel_apply(ranks[rid], effects):
                         # interned as the kernels of relabs.rank_kernel do
@@ -259,18 +253,7 @@ def check_reach(program: Program, target: Target, k: int,
         grow = len(ranks) - len(row)
         if grow > 0:
             row.extend(_UNKNOWN_ROW * grow)
-        entries = list(map(row.__getitem__, rids))
-        unknown = entries.count(UNKNOWN)
-        if unknown:
-            misses += unknown
-            if unknown == len(entries):
-                return kernel(rids, ranks, rank_id, row)
-            kernel([rid for rid, entry in zip(rids, entries)
-                    if entry == UNKNOWN], ranks, rank_id, row)
-            entries = list(map(row.__getitem__, rids))
-        if min(entries) >= 0:
-            return entries
-        return [entry for entry in entries if entry >= 0]
+        return kernel(rids, ranks, rank_id, row)
 
     def filled(eid: int, rid: int) -> tuple[int, ...]:
         """The successor rids the search stored for (eid, rid)."""
@@ -284,15 +267,14 @@ def check_reach(program: Program, target: Target, k: int,
                                  "unfilled memo entry")
         return kids
 
-    def parent(into: dict[int, set[int]], batches: dict[int, list[int]],
-               cid2: int, rid2: int) -> tuple[int, int, tuple, int]:
+    def parent(batches: dict[int, list[int]], cid2: int,
+               rid2: int) -> tuple[int, int, tuple, int]:
         """(cid, rid, label, eid) of the least (control tuple, rank tuple,
         move index) in batches whose move's filled memo entry yields the
-        state (cid2, rid2); into maps a cid to the cids with a move to it.
+        state (cid2, rid2); a cid with no move into cid2 yields nothing.
         The moves into cid2 all hit the target or all miss it, so their
         index in one part of succ keeps their table order."""
-        for cid in sorted((c for c in into[cid2] if c in batches),
-                          key=ctrls.__getitem__):
+        for cid in sorted(batches, key=ctrls.__getitem__):
             moves = [(j, core, eid) for part in succ[cid]
                      for j, (core, eid, c) in enumerate(part) if c == cid2]
             best = min(((ranks[rid], j, rid, core, eid) for rid in batches[cid]
@@ -307,20 +289,18 @@ def check_reach(program: Program, target: Target, k: int,
         """The verdict.  A reachable one names its target state and the
         batches to walk back through, the hitting batch first."""
         stats.states_explored, stats.peak_frontier = explored, peak
-        stats.rel_apply_calls, stats.stop_reason = misses, stop
+        # every memo miss filled one entry
+        stats.rel_apply_calls = len(fresh) + sum(len(row) - row.count(UNKNOWN)
+                                                 for row in memo)
+        stats.stop_reason = stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         stats.rank_tuples = len(ranks)
         witness = None
         if status == REACHABLE:
-            into: dict[int, set[int]] = {}
-            for cid, moves in enumerate(succ):
-                for part in moves or ():
-                    for _, _, c in part:
-                        into.setdefault(c, set()).add(cid)
             cid2, rid2 = target
             steps = []
             for batches in walk:
-                cid, rid, core, eid = parent(into, batches, cid2, rid2)
+                cid, rid, core, eid = parent(batches, cid2, rid2)
                 steps.append(WitnessStep(core, effs[eid], ranks[rid2]))
                 cid2, rid2 = cid, rid
             root = ctrls[cid2]

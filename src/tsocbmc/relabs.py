@@ -39,14 +39,15 @@ one successor is the input tuple object itself; the rank kernels below test
 the same identity to keep a rank id without a lookup.
 
 The search memoizes the rank step per effect list and rank id (see
-engine.check_reach), and computes its memo misses in batches.  For a
-fresh-free list, rank_kernel compiles the whole miss path once: a loop over
-a batch of rank ids that runs rel_apply's step with the guard comparisons
-and copies written out per column (no dispatch on the effect tag, no
-unpacking), interns each moved tuple, writes the memo entry and returns the
-successor ids.  A list with a fresh value runs rel_apply per miss, and the
-search keeps its results in a dict of its own.  Kernels are cached per
-effect list across searches.
+engine.check_reach), one batch of rank ids at a time.  For a fresh-free
+list, rank_kernel compiles the whole memo lookup once: a loop over the batch
+that reads each memo entry, returns a known successor as it is, and runs
+rel_apply's step only on an entry not computed yet, with the guard
+comparisons and copies written out per column (no dispatch on the effect
+tag, no unpacking); it interns each moved tuple, writes the memo entry and
+returns the successor ids.  A list with a fresh value runs rel_apply per
+miss, and the search keeps its results in a dict of its own.  Kernels are
+cached per effect list across searches.
 """
 from __future__ import annotations
 
@@ -179,16 +180,19 @@ def _fails(rel: Relation) -> str:
 
 @lru_cache(maxsize=_KERNELS)
 def rank_kernel(effects: tuple) -> Optional[Callable]:
-    """The whole memo miss of one fresh-free effect list for a batch of
+    """The whole memo lookup of one fresh-free effect list for a batch of
     rank ids, compiled to straight-line code; None for a list with a fresh
     value, which branches.
 
-    kernel(rids, ranks, rank_id, row) runs rel_apply's step on each
-    ranks[rid] with the guards and copies written out per column, and
-    writes row[rid]: NO_SUCCESSOR when a guard fails, rid itself when
-    nothing moved, and otherwise the rank id of the new tuple, interned
-    with one rank_id.get and appended to ranks when it is new.  It returns
-    the successor rank ids in batch order.
+    kernel(rids, ranks, rank_id, row) reads row[rid] for each rid of the
+    batch.  A stored successor rank id costs one comparison and is returned
+    as it is, and NO_SUCCESSOR is dropped.  Only an UNKNOWN entry runs
+    rel_apply's step on ranks[rid], with the guards and copies written out
+    per column, and writes row[rid]: NO_SUCCESSOR when a guard fails, rid
+    itself when nothing moved, and otherwise the rank id of the new tuple,
+    interned with one rank_id.get and appended to ranks when it is new.
+    The row must reach every rid of the batch.  It returns the successor
+    rank ids in batch order.
 
     The generated source holds only int column indices and fixed
     operators; every column is checked to be an int before any is built.
@@ -202,6 +206,9 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
     lines = ["def kernel(rids, ranks, rank_id, row):",
              " kids = []; add = kids.append; get = rank_id.get",
              " for rid in rids:",
+             "  e = row[rid]",
+             "  if e >= 0: add(e); continue",
+             "  if e == NO_SUCCESSOR: continue",
              "  r = q = ranks[rid]"]
     moves = False
     for eff in effects:

@@ -295,5 +295,8 @@ def run_suites(seed: int = 0, scale: float = 1.0,
     names = [only] if only else list(_SUITES)
     if only and only not in _SUITES:
         raise ValueError(f"unknown suite '{only}' (have: {', '.join(_SUITES)})")
-    return [suite(seed=seed, **{arg: max(1, round(base * scale))})
-            for suite, arg, base in (_SUITES[n] for n in names)]
+    # every suite is sized before any runs, so a scale whose case counts
+    # overflow raises OverflowError at once
+    sized = [(suite, {arg: max(1, round(base * scale))})
+             for suite, arg, base in (_SUITES[n] for n in names)]
+    return [suite(seed=seed, **size) for suite, size in sized]

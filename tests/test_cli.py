@@ -341,6 +341,25 @@ def test_parse_error_exit_and_message(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_invalid_program_prints_one_diagnostic_a_line(tmp_path, capsys):
+    # two operations that parse but do not validate: a write to a variable
+    # that is not declared, and a read into the other thread's register
+    bad = tmp_path / "bad.tso"
+    bad.write_text(Path(MP).read_text()
+                   .replace("write data w_one", "write nope w_one")
+                   .replace("read flag r_flag", "read flag w_one"))
+    for argv in (["check", str(bad), "--k", "1"], ["simulate", str(bad), "--tso"],
+                 ["parse", str(bad)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.splitlines() == [
+            f"{bad}: thread 'w': operation 'write nope w_one' uses "
+            "undeclared shared variable 'nope'",
+            f"{bad}: thread 'r': operation 'read flag w_one' uses "
+            "register 'w_one' not owned by the thread"], argv
+
+
 def test_file_not_utf8_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.tso"
     bad.write_bytes(b"domain nat\n\xff\n")
@@ -465,7 +484,7 @@ def test_usage_errors(capsys):
                  ["simulate", MP, "--cb", "2", "--max-states", "0"]):
         assert main(argv) == 2, argv
         assert "--max-states" in capsys.readouterr().err
-    for scale in ("-1", "0", "nan", "inf"):
+    for scale in ("-1", "0", "nan", "inf", "1e308"):
         assert main(["selftest", "--scale", scale]) == 2, scale
         assert "--scale" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ from tsocbmc import (
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.engine import _seed_order
 from tsocbmc.model import program_index, states_in_order
+from tsocbmc.relabs import UNKNOWN
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -461,15 +462,15 @@ def test_witness_names_the_first_move_to_a_shared_successor():
 def test_search_calls_the_public_encoding(monkeypatch):
     # the interned search checks each new control tuple, not each new rank
     # tuple, through canonical_key/decode_key, and computes each memo miss
-    # once: in a batch given to the effect list's rank kernel or, for a
-    # list with a fresh value, in one rel_apply call; a witness reads the
-    # memo entries the search filled, so its recovery runs neither.  The
-    # benchmark's traced run wraps these engine globals and fails when one
-    # of them sees no call
+    # once: as an UNKNOWN entry of a batch given to the effect list's rank
+    # kernel or, for a list with a fresh value, in one rel_apply call; a
+    # witness reads the memo entries the search filled, so its recovery
+    # runs neither.  The benchmark's traced run wraps these engine globals
+    # and fails when one of them sees no call
     from tsocbmc import engine
     from tsocbmc.generators import gen_bakery
     calls = dict.fromkeys(("rel_apply", "canonical_key", "decode_key"), 0)
-    kernel_rids = 0
+    kernel_unknown = 0
 
     def counted(name):
         real = getattr(engine, name)
@@ -486,10 +487,10 @@ def test_search_calls_the_public_encoding(monkeypatch):
         if kernel is None:
             return None
 
-        def wrapper(rids, *args):
-            nonlocal kernel_rids
-            kernel_rids += len(rids)
-            return kernel(rids, *args)
+        def wrapper(rids, ranks, rank_id, row):
+            nonlocal kernel_unknown
+            kernel_unknown += [row[rid] for rid in rids].count(UNKNOWN)
+            return kernel(rids, ranks, rank_id, row)
         return wrapper
 
     for name in calls:
@@ -501,14 +502,14 @@ def test_search_calls_the_public_encoding(monkeypatch):
             (g.program, g.target, 4, UNREACHABLE, 1020),
             (sb, sb_target, 3, REACHABLE, 580)):
         calls.update(dict.fromkeys(calls, 0))
-        kernel_rids = 0
+        kernel_unknown = 0
         v = check_reach(program, target, k)
         assert v.status == status and v.stats.states_explored == states
         assert (v.witness is not None) == (status == REACHABLE)
-        assert all(calls.values()) and kernel_rids, (calls, kernel_rids)
-        # the kernels' batch sizes and the rel_apply calls add up to the
-        # misses
-        assert kernel_rids + calls["rel_apply"] == v.stats.rel_apply_calls
+        assert all(calls.values()) and kernel_unknown, (calls, kernel_unknown)
+        # the UNKNOWN entries the kernels were given and the rel_apply calls
+        # add up to the misses
+        assert kernel_unknown + calls["rel_apply"] == v.stats.rel_apply_calls
 
 
 def test_unused_fresh_register_rebuilds_to_a_tso_run():

@@ -181,9 +181,12 @@ def test_rel_apply_matches_reference_on_random_effects():
 
 def test_rank_kernel_matches_rel_apply_on_random_effects():
     # the recipe above without fresh values, which get no kernel, run on a
-    # random batch of rank ids whose memo row already holds other entries
+    # random batch of rank ids that mixes unknown memo entries with known
+    # ones: a stored rank id that is not the step's successor, so a kernel
+    # that recomputes a known entry fails, and NO_SUCCESSOR
     rng = random.Random(12)
     rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
+    mixed = 0
     for _ in range(3000):
         n = rng.randrange(1, 8)
         effects = []
@@ -202,39 +205,56 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
             abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
             for _ in range(rng.randrange(1, 9))))
         rank_id = {r: i for i, r in enumerate(ranks)}
-        # known entries are left alone: the batch holds only unknown rids
-        row = array("i", [rng.choice((UNKNOWN, 0, NO_SUCCESSOR)) for _ in ranks])
-        # at least one unknown entry, so every list meets rel_apply
-        row[rng.randrange(len(ranks))] = UNKNOWN
-        before = row.tolist()
-        batch = [rid for rid in range(len(ranks)) if row[rid] == UNKNOWN]
-        rng.shuffle(batch)
         old = list(ranks)
+        want = [rel_apply(r, effects) for r in old]
+        # the first rid is unknown, the second holds a wrong rank id, the
+        # third NO_SUCCESSOR, and the others any of the three
+        rids = list(range(len(old)))
+        rng.shuffle(rids)
+        row = array("i", [UNKNOWN] * len(old))
+        for i, rid in enumerate(rids[1:], 1):
+            role = i if i < 3 else rng.randrange(3)
+            if role == 1:
+                row[rid] = rng.choice([e for e in range(len(old))
+                                       if want[rid] != [old[e]]])
+            elif role == 2:
+                row[rid] = NO_SUCCESSOR
+        before = row.tolist()
+        batch = rids[:rng.randrange(min(3, len(rids)), len(rids) + 1)]
+        rng.shuffle(batch)
+        mixed += len({min(before[rid], 0) for rid in batch}) == 3
         kids = rank_kernel(tuple(effects))(batch, ranks, rank_id, row)
 
-        assert batch
+        assert UNKNOWN in (before[rid] for rid in batch)
         new = []
         for rid in batch:
-            want = rel_apply(old[rid], effects)
+            if before[rid] != UNKNOWN:
+                continue
             entry = row[rid]
-            if not want:
+            if not want[rid]:
                 assert entry == NO_SUCCESSOR
                 continue
-            assert len(want) == 1 and ranks[entry] == want[0]
+            assert len(want[rid]) == 1 and ranks[entry] == want[rid][0]
             # the rid is kept exactly when nothing moved
-            assert (entry == rid) == (want[0] == old[rid])
-            if want[0] not in old and want[0] not in new:
-                new.append(want[0])
+            assert (entry == rid) == (want[rid][0] == old[rid])
+            if want[rid][0] not in old and want[rid][0] not in new:
+                new.append(want[rid][0])
         # new tuples are interned in batch order, one rank id each
         assert ranks == old + new
         assert rank_id == {r: i for i, r in enumerate(ranks)}
-        assert kids == [row[rid] for rid in batch if row[rid] != NO_SUCCESSOR]
+        # known entries are untouched, and so are unknown ones not in the
+        # batch
         assert all(row[rid] == before[rid] for rid in range(len(old))
-                   if rid not in batch)
+                   if before[rid] != UNKNOWN or rid not in batch)
+        # the successors in batch order, known ones as stored
+        assert kids == [row[rid] for rid in batch if row[rid] != NO_SUCCESSOR]
         # a fresh value anywhere in the list: no kernel
         at = rng.randrange(len(effects) + 1)
         with_fresh = effects[:at] + [("fresh", rng.randrange(n))] + effects[at:]
         assert rank_kernel(tuple(with_fresh)) is None
+    # half the batches hold all three kinds of entry; a batch of one or two
+    # rank ids cannot
+    assert mixed > 1000, mixed
 
 
 def test_rank_kernel_rejects_a_column_that_is_not_an_int(monkeypatch):
