@@ -5,11 +5,17 @@ the summary variables.  Far fewer of each occur than of their pairs (bakery(2)
 at k=3 reaches 142,000 states from 2,764 control tuples and 3,522 rank
 tuples), so each search interns control tuples, rank tuples and effect lists
 to integer ids and stores a state as a rank id in the set of its control id
-(collapse compression, as in SPIN).  The public key encoding
-(relabs.canonical_key, the control tuple followed by the rank tuple) is
-checked once per new control tuple; a concatenation splits back at the
-control length whatever the rank tuple, so a new rank tuple costs one
-dictionary lookup and nothing more.
+(collapse compression, as in SPIN).  Rank tuples are interned as bytes
+when the machine has at most 256 summary columns: ranks are dense, so each
+is below the column count and fits in a byte.  A bytes object of n ranks
+takes 33 + n bytes against a tuple's 40 + 8n, and keeps its hash once
+computed; bytes compare as the tuples of their values do, so the least
+state is the same in either form.  Past 256 columns the ranks stay tuples
+of ints.  The witness and the public functions see tuples only.  The public
+key encoding (relabs.canonical_key, the control tuple followed by the rank
+tuple) is checked once per new control tuple; a concatenation splits back
+at the control length whatever the rank tuple, so a new rank tuple costs
+one dictionary lookup and nothing more.
 
 Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do
@@ -69,6 +75,7 @@ the machine renders them for reports.  From it we can
 """
 from __future__ import annotations
 
+import sys
 import time
 from array import array
 from collections import deque
@@ -117,6 +124,9 @@ class ConcreteRun:
 
 # grows a memo row by one entry not computed yet
 _UNKNOWN_ROW = array("i", [UNKNOWN])
+# the width of a memo entry and the offset of its top byte
+_ENTRY = _UNKNOWN_ROW.itemsize
+_TOP = _ENTRY - 1 if sys.byteorder == "little" else 0
 
 
 def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
@@ -181,12 +191,15 @@ def check_reach(program: Program, target: Target, k: int,
     start = time.perf_counter()
 
     r0 = rel_initial(m.nab)
+    # rank tuples as bytes up to 256 columns, tuples of ints past that (see
+    # the module docstring)
+    pack = bytes if m.nab <= 256 else tuple
     # the interned parts of a state: control tuples by cid, rank tuples by
     # rid (r0 first) and effect lists by eid, each a list plus a dict
     ctrls: list[tuple[int, ...]] = []
     ctrl_id: dict[tuple[int, ...], int] = {}
-    ranks: list[tuple[int, ...]] = [r0]
-    rank_id: dict[tuple[int, ...], int] = {r0: 0}
+    ranks: list = [pack(r0)]
+    rank_id: dict = {ranks[0]: 0}
     effs: list[tuple] = []
     eff_id: dict[tuple, int] = {}
     # per eid, the list's rank kernel, or None for a list with a fresh value
@@ -240,7 +253,9 @@ def check_reach(program: Program, target: Target, k: int,
                 if out is None:
                     out = []
                     for r2 in rel_apply(ranks[rid], effects):
-                        # interned as the kernels of relabs.rank_kernel do
+                        # in the search's form, interned as the kernels of
+                        # relabs.rank_kernel do
+                        r2 = pack(r2)
                         rid2 = rank_id.get(r2)
                         if rid2 is None:
                             rid2 = rank_id[r2] = len(ranks)
@@ -289,9 +304,10 @@ def check_reach(program: Program, target: Target, k: int,
         """The verdict.  A reachable one names its target state and the
         batches to walk back through, the hitting batch first."""
         stats.states_explored, stats.peak_frontier = explored, peak
-        # every memo miss filled one entry
-        stats.rel_apply_calls = len(fresh) + sum(len(row) - row.count(UNKNOWN)
-                                                 for row in memo)
+        # every memo miss filled one entry; a row's UNKNOWN entries are
+        # those whose top byte is 0xFF (see relabs.NO_SUCCESSOR)
+        stats.rel_apply_calls = len(fresh) + sum(
+            len(row) - row.tobytes()[_TOP::_ENTRY].count(255) for row in memo)
         stats.stop_reason = stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         stats.rank_tuples = len(ranks)
@@ -301,7 +317,7 @@ def check_reach(program: Program, target: Target, k: int,
             steps = []
             for batches in walk:
                 cid, rid, core, eid = parent(batches, cid2, rid2)
-                steps.append(WitnessStep(core, effs[eid], ranks[rid2]))
+                steps.append(WitnessStep(core, effs[eid], tuple(ranks[rid2])))
                 cid2, rid2 = cid, rid
             root = ctrls[cid2]
             act = tuple(m.idx.thread_ids[t] for t in root[m.ACT:m.ACT + k])

@@ -48,6 +48,14 @@ tag, no unpacking); it interns each moved tuple, writes the memo entry and
 returns the successor ids.  A list with a fresh value runs rel_apply per
 miss, and the search keeps its results in a dict of its own.  Kernels are
 cached per effect list across searches.
+
+Inside a search, a rank tuple is a bytes object whenever the machine has
+at most 256 summary columns (see engine.check_reach).  That is exact: ranks
+are dense, so every rank is below the column count, and bytes order as the
+tuples of their values.  A kernel keeps the form it is given, and
+rel_apply takes bytes too, since it only indexes, counts and lists its
+input; its results are new tuples, or the input itself when nothing moves.
+Every public function here takes and returns tuples.
 """
 from __future__ import annotations
 
@@ -160,9 +168,29 @@ _KERNEL_NUMBERS = count()
 
 # The entries of a kernel's memo row, one per rank id (see
 # engine.check_reach): the successor rank id, UNKNOWN before the step is
-# computed, and NO_SUCCESSOR when a guard fails.
+# computed, and NO_SUCCESSOR when a guard fails.  As 32-bit ints, UNKNOWN is
+# the only entry whose top byte is 0xFF: a rank id's is at most 0x7F and
+# NO_SUCCESSOR's is 0x80, so the search counts the filled entries of a row
+# by that byte alone.
 UNKNOWN = -1
-NO_SUCCESSOR = -2
+NO_SUCCESSOR = -2**31
+
+# A search keeps its rank tuples as bytes when every rank fits in one (see
+# engine.check_reach).  A kernel then moves a column by slicing in the one
+# byte of its new rank, and closes an emptied class o with bytes.translate:
+# the table for o maps every byte above o one down.  Each table is built
+# from two slices of the identity on first use, none at import.
+_IDENTITY = bytes(range(256))
+_ONE = [_IDENTITY[v:v + 1] for v in range(256)]
+
+
+class _ShiftDown(dict):
+    def __missing__(self, o: int) -> bytes:
+        table = self[o] = _IDENTITY[:o + 1] + _IDENTITY[o:255]
+        return table
+
+
+_DOWN = _ShiftDown()
 
 
 def _fails(rel: Relation) -> str:
@@ -194,6 +222,11 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
     The row must reach every rid of the batch.  It returns the successor
     rank ids in batch order.
 
+    The rank tuples may be tuples of ints or bytes, one form for all of
+    ranks; the kernel reads the form off ranks[0] once per batch, and the
+    two forms differ only in how a copy builds the moved tuple.  A moved
+    tuple keeps the form, so bytes hold only where every rank is below 256.
+
     The generated source holds only int column indices and fixed
     operators; every column is checked to be an int before any is built.
     """
@@ -203,42 +236,57 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
         cols = eff[1:] if eff[0] == "copy" else eff[2:]
         if any(type(c) is not int for c in cols):
             raise TypeError(f"effect {eff!r} has a column that is not an int")
-    lines = ["def kernel(rids, ranks, rank_id, row):",
-             " kids = []; add = kids.append; get = rank_id.get",
-             " for rid in rids:",
-             "  e = row[rid]",
-             "  if e >= 0: add(e); continue",
-             "  if e == NO_SUCCESSOR: continue",
-             "  r = q = ranks[rid]"]
-    moves = False
-    for eff in effects:
-        if eff[0] == "copy":
-            _, d, s = eff
-            if d != s:  # _copy, inline; a self copy never moves
-                moves = True
-                lines += [f"  o = r[{d}]; n = r[{s}]",
-                          "  if o != n:",
-                          f"   l = list(r); l[{d}] = n",
-                          "   r = tuple(l) if o in l else"
-                          " tuple([v - 1 if v > o else v for v in l])"]
+    # a self copy never moves
+    moves = any(eff[0] == "copy" and eff[1] != eff[2] for eff in effects)
+
+    def loop(packed: bool, pad: str) -> list[str]:
+        """The loop over the batch, for bytes (packed) or tuples."""
+        lines = ["for rid in rids:",
+                 " e = row[rid]",
+                 " if e >= 0: add(e); continue",
+                 " if e == NO_SUCCESSOR: continue",
+                 " r = q = ranks[rid]"]
+        for eff in effects:
+            if eff[0] == "copy":
+                _, d, s = eff
+                if d == s:
+                    continue
+                # _copy, inline
+                lines += [f" o = r[{d}]; n = r[{s}]", " if o != n:"]
+                if packed:
+                    lines += [f"  r = r[:{d}] + ONE[n] + r[{d + 1}:]",
+                              "  if o not in r: r = r.translate(DOWN[o])"]
+                else:
+                    lines += [f"  l = list(r); l[{d}] = n",
+                              "  r = tuple(l) if o in l else"
+                              " tuple([v - 1 if v > o else v for v in l])"]
+            else:
+                _, rel, a, b = eff
+                lines.append(f" if r[{a}] {_fails(rel)} r[{b}]:"
+                             " row[rid] = NO_SUCCESSOR; continue")
+        if moves:
+            # the same interning as engine.check_reach's step does for
+            # lists with a fresh value
+            lines += [" if r is q: row[rid] = rid; add(rid); continue",
+                      " e = get(r)",
+                      " if e is None: e = rank_id[r] = len(ranks); ranks.append(r)",
+                      " row[rid] = e; add(e)"]
         else:
-            _, rel, a, b = eff
-            lines.append(f"  if r[{a}] {_fails(rel)} r[{b}]:"
-                         " row[rid] = NO_SUCCESSOR; continue")
+            lines.append(" row[rid] = rid; add(rid)")
+        return [pad + line for line in lines]
+
+    lines = ["def kernel(rids, ranks, rank_id, row):",
+             " kids = []; add = kids.append; get = rank_id.get"]
     if moves:
-        # the same interning as engine.check_reach's step does for lists
-        # with a fresh value
-        lines += ["  if r is q: row[rid] = rid; add(rid); continue",
-                  "  e = get(r)",
-                  "  if e is None: e = rank_id[r] = len(ranks); ranks.append(r)",
-                  "  row[rid] = e; add(e)"]
+        lines += [" if type(ranks[0]) is bytes:", *loop(True, "  "),
+                  " else:", *loop(False, "  ")]
     else:
-        lines.append("  row[rid] = rid; add(rid)")
+        lines += loop(False, " ")
     lines.append(" return kids")
     # a filename per kernel, so that a profile keeps the kernels apart; a
     # number, since a rendering of the list cost dfa-intersection 2% in
     # bytes_per_state
-    namespace: dict = {"NO_SUCCESSOR": NO_SUCCESSOR}
+    namespace: dict = {"NO_SUCCESSOR": NO_SUCCESSOR, "ONE": _ONE, "DOWN": _DOWN}
     exec(compile("\n".join(lines), f"<rank kernel {next(_KERNEL_NUMBERS)}>", "exec"),
          namespace)
     return namespace["kernel"]

@@ -184,8 +184,11 @@ def suite_step_soundness(seed: int = 0, steps: int = 1000) -> SuiteResult:
 
 def _reachable_witness_runs(rng: random.Random, want: int,
                             on_hit: Callable, res: SuiteResult) -> None:
+    """Search random programs until want of them are reachable with a
+    witness of one step or more, and run on_hit on each; about one search in
+    four or five qualifies, so 60 attempts a case leave ample room."""
     attempts = 0
-    while res.cases < want and attempts < 6000:
+    while res.cases < want and attempts < 60 * want:
         attempts += 1
         p = random_program(rng)
         tgt = random_target(rng, p)

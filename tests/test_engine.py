@@ -512,6 +512,53 @@ def test_search_calls_the_public_encoding(monkeypatch):
         assert kernel_unknown + calls["rel_apply"] == v.stats.rel_apply_calls
 
 
+def _ordered_chain(n):
+    """One thread that draws r1 < r2 < ... < rn, each above the one before,
+    and then checks the chain again, so that all n values are live and
+    distinct at once: n + 1 summary columns with the sentinel, and a top
+    rank of n."""
+    trs = [f"  d{i} -> g{i} : r{i} := *\n  g{i} -> d{i + 1} : assume r{i - 1} < r{i}"
+           for i in range(1, n + 1)]
+    trs += [f"  d{n + i} -> d{n + i + 1} : assume r{i - 1} < r{i}"
+            for i in range(1, n + 1)]
+    regs = " ".join(f"r{i}" for i in range(n + 1))
+    return parse_program_with_target(
+        f"domain nat\nvars x\nthread t {{\n  regs {regs}\n  init d1\n"
+        + "\n".join(trs) + f"\n}}\ntarget t : d{2 * n + 1}\n")
+
+
+@pytest.mark.parametrize("n, form, states", [(255, bytes, 65_790),
+                                             (257, tuple, 66_820)])
+def test_ranks_past_one_byte_are_decided(monkeypatch, n, form, states):
+    # a search keeps rank tuples as bytes up to 256 summary columns, where
+    # every rank is below 256, and as tuples of ints past that; either way
+    # the witness's rank tuples are tuples of ints
+    from tsocbmc import engine
+    forms = set()
+    real_kernel = engine.rank_kernel
+
+    def noted_kernel(effects):
+        kernel = real_kernel(effects)
+        if kernel is None:
+            return None
+
+        def wrapper(rids, ranks, rank_id, row):
+            forms.add(type(ranks[0]))
+            return kernel(rids, ranks, rank_id, row)
+        return wrapper
+
+    monkeypatch.setattr(engine, "rank_kernel", noted_kernel)
+    p, tgt = _ordered_chain(n)
+    assert ab_machine(p, 1).nab == n + 1
+    v = check_reach(p, tgt, 1)
+    assert v.status == REACHABLE and v.stats.states_explored == states
+    assert forms == {form}
+    after = [step.rel_after for step in v.witness.steps]
+    assert all(type(r) is tuple and all(type(x) is int for x in r) for r in after)
+    assert max(map(max, after)) == n
+    assert validate_witness(p, concretize_witness(p, v.witness))
+
+
 def test_unused_fresh_register_rebuilds_to_a_tso_run():
     # r is drawn but never read, so its draw has no fresh effect and the
     # witness records no value for it; the rebuilt run draws 0

@@ -183,10 +183,11 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
     # the recipe above without fresh values, which get no kernel, run on a
     # random batch of rank ids that mixes unknown memo entries with known
     # ones: a stored rank id that is not the step's successor, so a kernel
-    # that recomputes a known entry fails, and NO_SUCCESSOR
+    # that recomputes a known entry fails, and NO_SUCCESSOR.  Each batch
+    # runs on rank tuples as tuples and again as bytes
     rng = random.Random(12)
     rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
-    mixed = 0
+    mixed = emptied = 0
     for _ in range(3000):
         n = rng.randrange(1, 8)
         effects = []
@@ -223,7 +224,21 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
         batch = rids[:rng.randrange(min(3, len(rids)), len(rids) + 1)]
         rng.shuffle(batch)
         mixed += len({min(before[rid], 0) for rid in batch}) == 3
-        kids = rank_kernel(tuple(effects))(batch, ranks, rank_id, row)
+        # a copy that empties a class lowers the top rank
+        emptied += any(before[rid] == UNKNOWN and want[rid]
+                       and max(want[rid][0]) < max(old[rid]) for rid in batch)
+        kernel = rank_kernel(tuple(effects))
+        packed = [bytes(r) for r in old]
+        packed_id = {r: i for i, r in enumerate(packed)}
+        packed_row = array("i", before)
+        packed_kids = kernel(batch, packed, packed_id, packed_row)
+        kids = kernel(batch, ranks, rank_id, row)
+        # both forms give the same rows and kids, and keep their form
+        assert packed_row == row and packed_kids == kids
+        assert [tuple(r) for r in packed] == ranks
+        assert packed_id == {r: i for i, r in enumerate(packed)}
+        assert all(type(r) is bytes for r in packed)
+        assert all(type(r) is tuple for r in ranks)
 
         assert UNKNOWN in (before[rid] for rid in batch)
         new = []
@@ -255,6 +270,8 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
     # half the batches hold all three kinds of entry; a batch of one or two
     # rank ids cannot
     assert mixed > 1000, mixed
+    # a third of them empty a class, which bytes close by translate
+    assert emptied > 500, emptied
 
 
 def test_rank_kernel_rejects_a_column_that_is_not_an_int(monkeypatch):

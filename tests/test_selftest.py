@@ -48,6 +48,28 @@ def test_witness_runs_count_only_witnesses_with_steps():
     assert min(steps) > 0
 
 
+def test_witness_runs_try_in_proportion_to_the_cases_wanted(monkeypatch):
+    # the attempts grow with the cases wanted, so a large scale is no
+    # failure: here one search in 50 is reachable, and 150 cases take 7,500
+    # attempts, more than the 6,000 that the default of 100 cases allows
+    from types import SimpleNamespace
+
+    from tsocbmc import selftest
+    searches = 0
+    hit = SimpleNamespace(reachable=True, witness=SimpleNamespace(steps=(None,)))
+    miss = SimpleNamespace(reachable=False, witness=None)
+
+    def one_in_50(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return hit if searches % 50 == 0 else miss
+
+    monkeypatch.setattr(selftest, "check_reach", one_in_50)
+    res = SuiteResult("demo")
+    _reachable_witness_runs(random.Random(0), 150, lambda p, tgt, k, v: None, res)
+    assert res.ok and res.cases == 150 and searches == 7500
+
+
 def test_suite_result_lines():
     ok = SuiteResult("demo", cases=3)
     assert ok.ok and ok.line() == "PASS demo: 3 cases, 0 failures"
