@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Union
 
 from .model import (
     EQ, LE, LT, NEQ, OP_ASSIGN, OP_GUARD, Arw, Assign, Guard, NewValue, Op,
@@ -323,7 +323,9 @@ def parse_dfa(text: str) -> Dfa:
     init = p.expect_ident("the initial state").text
     finals = p.names("finals")
     transitions: list[tuple[str, str, str]] = []
+    starts: list[_Token] = []
     while p.peek().kind == "ident":
+        starts.append(p.peek())
         src = p.next().text
         letter = p.expect_ident("a letter").text
         p.expect("->")
@@ -331,10 +333,22 @@ def parse_dfa(text: str) -> Dfa:
         transitions.append((src, letter, dst))
     p.end()
     dfa = Dfa(tuple(states), tuple(alphabet), init, tuple(finals), tuple(transitions))
-    diags = validate_dfa(dfa)
-    if diags:
-        raise p.fail(diags[0], p.toks[0])
+    _check(p, validate_dfa, dfa, starts)
     return dfa
+
+
+def _check(p: _Parser, validate: Callable, model: Union[Dfa, DlcsModel],
+           starts: list[_Token]) -> None:
+    """Raise validate's first diagnostic on a parsed DFA or channel model,
+    at the first token of the first transition that gives it alone, or at
+    the start of the text for one on the declarations."""
+    diags = validate(model)
+    if diags:
+        tok = p.toks[0]
+        if diags[0] not in validate(replace(model, transitions=())):
+            tok = next(t for t, tr in zip(starts, model.transitions)
+                       if diags[0] in validate(replace(model, transitions=(tr,))))
+        raise p.fail(diags[0], tok)
 
 
 def _duplicates(what: str, names: tuple[str, ...]) -> list[str]:
@@ -422,7 +436,9 @@ def parse_dlcs(text: str) -> DlcsModel:
         p.next()
         target = p.expect_ident("a state").text
     transitions: list[tuple[str, DlcsOp, str]] = []
+    starts: list[_Token] = []
     while p.peek().kind == "ident":
+        starts.append(p.peek())
         src = p.next().text
         p.expect("->")
         dst = p.expect_ident("a state").text
@@ -446,9 +462,7 @@ def parse_dlcs(text: str) -> DlcsModel:
     p.end()
     m = DlcsModel(tuple(states), tuple(dvars), tuple(alphabet), init,
                   tuple(transitions), target)
-    diags = validate_dlcs(m)
-    if diags:
-        raise p.fail(diags[0], p.toks[0])
+    _check(p, validate_dlcs, m, starts)
     return m
 
 

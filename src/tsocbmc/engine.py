@@ -11,35 +11,36 @@ is below the column count and fits in a byte.  A bytes object of n ranks
 takes 33 + n bytes against a tuple's 40 + 8n, and keeps its hash once
 computed; bytes compare as the tuples of their values do, so the least
 state is the same in either form.  Past 256 columns the ranks stay tuples
-of ints.  The witness and the public functions see tuples only.  The public
-key encoding (relabs.canonical_key, the control tuple followed by the rank
-tuple) is checked once per new control tuple; a concatenation splits back
-at the control length whatever the rank tuple, so a new rank tuple costs
-one dictionary lookup and nothing more.
+of ints, and rel_apply steps every effect list.  The witness and the
+public functions see tuples only.  The public key encoding
+(relabs.canonical_key, the control tuple followed by the rank tuple) is
+checked once per new control tuple; a concatenation splits back at the
+control length whatever the rank tuple, so a new rank tuple costs one
+dictionary lookup and nothing more.
 
 Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do
 not depend on the ranks.  So each search computes them once per control
 state and reuses them for every rank tuple paired with it.  Likewise the
 rank step depends only on the rank tuple and the effect list, and each
-search memoizes it.  A fresh-free effect list has at most one successor:
-its memo is an int array indexed by rank id, holding the successor rank id
-or one of relabs' markers UNKNOWN and NO_SUCCESSOR.  Its rank kernel
-(relabs.rank_kernel, fetched once when the list is interned) is the only
-code of the search loop that reads the row.  The kernel takes a whole
-batch, returns each known successor as stored, and computes only the
-UNKNOWN entries: it fills them and interns the moved tuples itself, a rank
-id whose tuple nothing moved kept with no lookup and a moved tuple costing
-one.  Only a list with a fresh value branches; its results are kept in one
-dict from (effect list id, rank id) to the tuple of successor rank ids, and
-each miss runs rel_apply once, its results interned in order.  These tables
-live only as long as that search.
+search memoizes it.  Which lists get a rank kernel (relabs.rank_kernel,
+fetched once when the list is interned) is set out in the relabs module
+docstring.  A list with a kernel has at most one successor: its memo is an
+int array indexed by rank id, holding the successor rank id or one of
+relabs' markers UNKNOWN and NO_SUCCESSOR, read in the search loop by the
+kernel alone.  It takes a whole batch, returns each known successor as
+stored, and computes only the UNKNOWN entries: it fills them and interns
+the moved tuples itself, a rank id whose tuple nothing moved kept with no
+lookup and a moved tuple costing one.  Every other list keeps its results
+in one dict from (effect list id, rank id) to the tuple of successor rank
+ids; each miss runs rel_apply once, its results interned in order as a
+kernel interns them.  These tables live only as long as that search.
 
 Within each schedule the search runs level by level (level-synchronous
 breadth-first search).  A level maps each control id to its batch of rank
 ids, and holds the control ids in the order in which they first received a
 new state.  Each move of a control state is applied to its whole batch at
-once, in one call of the list's kernel (or of the fresh-value path), and
+once, in one call of the list's kernel (or of the rel_apply path), and
 the successor rank ids not yet seen with the successor control id (one set
 per control id) join its batch in the next level.  Within a level, the
 batches of the control states with a move to the target are probed first,
@@ -192,7 +193,7 @@ def check_reach(program: Program, target: Target, k: int,
 
     r0 = rel_initial(m.nab)
     # rank tuples as bytes up to 256 columns, tuples of ints past that (see
-    # the module docstring)
+    # the module docstring); kernels only for bytes
     pack = bytes if m.nab <= 256 else tuple
     # the interned parts of a state: control tuples by cid, rank tuples by
     # rid (r0 first) and effect lists by eid, each a list plus a dict
@@ -202,16 +203,17 @@ def check_reach(program: Program, target: Target, k: int,
     rank_id: dict = {ranks[0]: 0}
     effs: list[tuple] = []
     eff_id: dict[tuple, int] = {}
-    # per eid, the list's rank kernel, or None for a list with a fresh value
+    # per eid, the list's rank kernel, or None for a list without one (see
+    # the relabs module docstring)
     kernels: list[Optional[Callable]] = []
     # per cid, once expanded: its moves [(label, eid, successor cid)] in
     # table order, split into those that miss and those that hit the target
     succ: list[Optional[tuple[list, list]]] = []
-    # per eid, a fresh-free list's rank step by rid (see relabs.rank_kernel):
-    # UNKNOWN, NO_SUCCESSOR or the successor rid
+    # per eid, the memo row of a list with a kernel, by rid (see
+    # relabs.rank_kernel): UNKNOWN, NO_SUCCESSOR or the successor rid
     memo: list[array] = []
-    # per (eid, rid) of a list with a fresh value, the successor rids
-    fresh: dict[tuple[int, int], tuple[int, ...]] = {}
+    # per (eid, rid) of a list without a kernel, the successor rids
+    applied: dict[tuple[int, int], tuple[int, ...]] = {}
     # per cid, the rids seen with it in this search
     seen: list[set[int]] = []
 
@@ -235,21 +237,21 @@ def check_reach(program: Program, target: Target, k: int,
             if eid is None:
                 eid = eff_id[eff] = len(effs)
                 effs.append(eff)
-                kernels.append(rank_kernel(eff))
+                kernels.append(rank_kernel(eff) if pack is bytes else None)
                 memo.append(array("i"))
             moves[flat2[m.ST + tti] == tsi].append((core, eid, intern_ctrl(flat2)))
         return moves
 
     def step(eid: int, rids: list[int]) -> list[int]:
         """The successor rids of a batch under one effect list, in batch
-        order: the list's kernel does the whole memo lookup; a list with a
-        fresh value runs rel_apply once per miss."""
+        order: the list's kernel does the whole memo lookup; a list without
+        one runs rel_apply once per miss."""
         kernel = kernels[eid]
         if kernel is None:
             effects = effs[eid]
             kids = []
             for rid in rids:
-                out = fresh.get((eid, rid))
+                out = applied.get((eid, rid))
                 if out is None:
                     out = []
                     for r2 in rel_apply(ranks[rid], effects):
@@ -261,7 +263,7 @@ def check_reach(program: Program, target: Target, k: int,
                             rid2 = rank_id[r2] = len(ranks)
                             ranks.append(r2)
                         out.append(rid2)
-                    out = fresh[eid, rid] = tuple(out)
+                    out = applied[eid, rid] = tuple(out)
                 kids += out
             return kids
         row = memo[eid]
@@ -273,7 +275,7 @@ def check_reach(program: Program, target: Target, k: int,
     def filled(eid: int, rid: int) -> tuple[int, ...]:
         """The successor rids the search stored for (eid, rid)."""
         if kernels[eid] is None:
-            kids = fresh.get((eid, rid))
+            kids = applied.get((eid, rid))
         else:
             entry = memo[eid][rid]
             kids = None if entry == UNKNOWN else (entry,) if entry >= 0 else ()
@@ -306,7 +308,7 @@ def check_reach(program: Program, target: Target, k: int,
         stats.states_explored, stats.peak_frontier = explored, peak
         # every memo miss filled one entry; a row's UNKNOWN entries are
         # those whose top byte is 0xFF (see relabs.NO_SUCCESSOR)
-        stats.rel_apply_calls = len(fresh) + sum(
+        stats.rel_apply_calls = len(applied) + sum(
             len(row) - row.tobytes()[_TOP::_ENTRY].count(255) for row in memo)
         stats.stop_reason = stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0

@@ -39,23 +39,25 @@ one successor is the input tuple object itself; the rank kernels below test
 the same identity to keep a rank id without a lookup.
 
 The search memoizes the rank step per effect list and rank id (see
-engine.check_reach), one batch of rank ids at a time.  For a fresh-free
-list, rank_kernel compiles the whole memo lookup once: a loop over the batch
-that reads each memo entry, returns a known successor as it is, and runs
-rel_apply's step only on an entry not computed yet, with the guard
-comparisons and copies written out per column (no dispatch on the effect
-tag, no unpacking); it interns each moved tuple, writes the memo entry and
-returns the successor ids.  A list with a fresh value runs rel_apply per
-miss, and the search keeps its results in a dict of its own.  Kernels are
-cached per effect list across searches.
+engine.check_reach), one batch of rank ids at a time.  Inside a search, a
+rank tuple is a bytes object whenever the machine has at most 256 summary
+columns, and a tuple of ints past that.  Bytes are exact: ranks are dense,
+so every rank is below the column count, and bytes order as the tuples of
+their values.
 
-Inside a search, a rank tuple is a bytes object whenever the machine has
-at most 256 summary columns (see engine.check_reach).  That is exact: ranks
-are dense, so every rank is below the column count, and bytes order as the
-tuples of their values.  A kernel keeps the form it is given, and
+Which lists get a kernel (the rule engine.check_reach applies): on bytes,
+each fresh-free list gets one.  rank_kernel compiles its whole memo
+lookup, a loop over the batch that reads each memo entry, returns a known
+successor as it is, and runs rel_apply's step only on an entry not
+computed yet, with the guard comparisons and copies written out per column
+(no dispatch on the effect tag, no unpacking); it interns each moved rank
+tuple, writes the memo entry and returns the successor ids.  Every other
+list, one with a fresh value or any list past 256 columns, runs rel_apply
+once per memo miss, and the search keeps its results in a dict of its own.
 rel_apply takes bytes too, since it only indexes, counts and lists its
-input; its results are new tuples, or the input itself when nothing moves.
-Every public function here takes and returns tuples.
+input.  No workload comes near 256 columns (bakery(2) at k=4 has 33), so
+there is one kernel loop, on bytes.  Kernels are cached per effect list
+across searches.  Every public function here takes and returns tuples.
 """
 from __future__ import annotations
 
@@ -175,9 +177,8 @@ _KERNEL_NUMBERS = count()
 UNKNOWN = -1
 NO_SUCCESSOR = -2**31
 
-# A search keeps its rank tuples as bytes when every rank fits in one (see
-# engine.check_reach).  A kernel then moves a column by slicing in the one
-# byte of its new rank, and closes an emptied class o with bytes.translate:
+# A kernel moves a column of a bytes rank tuple by slicing in the one byte
+# of its new rank, and closes an emptied class o with bytes.translate:
 # the table for o maps every byte above o one down.  Each table is built
 # from two slices of the identity on first use, none at import.
 _IDENTITY = bytes(range(256))
@@ -212,20 +213,16 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
     rank ids, compiled to straight-line code; None for a list with a fresh
     value, which branches.
 
-    kernel(rids, ranks, rank_id, row) reads row[rid] for each rid of the
-    batch.  A stored successor rank id costs one comparison and is returned
-    as it is, and NO_SUCCESSOR is dropped.  Only an UNKNOWN entry runs
+    kernel(rids, ranks, rank_id, row) takes ranks holding bytes (see the
+    module docstring) and reads row[rid] for each rid of the batch.  A
+    stored successor rank id costs one comparison and is returned as it
+    is, and NO_SUCCESSOR is dropped.  Only an UNKNOWN entry runs
     rel_apply's step on ranks[rid], with the guards and copies written out
     per column, and writes row[rid]: NO_SUCCESSOR when a guard fails, rid
     itself when nothing moved, and otherwise the rank id of the new tuple,
     interned with one rank_id.get and appended to ranks when it is new.
     The row must reach every rid of the batch.  It returns the successor
     rank ids in batch order.
-
-    The rank tuples may be tuples of ints or bytes, one form for all of
-    ranks; the kernel reads the form off ranks[0] once per batch, and the
-    two forms differ only in how a copy builds the moved tuple.  A moved
-    tuple keeps the form, so bytes hold only where every rank is below 256.
 
     The generated source holds only int column indices and fixed
     operators; every column is checked to be an int before any is built.
@@ -236,53 +233,34 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
         cols = eff[1:] if eff[0] == "copy" else eff[2:]
         if any(type(c) is not int for c in cols):
             raise TypeError(f"effect {eff!r} has a column that is not an int")
-    # a self copy never moves
-    moves = any(eff[0] == "copy" and eff[1] != eff[2] for eff in effects)
-
-    def loop(packed: bool, pad: str) -> list[str]:
-        """The loop over the batch, for bytes (packed) or tuples."""
-        lines = ["for rid in rids:",
-                 " e = row[rid]",
-                 " if e >= 0: add(e); continue",
-                 " if e == NO_SUCCESSOR: continue",
-                 " r = q = ranks[rid]"]
-        for eff in effects:
-            if eff[0] == "copy":
-                _, d, s = eff
-                if d == s:
-                    continue
-                # _copy, inline
-                lines += [f" o = r[{d}]; n = r[{s}]", " if o != n:"]
-                if packed:
-                    lines += [f"  r = r[:{d}] + ONE[n] + r[{d + 1}:]",
-                              "  if o not in r: r = r.translate(DOWN[o])"]
-                else:
-                    lines += [f"  l = list(r); l[{d}] = n",
-                              "  r = tuple(l) if o in l else"
-                              " tuple([v - 1 if v > o else v for v in l])"]
-            else:
-                _, rel, a, b = eff
-                lines.append(f" if r[{a}] {_fails(rel)} r[{b}]:"
-                             " row[rid] = NO_SUCCESSOR; continue")
-        if moves:
-            # the same interning as engine.check_reach's step does for
-            # lists with a fresh value
-            lines += [" if r is q: row[rid] = rid; add(rid); continue",
-                      " e = get(r)",
-                      " if e is None: e = rank_id[r] = len(ranks); ranks.append(r)",
-                      " row[rid] = e; add(e)"]
-        else:
-            lines.append(" row[rid] = rid; add(rid)")
-        return [pad + line for line in lines]
 
     lines = ["def kernel(rids, ranks, rank_id, row):",
-             " kids = []; add = kids.append; get = rank_id.get"]
-    if moves:
-        lines += [" if type(ranks[0]) is bytes:", *loop(True, "  "),
-                  " else:", *loop(False, "  ")]
-    else:
-        lines += loop(False, " ")
-    lines.append(" return kids")
+             " kids = []; add = kids.append; get = rank_id.get",
+             " for rid in rids:",
+             "  e = row[rid]",
+             "  if e >= 0: add(e); continue",
+             "  if e == NO_SUCCESSOR: continue",
+             "  r = q = ranks[rid]"]
+    for eff in effects:
+        if eff[0] == "copy":
+            _, d, s = eff
+            if d == s:  # a self copy never moves
+                continue
+            # _copy, inline, on bytes
+            lines += [f"  o = r[{d}]; n = r[{s}]",
+                      "  if o != n:",
+                      f"   r = r[:{d}] + ONE[n] + r[{d + 1}:]",
+                      "   if o not in r: r = r.translate(DOWN[o])"]
+        else:
+            _, rel, a, b = eff
+            lines.append(f"  if r[{a}] {_fails(rel)} r[{b}]:"
+                         " row[rid] = NO_SUCCESSOR; continue")
+    # the interning engine.check_reach does for lists without a kernel
+    lines += ["  if r is q: row[rid] = rid; add(rid); continue",
+              "  e = get(r)",
+              "  if e is None: e = rank_id[r] = len(ranks); ranks.append(r)",
+              "  row[rid] = e; add(e)",
+              " return kids"]
     # a filename per kernel, so that a profile keeps the kernels apart; a
     # number, since a rendering of the list cost dfa-intersection 2% in
     # bytes_per_state

@@ -24,8 +24,9 @@ class Stats:
     peak_frontier: int = 0
     rank_tuples: int = 0      # distinct rank tuples the search interned
     # memo misses, one filled memo entry each: an UNKNOWN entry a rank
-    # kernel computed, or one rel_apply call for a list with a fresh value,
-    # kept in check_reach's own dict
+    # kernel computed, or one rel_apply call for a list the kernels do not
+    # take (a list with a fresh value, or any list past 256 columns; see
+    # the relabs module docstring), kept in check_reach's own dict
     rel_apply_calls: int = 0
     wall_ms: float = 0.0
     # the cap that ended the search: "max_states" or "max_mb", or "depth"

@@ -160,6 +160,16 @@ def test_dfa_duplicate_declarations():
         parse_dfa("dfa\nalphabet a a\nstates p\ninit p\nfinals p\n")
 
 
+def test_dfa_transition_error_points_at_the_transition():
+    # validate_dfa decides; the parser points its first diagnostic at the
+    # transition that gives it, here the one on line 8
+    text = DFA.replace("s1 a -> s1", "s1 c -> s1")
+    with pytest.raises(ParseError, match="transition s1 c -> s1 uses undeclared "
+                       "letter") as err:
+        parse_dfa(text)
+    assert (err.value.span.line, err.value.span.column) == (8, 1)
+
+
 DLCS = """dlcs
 states q0 q1 qF
 vars v
@@ -215,6 +225,15 @@ def test_dlcs_duplicate_declarations():
                                 "duplicate letter 'a'"]
     with pytest.raises(ParseError, match="duplicate variable 'v'"):
         parse_dlcs("dlcs\nstates q\nvars v v\nalphabet a\ninit q\n")
+
+
+def test_dlcs_transition_error_points_at_the_transition():
+    # as for a DFA: the diagnostic of line 8's op, not of the text's start
+    text = DLCS.replace("q1 -> q1 : send a v", "q1 -> q1 : send b v")
+    with pytest.raises(ParseError, match="op 'send b v' uses undeclared "
+                       "letter") as err:
+        parse_dlcs(text)
+    assert (err.value.span.line, err.value.span.column) == (8, 1)
 
 
 def test_dlcs_undeclared_target():

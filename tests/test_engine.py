@@ -51,6 +51,29 @@ def test_sb_flip_matches_concrete_oracle():
     assert cb_reach_bounded(p, tgt, 3, b).reachable
 
 
+def test_a_switch_flushes_every_buffered_write():
+    # t0 buffers two writes in one context, the second of a value drawn
+    # after the first; t1 tells x from y only if the switch to it flushes
+    # both.  A switch that flushed only its first buffered write would
+    # leave y at 0 and answer unreachable at every k
+    p, tgt = parse_program_with_target(
+        "domain nat\nvars x y\n"
+        "thread t0 {\n  regs t0a\n  init a0\n"
+        "  a0 -> a1 : write x t0a\n  a1 -> a2 : t0a := *\n"
+        "  a2 -> a3 : write y t0a\n}\n"
+        "thread t1 {\n  regs t1a t1b\n  init b0\n"
+        "  b0 -> b1 : read x t1a\n  b1 -> b2 : read y t1b\n"
+        "  b2 -> b3 : assume t1a != t1b\n}\n"
+        "target t1 : b3\n")
+    b = Bounds(2, 3, 300)
+    for k, want, states in ((1, False, 3), (2, True, 42), (3, True, 68)):
+        v = check_reach(p, tgt, k)
+        assert (v.reachable, v.stats.states_explored) == (want, states)
+        assert cb_reach_bounded(p, tgt, k, b).reachable == want
+        if want:
+            assert validate_witness(p, concretize_witness(p, v.witness))
+
+
 def test_witness_pipeline_end_to_end():
     p, tgt = _load("mp.tso")
     v = check_reach(p, tgt, 2)
@@ -531,28 +554,41 @@ def _ordered_chain(n):
                                              (257, tuple, 66_820)])
 def test_ranks_past_one_byte_are_decided(monkeypatch, n, form, states):
     # a search keeps rank tuples as bytes up to 256 summary columns, where
-    # every rank is below 256, and as tuples of ints past that; either way
-    # the witness's rank tuples are tuples of ints
+    # every rank is below 256, and steps its fresh-free lists by their
+    # kernels; past that it keeps tuples of ints, fetches no kernel and
+    # steps every list by rel_apply, one call per memo miss.  Either way the
+    # witness's rank tuples are tuples of ints
     from tsocbmc import engine
-    forms = set()
-    real_kernel = engine.rank_kernel
+    fetched, kernel_forms, apply_forms = [], set(), []
+    real_kernel, real_apply = engine.rank_kernel, engine.rel_apply
 
     def noted_kernel(effects):
+        fetched.append(effects)
         kernel = real_kernel(effects)
         if kernel is None:
             return None
 
         def wrapper(rids, ranks, rank_id, row):
-            forms.add(type(ranks[0]))
+            kernel_forms.add(type(ranks[0]))
             return kernel(rids, ranks, rank_id, row)
         return wrapper
 
+    def noted_apply(ranks, effects):
+        apply_forms.append(type(ranks))
+        return real_apply(ranks, effects)
+
     monkeypatch.setattr(engine, "rank_kernel", noted_kernel)
+    monkeypatch.setattr(engine, "rel_apply", noted_apply)
     p, tgt = _ordered_chain(n)
     assert ab_machine(p, 1).nab == n + 1
     v = check_reach(p, tgt, 1)
     assert v.status == REACHABLE and v.stats.states_explored == states
-    assert forms == {form}
+    assert set(apply_forms) == {form}
+    if form is bytes:
+        assert kernel_forms == {bytes}
+    else:
+        assert not fetched
+        assert len(apply_forms) == v.stats.rel_apply_calls == 66_820
     after = [step.rel_after for step in v.witness.steps]
     assert all(type(r) is tuple and all(type(x) is int for x in r) for r in after)
     assert max(map(max, after)) == n
