@@ -127,6 +127,8 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        # the name tokens of each declaration, by keyword
+        self.declared: dict[str, list[_Token]] = {}
 
     def peek(self, ahead: int = 0) -> _Token:
         # lookahead stops at the closing eof token
@@ -161,10 +163,17 @@ class _Parser:
     def names(self, keyword: str) -> list[str]:
         """The keyword, then the names after it up to the end of its line."""
         line = self.expect(keyword).line
-        names = []
+        toks = []
         while self.peek().kind == "ident" and self.peek().line == line:
-            names.append(self.next().text)
-        return names
+            toks.append(self.next())
+        self.declared[keyword] = toks
+        return [t.text for t in toks]
+
+    def name(self, keyword: str, what: str) -> str:
+        """The keyword, then one name."""
+        self.expect(keyword)
+        tok = self.declared[keyword] = [self.expect_ident(what)]
+        return tok[0].text
 
     def end(self) -> None:
         if self.peek().kind != "eof":
@@ -319,8 +328,7 @@ def parse_dfa(text: str) -> Dfa:
     p.expect("dfa")
     alphabet = p.names("alphabet")
     states = p.names("states")
-    p.expect("init")
-    init = p.expect_ident("the initial state").text
+    init = p.name("init", "the initial state")
     finals = p.names("finals")
     transitions: list[tuple[str, str, str]] = []
     starts: list[_Token] = []
@@ -337,15 +345,28 @@ def parse_dfa(text: str) -> Dfa:
     return dfa
 
 
+# The declaration keyword of each kind of name that validate_dfa and
+# validate_dlcs report on the declarations, in "duplicate <kind> '<name>'"
+# or "<kind> '<name>' undeclared"
+_DECLARED_BY = {"state": "states", "letter": "alphabet", "variable": "vars",
+                "final state": "finals", "init state": "init",
+                "target state": "target"}
+_DECLARATION_DIAG = re.compile(r"(duplicate )?(.+?) '(.*)'")
+
+
 def _check(p: _Parser, validate: Callable, model: Union[Dfa, DlcsModel],
            starts: list[_Token]) -> None:
-    """Raise validate's first diagnostic on a parsed DFA or channel model,
-    at the first token of the first transition that gives it alone, or at
-    the start of the text for one on the declarations."""
+    """Raise validate's first diagnostic on a parsed DFA or channel model:
+    one on the declarations at the name it reports (a duplicate at its
+    second mention), and any other at the first token of the first
+    transition that gives it alone."""
     diags = validate(model)
     if diags:
-        tok = p.toks[0]
-        if diags[0] not in validate(replace(model, transitions=())):
+        if diags[0] in validate(replace(model, transitions=())):
+            dup, kind, name = _DECLARATION_DIAG.match(diags[0]).groups()
+            toks = [t for t in p.declared[_DECLARED_BY[kind]] if t.text == name]
+            tok = toks[1 if dup else 0]
+        else:
             tok = next(t for t, tr in zip(starts, model.transitions)
                        if diags[0] in validate(replace(model, transitions=(tr,))))
         raise p.fail(diags[0], tok)
@@ -429,12 +450,10 @@ def parse_dlcs(text: str) -> DlcsModel:
     states = p.names("states")
     dvars = p.names("vars")
     alphabet = p.names("alphabet")
-    p.expect("init")
-    init = p.expect_ident("the initial state").text
+    init = p.name("init", "the initial state")
     target = None
     if p.at("target") and p.peek(1).text != "->":  # else a transition's source
-        p.next()
-        target = p.expect_ident("a state").text
+        target = p.name("target", "a state")
     transitions: list[tuple[str, DlcsOp, str]] = []
     starts: list[_Token] = []
     while p.peek().kind == "ident":

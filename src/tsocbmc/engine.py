@@ -11,8 +11,15 @@ is below the column count and fits in a byte.  A bytes object of n ranks
 takes 33 + n bytes against a tuple's 40 + 8n, and keeps its hash once
 computed; bytes compare as the tuples of their values do, so the least
 state is the same in either form.  Past 256 columns the ranks stay tuples
-of ints, and rel_apply steps every effect list.  The witness and the
-public functions see tuples only.  The public key encoding
+of ints, and rel_apply steps every effect list.  Control tuples are
+interned as bytes by the same rule whenever every entry fits a byte (see
+_control_form), and as tuples otherwise; the machine's successor function
+gets the tuple back.  Each rank id has one int object, kept in a list
+beside the rank tuples: a kernel returns it for a stored successor in
+place of the int it reads from the memo row, which past 256 would be a
+new object each time, so every seen set, level and memo result holding
+an id holds the shared object (collapse compression again).  The witness
+and the public functions see tuples only.  The public key encoding
 (relabs.canonical_key, the control tuple followed by the rank tuple) is
 checked once per new control tuple; a concatenation splits back at the
 control length whatever the rank tuple, so a new rank tuple costs one
@@ -28,13 +35,13 @@ fetched once when the list is interned) is set out in the relabs module
 docstring.  A list with a kernel has at most one successor: its memo is an
 int array indexed by rank id, holding the successor rank id or one of
 relabs' markers UNKNOWN and NO_SUCCESSOR, read in the search loop by the
-kernel alone.  It takes a whole batch, returns each known successor as
-stored, and computes only the UNKNOWN entries: it fills them and interns
-the moved tuples itself, a rank id whose tuple nothing moved kept with no
-lookup and a moved tuple costing one.  Every other list keeps its results
-in one dict from (effect list id, rank id) to the tuple of successor rank
-ids; each miss runs rel_apply once, its results interned in order as a
-kernel interns them.  These tables live only as long as that search.
+kernel alone.  It takes a whole batch, returns each known successor
+without a step, and computes only the UNKNOWN entries: it fills them and
+interns the moved tuples itself, a rank id whose tuple nothing moved kept
+with no lookup and a moved tuple costing one.  Every other list keeps its
+results in one dict from (effect list id, rank id) to the tuple of
+successor rank ids; each miss runs rel_apply once, its results interned in
+order as a kernel interns them.  These tables live only as long as that search.
 
 Within each schedule the search runs level by level (level-synchronous
 breadth-first search).  A level maps each control id to its batch of rank
@@ -165,6 +172,15 @@ def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
     yield from walk(())
 
 
+def _control_form(m: AbMachine) -> type:
+    """The form check_reach interns control tuples in: bytes when every
+    entry fits a byte, tuple otherwise.  The entries are state ids, thread
+    ids up to the finished-context marker nt, j and c entries up to
+    k + 1 <= 255 (see abmachine) and u flags."""
+    fits = m.nt <= 255 and all(len(sid) <= 256 for sid in m.idx.state_id)
+    return bytes if fits else tuple
+
+
 def check_reach(program: Program, target: Target, k: int,
                 max_states: int = 2_000_000,
                 max_mb: Optional[float] = None) -> Verdict:
@@ -195,12 +211,15 @@ def check_reach(program: Program, target: Target, k: int,
     # rank tuples as bytes up to 256 columns, tuples of ints past that (see
     # the module docstring); kernels only for bytes
     pack = bytes if m.nab <= 256 else tuple
+    cpack = _control_form(m)
     # the interned parts of a state: control tuples by cid, rank tuples by
-    # rid (r0 first) and effect lists by eid, each a list plus a dict
-    ctrls: list[tuple[int, ...]] = []
-    ctrl_id: dict[tuple[int, ...], int] = {}
+    # rid (r0 first) and effect lists by eid, each a list plus a dict; ids
+    # holds each rid's one int object, the one rank_id maps its tuple to
+    ctrls: list = []
+    ctrl_id: dict = {}
     ranks: list = [pack(r0)]
-    rank_id: dict = {ranks[0]: 0}
+    ids: list[int] = [0]
+    rank_id: dict = {ranks[0]: ids[0]}
     effs: list[tuple] = []
     eff_id: dict[tuple, int] = {}
     # per eid, the list's rank kernel, or None for a list without one (see
@@ -218,13 +237,14 @@ def check_reach(program: Program, target: Target, k: int,
     seen: list[set[int]] = []
 
     def intern_ctrl(flat: tuple[int, ...]) -> int:
-        cid = ctrl_id.get(flat)
+        packed = cpack(flat)
+        cid = ctrl_id.get(packed)
         if cid is None:
             key = canonical_key(flat, r0)
             if len(key) != klen or decode_key(flen, key) != (flat, r0):
                 raise AssertionError(f"control state {flat} has no canonical key")
-            cid = ctrl_id[flat] = len(ctrls)
-            ctrls.append(flat)
+            cid = ctrl_id[packed] = len(ctrls)
+            ctrls.append(packed)
             succ.append(None)
             seen.append(set())
         return cid
@@ -232,7 +252,7 @@ def check_reach(program: Program, target: Target, k: int,
     def expand(cid: int) -> tuple[list, list]:
         stats.control_states += 1
         moves: tuple[list, list] = ([], [])
-        for core, eff, flat2 in m.transitions_flat(ctrls[cid]):
+        for core, eff, flat2 in m.transitions_flat(tuple(ctrls[cid])):
             eid = eff_id.get(eff)
             if eid is None:
                 eid = eff_id[eff] = len(effs)
@@ -262,6 +282,7 @@ def check_reach(program: Program, target: Target, k: int,
                         if rid2 is None:
                             rid2 = rank_id[r2] = len(ranks)
                             ranks.append(r2)
+                            ids.append(rid2)
                         out.append(rid2)
                     out = applied[eid, rid] = tuple(out)
                 kids += out
@@ -270,7 +291,7 @@ def check_reach(program: Program, target: Target, k: int,
         grow = len(ranks) - len(row)
         if grow > 0:
             row.extend(_UNKNOWN_ROW * grow)
-        return kernel(rids, ranks, rank_id, row)
+        return kernel(rids, ranks, ids, rank_id, row)
 
     def filled(eid: int, rid: int) -> tuple[int, ...]:
         """The successor rids the search stored for (eid, rid)."""

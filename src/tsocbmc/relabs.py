@@ -48,10 +48,11 @@ their values.
 Which lists get a kernel (the rule engine.check_reach applies): on bytes,
 each fresh-free list gets one.  rank_kernel compiles its whole memo
 lookup, a loop over the batch that reads each memo entry, returns a known
-successor as it is, and runs rel_apply's step only on an entry not
+successor without a step, and runs rel_apply's step only on an entry not
 computed yet, with the guard comparisons and copies written out per column
 (no dispatch on the effect tag, no unpacking); it interns each moved rank
-tuple, writes the memo entry and returns the successor ids.  Every other
+tuple, writes the memo entry and returns the successor ids, each as the
+one int object the search keeps for that id.  Every other
 list, one with a fresh value or any list past 256 columns, runs rel_apply
 once per memo miss, and the search keeps its results in a dict of its own.
 rel_apply takes bytes too, since it only indexes, counts and lists its
@@ -213,16 +214,18 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
     rank ids, compiled to straight-line code; None for a list with a fresh
     value, which branches.
 
-    kernel(rids, ranks, rank_id, row) takes ranks holding bytes (see the
-    module docstring) and reads row[rid] for each rid of the batch.  A
-    stored successor rank id costs one comparison and is returned as it
-    is, and NO_SUCCESSOR is dropped.  Only an UNKNOWN entry runs
-    rel_apply's step on ranks[rid], with the guards and copies written out
-    per column, and writes row[rid]: NO_SUCCESSOR when a guard fails, rid
-    itself when nothing moved, and otherwise the rank id of the new tuple,
-    interned with one rank_id.get and appended to ranks when it is new.
-    The row must reach every rid of the batch.  It returns the successor
-    rank ids in batch order.
+    kernel(rids, ranks, ids, rank_id, row) takes ranks holding bytes (see
+    the module docstring), and ids, which holds the int object of each rank
+    id and grows with ranks; rank_id maps each tuple to that same object.
+    It reads row[rid] for each rid of the batch.  A stored successor rank
+    id costs one comparison and is returned as ids[entry], the shared
+    object, not the int just read from the row; NO_SUCCESSOR is dropped.
+    Only an UNKNOWN entry runs rel_apply's step on ranks[rid], with the
+    guards and copies written out per column, and writes row[rid]:
+    NO_SUCCESSOR when a guard fails, rid itself when nothing moved, and
+    otherwise the rank id of the new tuple, interned with one rank_id.get
+    and appended to ranks and ids when it is new.  The row must reach every
+    rid of the batch.  It returns the successor rank ids in batch order.
 
     The generated source holds only int column indices and fixed
     operators; every column is checked to be an int before any is built.
@@ -234,11 +237,11 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
         if any(type(c) is not int for c in cols):
             raise TypeError(f"effect {eff!r} has a column that is not an int")
 
-    lines = ["def kernel(rids, ranks, rank_id, row):",
+    lines = ["def kernel(rids, ranks, ids, rank_id, row):",
              " kids = []; add = kids.append; get = rank_id.get",
              " for rid in rids:",
              "  e = row[rid]",
-             "  if e >= 0: add(e); continue",
+             "  if e >= 0: add(ids[e]); continue",
              "  if e == NO_SUCCESSOR: continue",
              "  r = q = ranks[rid]"]
     for eff in effects:
@@ -258,7 +261,8 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
     # the interning engine.check_reach does for lists without a kernel
     lines += ["  if r is q: row[rid] = rid; add(rid); continue",
               "  e = get(r)",
-              "  if e is None: e = rank_id[r] = len(ranks); ranks.append(r)",
+              "  if e is None:",
+              "   e = rank_id[r] = len(ranks); ranks.append(r); ids.append(e)",
               "  row[rid] = e; add(e)",
               " return kids"]
     # a filename per kernel, so that a profile keeps the kernels apart; a

@@ -170,6 +170,26 @@ def test_dfa_transition_error_points_at_the_transition():
     assert (err.value.span.line, err.value.span.column) == (8, 1)
 
 
+@pytest.mark.parametrize("parse, text, message, at", [
+    (parse_dfa, "dfa\nalphabet a\nstates s0\ninit s9\nfinals s0\n",
+     "init state 's9' undeclared", (4, 6)),
+    (parse_dfa, "dfa\nalphabet a\nstates s0\ninit s0\nfinals s0 s7\n",
+     "final state 's7' undeclared", (5, 11)),
+    (parse_dlcs, "dlcs\nstates q\nvars v\nalphabet a\ninit q\ntarget qX\n",
+     "target state 'qX' undeclared", (6, 8)),
+    (parse_dfa, "dfa\nalphabet a\nstates s0 s1 s0\ninit s0\nfinals s0\n",
+     "duplicate state 's0'", (3, 14)),
+    (parse_dlcs, "dlcs\nstates q\nvars v w v\nalphabet a\ninit q\n",
+     "duplicate variable 'v'", (3, 10)),
+])
+def test_declaration_error_points_at_the_name(parse, text, message, at):
+    # a diagnostic on the declarations points at the name it reports, a
+    # duplicate at its second mention, not at the start of the text
+    with pytest.raises(ParseError, match=message) as err:
+        parse(text)
+    assert (err.value.span.line, err.value.span.column) == at
+
+
 DLCS = """dlcs
 states q0 q1 qF
 vars v

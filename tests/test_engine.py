@@ -510,10 +510,10 @@ def test_search_calls_the_public_encoding(monkeypatch):
         if kernel is None:
             return None
 
-        def wrapper(rids, ranks, rank_id, row):
+        def wrapper(rids, ranks, ids, rank_id, row):
             nonlocal kernel_unknown
             kernel_unknown += [row[rid] for rid in rids].count(UNKNOWN)
-            return kernel(rids, ranks, rank_id, row)
+            return kernel(rids, ranks, ids, rank_id, row)
         return wrapper
 
     for name in calls:
@@ -568,9 +568,9 @@ def test_ranks_past_one_byte_are_decided(monkeypatch, n, form, states):
         if kernel is None:
             return None
 
-        def wrapper(rids, ranks, rank_id, row):
+        def wrapper(rids, ranks, ids, rank_id, row):
             kernel_forms.add(type(ranks[0]))
-            return kernel(rids, ranks, rank_id, row)
+            return kernel(rids, ranks, ids, rank_id, row)
         return wrapper
 
     def noted_apply(ranks, effects):
@@ -593,6 +593,32 @@ def test_ranks_past_one_byte_are_decided(monkeypatch, n, form, states):
     assert all(type(r) is tuple and all(type(x) is int for x in r) for r in after)
     assert max(map(max, after)) == n
     assert validate_witness(p, concretize_witness(p, v.witness))
+
+
+def _padded(p, size):
+    """p with its first thread padded to size states by unreachable ones,
+    declared after the real states so that no state id or transition
+    position moves."""
+    t = p.threads[0]
+    pad = tuple(f"pad{i}" for i in range(size - len(t.states)))
+    return replace(p, threads=(replace(t, states=t.states + pad),) + p.threads[1:])
+
+
+@pytest.mark.parametrize("name, k", [("mp.tso", 2), ("sb.tso", 3)])
+def test_control_tuples_past_one_byte_search_alike(name, k):
+    # a search interns control tuples as bytes while every state id fits a
+    # byte, and as tuples once a thread has a state id of 256; the verdict,
+    # the stats and the witness do not depend on the form
+    from tsocbmc import engine
+    p, tgt = _load(name)
+    assert engine._control_form(ab_machine(_padded(p, 256), k)) is bytes
+    padded = _padded(p, 257)
+    assert engine._control_form(ab_machine(padded, k)) is tuple
+    v, w = check_reach(p, tgt, k), check_reach(padded, tgt, k)
+    assert v.status == w.status == REACHABLE
+    assert replace(v.stats, wall_ms=0.0) == replace(w.stats, wall_ms=0.0)
+    assert repr(v.witness) == repr(w.witness)
+    assert validate_witness(padded, concretize_witness(padded, w.witness))
 
 
 def test_unused_fresh_register_rebuilds_to_a_tso_run():

@@ -26,6 +26,8 @@ VERDICTS = {
     "lb.tso": None,
     "sb_arw.tso": None,
     "iriw.tso": None,
+    "wrc.tso": None,
+    "corr.tso": None,
     "iriw_both.tso": 4,
 }
 

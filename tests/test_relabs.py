@@ -1,5 +1,6 @@
 import random
 from array import array
+from itertools import product
 
 import pytest
 
@@ -227,10 +228,13 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
                        and max(want[rid][0]) < max(old[rid]) for rid in batch)
         kernel = rank_kernel(tuple(effects))
         packed = [bytes(r) for r in old]
-        rank_id = {r: i for i, r in enumerate(packed)}
-        kids = kernel(batch, packed, rank_id, row)
+        ids = list(range(len(packed)))
+        rank_id = dict(zip(packed, ids))
+        kids = kernel(batch, packed, ids, rank_id, row)
         # a moved tuple stays bytes; compared below as tuples of ints
         assert all(type(r) is bytes for r in packed)
+        # ids grows with ranks, one id per new tuple
+        assert ids == list(range(len(packed)))
         ranks = [tuple(r) for r in packed]
 
         assert UNKNOWN in (before[rid] for rid in batch)
@@ -265,6 +269,28 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
     assert mixed > 1000, mixed
     # a third of them empty a class, which bytes close by translate
     assert emptied > 500, emptied
+
+
+def test_rank_kernel_returns_the_shared_id_objects():
+    # past 256 every int read from a memo row is a new object, so a kernel
+    # returns the one ids holds, both for a stored successor and for a tuple
+    # it interns, and rank_id maps the new tuple to that object too
+    kernel = rank_kernel((("copy", 1, 2),))
+    stored, succ = (0, 1, 2, 3, 4, 5), (0, 1, 1, 2, 3, 4)
+    fresh, fresh_succ = (0, 1, 2, 2, 3, 4), (0, 1, 1, 1, 2, 3)
+    pad = sorted({abstract_of((0,) + v) for v in product(range(4), repeat=5)}
+                 - {stored, succ, fresh, fresh_succ})
+    assert len(pad) > 256
+    ranks = [bytes(r) for r in pad + [stored, succ, fresh]]
+    ids = list(range(len(ranks)))
+    rank_id = dict(zip(ranks, ids))
+    at = len(pad)
+    row = array("i", [UNKNOWN] * len(ranks))
+    row[at] = at + 1
+    kids = kernel([ids[at], ids[at + 2]], ranks, ids, rank_id, row)
+    assert kids == [at + 1, at + 3] and tuple(ranks[at + 3]) == fresh_succ
+    assert kids[0] is ids[at + 1]
+    assert kids[1] is ids[at + 3] and rank_id[ranks[at + 3]] is ids[at + 3]
 
 
 def test_rank_kernel_rejects_a_column_that_is_not_an_int(monkeypatch):
