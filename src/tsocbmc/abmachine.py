@@ -67,6 +67,16 @@ while a second, later write stays buffered past the end of its last context.
 Bookkeeping that can no longer influence the future is canonicalized away
 when a context ends: c entries <= the finished context drop to 0 and its u
 set is cleared.  States merged this way have identical outgoing behavior.
+
+Only the active thread t = act[j] moves within context j.  Its moves read
+t's program state, act, j and t's own c column (c(x, t) for every x), and
+write t's program state and, for a write on x, c(x, t) and (unless it never
+commits) u(j')[x]; their labels and effects depend on nothing else.  The
+switch out of j reads j, act[j], the u(j) row and t's c column, and writes
+j + 1, the finished marker at act[j], the u(j) row (cleared) and every c
+entry in 1..j (zeroed).  table_keys, table_entries and spliced turn this
+into the search's keyed tables (see engine); transitions_flat stays the one
+enumerator of moves.
 """
 from __future__ import annotations
 
@@ -117,11 +127,15 @@ class AbMachine:
         self.C = nt + k + 1
         self.U = self.C + nx * nt
         self.flat_len = self.U + k * nx
+        self._layout = (self.ACT, self.J, self.C, self.U, nt, nx)
 
         # k is the one size a one-line --k raises with no bigger model, and
         # _seed_order recurses once per context (k=1200 overflows the stack)
         if k + 1 > 255:
             raise ModelTooLargeError(f"k={k} is above the limit of 254 contexts")
+        # per j, the bytes.translate table that zeroes c entries in 1..j
+        self._c_reset = [bytes(range(j + 1, 256)).rjust(256, b"\0")
+                         for j in range(k)]
 
         # One pass over the transitions: per thread, the register ids each
         # transition reads (g) and assigns (kl), and the shared variables the
@@ -341,6 +355,85 @@ class AbMachine:
             if 0 < s2[i] <= j:
                 s2[i] = 0
         return ((R_SWITCH, ti, -1, j + 1), tuple(eff), tuple(s2))
+
+    # The search's keyed tables (see engine).  Each method takes a control
+    # state as a tuple or as bytes and answers in the same form.
+
+    def table_keys(self, s):
+        """(move key, switch key) of control state s: the parts of s that the
+        active thread's moves and its switch read, the switch key None when
+        j = k.  A move key is the thread's program state, act, j and the
+        thread's c column; a switch key is act[j], j, the u(j) row and the
+        same column."""
+        ACT, J, C, U, nt, nx = self._layout
+        j = s[J]
+        a = ACT + j - 1
+        ti = s[a]
+        col = s[C + ti:U:nt]
+        move = s[ti:ti + 1] + s[ACT:C] + col  # ST is 0
+        if j == self.k:
+            return move, None
+        u = U + (j - 1) * nx
+        return move, s[a:a + 1] + s[J:C] + s[u:u + nx] + col
+
+    def table_entries(self, s):
+        """transitions_flat(s) as table entries, in s's form: the thread's
+        moves as [(label, effects, cells)], cells the (position, one-entry
+        piece) pairs a move writes, ascending, and the switch as (label,
+        effects, plan), plan the constants of its rewrite out of context j,
+        or None when j = k."""
+        form = type(s)
+        ACT, J, _, U, nt, nx = self._layout
+        moves, switch = [], None
+        for core, eff, s2 in self.transitions_flat(tuple(s)):
+            if core[0] != R_SWITCH:
+                cells = tuple((p, form((s2[p],))) for p in self._written(core))
+                moves.append((core, eff, cells))
+                continue
+            j = s[J]
+            u = U + (j - 1) * nx
+            # the finished marker, j + 1 and a cleared u row, and what
+            # zeroes the c entries in 1..j: a translate table for bytes
+            reset = self._c_reset[j] if form is bytes else j
+            switch = (core, eff, (ACT + j - 1, u, form((nt,)), form((j + 1,)),
+                                  form((0,)) * nx, reset))
+        return moves, switch
+
+    def _written(self, core) -> tuple[int, ...]:
+        """The positions a move writes, ascending: the mover's program
+        state, and for a write its c entry and, unless the write never
+        commits, its u entry."""
+        rule, ti, pos, jp = core
+        if rule != R_WRITE:
+            return (self.ST + ti,)
+        x = self.idx.ops[ti][pos][1]
+        cells = (self.ST + ti, self.C + x * self.nt + ti)
+        if jp <= self.k:
+            cells += (self.U + (jp - 1) * self.nx + x,)
+        return cells
+
+    def spliced(self, s, moves, switch) -> list:
+        """[(label, x, s')] for the table entries of s in transitions_flat's
+        order, x whatever an entry carries in place of its effects: each
+        move's cells spliced into s, then the switch's fixed rewrite (see
+        _switch): the finished marker at act[j], j + 1, the c entries in
+        1..j zeroed and the u(j) row cleared."""
+        out = []
+        for core, x, cells in moves:
+            s2, i = s[:0], 0
+            for p, piece in cells:
+                s2 += s[i:p] + piece
+                i = p + 1
+            out.append((core, x, s2 + s[i:]))
+        if switch is not None:
+            core, x, (a, u, done, j1, cleared, reset) = switch
+            _, J, C, U, _, nx = self._layout
+            c = s[C:U]
+            c = (c.translate(reset) if type(c) is bytes
+                 else tuple(0 if v <= reset else v for v in c))
+            out.append((core, x, s[:a] + done + s[a + 1:J] + j1 + c + s[U:u]
+                        + cleared + s[u + nx:]))
+        return out
 
     def apply_flat(self, s: tuple[int, ...], label_core):
         """Re-derive (effects, s') for a label; raises if not enabled."""

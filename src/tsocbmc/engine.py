@@ -13,9 +13,10 @@ computed; bytes compare as the tuples of their values do, so the least
 state is the same in either form.  Past 256 columns the ranks stay tuples
 of ints, and rel_apply steps every effect list.  Control tuples are
 interned as bytes by the same rule whenever every entry fits a byte (see
-_control_form), and as tuples otherwise; the machine's successor function
-gets the tuple back.  Each rank id has one int object, kept in a list
-beside the rank tuples: a kernel returns it for a stored successor in
+_control_form), and as tuples otherwise; the tables below hold their cells
+in the same form, and the machine's successor function gets the tuple
+back.  Each rank id has one int object, kept in a list beside the rank
+tuples: a kernel returns it for a stored successor in
 place of the int it reads from the memo row, which past 256 would be a
 new object each time, so every seen set, level and memo result holding
 an id holds the shared object (collapse compression again).  The witness
@@ -28,11 +29,21 @@ dictionary lookup and nothing more.
 Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do
 not depend on the ranks.  So each search computes them once per control
-state and reuses them for every rank tuple paired with it.  Likewise the
-rank step depends only on the rank tuple and the effect list, and each
-search memoizes it.  Which lists get a rank kernel (relabs.rank_kernel,
-fetched once when the list is interned) is set out in the relabs module
-docstring.  A list with a kernel has at most one successor: its memo is an
+state and reuses them for every rank tuple paired with it.  Most of that
+work is shared between control states too: only the active thread moves,
+and what it reads (see abmachine) is a small part of the control tuple.
+Each search keeps two tables, keyed as AbMachine.table_keys says: per move
+key, the thread's moves as (label, effect list id, the cells the move
+writes), and per switch key, the switch's label, effect list id and
+rewrite.  A missing entry is filled by one transitions_flat call on the
+first control state with its key.  Every control state then gets its
+successors in its packed form (AbMachine.spliced), each move's cells
+spliced into it and the switch's fixed rewrite applied, and interns them
+as they are.  bakery(2) k=3 expands 2,764 control states and fills 230
+move and 59 switch entries.  Likewise the rank step depends only on the
+rank tuple and the effect list, and each search memoizes it.  Which lists
+get a rank kernel (relabs.rank_kernel, fetched once when the list is
+interned) is set out in the relabs module docstring.  A list with a kernel has at most one successor: its memo is an
 int array indexed by rank id, holding the successor rank id or one of
 relabs' markers UNKNOWN and NO_SUCCESSOR, read in the search loop by the
 kernel alone.  It takes a whole batch, returns each known successor
@@ -202,6 +213,7 @@ def check_reach(program: Program, target: Target, k: int,
         k = 1
         m = ab_machine(program, k)
     tti, tsi = m.idx.target_idx(target)
+    target_at = m.ST + tti
     flen = m.flat_len
     klen = key_length(program, k)
     stats = Stats()
@@ -228,6 +240,11 @@ def check_reach(program: Program, target: Target, k: int,
     # per cid, once expanded: its moves [(label, eid, successor cid)] in
     # table order, split into those that miss and those that hit the target
     succ: list[Optional[tuple[list, list]]] = []
+    # the keyed tables (see AbMachine.table_keys): per move key, the
+    # thread's moves [(label, eid, cells)]; per switch key, (label, eid,
+    # the rewrite's plan)
+    move_table: dict = {}
+    switch_table: dict = {}
     # per eid, the memo row of a list with a kernel, by rid (see
     # relabs.rank_kernel): UNKNOWN, NO_SUCCESSOR or the successor rid
     memo: list[array] = []
@@ -236,10 +253,10 @@ def check_reach(program: Program, target: Target, k: int,
     # per cid, the rids seen with it in this search
     seen: list[set[int]] = []
 
-    def intern_ctrl(flat: tuple[int, ...]) -> int:
-        packed = cpack(flat)
+    def intern_ctrl(packed) -> int:
         cid = ctrl_id.get(packed)
         if cid is None:
+            flat = tuple(packed)
             key = canonical_key(flat, r0)
             if len(key) != klen or decode_key(flen, key) != (flat, r0):
                 raise AssertionError(f"control state {flat} has no canonical key")
@@ -249,17 +266,33 @@ def check_reach(program: Program, target: Target, k: int,
             seen.append(set())
         return cid
 
+    def intern_eff(eff: tuple) -> int:
+        eid = eff_id.get(eff)
+        if eid is None:
+            eid = eff_id[eff] = len(effs)
+            effs.append(eff)
+            kernels.append(rank_kernel(eff) if pack is bytes else None)
+            memo.append(array("i"))
+        return eid
+
     def expand(cid: int) -> tuple[list, list]:
         stats.control_states += 1
+        s = ctrls[cid]
+        mkey, skey = m.table_keys(s)
+        mv = move_table.get(mkey)
+        sw = switch_table.get(skey)
+        if mv is None or sw is None and skey is not None:
+            # one transitions_flat call fills whichever entry is missing
+            mv2, sw2 = m.table_entries(s)
+            if mv is None:
+                mv = move_table[mkey] = [(core, intern_eff(eff), cells)
+                                         for core, eff, cells in mv2]
+            if sw is None and skey is not None:
+                core, eff, plan = sw2
+                sw = switch_table[skey] = (core, intern_eff(eff), plan)
         moves: tuple[list, list] = ([], [])
-        for core, eff, flat2 in m.transitions_flat(tuple(ctrls[cid])):
-            eid = eff_id.get(eff)
-            if eid is None:
-                eid = eff_id[eff] = len(effs)
-                effs.append(eff)
-                kernels.append(rank_kernel(eff) if pack is bytes else None)
-                memo.append(array("i"))
-            moves[flat2[m.ST + tti] == tsi].append((core, eid, intern_ctrl(flat2)))
+        for core, eid, s2 in m.spliced(s, mv, sw):
+            moves[s2[target_at] == tsi].append((core, eid, intern_ctrl(s2)))
         return moves
 
     def step(eid: int, rids: list[int]) -> list[int]:
@@ -334,6 +367,7 @@ def check_reach(program: Program, target: Target, k: int,
         stats.stop_reason = stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         stats.rank_tuples = len(ranks)
+        stats.move_keys = len(move_table) + len(switch_table)
         witness = None
         if status == REACHABLE:
             cid2, rid2 = target
@@ -357,7 +391,7 @@ def check_reach(program: Program, target: Target, k: int,
         flat = m.initial_flat(act)
         # a root is always new: a state with j = 1 keeps its schedule's act
         # entries, and each schedule stores its root first
-        cid, rid = intern_ctrl(flat), 0  # r0 is rank id 0
+        cid, rid = intern_ctrl(cpack(flat)), 0  # r0 is rank id 0
         seen[cid].add(rid)
         room -= 1
         if flat[m.ST + tti] == tsi:

@@ -7,6 +7,7 @@ Programs run over the naturals.  Guards compare two registers with one of
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -218,22 +219,24 @@ def validate(program: Program) -> list[str]:
     if len(set(program.shared_vars)) != len(program.shared_vars):
         diags.append("duplicate shared variable declaration")
 
-    reg_owner: dict[str, str] = {}
-    for t in program.threads:
+    # each register's declaring thread; a register a thread repeats is a
+    # duplicate of that thread, not one shared with another
+    reg_owner: dict[str, int] = {}
+    for ti, t in enumerate(program.threads):
         states = set(t.states)
         if len(states) != len(t.states):
             diags.append(f"thread '{t.id}': duplicate state")
-        if len(set(t.regs)) != len(t.regs):
-            diags.append(f"thread '{t.id}': duplicate register")
+        declared = Counter(t.regs)
+        diags.extend(f"thread '{t.id}': duplicate register '{r}'"
+                     for r, n in declared.items() if n > 1)
         if t.init not in states:
             diags.append(f"thread '{t.id}': init state '{t.init}' undeclared")
-        for r in t.regs:
-            if r in reg_owner:
+        for r in declared:
+            owner = reg_owner.setdefault(r, ti)
+            if owner != ti:
                 diags.append(
-                    f"register '{r}' shared by threads "
-                    f"'{reg_owner[r]}' and '{t.id}': register sets must be disjoint")
-            else:
-                reg_owner[r] = t.id
+                    f"register '{r}' shared by threads '{program.threads[owner].id}'"
+                    f" and '{t.id}': register sets must be disjoint")
         regs = set(t.regs)
         for tr in t.transitions:
             if tr.src not in states or tr.dst not in states:

@@ -23,6 +23,9 @@ class Stats:
     # check_reach, the TSO oracle and dlcs_reach_bounded alike
     peak_frontier: int = 0
     rank_tuples: int = 0      # distinct rank tuples the search interned
+    # check_reach's move and switch table fills, one per distinct key (see
+    # AbMachine.table_keys); 0 in the oracle searches
+    move_keys: int = 0
     # memo misses, one filled memo entry each: an UNKNOWN entry a rank
     # kernel computed, or one rel_apply call for a list the kernels do not
     # take (a list with a fresh value, or any list past 256 columns; see

@@ -323,19 +323,21 @@ def test_switch_flush_copies_read_no_written_column(monkeypatch):
         for k in (1, 2, 3):
             lists.extend(_control_closure_switches(ab_machine(p, k)))
     # bakery(2)'s control closure is too large at k = 4; take every switch
-    # move of the search's own control states instead
-    emit = AbMachine.transitions_flat
+    # move of the control states the search expands instead
+    expanded = []
+    keys = AbMachine.table_keys
 
     def spy(self, s):
-        out = emit(self, s)
-        lists.extend(eff for core, eff, _ in out if core[0] == R_SWITCH)
-        return out
+        expanded.append((self, tuple(s)))
+        return keys(self, s)
 
-    monkeypatch.setattr(AbMachine, "transitions_flat", spy)
+    monkeypatch.setattr(AbMachine, "table_keys", spy)
     g = gen_bakery(2)
     before = len(lists)
     for k in range(1, 5):
         check_reach(g.program, g.target, k)
+    for m, s in expanded:
+        lists.extend(eff for core, eff, _ in m.transitions_flat(s) if core[0] == R_SWITCH)
     assert len(lists) - before > 4_000
     # resets copy the sentinel (column 0); every other copy is a flush
     flushes = sum(1 for eff in lists for e in eff if e[0] == "copy" and e[2] != 0)

@@ -441,6 +441,16 @@ def test_gen_and_parse_reject_duplicate_declarations(tmp_path, capsys):
         assert "duplicate" in captured.err and captured.out == "", argv
 
 
+def test_parse_reports_a_repeated_register_once(tmp_path, capsys):
+    src = tmp_path / "dup.tso"
+    src.write_text("domain nat\nvars x\nthread t {\n  regs r r\n  init q0\n"
+                   "  q0 -> q1 : read x r\n}\ntarget t : q1\n")
+    assert main(["parse", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"{src}: thread 't': duplicate register 'r'"]
+    assert captured.out == ""
+
+
 def test_selftest_tiny(capsys):
     rc = main(["selftest", "--scale", "0.02", "--seed", "1",
                "--suite", "step-soundness"])

@@ -398,9 +398,29 @@ def test_memory_cap_stops_the_search(monkeypatch):
     assert v.stats.states_explored == 4099
 
 
+def _expansions(monkeypatch, program, target, k):
+    """Run check_reach; the machine and the control states it expanded, in
+    expansion order and in the form the search holds them."""
+    from tsocbmc.abmachine import AbMachine
+    machines, states = set(), []
+    real = AbMachine.table_keys
+
+    def spy(self, s):
+        machines.add(self)
+        states.append(s)
+        return real(self, s)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(AbMachine, "table_keys", spy)
+        v = check_reach(program, target, k)
+    assert len(machines) <= 1
+    return v, (machines.pop() if machines else None), states
+
+
 def test_control_successors_computed_once_per_control_state(monkeypatch):
-    # many rank tuples share a control state; its successors are computed
-    # on first sight and reused for the rest of that search only
+    # many control states share the active thread's part: its moves are
+    # computed once per move key and the switch once per switch key, each
+    # fill one transitions_flat call, reused for the rest of that search only
     from tsocbmc.abmachine import AbMachine
     from tsocbmc.generators import gen_bakery
     calls = []
@@ -412,17 +432,68 @@ def test_control_successors_computed_once_per_control_state(monkeypatch):
 
     monkeypatch.setattr(AbMachine, "transitions_flat", spy)
     g = gen_bakery(1)
-    v = check_reach(g.program, g.target, 2)
+    v, m, states = _expansions(monkeypatch, g.program, g.target, 2)
     assert v.status == UNREACHABLE
     assert v.stats.states_explored == 145
-    assert len(calls) == 101
-    assert len(set(calls)) == len(calls)
-    assert v.stats.control_states == len(calls)
-    # a second search on the same machine starts from an empty table
+    assert v.stats.control_states == len(states) == len(set(states)) == 101
+    keys = [m.table_keys(s) for s in states]
+    move_keys = {mk for mk, _ in keys}
+    switch_keys = {sk for _, sk in keys if sk is not None}
+    assert v.stats.move_keys == len(move_keys) + len(switch_keys)
+    # a call fills every key of its state the tables lack, so each call is
+    # on the first expanded state with some key
+    firsts = {}
+    for s, (mk, sk) in zip(states, keys):
+        firsts.setdefault(("move", mk), s)
+        if sk is not None:
+            firsts.setdefault(("switch", sk), s)
+    assert sorted(calls) == sorted({tuple(s) for s in firsts.values()})
+    assert len(move_keys) < len(calls) < v.stats.move_keys < 101
+    # a second search on the same machine starts from empty tables
+    n = len(calls)
     calls.clear()
     v2 = check_reach(g.program, g.target, 2)
     assert v2.stats.states_explored == 145
-    assert len(calls) == 101
+    assert v2.stats.move_keys == v.stats.move_keys and len(calls) == n
+
+
+def test_keyed_tables_splice_transitions_flat(monkeypatch):
+    # For every control state a search expands, the successors spliced from
+    # the tables (filled on the first state with each key, as check_reach
+    # fills them) equal transitions_flat's: labels, effects, successor
+    # control states and order.
+    from tsocbmc.generators import gen_bakery
+    from tsocbmc.selftest import random_program, random_target
+    cases = [(gen_bakery(1), 4), (gen_bakery(2), 3), (gen_bakery(2), 4)]
+    cases = [(g.program, g.target, k) for g, k in cases]
+    for name in ("sb.tso", "mp.tso"):
+        p, tgt = _load(name)
+        # padded to 257 states, the search holds control tuples as tuples
+        cases += [(q, tgt, k) for q in (p, _padded(p, 257)) for k in (1, 2, 3)]
+    rng = random.Random(31)
+    for n_threads in (2, 3) * 60:
+        p = random_program(rng, n_threads)
+        cases.append((p, random_target(rng, p), 3))
+    expanded, forms = [], set()
+    for n, (p, tgt, k) in enumerate(cases):
+        _, m, states = _expansions(monkeypatch, p, tgt, k)
+        forms.update(map(type, states))
+        moves, switches = {}, {}
+        for s in states:
+            mk, sk = m.table_keys(s)
+            if mk not in moves or sk is not None and sk not in switches:
+                mv, sw = m.table_entries(s)
+                moves.setdefault(mk, mv)
+                if sk is not None:
+                    switches.setdefault(sk, sw)
+            got = m.spliced(s, moves[mk], switches.get(sk))
+            want = [(core, eff, type(s)(s2))
+                    for core, eff, s2 in m.transitions_flat(tuple(s))]
+            assert got == want, (n, k, tuple(s))
+        expanded.append(len(states))
+    # the random programs add about 1,900 control states
+    assert sum(expanded) > 9_000 and sum(expanded[-120:]) > 1_500
+    assert forms == {bytes, tuple}
 
 
 def test_state_counts_after_summary_slicing():
@@ -443,6 +514,8 @@ def test_state_counts_after_summary_slicing():
         s = v.stats
         assert (s.states_explored, s.control_states) == (states, control)
         assert (s.rank_tuples, s.rel_apply_calls) == (ranks, calls)
+    # one table fill per distinct key: 230 move keys and 59 switch keys
+    assert s.move_keys == 289
 
 
 def test_per_program_caches_are_bounded():

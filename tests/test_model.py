@@ -103,6 +103,17 @@ def test_validate_rejects_shared_register_name():
     assert any("disjoint" in d for d in diags)
 
 
+def test_validate_names_a_repeated_register_once():
+    # a register a thread declares twice is that thread's duplicate, not a
+    # register it shares with itself
+    t = _thread("t", ["r", "r", "a"], [])
+    assert validate(Program.make([t], ["x"])) == ["thread 't': duplicate register 'r'"]
+    u = _thread("u", ["a", "a"], [])
+    assert validate(Program.make([t, u], ["x"])) == [
+        "thread 't': duplicate register 'r'", "thread 'u': duplicate register 'a'",
+        "register 'a' shared by threads 't' and 'u': register sets must be disjoint"]
+
+
 def test_validate_rejects_undeclared_variable_and_state():
     t = _thread("t", ["a"], [Transition("q0", Write("y", "a"), "q1")])
     diags = validate(Program.make([t], ["x"]))
