@@ -33,7 +33,16 @@ Control state: per-thread program states, the context-to-thread assignment
 `act` (guessed up front), the current context j, the map c(x, t) giving the
 flush context of t's newest write on x (0 = none pending, k+1 = the write
 never commits), and per-context sets u(j) of variables with a write
-committing at the end of j.
+committing at the end of j.  Only the switch out of j < k reads u(j), so
+u(k) is never written: states differing only there would be duplicates.
+The row stays in the layout, so every key keeps its length.
+
+check_reach packs a control state in the machine's control_form: bytes
+when every entry fits a byte, a tuple otherwise.  The entries are state
+ids, thread ids up to the finished-context marker nt, j and c entries up
+to k + 1 <= 255 (k is limited to 254) and u flags, so the form is bytes
+exactly when nt <= 255 and every thread has at most 256 states.  The
+table methods build their pieces in that form.
 
 Transitions emit effect descriptors over summary columns instead of touching
 values directly, of three kinds:
@@ -70,8 +79,8 @@ set is cleared.  States merged this way have identical outgoing behavior.
 
 Only the active thread t = act[j] moves within context j.  Its moves read
 t's program state, act, j and t's own c column (c(x, t) for every x), and
-write t's program state and, for a write on x, c(x, t) and (unless it never
-commits) u(j')[x]; their labels and effects depend on nothing else.  The
+write t's program state and, for a write on x, c(x, t) and (when j' < k)
+u(j')[x]; their labels and effects depend on nothing else.  The
 switch out of j reads j, act[j], the u(j) row and t's c column, and writes
 j + 1, the finished marker at act[j], the u(j) row (cleared) and every c
 entry in 1..j (zeroed).  table_keys, table_entries and spliced turn this
@@ -133,9 +142,19 @@ class AbMachine:
         # _seed_order recurses once per context (k=1200 overflows the stack)
         if k + 1 > 255:
             raise ModelTooLargeError(f"k={k} is above the limit of 254 contexts")
-        # per j, the bytes.translate table that zeroes c entries in 1..j
-        self._c_reset = [bytes(range(j + 1, 256)).rjust(256, b"\0")
-                         for j in range(k)]
+        # the form check_reach packs control states in (module docstring)
+        self.control_form = form = (
+            bytes if nt <= 255 and all(len(sid) <= 256 for sid in idx.state_id)
+            else tuple)
+        # per context j < k, the switch's rewrite out of j (see spliced):
+        # the positions of the finished marker and the u(j) row, the marker,
+        # j + 1 and the cleared row in control_form, and what zeroes the c
+        # entries in 1..j: a translate table for bytes, j for tuples
+        self._rewrite = [
+            (self.ACT + j - 1, self.U + (j - 1) * nx, form((nt,)),
+             form((j + 1,)), form((0,)) * nx,
+             bytes(range(j + 1, 256)).rjust(256, b"\0") if form is bytes else j)
+            for j in range(1, k)]
 
         # One pass over the transitions: per thread, the register ids each
         # transition reads (g) and assigns (kl), and the shared variables the
@@ -304,6 +323,7 @@ class AbMachine:
                     s2[self.C + x * nt + ti] = jp
                     if jp <= k:
                         eff += _copy(self.i_ctx(x, jp), rs)
+                    if jp < k:
                         s2[self.U + (jp - 1) * self.nx + x] = 1
                     out.append(((R_WRITE, ti, pos, jp), eff + dz, tuple(s2)))
                 continue
@@ -356,8 +376,8 @@ class AbMachine:
                 s2[i] = 0
         return ((R_SWITCH, ti, -1, j + 1), tuple(eff), tuple(s2))
 
-    # The search's keyed tables (see engine).  Each method takes a control
-    # state as a tuple or as bytes and answers in the same form.
+    # The search's keyed tables (see engine), over control states in
+    # control_form.
 
     def table_keys(self, s):
         """(move key, switch key) of control state s: the parts of s that the
@@ -377,38 +397,30 @@ class AbMachine:
         return move, s[a:a + 1] + s[J:C] + s[u:u + nx] + col
 
     def table_entries(self, s):
-        """transitions_flat(s) as table entries, in s's form: the thread's
-        moves as [(label, effects, cells)], cells the (position, one-entry
-        piece) pairs a move writes, ascending, and the switch as (label,
-        effects, plan), plan the constants of its rewrite out of context j,
+        """transitions_flat(s) as table entries: the thread's moves as
+        [(label, effects, cells)], cells the (position, one-entry piece)
+        pairs a move writes, ascending, and the switch as (label, effects),
         or None when j = k."""
-        form = type(s)
-        ACT, J, _, U, nt, nx = self._layout
+        form = self.control_form
         moves, switch = [], None
         for core, eff, s2 in self.transitions_flat(tuple(s)):
-            if core[0] != R_SWITCH:
-                cells = tuple((p, form((s2[p],))) for p in self._written(core))
-                moves.append((core, eff, cells))
-                continue
-            j = s[J]
-            u = U + (j - 1) * nx
-            # the finished marker, j + 1 and a cleared u row, and what
-            # zeroes the c entries in 1..j: a translate table for bytes
-            reset = self._c_reset[j] if form is bytes else j
-            switch = (core, eff, (ACT + j - 1, u, form((nt,)), form((j + 1,)),
-                                  form((0,)) * nx, reset))
+            if core[0] == R_SWITCH:
+                switch = (core, eff)
+            else:
+                moves.append((core, eff, tuple((p, form((s2[p],)))
+                                               for p in self._written(core))))
         return moves, switch
 
     def _written(self, core) -> tuple[int, ...]:
         """The positions a move writes, ascending: the mover's program
-        state, and for a write its c entry and, unless the write never
-        commits, its u entry."""
+        state, and for a write its c entry and, when it flushes before the
+        last context, its u entry."""
         rule, ti, pos, jp = core
         if rule != R_WRITE:
             return (self.ST + ti,)
         x = self.idx.ops[ti][pos][1]
         cells = (self.ST + ti, self.C + x * self.nt + ti)
-        if jp <= self.k:
+        if jp < self.k:
             cells += (self.U + (jp - 1) * self.nx + x,)
         return cells
 
@@ -426,10 +438,11 @@ class AbMachine:
                 i = p + 1
             out.append((core, x, s2 + s[i:]))
         if switch is not None:
-            core, x, (a, u, done, j1, cleared, reset) = switch
+            core, x = switch
             _, J, C, U, _, nx = self._layout
+            a, u, done, j1, cleared, reset = self._rewrite[s[J] - 1]
             c = s[C:U]
-            c = (c.translate(reset) if type(c) is bytes
+            c = (c.translate(reset) if self.control_form is bytes
                  else tuple(0 if v <= reset else v for v in c))
             out.append((core, x, s[:a] + done + s[a + 1:J] + j1 + c + s[U:u]
                         + cleared + s[u + nx:]))

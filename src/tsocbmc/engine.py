@@ -12,14 +12,13 @@ takes 33 + n bytes against a tuple's 40 + 8n, and keeps its hash once
 computed; bytes compare as the tuples of their values do, so the least
 state is the same in either form.  Past 256 columns the ranks stay tuples
 of ints, and rel_apply steps every effect list.  Control tuples are
-interned as bytes by the same rule whenever every entry fits a byte (see
-_control_form), and as tuples otherwise; the tables below hold their cells
-in the same form, and the machine's successor function gets the tuple
-back.  Each rank id has one int object, kept in a list beside the rank
-tuples: a kernel returns it for a stored successor in
-place of the int it reads from the memo row, which past 256 would be a
-new object each time, so every seen set, level and memo result holding
-an id holds the shared object (collapse compression again).  The witness
+interned in the machine's control form (see abmachine), and the tables
+below hold their cells in the same form.  Each rank id has one int
+object, kept in a list beside the rank tuples: a kernel returns it for a
+stored successor in place of the int it reads from the memo row, which
+past 256 would be a new object each time, so every seen set, level and
+memo result holding an id holds the shared object (collapse compression
+again).  The witness
 and the public functions see tuples only.  The public key encoding
 (relabs.canonical_key, the control tuple followed by the rank tuple) is
 checked once per new control tuple; a concatenation splits back at the
@@ -149,9 +148,8 @@ _TOP = _ENTRY - 1 if sys.byteorder == "little" else 0
 
 
 def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
-    """The context schedules to search: with two or more threads, the
-    repeat-free length-k schedules that end on the target thread, in
-    lexicographic order.
+    """The context schedules to search: the repeat-free length-k schedules
+    that end on the target thread, in lexicographic order.
 
     This loses no run.  A hit is a step of the target thread, so cut a
     reaching run at its hit: it has at most k maximal blocks, no two
@@ -161,13 +159,11 @@ def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
     j < k.  A write the run flushed after the target's last context becomes
     a write that never commits, which the machine offers too.
 
-    The schedules are generated lazily, so a cap can end the search before a
-    large k has enumerated them all.
+    One thread has such a schedule only at k = 1, where check_reach
+    searches it.  The schedules are generated lazily, so a cap can end the
+    search before a large k has enumerated them all.
     """
     k, nt = m.k, m.nt
-    if nt == 1:
-        yield (0,) * k
-        return
 
     def walk(prefix: tuple[int, ...]):
         # depth first in lexicographic order over repeat-free schedules
@@ -181,15 +177,6 @@ def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
                 yield act
 
     yield from walk(())
-
-
-def _control_form(m: AbMachine) -> type:
-    """The form check_reach interns control tuples in: bytes when every
-    entry fits a byte, tuple otherwise.  The entries are state ids, thread
-    ids up to the finished-context marker nt, j and c entries up to
-    k + 1 <= 255 (see abmachine) and u flags."""
-    fits = m.nt <= 255 and all(len(sid) <= 256 for sid in m.idx.state_id)
-    return bytes if fits else tuple
 
 
 def check_reach(program: Program, target: Target, k: int,
@@ -223,7 +210,6 @@ def check_reach(program: Program, target: Target, k: int,
     # rank tuples as bytes up to 256 columns, tuples of ints past that (see
     # the module docstring); kernels only for bytes
     pack = bytes if m.nab <= 256 else tuple
-    cpack = _control_form(m)
     # the interned parts of a state: control tuples by cid, rank tuples by
     # rid (r0 first) and effect lists by eid, each a list plus a dict; ids
     # holds each rid's one int object, the one rank_id maps its tuple to
@@ -241,8 +227,7 @@ def check_reach(program: Program, target: Target, k: int,
     # table order, split into those that miss and those that hit the target
     succ: list[Optional[tuple[list, list]]] = []
     # the keyed tables (see AbMachine.table_keys): per move key, the
-    # thread's moves [(label, eid, cells)]; per switch key, (label, eid,
-    # the rewrite's plan)
+    # thread's moves [(label, eid, cells)]; per switch key, (label, eid)
     move_table: dict = {}
     switch_table: dict = {}
     # per eid, the memo row of a list with a kernel, by rid (see
@@ -288,8 +273,8 @@ def check_reach(program: Program, target: Target, k: int,
                 mv = move_table[mkey] = [(core, intern_eff(eff), cells)
                                          for core, eff, cells in mv2]
             if sw is None and skey is not None:
-                core, eff, plan = sw2
-                sw = switch_table[skey] = (core, intern_eff(eff), plan)
+                core, eff = sw2
+                sw = switch_table[skey] = (core, intern_eff(eff))
         moves: tuple[list, list] = ([], [])
         for core, eid, s2 in m.spliced(s, mv, sw):
             moves[s2[target_at] == tsi].append((core, eid, intern_ctrl(s2)))
@@ -391,7 +376,7 @@ def check_reach(program: Program, target: Target, k: int,
         flat = m.initial_flat(act)
         # a root is always new: a state with j = 1 keeps its schedule's act
         # entries, and each schedule stores its root first
-        cid, rid = intern_ctrl(cpack(flat)), 0  # r0 is rank id 0
+        cid, rid = intern_ctrl(m.control_form(flat)), 0  # r0 is rank id 0
         seen[cid].add(rid)
         room -= 1
         if flat[m.ST + tti] == tsi:

@@ -180,19 +180,10 @@ NO_SUCCESSOR = -2**31
 
 # A kernel moves a column of a bytes rank tuple by slicing in the one byte
 # of its new rank, and closes an emptied class o with bytes.translate:
-# the table for o maps every byte above o one down.  Each table is built
-# from two slices of the identity on first use, none at import.
+# the table for o maps every byte above o one down.
 _IDENTITY = bytes(range(256))
 _ONE = [_IDENTITY[v:v + 1] for v in range(256)]
-
-
-class _ShiftDown(dict):
-    def __missing__(self, o: int) -> bytes:
-        table = self[o] = _IDENTITY[:o + 1] + _IDENTITY[o:255]
-        return table
-
-
-_DOWN = _ShiftDown()
+_DOWN = [_IDENTITY[:o + 1] + _IDENTITY[o:255] for o in range(256)]
 
 
 def _fails(rel: Relation) -> str:

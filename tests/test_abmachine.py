@@ -262,15 +262,18 @@ def _chain(n):
                                  for i in range(n - 1)])]
 
 
-@pytest.mark.parametrize("threads,target", [
-    (_writers(256), Target("t0", "q1")),
-    (_chain(256), Target("t", "q255")),
-], ids=["256-threads", "256-states"])
-def test_machine_decides_models_past_the_byte_limits(threads, target):
+@pytest.mark.parametrize("threads,target,form", [
+    (_writers(255), Target("t0", "q1"), bytes),
+    (_writers(256), Target("t0", "q1"), tuple),
+    (_chain(256), Target("t", "q255"), bytes),
+], ids=["255-threads", "256-threads", "256-states"])
+def test_machine_decides_models_past_the_byte_limits(threads, target, form):
     # a key holds one natural per component, so thread ids and thread states
-    # past 255 build and are decided like any other model
+    # past 255 build and are decided like any other model; the search packs
+    # control states as bytes up to 255 threads and 256 states per thread
     p = Program.make(threads, ["x"])
     for k in (1, 2):
+        assert ab_machine(p, k).control_form is form
         v = check_reach(p, target, k)
         assert v.status in (REACHABLE, UNREACHABLE)
         if v.reachable:
@@ -318,7 +321,7 @@ def test_switch_flush_copies_read_no_written_column(monkeypatch):
         for k in range(1, 6):
             lists.extend(_control_closure_switches(ab_machine(p, k)))
     rng = random.Random(0)
-    for _ in range(300):
+    for _ in range(400):
         p = random_program(rng)
         for k in (1, 2, 3):
             lists.extend(_control_closure_switches(ab_machine(p, k)))

@@ -301,8 +301,8 @@ def test_tso_reconstruction_values_follow_witness():
 
 def test_seed_order_single_thread():
     t = _thread("t", ["a"], [Transition("q0", NewValue("a"), "q1")])
-    m = ab_machine(Program.make([t], ["x"]), 3)
-    assert list(_seed_order(m, 0)) == [(0, 0, 0)]
+    m = ab_machine(Program.make([t], ["x"]), 1)
+    assert list(_seed_order(m, 0)) == [(0,)]
 
 
 def test_seed_order_properties():
@@ -322,8 +322,6 @@ def test_seed_order_matches_the_sorted_product():
     # the reference is the eager form: every product, filtered to the
     # repeat-free schedules that end on the target thread, then sorted
     def eager(nt, k, tti):
-        if nt == 1:
-            return [(0,) * k]
         return sorted(act for act in product(range(nt), repeat=k)
                       if act[-1] == tti
                       and all(a != b for a, b in zip(act, act[1:])))
@@ -494,6 +492,27 @@ def test_keyed_tables_splice_transitions_flat(monkeypatch):
     # the random programs add about 1,900 control states
     assert sum(expanded) > 9_000 and sum(expanded[-120:]) > 1_500
     assert forms == {bytes, tuple}
+
+
+def test_expanded_control_states_differ_outside_the_last_u_row(monkeypatch):
+    # only the switch out of a context j < k reads u(j), so a write that
+    # flushes at k leaves u(k) alone: no two control states one search
+    # expands differ only in that row
+    from tsocbmc.selftest import random_program, random_target
+    rng = random.Random(3)
+    expanded = 0
+    for n_threads in (2, 3) * 50:
+        p = random_program(rng, n_threads)
+        tgt = random_target(rng, p)
+        for k in (2, 3):
+            _, m, states = _expansions(monkeypatch, p, tgt, k)
+            if m is None:
+                continue
+            uk = m.U + (m.k - 1) * m.nx
+            rest = {s[:uk] + s[uk + m.nx:] for s in states}
+            assert len(rest) == len(states), (n_threads, k)
+            expanded += len(states)
+    assert expanded > 1_500
 
 
 def test_state_counts_after_summary_slicing():
@@ -682,11 +701,10 @@ def test_control_tuples_past_one_byte_search_alike(name, k):
     # a search interns control tuples as bytes while every state id fits a
     # byte, and as tuples once a thread has a state id of 256; the verdict,
     # the stats and the witness do not depend on the form
-    from tsocbmc import engine
     p, tgt = _load(name)
-    assert engine._control_form(ab_machine(_padded(p, 256), k)) is bytes
+    assert ab_machine(_padded(p, 256), k).control_form is bytes
     padded = _padded(p, 257)
-    assert engine._control_form(ab_machine(padded, k)) is tuple
+    assert ab_machine(padded, k).control_form is tuple
     v, w = check_reach(p, tgt, k), check_reach(padded, tgt, k)
     assert v.status == w.status == REACHABLE
     assert replace(v.stats, wall_ms=0.0) == replace(w.stats, wall_ms=0.0)
