@@ -3,6 +3,7 @@ naturals: a concrete bounded simulator, a finite-control abstraction with an
 order abstraction on the data, witness concretization back to real runs, and
 generators for cross-checking corpora."""
 
+from ._record import asdict, replace
 from .dsl import (
     Dfa, DlcsModel, ParseError, SourceSpan, parse_dfa, parse_dlcs,
     parse_program, parse_program_with_target, render_dfa, render_dlcs,
@@ -47,14 +48,15 @@ __all__ = [
     "Read", "Relation", "Run", "SourceSpan", "Stats", "Target",
     "Thread",
     "Transition", "TsoConfig", "UNREACHABLE", "UNREACHABLE_WITHIN_BOUNDS",
-    "Verdict", "Witness", "WitnessStep", "Write", "abstract_of",
+    "Verdict", "Witness", "WitnessStep", "Write", "abstract_of", "asdict",
     "canonical_key", "cb_partition_check", "cb_reach_bounded", "check_reach",
     "concrete_run_to_tso", "concretize_witness", "decode_key",
     "dfa_intersection_oracle", "dlcs_reach_bounded", "eval_rel", "gen_bakery",
     "gen_dlcs_reduction", "gen_intersection", "inflate", "initial_config",
     "key_length", "le", "lt", "normalize_updates", "parse_dfa", "parse_dlcs",
     "parse_program", "parse_program_with_target", "rel_apply", "rel_check",
-    "rel_initial", "render_dfa", "render_dlcs", "render_program", "replay",
+    "rel_initial", "render_dfa", "render_dlcs", "render_program", "replace",
+    "replay",
     "tso_enabled", "tso_reach_bounded", "tso_step", "validate", "validate_dfa",
     "validate_dlcs", "validate_witness",
 ]

@@ -18,13 +18,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from typing import Optional
 
+from ._record import asdict
 from .abmachine import ab_machine
 from .dsl import (
-    ParseError, parse_dfa, parse_dlcs, parse_program_with_target, render_dfa,
-    render_dlcs, render_program,
+    ParseError, parse_dfa, parse_dlcs, parse_program_with_target,
+    program_diagnostics, render_dfa, render_dlcs, render_program,
 )
 from .engine import ConcretizationError, check_reach, concretize_witness
 from .generators import gen_bakery, gen_dlcs_reduction, gen_intersection
@@ -73,13 +73,13 @@ def _load_program(path: str, text: Optional[str] = None
                   ) -> tuple[Program, Optional[Target]]:
     """Parse and validate a program file; `text` is its content when the
     caller has read it already.  An invalid program raises
-    InvalidProgramError, each diagnostic prefixed with the path."""
+    InvalidProgramError, each diagnostic prefixed with the path and then
+    the line and column it points at."""
     if text is None:
         text = _read_text(path)
     program, inline = parse_program_with_target(text)
-    diags = validate(program)
-    if diags:
-        raise InvalidProgramError([f"{path}: {d}" for d in diags])
+    if validate(program):
+        raise InvalidProgramError([f"{path}: {d}" for d in program_diagnostics(text)])
     return program, inline
 
 

@@ -55,17 +55,17 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
+from ._record import record, replace
 from .model import (
     EQ, LE, LT, NEQ, OP_ASSIGN, OP_GUARD, Arw, Assign, Guard, NewValue, Op,
     Program, Read, Relation, RelKind, Target, Thread, Transition, Write,
-    operands, states_in_order,
+    diagnose, operands, states_in_order,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     line: int
     column: int
@@ -79,7 +79,7 @@ class ParseError(Exception):
         self.span = span
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # 'ident' | 'sym' | 'rel' | 'eof'
     text: str
@@ -239,45 +239,61 @@ def _parse_op(p: _Parser) -> Op:
     return NewValue(dst) if src is None else Assign(dst, src)
 
 
-def _parse_thread(p: _Parser) -> Thread:
+def _parse_thread(p: _Parser) -> tuple[Thread, dict]:
+    """A thread block, and the tokens of its names by the places that
+    model.diagnose reports on."""
     p.expect("thread")
-    tid = p.expect_ident("a thread name").text
+    name = p.expect_ident("a thread name")
     p.expect("{")
     regs = p.names("regs")
-    declared_states = p.names("states") if p.at("states") else None
+    places = {"id": name, "regs": p.declared["regs"], "states": [],
+              "transitions": [], "operands": []}
+    declared_states = None
+    if p.at("states"):
+        declared_states = p.names("states")
+        places["states"] = p.declared["states"]
     p.expect("init")
-    init = p.expect_ident("the initial state").text
+    init = places["init"] = p.expect_ident("the initial state")
     transitions: list[Transition] = []
     while not p.at("}"):
         if p.peek().kind == "eof":
             raise p.fail("unterminated thread block")
-        src = p.expect_ident("a state").text
+        start = p.expect_ident("a state")
         p.expect("->")
         dst = p.expect_ident("a state").text
         p.expect(":")
+        # the operands' names, in `operands` order, follow the keyword
+        first = p.pos if _op_word(p) == "" else p.pos + 1
         op = _parse_op(p)
-        transitions.append(Transition(src, op, dst))
+        places["transitions"].append(start)
+        places["operands"].append(
+            [t for t in p.toks[first:p.pos] if t.kind == "ident"])
+        transitions.append(Transition(start.text, op, dst))
     p.expect("}")
     if declared_states is not None:
         states = tuple(declared_states)
     else:
-        states = states_in_order(init, transitions)
-    return Thread(tid, states, tuple(regs), init, tuple(transitions))
+        states = states_in_order(init.text, transitions)
+    thread = Thread(name.text, states, tuple(regs), init.text, tuple(transitions))
+    return thread, places
 
 
-def parse_program_with_target(text: str) -> tuple[Program, Optional[Target]]:
-    """Parse a program file; returns the program and its inline target, if any."""
-    p = _Parser(text)
+def _parse_program(p: _Parser) -> tuple[Program, Optional[Target], dict]:
+    """A program file: the program, its inline target, and the tokens of
+    its names by the places that model.diagnose reports on."""
     p.expect("domain")
     dom = p.expect_ident("a domain name")
     if dom.text != "nat":
         raise p.fail(f"unsupported domain '{dom.text}'", dom)
     shared: list[str] = []
+    places: dict = {"vars": []}
     while p.at("vars"):
         shared.extend(p.names("vars"))
+        places["vars"] += p.declared["vars"]
     threads: list[Thread] = []
     while p.at("thread"):
-        threads.append(_parse_thread(p))
+        thread, places[len(threads)] = _parse_thread(p)
+        threads.append(thread)
     if not threads:
         raise p.fail("a program needs at least one thread")
     target: Optional[Target] = None
@@ -288,7 +304,26 @@ def parse_program_with_target(text: str) -> tuple[Program, Optional[Target]]:
         ts = p.expect_ident("a state").text
         target = Target(tt, ts)
     p.end()
-    return Program.make(threads, shared), target
+    return Program.make(threads, shared), target, places
+
+
+def parse_program_with_target(text: str) -> tuple[Program, Optional[Target]]:
+    """Parse a program file; returns the program and its inline target, if any."""
+    return _parse_program(_Parser(text))[:2]
+
+
+def program_diagnostics(text: str) -> list[str]:
+    """validate's diagnostics on the program a file holds, each led by the
+    line and column of the name it is about (a repeated name at its second
+    mention, an undeclared state at the start of its transition)."""
+    program, _, places = _parse_program(_Parser(text))
+    located = []
+    for where, diag in diagnose(program):
+        tok = places
+        for key in where:
+            tok = tok[key]
+        located.append(f"line {tok.line}, column {tok.col}: {diag}")
+    return located
 
 
 def parse_program(text: str) -> Program:
@@ -314,7 +349,7 @@ def render_program(program: Program, target: Optional[Target] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@record
 class Dfa:
     states: tuple[str, ...]
     alphabet: tuple[str, ...]
@@ -405,7 +440,7 @@ def render_dfa(dfa: Dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@record
 class DlcsFresh:
     dst: str
 
@@ -413,7 +448,7 @@ class DlcsFresh:
         return f"{self.dst} := *"
 
 
-@dataclass(frozen=True)
+@record
 class DlcsSend:
     letter: str
     var: str
@@ -422,7 +457,7 @@ class DlcsSend:
         return f"send {self.letter} {self.var}"
 
 
-@dataclass(frozen=True)
+@record
 class DlcsRecv:
     letter: str
     var: str
@@ -434,7 +469,7 @@ class DlcsRecv:
 DlcsOp = Union[Assign, Guard, DlcsFresh, DlcsSend, DlcsRecv]
 
 
-@dataclass(frozen=True)
+@record
 class DlcsModel:
     states: tuple[str, ...]
     vars: tuple[str, ...]

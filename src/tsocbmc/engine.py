@@ -97,9 +97,9 @@ import sys
 import time
 from array import array
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
+from ._record import record
 from .abmachine import R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, ab_machine
 from .model import OP_FRESH, Program, Target
 from .relabs import (
@@ -112,28 +112,28 @@ from .verdict import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class WitnessStep:
     label: tuple              # core label (rule, thread, position, ctx)
     effects: tuple            # core effects over summary columns
     rel_after: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     k: int
     act: tuple[str, ...]
     steps: tuple[WitnessStep, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ConcreteStep:
     label: tuple              # core label, as in WitnessStep
     fresh_value: Optional[int]
     values: tuple[int, ...]   # summary-variable values after the step
 
 
-@dataclass(frozen=True)
+@record
 class ConcreteRun:
     k: int
     act: tuple[str, ...]

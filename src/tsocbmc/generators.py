@@ -17,12 +17,12 @@ independent implementations used to cross-check engine verdicts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
 
 import time
 
+from ._record import record
 from .dsl import (
     Dfa, DlcsFresh, DlcsModel, DlcsRecv, DlcsSend, render_program,
     validate_dfa, validate_dlcs,
@@ -36,7 +36,7 @@ from .verdict import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class GenResult:
     program: Program
     target: Target
@@ -236,7 +236,7 @@ def gen_intersection(dfas: list[Dfa]) -> GenResult:
 # --- lossy data channel ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DlcsConfig:
     state: str
     xval: tuple[int, ...]                    # by model var order

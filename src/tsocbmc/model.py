@@ -7,10 +7,10 @@ Programs run over the naturals.  Guards compare two registers with one of
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
+
+from ._record import record
 
 
 class RelKind(enum.Enum):
@@ -20,7 +20,7 @@ class RelKind(enum.Enum):
     LE = "<="
 
 
-@dataclass(frozen=True)
+@record
 class Relation:
     kind: RelKind
     n: int = 0
@@ -62,7 +62,7 @@ def eval_rel(rel: Relation, d1: int, d2: int) -> bool:
     return d1 + rel.n <= d2
 
 
-@dataclass(frozen=True)
+@record
 class Assign:
     """dst := src (both registers of the same thread, or both variables of
     a channel model)."""
@@ -73,7 +73,7 @@ class Assign:
         return f"{self.dst} := {self.src}"
 
 
-@dataclass(frozen=True)
+@record
 class NewValue:
     """dst := * -- load an arbitrary natural."""
     dst: str
@@ -82,7 +82,7 @@ class NewValue:
         return f"{self.dst} := *"
 
 
-@dataclass(frozen=True)
+@record
 class Guard:
     rel: Relation
     left: str
@@ -92,7 +92,7 @@ class Guard:
         return f"assume {self.left} {self.rel.render()} {self.right}"
 
 
-@dataclass(frozen=True)
+@record
 class Read:
     """Read shared variable var into register dst."""
     var: str
@@ -102,7 +102,7 @@ class Read:
         return f"read {self.var} {self.dst}"
 
 
-@dataclass(frozen=True)
+@record
 class Write:
     """Append (var, value of src) to the thread's store buffer."""
     var: str
@@ -112,7 +112,7 @@ class Write:
         return f"write {self.var} {self.src}"
 
 
-@dataclass(frozen=True)
+@record
 class Arw:
     """Atomic read-write: requires an empty buffer and memory value = expect,
     then sets var := update. expect/update are registers."""
@@ -150,14 +150,14 @@ def operands(op: Op, reg=lambda name: name, var=lambda name: name) -> tuple:
     return (OP_ARW, var(op.var), reg(op.expect), reg(op.update))
 
 
-@dataclass(frozen=True)
+@record
 class Transition:
     src: str
     op: Op
     dst: str
 
 
-@dataclass(frozen=True)
+@record
 class Thread:
     id: str
     states: tuple[str, ...]
@@ -173,7 +173,7 @@ def states_in_order(first: str, transitions, extra=()) -> tuple[str, ...]:
     return tuple(dict.fromkeys(mentioned + list(extra)))
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     threads: tuple[Thread, ...]
     shared_vars: tuple[str, ...]
@@ -186,7 +186,7 @@ class Program:
     def __hash__(self) -> int:
         # The value hash walks every transition, and the engines look the
         # program up by value (program_index, ab_machine) on every step, so
-        # it is computed once.  Equality stays the generated field compare.
+        # it is computed once.  Equality stays the record's field compare.
         try:
             return self._hash
         except AttributeError:
@@ -201,7 +201,7 @@ class Program:
         return state
 
 
-@dataclass(frozen=True)
+@record
 class Target:
     thread: str
     state: str
@@ -209,50 +209,80 @@ class Target:
 
 def validate(program: Program) -> list[str]:
     """Static checks. Returns a list of diagnostics; empty means valid."""
-    diags: list[str] = []
+    return [d for _, d in diagnose(program)]
+
+
+def _repeats(names: tuple[str, ...]) -> dict[str, int]:
+    """Each name given more than once, in order of first mention, with the
+    position of its second mention."""
+    seen: set[str] = set()
+    second: dict[str, int] = {}
+    for i, x in enumerate(names):
+        if x in seen:
+            second.setdefault(x, i)
+        seen.add(x)
+    return {x: second[x] for x in dict.fromkeys(names) if x in second}
+
+
+def diagnose(program: Program) -> list[tuple[tuple, str]]:
+    """validate's diagnostics, each with the place it is about, as a path
+    into the declarations: ("vars", i) for the i-th shared variable named;
+    (ti, "id") or (ti, "init") for thread ti's name or init state;
+    (ti, "regs", i), (ti, "states", i) or (ti, "transitions", i) for its
+    i-th register, state or transition; and (ti, "operands", pos, i) for
+    the i-th name that `operands` lists of its transition pos.  A repeated
+    name is placed at its second mention."""
+    diags: list[tuple[tuple, str]] = []
     seen_tids: set[str] = set()
-    for t in program.threads:
+    for ti, t in enumerate(program.threads):
         if t.id in seen_tids:
-            diags.append(f"duplicate thread id '{t.id}'")
+            diags.append(((ti, "id"), f"duplicate thread id '{t.id}'"))
         seen_tids.add(t.id)
 
-    if len(set(program.shared_vars)) != len(program.shared_vars):
-        diags.append("duplicate shared variable declaration")
+    repeated = _repeats(program.shared_vars)
+    if repeated:
+        diags.append((("vars", min(repeated.values())),
+                      "duplicate shared variable declaration"))
 
     # each register's declaring thread; a register a thread repeats is a
     # duplicate of that thread, not one shared with another
     reg_owner: dict[str, int] = {}
     for ti, t in enumerate(program.threads):
         states = set(t.states)
-        if len(states) != len(t.states):
-            diags.append(f"thread '{t.id}': duplicate state")
-        declared = Counter(t.regs)
-        diags.extend(f"thread '{t.id}': duplicate register '{r}'"
-                     for r, n in declared.items() if n > 1)
+        repeated = _repeats(t.states)
+        if repeated:
+            diags.append(((ti, "states", min(repeated.values())),
+                          f"thread '{t.id}': duplicate state"))
+        diags.extend(((ti, "regs", i), f"thread '{t.id}': duplicate register '{r}'")
+                     for r, i in _repeats(t.regs).items())
         if t.init not in states:
-            diags.append(f"thread '{t.id}': init state '{t.init}' undeclared")
-        for r in declared:
+            diags.append(((ti, "init"),
+                          f"thread '{t.id}': init state '{t.init}' undeclared"))
+        for r in dict.fromkeys(t.regs):
             owner = reg_owner.setdefault(r, ti)
             if owner != ti:
-                diags.append(
-                    f"register '{r}' shared by threads '{program.threads[owner].id}'"
-                    f" and '{t.id}': register sets must be disjoint")
+                diags.append(((ti, "regs", t.regs.index(r)), (
+                    f"register '{r}' shared by threads "
+                    f"'{program.threads[owner].id}' and '{t.id}': "
+                    "register sets must be disjoint")))
         regs = set(t.regs)
-        for tr in t.transitions:
+        for pos, tr in enumerate(t.transitions):
             if tr.src not in states or tr.dst not in states:
-                diags.append(
-                    f"thread '{t.id}': transition {tr.src}->{tr.dst} uses undeclared state")
-            kind, x, y, z = operands(tr.op)
-            v, op_regs = (x, (y, z)) if kind in ON_SHARED else (None, (x, y))
-            for r in op_regs:
+                diags.append(((ti, "transitions", pos), (
+                    f"thread '{t.id}': transition {tr.src}->{tr.dst} "
+                    "uses undeclared state")))
+            kind, *names = operands(tr.op)
+            shared = kind in ON_SHARED
+            for i in (1, 2) if shared else (0, 1):
+                r = names[i]
                 if r is not None and r not in regs:
-                    diags.append(
+                    diags.append(((ti, "operands", pos, i), (
                         f"thread '{t.id}': operation '{tr.op.render()}' uses "
-                        f"register '{r}' not owned by the thread")
-            if v is not None and v not in program.shared_vars:
-                diags.append(
+                        f"register '{r}' not owned by the thread")))
+            if shared and names[0] not in program.shared_vars:
+                diags.append(((ti, "operands", pos, 0), (
                     f"thread '{t.id}': operation '{tr.op.render()}' uses "
-                    f"undeclared shared variable '{v}'")
+                    f"undeclared shared variable '{names[0]}'")))
     return diags
 
 

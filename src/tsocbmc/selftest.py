@@ -10,9 +10,9 @@ line as well as inside the test suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ._record import factory, record
 from .abmachine import GuardFailedError, ab_machine
 from .engine import (
     check_reach, concrete_run_to_tso, concretize_witness, inflate,
@@ -98,12 +98,12 @@ def random_cb_run(program: Program, k: int, bounds: Bounds,
     return replay(program, labels)
 
 
-@dataclass
+@record(frozen=False)
 class SuiteResult:
     name: str
     cases: int = 0
     skipped: int = 0
-    failures: list[str] = field(default_factory=list)
+    failures: list[str] = factory(list)
 
     @property
     def ok(self) -> bool:

@@ -51,9 +51,9 @@ witness against `thread_step`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import record
 from .model import (
     OP_ARW, OP_ASSIGN, OP_FRESH, OP_GUARD, OP_READ, OP_WRITE, ON_SHARED,
     ModelTooLargeError, Program, ProgramIndex, Target, Transition, eval_rel,
@@ -65,7 +65,7 @@ from .verdict import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Bounds:
     buffer_bound: int
     domain_bound: int
@@ -78,7 +78,7 @@ class Bounds:
             raise ValueError("domain_bound above the desk-scale limit of 250")
 
 
-@dataclass(frozen=True)
+@record
 class TsoConfig:
     """st/rval/mem are indexed by the program's interning order."""
     st: tuple[int, ...]
@@ -87,7 +87,7 @@ class TsoConfig:
     mem: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Label:
     """One step: either a program transition of a thread (with the chosen
     value for `r := *`) or the update marker (delta is None) that commits the
@@ -109,7 +109,7 @@ class Label:
         return s
 
 
-@dataclass(frozen=True)
+@record
 class Run:
     initial: TsoConfig
     steps: tuple[tuple[Label, TsoConfig], ...]

@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Any, Optional
+
+from ._record import factory, record
 
 REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
@@ -12,7 +13,7 @@ UNREACHABLE_WITHIN_BOUNDS = "unreachable_within_bounds"
 BOUND_EXHAUSTED = "bound_exhausted"
 
 
-@dataclass
+@record(frozen=False)
 class Stats:
     states_explored: int = 0
     # distinct control states whose successors were computed; in the TSO
@@ -38,12 +39,12 @@ class Stats:
     stop_reason: str = ""
 
 
-@dataclass
+@record(frozen=False)
 class Verdict:
     reachable: bool
     status: str
     witness: Optional[Any] = None
-    stats: Stats = field(default_factory=Stats)
+    stats: Stats = factory(Stats)
 
 
 def _rss_mb() -> float:

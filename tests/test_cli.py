@@ -1,10 +1,9 @@
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from tsocbmc import Stats, parse_dlcs, parse_program_with_target
+from tsocbmc import Stats, asdict, parse_dlcs, parse_program_with_target
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.cli import main
 
@@ -71,7 +70,7 @@ def test_check_json_report(tmp_path, capsys):
     assert data["k"] == 2
     assert data["target"] == {"thread": "r", "state": "done"}
     # the stats object is Stats itself, field by field in order
-    assert list(data["stats"]) == [f.name for f in fields(Stats)]
+    assert list(data["stats"]) == list(asdict(Stats()))
     assert data["stats"]["states_explored"] > 0
     # every explored state pairs one of the control states with ranks
     assert 0 < data["stats"]["control_states"] <= data["stats"]["states_explored"]
@@ -354,10 +353,10 @@ def test_invalid_program_prints_one_diagnostic_a_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert captured.err.splitlines() == [
-            f"{bad}: thread 'w': operation 'write nope w_one' uses "
-            "undeclared shared variable 'nope'",
-            f"{bad}: thread 'r': operation 'read flag w_one' uses "
-            "register 'w_one' not owned by the thread"], argv
+            f"{bad}: line 13, column 20: thread 'w': operation "
+            "'write nope w_one' uses undeclared shared variable 'nope'",
+            f"{bad}: line 20, column 24: thread 'r': operation "
+            "'read flag w_one' uses register 'w_one' not owned by the thread"], argv
 
 
 def test_file_not_utf8_is_a_usage_error(tmp_path, capsys):
@@ -447,7 +446,8 @@ def test_parse_reports_a_repeated_register_once(tmp_path, capsys):
                    "  q0 -> q1 : read x r\n}\ntarget t : q1\n")
     assert main(["parse", str(src)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [f"{src}: thread 't': duplicate register 'r'"]
+    assert captured.err.splitlines() == [
+        f"{src}: line 4, column 10: thread 't': duplicate register 'r'"]
     assert captured.out == ""
 
 

@@ -1,14 +1,14 @@
 import pytest
 
-from dataclasses import replace
-
 from tsocbmc import (
     EQ, LT, NEQ, Arw, Assign, Dfa, DlcsModel, Guard, NewValue, ParseError,
     Program, Read, Target, Thread, Transition, Write, lt, parse_dfa, parse_dlcs,
     parse_program, parse_program_with_target, render_dfa, render_dlcs,
-    render_program, validate, validate_dfa,
+    render_program, replace, validate, validate_dfa,
 )
-from tsocbmc.dsl import DlcsFresh, DlcsRecv, DlcsSend, _tokenize, validate_dlcs
+from tsocbmc.dsl import (
+    DlcsFresh, DlcsRecv, DlcsSend, _tokenize, program_diagnostics, validate_dlcs,
+)
 
 SAMPLE = """\
 # two threads passing a value
@@ -188,6 +188,43 @@ def test_declaration_error_points_at_the_name(parse, text, message, at):
     with pytest.raises(ParseError, match=message) as err:
         parse(text)
     assert (err.value.span.line, err.value.span.column) == at
+
+
+@pytest.mark.parametrize("old, new, message, at", [
+    ("  init w0", "  states w0 w1 w2 w3 w4\n  init w9",
+     "thread 'w': init state 'w9' undeclared", (8, 8)),
+    ("write data one", "write nope one",
+     "thread 'w': operation 'write nope one' uses undeclared shared "
+     "variable 'nope'", (10, 20)),
+    ("read flag seen", "read flag one",
+     "thread 'r': operation 'read flag one' uses register 'one' not owned "
+     "by the thread", (17, 24)),
+    ("assume seen <1 seen", "assume seen <1 one",
+     "thread 'r': operation 'assume seen <1 one' uses register 'one' not "
+     "owned by the thread", (18, 29)),
+    ("one := *", "nope := *",
+     "thread 'w': operation 'nope := *' uses register 'nope' not owned by "
+     "the thread", (8, 14)),
+    ("  init w0", "  states w0 w1 w2 w3 w4 w1\n  init w0",
+     "thread 'w': duplicate state", (7, 25)),
+    ("regs one zero", "regs one zero one",
+     "thread 'w': duplicate register 'one'", (6, 17)),
+    ("regs seen", "regs seen zero",
+     "register 'zero' shared by threads 'w' and 'r': register sets must be "
+     "disjoint", (15, 13)),
+    ("thread r {", "thread w {", "duplicate thread id 'w'", (14, 8)),
+    ("vars data flag", "vars data flag data",
+     "duplicate shared variable declaration", (3, 16)),
+    ("  init r0", "  states r0 r1\n  init r0",
+     "thread 'r': transition r1->r2 uses undeclared state", (19, 3)),
+])
+def test_program_diagnostic_points_at_the_name(old, new, message, at):
+    # a program that parses but does not validate: each diagnostic leads
+    # with the line and column of the name it reports, a repeated name at
+    # its second mention, an undeclared state at its transition's start
+    text = SAMPLE.replace(old, new)
+    assert f"line {at[0]}, column {at[1]}: {message}" in program_diagnostics(text)
+    assert message in validate(parse_program(text))
 
 
 DLCS = """dlcs

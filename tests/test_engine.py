@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +11,7 @@ from tsocbmc import (
     NewValue, Program, REACHABLE, Read, Target,
     Thread, Transition, UNREACHABLE, Write, abstract_of, cb_partition_check,
     cb_reach_bounded, check_reach, concrete_run_to_tso, concretize_witness,
-    inflate, le, lt, parse_program_with_target, validate_witness,
+    inflate, le, lt, parse_program_with_target, replace, validate_witness,
 )
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.engine import _seed_order

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -7,7 +6,8 @@ from tsocbmc import (
     Assign, Bounds, Dfa, DlcsModel, EQ, LT, NEQ, Target, check_reach,
     concretize_witness, dfa_intersection_oracle, dlcs_reach_bounded,
     gen_bakery, gen_dlcs_reduction, gen_intersection,
-    parse_program_with_target, tso_reach_bounded, validate, validate_witness,
+    parse_program_with_target, replace, tso_reach_bounded, validate,
+    validate_witness,
 )
 from tsocbmc.dsl import DlcsFresh, DlcsRecv, DlcsSend
 from tsocbmc.model import Guard

@@ -1,8 +1,12 @@
-"""Every module-level import of a package module is used in that module.
+"""Every module-level import of a package module is used in that module,
+and importing the package loads no `dataclasses`.
 
-`__init__` is left out: its imports are the package's exports.
+`__init__` is left out of the first check: its imports are the package's
+exports.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +35,16 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_package_imports_without_dataclasses():
+    # a fresh interpreter, so no other test's imports count; `dataclasses`
+    # pulls in inspect, ast, dis and tokenize, and builds each class with
+    # exec, which every tsocbmc process would pay at start-up
+    modules = ["tsocbmc"] + [f"tsocbmc.{m[:-3]}" for m in MODULES]
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+            f"import {', '.join(modules)}; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

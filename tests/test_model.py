@@ -1,9 +1,9 @@
 import pytest
 
 from tsocbmc import (
-    EQ, LE, LT, NEQ, Arw, Assign, Guard, InvalidProgramError, NewValue,
-    Program, Read, Relation, Target, Thread, Transition, Write, eval_rel, le,
-    lt, validate,
+    EQ, LE, LT, NEQ, Arw, Assign, Bounds, Guard, InvalidProgramError, Label,
+    NewValue, Program, Read, Relation, Stats, Target, Thread, Transition,
+    Verdict, Write, asdict, eval_rel, le, lt, replace, validate,
 )
 from tsocbmc.model import (
     OP_ARW, OP_ASSIGN, OP_FRESH, OP_GUARD, OP_READ, OP_WRITE, operands,
@@ -192,3 +192,53 @@ def test_equal_programs_share_hash_and_index():
     p3 = pickle.loads(pickle.dumps(p1))
     assert "_hash" not in vars(p3)
     assert p3 == p1 and hash(p3) == hash(p1)
+
+
+def _raises(error, act):
+    """The name of the error act raises, checked to be `error`."""
+    with pytest.raises(error):
+        act()
+    return error.__name__
+
+
+STATS_REPR = ("Stats(states_explored=0, control_states=0, peak_frontier=0, "
+              "rank_tuples=0, move_keys=0, rel_apply_calls=0, wall_ms=0.0, "
+              "stop_reason='')")
+
+
+@pytest.mark.parametrize("what, act, expected", [
+    ("classes differ", lambda: Read("x", "r") == Write("x", "r"), False),
+    ("values equal", lambda: Read("x", "r") == Read(var="x", dst="r"), True),
+    ("equal values hash alike",
+     lambda: hash(Guard(EQ, "a", "b")) == hash(Guard(EQ, "a", "b")), True),
+    ("hash is the field tuple's",
+     lambda: hash(Label("t", None, 2)) == hash(("t", None, 2)), True),
+    ("one field hashes as a 1-tuple",
+     lambda: hash(NewValue("r")) == hash(("r",)), True),
+    ("frozen field", lambda: _raises(AttributeError,
+                                     lambda: setattr(Read("x", "r"), "var", "y")),
+     "AttributeError"),
+    ("bad bounds", lambda: _raises(ValueError, lambda: Bounds(-1, 0, 0)),
+     "ValueError"),
+    ("bad bounds by replace",
+     lambda: _raises(ValueError, lambda: replace(Bounds(0, 0, 0), buffer_bound=-1)),
+     "ValueError"),
+    ("replace changes one field",
+     lambda: replace(Label("t", None), value=3), Label("t", None, 3)),
+    ("unknown field", lambda: _raises(TypeError, lambda: Label("t", None, bad=1)),
+     "TypeError"),
+    ("missing field", lambda: _raises(TypeError, lambda: Label("t")), "TypeError"),
+    ("guard repr", lambda: repr(Guard(EQ, "a", "b")),
+     "Guard(rel=Relation(kind=<RelKind.EQ: '='>, n=0), left='a', right='b')"),
+    ("label repr", lambda: repr(Label("t", None)),
+     "Label(thread='t', delta=None, value=None)"),
+    ("stats repr", lambda: repr(Stats()), STATS_REPR),
+    ("stats unhashable", lambda: _raises(TypeError, lambda: hash(Stats())),
+     "TypeError"),
+    ("stats assignable", lambda: setattr(Stats(), "move_keys", 1), None),
+    ("fresh default per instance",
+     lambda: Verdict(False, "x").stats is Verdict(False, "x").stats, False),
+    ("fields in order", lambda: list(asdict(Target("t", "q"))), ["thread", "state"]),
+])
+def test_record_semantics(what, act, expected):
+    assert act() == expected, what
