@@ -265,14 +265,7 @@ class AbMachine:
         return [self.initial_flat(act) for act in product(range(self.nt), repeat=self.k)]
 
     def _c_max(self, s: tuple[int, ...], ti: int) -> int:
-        base = self.C + ti
-        nt = self.nt
-        m = 0
-        for x in range(self.nx):
-            v = s[base + x * nt]
-            if v > m:
-                m = v
-        return m
+        return max(s[self.C + ti:self.U:self.nt], default=0)
 
     def transitions_flat(self, s: tuple[int, ...]):
         """All successors: [(label_core, effects, s')].

@@ -50,18 +50,23 @@ offsets (`<N`, `<=N`) take ASCII digits only.  Any keyword may also be used
 as a name.
 
 Rendering is canonical: parse(render(m)) == m for all three formats.
+
+Diagnostics are placed one way in all three formats: `model.diagnose`,
+`diagnose_dfa` and `diagnose_dlcs` pair each with its place, a path of keys
+such as ("finals", 1), and the parser keeps each place's token for
+`_locate`.  A program lists every diagnostic; a DFA or channel model raises
+its first as a ParseError.
 """
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from ._record import record, replace
+from ._record import record
 from .model import (
     EQ, LE, LT, NEQ, OP_ASSIGN, OP_GUARD, Arw, Assign, Guard, NewValue, Op,
     Program, Read, Relation, RelKind, Target, Thread, Transition, Write,
-    diagnose, operands, states_in_order,
+    _repeats, diagnose, operands, states_in_order,
 )
 
 
@@ -127,7 +132,8 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
-        # the name tokens of each declaration, by keyword
+        # the name tokens of each declaration, by keyword, and in a DFA or
+        # channel model the first token of each transition, by "transitions"
         self.declared: dict[str, list[_Token]] = {}
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -319,11 +325,16 @@ def program_diagnostics(text: str) -> list[str]:
     program, _, places = _parse_program(_Parser(text))
     located = []
     for where, diag in diagnose(program):
-        tok = places
-        for key in where:
-            tok = tok[key]
+        tok = _locate(places, where)
         located.append(f"line {tok.line}, column {tok.col}: {diag}")
     return located
+
+
+def _locate(places, where: tuple) -> _Token:
+    """The token a diagnostic's place, a path of keys, leads to in places."""
+    for key in where:
+        places = places[key]
+    return places
 
 
 def parse_program(text: str) -> Program:
@@ -366,7 +377,7 @@ def parse_dfa(text: str) -> Dfa:
     init = p.name("init", "the initial state")
     finals = p.names("finals")
     transitions: list[tuple[str, str, str]] = []
-    starts: list[_Token] = []
+    starts = p.declared["transitions"] = []
     while p.peek().kind == "ident":
         starts.append(p.peek())
         src = p.next().text
@@ -376,57 +387,42 @@ def parse_dfa(text: str) -> Dfa:
         transitions.append((src, letter, dst))
     p.end()
     dfa = Dfa(tuple(states), tuple(alphabet), init, tuple(finals), tuple(transitions))
-    _check(p, validate_dfa, dfa, starts)
+    _check(p, diagnose_dfa(dfa))
     return dfa
 
 
-# The declaration keyword of each kind of name that validate_dfa and
-# validate_dlcs report on the declarations, in "duplicate <kind> '<name>'"
-# or "<kind> '<name>' undeclared"
-_DECLARED_BY = {"state": "states", "letter": "alphabet", "variable": "vars",
-                "final state": "finals", "init state": "init",
-                "target state": "target"}
-_DECLARATION_DIAG = re.compile(r"(duplicate )?(.+?) '(.*)'")
-
-
-def _check(p: _Parser, validate: Callable, model: Union[Dfa, DlcsModel],
-           starts: list[_Token]) -> None:
-    """Raise validate's first diagnostic on a parsed DFA or channel model:
-    one on the declarations at the name it reports (a duplicate at its
-    second mention), and any other at the first token of the first
-    transition that gives it alone."""
-    diags = validate(model)
+def _check(p: _Parser, diags: list[tuple[tuple, str]]) -> None:
+    """Raise the first of a parsed DFA's or channel model's diagnostics at
+    the token of its place."""
     if diags:
-        if diags[0] in validate(replace(model, transitions=())):
-            dup, kind, name = _DECLARATION_DIAG.match(diags[0]).groups()
-            toks = [t for t in p.declared[_DECLARED_BY[kind]] if t.text == name]
-            tok = toks[1 if dup else 0]
-        else:
-            tok = next(t for t, tr in zip(starts, model.transitions)
-                       if diags[0] in validate(replace(model, transitions=(tr,))))
-        raise p.fail(diags[0], tok)
+        where, message = diags[0]
+        raise p.fail(message, _locate(p.declared, where))
 
 
-def _duplicates(what: str, names: tuple[str, ...]) -> list[str]:
-    return [f"duplicate {what} '{n}'" for n, c in Counter(names).items() if c > 1]
-
-
-def validate_dfa(dfa: Dfa) -> list[str]:
-    diags = (_duplicates("state", dfa.states) + _duplicates("letter", dfa.alphabet)
-             + _duplicates("final state", dfa.finals))
+def diagnose_dfa(dfa: Dfa) -> list[tuple[tuple, str]]:
+    """validate_dfa's diagnostics, each with the place it is about:
+    (keyword, i) for the i-th name of a declaration, a repeated name at its
+    second mention, ("init", 0), or ("transitions", i)."""
+    diags = [((kw, i), f"duplicate {what} '{n}'") for kw, what in
+             (("states", "state"), ("alphabet", "letter"), ("finals", "final state"))
+             for n, i in _repeats(getattr(dfa, kw)).items()]
     states = set(dfa.states)
     letters = set(dfa.alphabet)
     if dfa.init not in states:
-        diags.append(f"init state '{dfa.init}' undeclared")
-    for f in dfa.finals:
-        if f not in states:
-            diags.append(f"final state '{f}' undeclared")
-    for (a, letter, b) in dfa.transitions:
+        diags.append((("init", 0), f"init state '{dfa.init}' undeclared"))
+    diags += [(("finals", i), f"final state '{f}' undeclared")
+              for i, f in enumerate(dfa.finals) if f not in states]
+    for i, (a, letter, b) in enumerate(dfa.transitions):
+        uses = f"transition {a} {letter} -> {b} uses undeclared"
         if a not in states or b not in states:
-            diags.append(f"transition {a} {letter} -> {b} uses undeclared state")
+            diags.append((("transitions", i), f"{uses} state"))
         if letter not in letters:
-            diags.append(f"transition {a} {letter} -> {b} uses undeclared letter")
+            diags.append((("transitions", i), f"{uses} letter"))
     return diags
+
+
+def validate_dfa(dfa: Dfa) -> list[str]:
+    return [d for _, d in diagnose_dfa(dfa)]
 
 
 def render_dfa(dfa: Dfa) -> str:
@@ -490,7 +486,7 @@ def parse_dlcs(text: str) -> DlcsModel:
     if p.at("target") and p.peek(1).text != "->":  # else a transition's source
         target = p.name("target", "a state")
     transitions: list[tuple[str, DlcsOp, str]] = []
-    starts: list[_Token] = []
+    starts = p.declared["transitions"] = []
     while p.peek().kind == "ident":
         starts.append(p.peek())
         src = p.next().text
@@ -516,39 +512,47 @@ def parse_dlcs(text: str) -> DlcsModel:
     p.end()
     m = DlcsModel(tuple(states), tuple(dvars), tuple(alphabet), init,
                   tuple(transitions), target)
-    _check(p, validate_dlcs, m, starts)
+    _check(p, diagnose_dlcs(m))
     return m
 
 
-def validate_dlcs(m: DlcsModel) -> list[str]:
-    diags = (_duplicates("state", m.states) + _duplicates("variable", m.vars)
-             + _duplicates("letter", m.alphabet))
+def diagnose_dlcs(m: DlcsModel) -> list[tuple[tuple, str]]:
+    """validate_dlcs's diagnostics, each with its place as in diagnose_dfa,
+    ("target", 0) for the target state."""
+    diags = [((kw, i), f"duplicate {what} '{n}'") for kw, what in
+             (("states", "state"), ("vars", "variable"), ("alphabet", "letter"))
+             for n, i in _repeats(getattr(m, kw)).items()]
     states = set(m.states)
     dvars = set(m.vars)
     letters = set(m.alphabet)
     if m.init not in states:
-        diags.append(f"init state '{m.init}' undeclared")
+        diags.append((("init", 0), f"init state '{m.init}' undeclared"))
     if m.target is not None and m.target not in states:
-        diags.append(f"target state '{m.target}' undeclared")
-    for (a, op, b) in m.transitions:
+        diags.append((("target", 0), f"target state '{m.target}' undeclared"))
+    for i, (a, op, b) in enumerate(m.transitions):
+        where = ("transitions", i)
         if a not in states or b not in states:
-            diags.append(f"transition {a} -> {b} uses undeclared state")
+            diags.append((where, f"transition {a} -> {b} uses undeclared state"))
         if isinstance(op, (DlcsSend, DlcsRecv)):
             if op.letter not in letters:
-                diags.append(f"op '{op.render()}' uses undeclared letter")
+                diags.append((where, f"op '{op.render()}' uses undeclared letter"))
             used = (op.var,)
         elif isinstance(op, DlcsFresh):
             used = (op.dst,)
         else:
             kind, x, y, rel = operands(op)
             if kind != OP_ASSIGN and (kind != OP_GUARD or rel not in (EQ, NEQ)):
-                diags.append(f"op '{op.render()}' is not a channel model operation")
+                diags.append((where, f"op '{op.render()}' is not a channel model "
+                                     "operation"))
                 continue
             used = (x, y)
-        for v in used:
-            if v not in dvars:
-                diags.append(f"op '{op.render()}' uses undeclared variable")
+        diags += [(where, f"op '{op.render()}' uses undeclared variable")
+                  for v in used if v not in dvars]
     return diags
+
+
+def validate_dlcs(m: DlcsModel) -> list[str]:
+    return [d for _, d in diagnose_dlcs(m)]
 
 
 def render_dlcs(m: DlcsModel) -> str:

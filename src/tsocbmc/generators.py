@@ -236,13 +236,6 @@ def gen_intersection(dfas: list[Dfa]) -> GenResult:
 # --- lossy data channel ------------------------------------------------------
 
 
-@record
-class DlcsConfig:
-    state: str
-    xval: tuple[int, ...]                    # by model var order
-    channel: tuple[tuple[str, int], ...]     # newest first; receive pops the tail
-
-
 def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
                        fresh_values: int, depth: int = 10_000,
                        max_states: int = 500_000) -> Verdict:
@@ -262,8 +255,10 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
 
     stats = Stats()
     start = time.perf_counter()
-    init = DlcsConfig(m.init, (0,) * len(m.vars), ())
-    parents: dict[DlcsConfig, Optional[tuple[DlcsConfig, str]]] = {init: None}
+    # a configuration is (state, xval, channel): xval by model var order, the
+    # channel newest first (a receive pops the tail)
+    init = (m.init, (0,) * len(m.vars), ())
+    parents: dict[tuple, Optional[tuple[tuple, str]]] = {init: None}
     frontier = deque([init])
 
     def finish(found: bool, status: str, node=None) -> Verdict:
@@ -280,14 +275,14 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
             witness = tuple(steps)
         return Verdict(found, status, witness, stats)
 
-    if init.state == target_state:
+    if m.init == target_state:
         return finish(True, REACHABLE, init)
 
-    def push(cfg: DlcsConfig, parent: DlcsConfig, label: str, nxt: deque) -> Optional[Verdict]:
+    def push(cfg: tuple, parent: tuple, label: str, nxt: deque) -> Optional[Verdict]:
         if cfg in parents:
             return None
         parents[cfg] = (parent, label)
-        if cfg.state == target_state:
+        if cfg[0] == target_state:
             return finish(True, REACHABLE, cfg)
         if len(parents) > max_states:
             stats.stop_reason = "max_states"
@@ -301,48 +296,43 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
         nxt: deque = deque()
         while frontier:
             cfg = frontier.popleft()
+            state, xval, w = cfg
             stats.states_explored += 1
-            for op, dst in out[cfg.state]:
-                succs: list[tuple[DlcsConfig, str]] = []
+            for op, dst in out[state]:
+                succs: list[tuple[tuple, str]] = []
                 if isinstance(op, DlcsFresh):
-                    used = set(cfg.xval)
+                    used = set(xval)
                     for d in pool:
                         if d in used:
                             continue
-                        xv = list(cfg.xval)
+                        xv = list(xval)
                         xv[vid[op.dst]] = d
-                        succs.append((DlcsConfig(dst, tuple(xv), cfg.channel),
-                                      f"{op.dst} := {d}"))
+                        succs.append(((dst, tuple(xv), w), f"{op.dst} := {d}"))
                 elif isinstance(op, DlcsSend):
-                    if len(cfg.channel) < channel_len:
-                        entry = (op.letter, cfg.xval[vid[op.var]])
-                        succs.append((DlcsConfig(dst, cfg.xval, (entry,) + cfg.channel),
-                                      op.render()))
+                    if len(w) < channel_len:
+                        entry = (op.letter, xval[vid[op.var]])
+                        succs.append(((dst, xval, (entry,) + w), op.render()))
                 elif isinstance(op, DlcsRecv):  # the oldest entry sits at the tail
-                    if cfg.channel:
-                        letter, d = cfg.channel[-1]
-                        if letter == op.letter:
-                            xv = list(cfg.xval)
-                            xv[vid[op.var]] = d
-                            succs.append((DlcsConfig(dst, tuple(xv), cfg.channel[:-1]),
-                                          op.render()))
+                    if w and w[-1][0] == op.letter:
+                        xv = list(xval)
+                        xv[vid[op.var]] = w[-1][1]
+                        succs.append(((dst, tuple(xv), w[:-1]), op.render()))
                 else:
                     kind, x, y, rel = operands(op, vid.__getitem__)
                     if kind == OP_ASSIGN:
-                        xv = list(cfg.xval)
+                        xv = list(xval)
                         xv[x] = xv[y]
-                        succs.append((DlcsConfig(dst, tuple(xv), cfg.channel), op.render()))
-                    elif eval_rel(rel, cfg.xval[x], cfg.xval[y]):
-                        succs.append((DlcsConfig(dst, cfg.xval, cfg.channel), op.render()))
+                        succs.append(((dst, tuple(xv), w), op.render()))
+                    elif eval_rel(rel, xval[x], xval[y]):
+                        succs.append(((dst, xval, w), op.render()))
                 for cfg2, label in succs:
                     v = push(cfg2, cfg, label, nxt)
                     if v is not None:
                         return v
             # lossiness: any proper subsequence of the channel
-            w = cfg.channel
             for mask in range((1 << len(w)) - 1):
                 sub = tuple(w[i] for i in range(len(w)) if mask & (1 << i))
-                v = push(DlcsConfig(cfg.state, cfg.xval, sub), cfg, "loss", nxt)
+                v = push((state, xval, sub), cfg, "loss", nxt)
                 if v is not None:
                     return v
         frontier = nxt

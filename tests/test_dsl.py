@@ -1,3 +1,7 @@
+import random
+import re
+from pathlib import Path
+
 import pytest
 
 from tsocbmc import (
@@ -181,6 +185,22 @@ def test_dfa_transition_error_points_at_the_transition():
      "duplicate state 's0'", (3, 14)),
     (parse_dlcs, "dlcs\nstates q\nvars v w v\nalphabet a\ninit q\n",
      "duplicate variable 'v'", (3, 10)),
+    (parse_dfa, "dfa\nalphabet a b a\nstates s0\ninit s0\nfinals s0\n",
+     "duplicate letter 'a'", (2, 14)),
+    (parse_dfa, "dfa\nalphabet a\nstates s0\ninit s0\nfinals s0 s0\n",
+     "duplicate final state 's0'", (5, 11)),
+    (parse_dfa, "dfa\nalphabet a\nstates s0\ninit s0\nfinals s0\ns0 a -> s0\n"
+     "s0 a -> s5\n", "transition s0 a -> s5 uses undeclared state", (7, 1)),
+    (parse_dlcs, "dlcs\nstates q p q\nvars v\nalphabet a\ninit q\n",
+     "duplicate state 'q'", (2, 12)),
+    (parse_dlcs, "dlcs\nstates q\nvars v\nalphabet a b a\ninit q\n",
+     "duplicate letter 'a'", (4, 14)),
+    (parse_dlcs, "dlcs\nstates q\nvars v\nalphabet a\ninit q9\n",
+     "init state 'q9' undeclared", (5, 6)),
+    (parse_dlcs, "dlcs\nstates q\nvars v\nalphabet a\ninit q\nq -> q : send a v\n"
+     "q -> r : send a v\n", "transition q -> r uses undeclared state", (7, 1)),
+    (parse_dlcs, "dlcs\nstates q\nvars v\nalphabet a\ninit q\nq -> q : send a v\n"
+     "  q -> q : recv a u\n", "op 'recv a u' uses undeclared variable", (7, 3)),
 ])
 def test_declaration_error_points_at_the_name(parse, text, message, at):
     # a diagnostic on the declarations points at the name it reports, a
@@ -225,6 +245,38 @@ def test_program_diagnostic_points_at_the_name(old, new, message, at):
     text = SAMPLE.replace(old, new)
     assert f"line {at[0]}, column {at[1]}: {message}" in program_diagnostics(text)
     assert message in validate(parse_program(text))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+MODEL_FILES = sorted([*ROOT.glob("corpus/*.tso"), *ROOT.glob("tests/golden/*.dfa"),
+                      *ROOT.glob("tests/golden/*.dlcs")])
+
+
+def test_name_swaps_fail_only_as_parse_errors_and_locate_every_diagnostic():
+    # seeded swaps of names in the shipped model files: a file that does not
+    # parse raises a ParseError, never another error, and a program that
+    # parses but does not validate gets one located line per diagnostic
+    parse = {".tso": parse_program, ".dfa": parse_dfa, ".dlcs": parse_dlcs}
+    texts = [re.sub(r"#.*", "", f.read_text()) for f in MODEL_FILES]
+    vocab = sorted({w for t in texts for w in re.findall(r"\w+", t)})
+    rng = random.Random(0)
+    located_programs = 0
+    for case in range(400):
+        path, text = MODEL_FILES[case % len(texts)], texts[case % len(texts)]
+        for _ in range(rng.randint(1, 2)):
+            m = rng.choice(list(re.finditer(r"\w+", text)))
+            text = text[:m.start()] + rng.choice(vocab) + text[m.end():]
+        try:
+            parsed = parse[path.suffix](text)
+        except ParseError:
+            continue
+        if path.suffix == ".tso" and validate(parsed):
+            located_programs += 1
+            diags, located = validate(parsed), program_diagnostics(text)
+            assert len(located) == len(diags)
+            for line, diag in zip(located, diags):
+                assert re.fullmatch(rf"line \d+, column \d+: {re.escape(diag)}", line)
+    assert located_programs >= 20
 
 
 DLCS = """dlcs
