@@ -14,6 +14,7 @@ concretize.  No failure exits 0 or 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -261,6 +262,8 @@ def _cmd_selftest(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+# parse_args keeps no state between calls, so one parser serves them all
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsocbmc",

@@ -341,22 +341,22 @@ def parse_program(text: str) -> Program:
     return parse_program_with_target(text)[0]
 
 
+def _names_line(keyword: str, names: tuple[str, ...]) -> str:
+    """A `keyword name ...` declaration line, the bare keyword without names."""
+    return " ".join((keyword, *names))
+
+
 def render_program(program: Program, target: Optional[Target] = None) -> str:
     lines = ["domain nat"]
     if program.shared_vars:
-        lines.append("vars " + " ".join(program.shared_vars))
+        lines.append(_names_line("vars", program.shared_vars))
     for t in program.threads:
-        lines.append("")
-        lines.append(f"thread {t.id} {{")
-        lines.append("  regs" + ("" if not t.regs else " " + " ".join(t.regs)))
-        lines.append("  states " + " ".join(t.states))
-        lines.append(f"  init {t.init}")
-        for tr in t.transitions:
-            lines.append(f"  {tr.src} -> {tr.dst} : {tr.op.render()}")
+        lines += ["", f"thread {t.id} {{", "  " + _names_line("regs", t.regs),
+                  "  " + _names_line("states", t.states), f"  init {t.init}"]
+        lines += [f"  {tr.src} -> {tr.dst} : {tr.op.render()}" for tr in t.transitions]
         lines.append("}")
     if target is not None:
-        lines.append("")
-        lines.append(f"target {target.thread} : {target.state}")
+        lines += ["", f"target {target.thread} : {target.state}"]
     return "\n".join(lines) + "\n"
 
 
@@ -426,11 +426,9 @@ def validate_dfa(dfa: Dfa) -> list[str]:
 
 
 def render_dfa(dfa: Dfa) -> str:
-    lines = ["dfa"]
-    lines.append("alphabet " + " ".join(dfa.alphabet))
-    lines.append("states " + " ".join(dfa.states))
-    lines.append(f"init {dfa.init}")
-    lines.append("finals" + ("" if not dfa.finals else " " + " ".join(dfa.finals)))
+    lines = ["dfa", _names_line("alphabet", dfa.alphabet),
+             _names_line("states", dfa.states), f"init {dfa.init}",
+             _names_line("finals", dfa.finals)]
     for (a, letter, b) in dfa.transitions:
         lines.append(f"{a} {letter} -> {b}")
     return "\n".join(lines) + "\n"
@@ -556,11 +554,8 @@ def validate_dlcs(m: DlcsModel) -> list[str]:
 
 
 def render_dlcs(m: DlcsModel) -> str:
-    lines = ["dlcs"]
-    lines.append("states " + " ".join(m.states))
-    lines.append("vars" + ("" if not m.vars else " " + " ".join(m.vars)))
-    lines.append("alphabet" + ("" if not m.alphabet else " " + " ".join(m.alphabet)))
-    lines.append(f"init {m.init}")
+    lines = ["dlcs", _names_line("states", m.states), _names_line("vars", m.vars),
+             _names_line("alphabet", m.alphabet), f"init {m.init}"]
     if m.target is not None:
         lines.append(f"target {m.target}")
     for (a, op, b) in m.transitions:

@@ -31,6 +31,7 @@ from .model import (
     EQ, LT, NEQ, OP_ASSIGN, Arw, Assign, Guard, NewValue, Program, Read,
     Target, Thread, Transition, Write, eval_rel, operands, states_in_order,
 )
+from .tso import _put
 from .verdict import (
     BOUND_EXHAUSTED, REACHABLE, UNREACHABLE_WITHIN_BOUNDS, Stats, Verdict,
 )
@@ -240,8 +241,10 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
                        fresh_values: int, depth: int = 10_000,
                        max_states: int = 500_000) -> Verdict:
     """Explicit search of the channel system with a finite fresh-value pool
-    and a channel length cap.  Loss steps drop any subset of the channel.
-    Negative answers are relative to the bounds."""
+    and a channel length cap.  A state's successors come from one
+    enumeration: its operations in declaration order, then its losses, each
+    dropping a subset of the channel.  Negative answers are relative to the
+    bounds."""
     diags = validate_dlcs(m)
     if diags:
         raise ValueError(diags[0])
@@ -253,94 +256,75 @@ def dlcs_reach_bounded(m: DlcsModel, target_state: str, channel_len: int,
         out[src].append((op, dst))
     pool = list(range(1, fresh_values + 1))
 
-    stats = Stats()
-    start = time.perf_counter()
     # a configuration is (state, xval, channel): xval by model var order, the
     # channel newest first (a receive pops the tail)
+    def moves(cfg: tuple):
+        """Each step from cfg as (successor, label), in the order above."""
+        state, xval, w = cfg
+        for op, dst in out[state]:
+            if isinstance(op, DlcsFresh):
+                for d in pool:
+                    if d not in xval:
+                        yield (dst, _put(xval, vid[op.dst], d), w), f"{op.dst} := {d}"
+            elif isinstance(op, DlcsSend):
+                if len(w) < channel_len:
+                    entry = (op.letter, xval[vid[op.var]])
+                    yield (dst, xval, (entry,) + w), op.render()
+            elif isinstance(op, DlcsRecv):  # the oldest entry sits at the tail
+                if w and w[-1][0] == op.letter:
+                    yield (dst, _put(xval, vid[op.var], w[-1][1]), w[:-1]), op.render()
+            else:
+                kind, x, y, rel = operands(op, vid.__getitem__)
+                if kind == OP_ASSIGN:
+                    yield (dst, _put(xval, x, xval[y]), w), op.render()
+                elif eval_rel(rel, xval[x], xval[y]):
+                    yield (dst, xval, w), op.render()
+        # lossiness: any proper subsequence of the channel
+        for mask in range((1 << len(w)) - 1):
+            sub = tuple(w[i] for i in range(len(w)) if mask & (1 << i))
+            yield (state, xval, sub), "loss"
+
+    stats = Stats()
+    start = time.perf_counter()
     init = (m.init, (0,) * len(m.vars), ())
     parents: dict[tuple, Optional[tuple[tuple, str]]] = {init: None}
-    frontier = deque([init])
 
-    def finish(found: bool, status: str, node=None) -> Verdict:
+    def finish(status: str, node: Optional[tuple] = None) -> Verdict:
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         witness = None
-        if found:
+        if node is not None:
             steps = []
-            cur = node
-            while parents[cur] is not None:
-                prev, label = parents[cur]
+            while parents[node] is not None:
+                node, label = parents[node]
                 steps.append(label)
-                cur = prev
-            steps.reverse()
-            witness = tuple(steps)
-        return Verdict(found, status, witness, stats)
+            witness = tuple(reversed(steps))
+        return Verdict(witness is not None, status, witness, stats)
 
     if m.init == target_state:
-        return finish(True, REACHABLE, init)
-
-    def push(cfg: tuple, parent: tuple, label: str, nxt: deque) -> Optional[Verdict]:
-        if cfg in parents:
-            return None
-        parents[cfg] = (parent, label)
-        if cfg[0] == target_state:
-            return finish(True, REACHABLE, cfg)
-        if len(parents) > max_states:
-            stats.stop_reason = "max_states"
-            return finish(False, BOUND_EXHAUSTED)
-        nxt.append(cfg)
-        return None
-
+        return finish(REACHABLE, init)
+    frontier = [init]
     level = 0
     while frontier and level < depth:
         level += 1
-        nxt: deque = deque()
-        while frontier:
-            cfg = frontier.popleft()
-            state, xval, w = cfg
+        nxt = []
+        for cfg in frontier:
             stats.states_explored += 1
-            for op, dst in out[state]:
-                succs: list[tuple[tuple, str]] = []
-                if isinstance(op, DlcsFresh):
-                    used = set(xval)
-                    for d in pool:
-                        if d in used:
-                            continue
-                        xv = list(xval)
-                        xv[vid[op.dst]] = d
-                        succs.append(((dst, tuple(xv), w), f"{op.dst} := {d}"))
-                elif isinstance(op, DlcsSend):
-                    if len(w) < channel_len:
-                        entry = (op.letter, xval[vid[op.var]])
-                        succs.append(((dst, xval, (entry,) + w), op.render()))
-                elif isinstance(op, DlcsRecv):  # the oldest entry sits at the tail
-                    if w and w[-1][0] == op.letter:
-                        xv = list(xval)
-                        xv[vid[op.var]] = w[-1][1]
-                        succs.append(((dst, tuple(xv), w[:-1]), op.render()))
-                else:
-                    kind, x, y, rel = operands(op, vid.__getitem__)
-                    if kind == OP_ASSIGN:
-                        xv = list(xval)
-                        xv[x] = xv[y]
-                        succs.append(((dst, tuple(xv), w), op.render()))
-                    elif eval_rel(rel, xval[x], xval[y]):
-                        succs.append(((dst, xval, w), op.render()))
-                for cfg2, label in succs:
-                    v = push(cfg2, cfg, label, nxt)
-                    if v is not None:
-                        return v
-            # lossiness: any proper subsequence of the channel
-            for mask in range((1 << len(w)) - 1):
-                sub = tuple(w[i] for i in range(len(w)) if mask & (1 << i))
-                v = push((state, xval, sub), cfg, "loss", nxt)
-                if v is not None:
-                    return v
+            for cfg2, label in moves(cfg):
+                if cfg2 in parents:
+                    continue
+                parents[cfg2] = (cfg, label)
+                if cfg2[0] == target_state:
+                    return finish(REACHABLE, cfg2)
+                if len(parents) > max_states:
+                    stats.stop_reason = "max_states"
+                    return finish(BOUND_EXHAUSTED)
+                nxt.append(cfg2)
         frontier = nxt
         stats.peak_frontier = max(stats.peak_frontier, len(frontier))
     if frontier:
         stats.stop_reason = "depth"
-        return finish(False, BOUND_EXHAUSTED)
-    return finish(False, UNREACHABLE_WITHIN_BOUNDS)
+        return finish(BOUND_EXHAUSTED)
+    return finish(UNREACHABLE_WITHIN_BOUNDS)
 
 
 def gen_dlcs_reduction(m: DlcsModel) -> GenResult:

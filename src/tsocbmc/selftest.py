@@ -10,6 +10,7 @@ line as well as inside the test suite.
 from __future__ import annotations
 
 import random
+from itertools import groupby
 from typing import Callable, Optional
 
 from ._record import factory, record
@@ -269,17 +270,10 @@ def suite_update_normalization(seed: int = 0, runs: int = 100) -> SuiteResult:
         if not cb_partition_check(norm, k):
             res.failures.append("normalization broke the context partition")
         # within each context the updates must sit at the end
-        current = None
-        seen_update = False
-        for label in norm.labels:
-            if label.thread != current:
-                current = label.thread
-                seen_update = False
-            if label.is_update:
-                seen_update = True
-            elif seen_update:
-                res.failures.append("an operation follows an update in its context")
-                break
+        flags = [[l.is_update for l in ctx]
+                 for _, ctx in groupby(norm.labels, lambda l: l.thread)]
+        if any(f != sorted(f) for f in flags):
+            res.failures.append("an operation follows an update in its context")
     return res
 
 

@@ -15,6 +15,8 @@ and `bound_exhausted` means a resource cap was hit first.
 
 `cb_reach_bounded` additionally restricts runs to at most k contexts: maximal
 blocks of steps (operations and buffer updates alike) by a single thread.
+One split of a run's labels into those blocks, `_blocks`, serves both
+`cb_partition_check` and `normalize_updates`.
 
 There is one enumeration and one reference step.  `_thread_moves` yields a
 thread's enabled moves, in a fixed order, from the thread's own part (its
@@ -51,6 +53,8 @@ witness against `thread_step`.
 from __future__ import annotations
 
 import time
+from itertools import groupby
+from operator import attrgetter
 from typing import Optional
 
 from ._record import record
@@ -468,15 +472,14 @@ def cb_reach_bounded(program: Program, target: Target, k: int, b: Bounds,
     return _bfs(program, target, b, max_states, k, max_mb)
 
 
+def _blocks(labels: tuple[Label, ...]) -> list[list[Label]]:
+    """The labels split into maximal single-thread blocks: the contexts."""
+    return [list(block) for _, block in groupby(labels, attrgetter("thread"))]
+
+
 def cb_partition_check(run: Run, k: int) -> bool:
     """True iff the run's labels form at most k maximal single-thread blocks."""
-    blocks = 0
-    current: Optional[str] = None
-    for label in run.labels:
-        if label.thread != current:
-            blocks += 1
-            current = label.thread
-    return blocks <= k
+    return len(_blocks(run.labels)) <= k
 
 
 def normalize_updates(program: Program, run: Run, k: int) -> Run:
@@ -485,30 +488,22 @@ def normalize_updates(program: Program, run: Run, k: int) -> Run:
     and memory.  Within a context only the active thread runs, and delaying
     its updates to the context boundary changes no read: a buffered entry
     shadows exactly the value it would have written to memory."""
-    if not cb_partition_check(run, k):
+    blocks = _blocks(run.labels)
+    if len(blocks) > k:
         raise ValueError(f"run does not fit into {k} contexts")
     for label in run.labels:
         if label.delta is not None and operands(label.delta.op)[0] == OP_ARW:
             raise ValueError("runs with arw steps cannot be normalized")
-    blocks: list[list[Label]] = []
-    current: Optional[str] = None
-    for label in run.labels:
-        if label.thread != current:
-            blocks.append([])
-            current = label.thread
-        blocks[-1].append(label)
-    new_labels: list[Label] = []
-    for block in blocks:
-        new_labels.extend(l for l in block if not l.is_update)
-        new_labels.extend(l for l in block if l.is_update)
-    return replay(program, new_labels)
+    # the sort is stable: a block's operations, then its updates, each in order
+    return replay(program, [l for block in blocks
+                            for l in sorted(block, key=attrgetter("is_update"))])
 
 
 def replay(program: Program, labels: list[Label]) -> Run:
     """Run a label sequence from the initial configuration."""
-    c = initial_config(program)
+    c = init = initial_config(program)
     steps = []
     for label in labels:
         c = tso_step(program, c, label)
         steps.append((label, c))
-    return Run(initial_config(program), tuple(steps))
+    return Run(init, tuple(steps))

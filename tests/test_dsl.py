@@ -151,6 +151,16 @@ def test_dfa_round_trip():
     assert validate_dfa(d) == []
 
 
+@pytest.mark.parametrize("parse, render, text", [
+    (parse_dfa, render_dfa, "dfa\nalphabet\nstates s\ninit s\nfinals\n"),
+    (parse_dlcs, render_dlcs, "dlcs\nstates q0\nvars\nalphabet\ninit q0\n"),
+    (parse_program, render_program,
+     "domain nat\n\nthread t {\n  regs\n  states q0\n  init q0\n}\n"),
+], ids=["dfa", "dlcs", "program"])
+def test_an_empty_declaration_renders_as_its_bare_keyword(parse, render, text):
+    assert render(parse(text)) == text
+
+
 def test_dfa_bad_reference():
     with pytest.raises(ParseError):
         parse_dfa("dfa\nalphabet a\nstates s0\ninit s9\nfinals s0\n")

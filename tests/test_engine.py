@@ -73,6 +73,27 @@ def test_a_switch_flushes_every_buffered_write():
             assert validate_witness(p, concretize_witness(p, v.witness))
 
 
+def test_a_write_before_a_stuck_guard_is_still_seen():
+    # w's write of a nonzero value is followed by a guard that never holds;
+    # r sees the value only in a second context, after w's switch flushes
+    # it.  Merging the write into the stuck guard after it would lose the
+    # write and answer unreachable at every k
+    p, tgt = parse_program_with_target(
+        "domain nat\nvars x\n"
+        "thread w {\n  regs w_one w_zero\n  init w0\n"
+        "  w0 -> w1 : w_one := *\n  w1 -> w2 : assume w_one != w_zero\n"
+        "  w2 -> w3 : write x w_one\n  w3 -> w4 : assume w_one = w_zero\n}\n"
+        "thread r {\n  regs r_x r_zero\n  init r0\n"
+        "  r0 -> r1 : read x r_x\n  r1 -> seen : assume r_x != r_zero\n}\n"
+        "target r : seen\n")
+    b = Bounds(2, 3, 300)
+    for k, want in ((1, False), (2, True)):
+        v = check_reach(p, tgt, k)
+        assert v.reachable == want
+        assert cb_reach_bounded(p, tgt, k, b).reachable == want
+    assert v.stats.states_explored == 17
+
+
 def test_witness_pipeline_end_to_end():
     p, tgt = _load("mp.tso")
     v = check_reach(p, tgt, 2)

@@ -5,7 +5,7 @@ import pytest
 from tsocbmc import (
     Assign, Bounds, Dfa, DlcsModel, EQ, LT, NEQ, Target, check_reach,
     concretize_witness, dfa_intersection_oracle, dlcs_reach_bounded,
-    gen_bakery, gen_dlcs_reduction, gen_intersection,
+    gen_bakery, gen_dlcs_reduction, gen_intersection, parse_dlcs,
     parse_program_with_target, replace, tso_reach_bounded, validate,
     validate_witness,
 )
@@ -205,6 +205,26 @@ def test_dlcs_loss_is_expressible():
     g = gen_dlcs_reduction(NEEDS_LOSS)
     assert tso_reach_bounded(g.program, g.target, Bounds(2, 3, 200),
                              max_states=2_000_000).reachable
+
+
+# two sends fill the channel; the target is unreachable, and the cap is
+# crossed by loss successors of the full channel when max_states < 6
+TWO_SENDS = parse_dlcs("dlcs\nstates q0 q1 q2 q9\nvars v\nalphabet a\ninit q0\n"
+                       "q0 -> q1 : send a v\nq1 -> q2 : send a v\n")
+
+
+@pytest.mark.parametrize("max_states,status,stop_reason,explored", [
+    (3, "bound_exhausted", "max_states", 2),
+    (4, "bound_exhausted", "max_states", 3),
+    (5, "bound_exhausted", "max_states", 3),
+    (6, "unreachable_within_bounds", "", 6),
+])
+def test_dlcs_oracle_state_cap(max_states, status, stop_reason, explored):
+    v = dlcs_reach_bounded(TWO_SENDS, "q9", channel_len=2, fresh_values=2,
+                           max_states=max_states)
+    assert (v.reachable, v.witness) == (False, None)
+    assert (v.status, v.stats.stop_reason, v.stats.states_explored) == (
+        status, stop_reason, explored)
 
 
 COPY_THEN = DlcsModel(("q0", "q1", "q2", "qF"), ("v", "w"), ("a",), "q0",
