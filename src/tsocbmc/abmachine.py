@@ -41,8 +41,8 @@ check_reach packs a control state in the machine's control_form: bytes
 when every entry fits a byte, a tuple otherwise.  The entries are state
 ids, thread ids up to the finished-context marker nt, j and c entries up
 to k + 1 <= 255 (k is limited to 254) and u flags, so the form is bytes
-exactly when nt <= 255 and every thread has at most 256 states.  The
-table methods build their pieces in that form.
+exactly when nt <= 255 and every thread has at most 256 states.
+transitions_flat builds its cells and rewrites in that form.
 
 Transitions emit effect descriptors over summary columns instead of touching
 values directly, of three kinds:
@@ -83,9 +83,10 @@ write t's program state and, for a write on x, c(x, t) and (when j' < k)
 u(j')[x]; their labels and effects depend on nothing else.  The
 switch out of j reads j, act[j], the u(j) row and t's c column, and writes
 j + 1, the finished marker at act[j], the u(j) row (cleared) and every c
-entry in 1..j (zeroed).  table_keys, table_entries and spliced turn this
-into the search's keyed tables (see engine); transitions_flat stays the one
-enumerator of moves.
+entry in 1..j (zeroed).  transitions_flat gives each move as the cells it
+writes and the switch as that rewrite, the entries of the search's tables
+(see engine) under table_keys; spliced applies entries to a control state,
+and successors gives a control tuple's successors as tuples.
 """
 from __future__ import annotations
 
@@ -143,19 +144,9 @@ class AbMachine:
         if k + 1 > 255:
             raise ModelTooLargeError(f"k={k} is above the limit of 254 contexts")
         # the form check_reach packs control states in (module docstring)
-        self.control_form = form = (
+        self.control_form = (
             bytes if nt <= 255 and all(len(sid) <= 256 for sid in idx.state_id)
             else tuple)
-        # per context j < k, the switch's rewrite out of j (see spliced):
-        # the positions of the finished marker and the u(j) row, the marker,
-        # j + 1 and the cleared row in control_form, and what zeroes the c
-        # entries in 1..j: a translate table for bytes, j for tuples
-        self._rewrite = [
-            (self.ACT + j - 1, self.U + (j - 1) * nx, form((nt,)),
-             form((j + 1,)), form((0,)) * nx,
-             bytes(range(j + 1, 256)).rjust(256, b"\0") if form is bytes else j)
-            for j in range(1, k)]
-
         # One pass over the transitions: per thread, the register ids each
         # transition reads (g) and assigns (kl), and the shared variables the
         # thread reads (read or arw) and buffers writes to.
@@ -267,8 +258,11 @@ class AbMachine:
     def _c_max(self, s: tuple[int, ...], ti: int) -> int:
         return max(s[self.C + ti:self.U:self.nt], default=0)
 
-    def transitions_flat(self, s: tuple[int, ...]):
-        """All successors: [(label_core, effects, s')].
+    def transitions_flat(self, s) -> list:
+        """The table entries of control state s (a tuple or control_form):
+        per move (label_core, effects, cells), cells the ascending (position,
+        one-entry piece in control_form) pairs it writes; then, when j < k,
+        the switch as (label_core, effects, rewrite) (see _switch).
 
         label_core = (rule_code, thread, transition position, flush/to ctx).
         The enumeration order is fixed: the active thread's transitions in
@@ -277,6 +271,7 @@ class AbMachine:
         """
         k = self.k
         nt = self.nt
+        form = self.control_form
         j = s[self.J]
         ti = s[self.ACT + j - 1]
         out = []
@@ -286,7 +281,8 @@ class AbMachine:
         reg = self.i_reg
         for pos, tr in idx.out[ti][state]:
             kind, x, y, z = ops[pos]
-            dst_state = idx.state_id[ti][tr.dst]
+            # every move writes the mover's program state
+            moved = ((self.ST + ti, form((idx.state_id[ti][tr.dst],))),)
             dz = self._dead_regs[ti][pos]
             rule = R_LOCAL
             if kind == OP_ASSIGN:
@@ -311,14 +307,12 @@ class AbMachine:
                 # the write may also stay buffered past the end of the run
                 for jp in flushes + [self.never]:
                     eff = buffered
-                    s2 = list(s)
-                    s2[self.ST + ti] = dst_state
-                    s2[self.C + x * nt + ti] = jp
+                    cells = moved + ((self.C + x * nt + ti, form((jp,))),)
                     if jp <= k:
                         eff += _copy(self.i_ctx(x, jp), rs)
                     if jp < k:
-                        s2[self.U + (jp - 1) * self.nx + x] = 1
-                    out.append(((R_WRITE, ti, pos, jp), eff + dz, tuple(s2)))
+                        cells += ((self.U + (jp - 1) * self.nx + x, form((1,))),)
+                    out.append(((R_WRITE, ti, pos, jp), eff + dz, cells))
                 continue
             else:  # arw
                 if j < self._c_max(s, ti):
@@ -331,14 +325,12 @@ class AbMachine:
                 else:  # nothing pending on x: operate on memory
                     rule, cell, commit = R_MEM_ARW, self.i_shared(x), ()
                 eff = (("guard", EQ, re, cell), ("copy", cell, ru)) + commit
-            s2 = list(s)
-            s2[self.ST + ti] = dst_state
-            out.append(((rule, ti, pos, -1), eff + dz, tuple(s2)))
+            out.append(((rule, ti, pos, -1), eff + dz, moved))
         if j < k:
             out.append(self._switch(s, ti, j))
         return out
 
-    def _switch(self, s: tuple[int, ...], ti: int, j: int):
+    def _switch(self, s, ti: int, j: int):
         nx = self.nx
         # commit the context's writes on the variables someone reads; the
         # others have no shared or context column
@@ -356,18 +348,17 @@ class AbMachine:
         for x in range(nx):
             if s[self.C + x * self.nt + ti] == j:
                 eff.extend(_copy(self.i_thr(x, ti), 0))
-        s2 = list(s)
-        s2[self.J] = j + 1
-        # nothing reads the schedule entry of a finished context again, so
-        # overwrite it with the out-of-range marker; runs from different
-        # schedules that converge on the same tail then share states
-        s2[self.ACT + j - 1] = self.nt
-        for x in range(nx):
-            s2[self.U + (j - 1) * nx + x] = 0
-        for i in range(self.C, self.C + nx * self.nt):
-            if 0 < s2[i] <= j:
-                s2[i] = 0
-        return ((R_SWITCH, ti, -1, j + 1), tuple(eff), tuple(s2))
+        # the rewrite spliced applies: the positions of the finished context's
+        # schedule entry and of the u(j) row, then in control_form the
+        # out-of-range marker nt for that entry (nothing reads it again, so
+        # runs from different schedules that converge on the same tail share
+        # states), j + 1 and the cleared row, and what zeroes the c entries
+        # in 1..j: a translate table for bytes, j for tuples
+        form = self.control_form
+        rewrite = (self.ACT + j - 1, self.U + (j - 1) * nx, form((self.nt,)),
+                   form((j + 1,)), form((0,)) * nx,
+                   bytes(range(j + 1, 256)).rjust(256, b"\0") if form is bytes else j)
+        return ((R_SWITCH, ti, -1, j + 1), tuple(eff), rewrite)
 
     # The search's keyed tables (see engine), over control states in
     # control_form.
@@ -389,40 +380,10 @@ class AbMachine:
         u = U + (j - 1) * nx
         return move, s[a:a + 1] + s[J:C] + s[u:u + nx] + col
 
-    def table_entries(self, s):
-        """transitions_flat(s) as table entries: the thread's moves as
-        [(label, effects, cells)], cells the (position, one-entry piece)
-        pairs a move writes, ascending, and the switch as (label, effects),
-        or None when j = k."""
-        form = self.control_form
-        moves, switch = [], None
-        for core, eff, s2 in self.transitions_flat(tuple(s)):
-            if core[0] == R_SWITCH:
-                switch = (core, eff)
-            else:
-                moves.append((core, eff, tuple((p, form((s2[p],)))
-                                               for p in self._written(core))))
-        return moves, switch
-
-    def _written(self, core) -> tuple[int, ...]:
-        """The positions a move writes, ascending: the mover's program
-        state, and for a write its c entry and, when it flushes before the
-        last context, its u entry."""
-        rule, ti, pos, jp = core
-        if rule != R_WRITE:
-            return (self.ST + ti,)
-        x = self.idx.ops[ti][pos][1]
-        cells = (self.ST + ti, self.C + x * self.nt + ti)
-        if jp < self.k:
-            cells += (self.U + (jp - 1) * self.nx + x,)
-        return cells
-
     def spliced(self, s, moves, switch) -> list:
-        """[(label, x, s')] for the table entries of s in transitions_flat's
+        """[(label, x, s')] for table entries of s in transitions_flat's
         order, x whatever an entry carries in place of its effects: each
-        move's cells spliced into s, then the switch's fixed rewrite (see
-        _switch): the finished marker at act[j], j + 1, the c entries in
-        1..j zeroed and the u(j) row cleared."""
+        move's cells spliced into s, then the switch's rewrite applied."""
         out = []
         for core, x, cells in moves:
             s2, i = s[:0], 0
@@ -431,9 +392,8 @@ class AbMachine:
                 i = p + 1
             out.append((core, x, s2 + s[i:]))
         if switch is not None:
-            core, x = switch
+            core, x, (a, u, done, j1, cleared, reset) = switch
             _, J, C, U, _, nx = self._layout
-            a, u, done, j1, cleared, reset = self._rewrite[s[J] - 1]
             c = s[C:U]
             c = (c.translate(reset) if self.control_form is bytes
                  else tuple(0 if v <= reset else v for v in c))
@@ -441,9 +401,17 @@ class AbMachine:
                         + cleared + s[u + nx:]))
         return out
 
+    def successors(self, s) -> list:
+        """[(label_core, effects, s')] for control tuple s, in
+        transitions_flat's order: its entries spliced into s, s' a tuple."""
+        s = self.control_form(s)
+        moves = self.transitions_flat(s)
+        switch = moves.pop() if s[self.J] < self.k else None
+        return [(core, eff, tuple(s2)) for core, eff, s2 in self.spliced(s, moves, switch)]
+
     def apply_flat(self, s: tuple[int, ...], label_core):
         """Re-derive (effects, s') for a label; raises if not enabled."""
-        for cand, eff, s2 in self.transitions_flat(s):
+        for cand, eff, s2 in self.successors(s):
             if cand == label_core:
                 return eff, s2
         raise AbNotEnabledError(f"label {label_core} is not enabled")

@@ -156,6 +156,8 @@ def _cmd_check(args) -> int:
     _check_max_states(args)
     program, inline = _load_program(args.file)
     target = _resolve_target(args, program, inline)
+    if args.out:  # an unwritable path fails before the search, not after
+        _write_out(args.out, "")
     verdict = check_reach(program, target, args.k,
                           max_states=args.max_states, max_mb=_max_mb())
     steps_json: list[dict] = []
@@ -205,9 +207,11 @@ def _cmd_simulate(args) -> int:
     except ValueError as e:
         raise UsageError(str(e))
     max_mb = _max_mb()
+    if args.cb is not None and args.cb < 1:
+        raise UsageError("--cb expects a positive context count")
+    if args.out:  # an unwritable path fails before the search, not after
+        _write_out(args.out, "")
     if args.cb is not None:
-        if args.cb < 1:
-            raise UsageError("--cb expects a positive context count")
         verdict = cb_reach_bounded(program, target, args.cb, b,
                                    max_states=args.max_states, max_mb=max_mb)
     else:

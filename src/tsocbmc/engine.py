@@ -37,7 +37,7 @@ writes), and per switch key, the switch's label, effect list id and
 rewrite.  A missing entry is filled by one transitions_flat call on the
 first control state with its key.  Every control state then gets its
 successors in its packed form (AbMachine.spliced), each move's cells
-spliced into it and the switch's fixed rewrite applied, and interns them
+spliced into it and its switch entry's rewrite applied, and interns them
 as they are.  bakery(2) k=3 expands 2,764 control states and fills 230
 move and 59 switch entries.  Likewise the rank step depends only on the
 rank tuple and the effect list, and each search memoizes it.  Which lists
@@ -226,8 +226,8 @@ def check_reach(program: Program, target: Target, k: int,
     # per cid, once expanded: its moves [(label, eid, successor cid)] in
     # table order, split into those that miss and those that hit the target
     succ: list[Optional[tuple[list, list]]] = []
-    # the keyed tables (see AbMachine.table_keys): per move key, the
-    # thread's moves [(label, eid, cells)]; per switch key, (label, eid)
+    # the keyed tables (see AbMachine.table_keys): the thread's moves
+    # [(label, eid, cells)] per move key, (label, eid, rewrite) per switch key
     move_table: dict = {}
     switch_table: dict = {}
     # per eid, the memo row of a list with a kernel, by rid (see
@@ -267,14 +267,16 @@ def check_reach(program: Program, target: Target, k: int,
         mv = move_table.get(mkey)
         sw = switch_table.get(skey)
         if mv is None or sw is None and skey is not None:
-            # one transitions_flat call fills whichever entry is missing
-            mv2, sw2 = m.table_entries(s)
+            # one transitions_flat call fills whichever entry is missing;
+            # its last entry is the switch, when j < k
+            mv2 = m.transitions_flat(s)
+            sw2 = mv2.pop() if skey is not None else None
             if mv is None:
                 mv = move_table[mkey] = [(core, intern_eff(eff), cells)
                                          for core, eff, cells in mv2]
             if sw is None and skey is not None:
-                core, eff = sw2
-                sw = switch_table[skey] = (core, intern_eff(eff))
+                core, eff, rewrite = sw2
+                sw = switch_table[skey] = (core, intern_eff(eff), rewrite)
         moves: tuple[list, list] = ([], [])
         for core, eid, s2 in m.spliced(s, mv, sw):
             moves[s2[target_at] == tsi].append((core, eid, intern_ctrl(s2)))

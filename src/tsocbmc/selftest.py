@@ -163,7 +163,7 @@ def suite_step_soundness(seed: int = 0, steps: int = 1000) -> SuiteResult:
         flat = flats[rng.randrange(len(flats))]
         vals = (0,) * m.nab
         for _ in range(14):
-            trans = m.transitions_flat(flat)
+            trans = m.successors(flat)
             if not trans:
                 break
             core, eff, flat2 = trans[rng.randrange(len(trans))]

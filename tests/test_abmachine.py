@@ -76,7 +76,7 @@ def test_machine_layout_and_initials():
 
 
 def _step(m, s, want):
-    for core, eff, s2 in m.transitions_flat(s):
+    for core, eff, s2 in m.successors(s):
         if want(core):
             return core, eff, s2
     raise AssertionError("no matching transition")
@@ -299,11 +299,11 @@ def _reads_a_written_column(effects):
 
 def _control_closure_switches(m):
     """Effect lists of every switch move from the control states reachable
-    over transitions_flat, ignoring values (a superset of the search's)."""
+    over successors, ignoring values (a superset of the search's)."""
     seen = set(m.all_initial_flats())
     todo = list(seen)
     while todo:
-        for core, eff, s2 in m.transitions_flat(todo.pop()):
+        for core, eff, s2 in m.successors(todo.pop()):
             if core[0] == R_SWITCH:
                 yield eff
             if s2 not in seen:

@@ -371,9 +371,17 @@ def test_file_not_utf8_is_a_usage_error(tmp_path, capsys):
 
 
 def test_unwritable_out_and_mismatched_alphabets_are_usage_errors(tmp_path, capsys):
+    # the report's path is tried before the search: no verdict line
     out = tmp_path / "no-such-dir" / "report.json"
-    assert main(["check", MP, "--k", "1", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"cannot write {out}: ")
+    for argv in (["check", MP, "--k", "1"], ["simulate", MP, "--tso"],
+                 ["simulate", MP, "--cb", "2"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write {out}: ")
+        assert captured.out == ""
+    assert main(["check", MP, "--k", "1", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"cannot write {tmp_path}: ")
     ab = tmp_path / "even.dfa"
     ab.write_text(DFA_EVEN)
     a_only = tmp_path / "a.dfa"

@@ -465,7 +465,7 @@ def test_control_successors_computed_once_per_control_state(monkeypatch):
         firsts.setdefault(("move", mk), s)
         if sk is not None:
             firsts.setdefault(("switch", sk), s)
-    assert sorted(calls) == sorted({tuple(s) for s in firsts.values()})
+    assert sorted(map(tuple, calls)) == sorted({tuple(s) for s in firsts.values()})
     assert len(move_keys) < len(calls) < v.stats.move_keys < 101
     # a second search on the same machine starts from empty tables
     n = len(calls)
@@ -476,10 +476,11 @@ def test_control_successors_computed_once_per_control_state(monkeypatch):
 
 
 def test_keyed_tables_splice_transitions_flat(monkeypatch):
-    # For every control state a search expands, the successors spliced from
-    # the tables (filled on the first state with each key, as check_reach
-    # fills them) equal transitions_flat's: labels, effects, successor
-    # control states and order.
+    # The table keys hold all that the entries read: for every control state
+    # a search expands, the entries filled on the first state with each of
+    # its keys (as check_reach fills them) splice into the same successors
+    # as the state's own transitions_flat entries: labels, effects,
+    # successor control states and order.
     from tsocbmc.generators import gen_bakery
     from tsocbmc.selftest import random_program, random_target
     cases = [(gen_bakery(1), 4), (gen_bakery(2), 3), (gen_bakery(2), 4)]
@@ -499,15 +500,13 @@ def test_keyed_tables_splice_transitions_flat(monkeypatch):
         moves, switches = {}, {}
         for s in states:
             mk, sk = m.table_keys(s)
-            if mk not in moves or sk is not None and sk not in switches:
-                mv, sw = m.table_entries(s)
-                moves.setdefault(mk, mv)
-                if sk is not None:
-                    switches.setdefault(sk, sw)
+            own = m.transitions_flat(s)
+            switch = own.pop() if sk is not None else None
+            moves.setdefault(mk, own)
+            if sk is not None:
+                switches.setdefault(sk, switch)
             got = m.spliced(s, moves[mk], switches.get(sk))
-            want = [(core, eff, type(s)(s2))
-                    for core, eff, s2 in m.transitions_flat(tuple(s))]
-            assert got == want, (n, k, tuple(s))
+            assert got == m.spliced(s, own, switch), (n, k, tuple(s))
         expanded.append(len(states))
     # the random programs add about 1,900 control states
     assert sum(expanded) > 9_000 and sum(expanded[-120:]) > 1_500
@@ -582,7 +581,7 @@ def test_witness_names_the_first_move_to_a_shared_successor():
         p = Program.make([t], ["x"])
         m = ab_machine(p, 1)
         r0 = rel_initial(m.nab)
-        out = m.transitions_flat(m.initial_flat((0,)))
+        out = m.successors(m.initial_flat((0,)))
         assert len(out) == 2 and out[0][2] == out[1][2]
         assert all(r0 in rel_apply(r0, eff) for _, eff, _ in out)
         v = check_reach(p, Target("t", "q2"), 1)

@@ -28,7 +28,11 @@ VERDICTS = {
     "iriw.tso": None,
     "wrc.tso": None,
     "corr.tso": None,
+    "2p2w.tso": None,
+    "s.tso": None,
     "iriw_both.tso": 4,
+    "2p2w_allowed.tso": 6,
+    "s_allowed.tso": 4,
 }
 
 

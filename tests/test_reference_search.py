@@ -4,9 +4,11 @@ state spaces.
 The abstraction's reference keeps (control tuple, rank tuple) pairs as they
 are: no interning and no memo of rel_apply.  It walks the schedules it is
 given level by level, by the rule check_reach follows, and steps every
-state with AbMachine.transitions_flat, cached per control tuple, and
-rel_apply.  Over the schedules in _seed_order, check_reach must agree with
-it on the status, the states explored, the peak frontier and the witness.
+state with AbMachine.successors, cached per control tuple, and rel_apply.
+successors splices each control tuple's own transitions_flat entries, so
+the reference has no keyed tables.  Over the schedules in _seed_order,
+check_reach must agree with it on the status, the states explored, the
+peak frontier and the witness.
 Over every repeat-free schedule that contains the target thread, it must
 agree on the status and the witness, so a schedule _seed_order drops
 wrongly shows as a missed hit.
@@ -56,9 +58,9 @@ def reference_search(program, target, k, max_states=2_000_000, schedules=_seed_o
     table = {}
 
     def moves(flat):
-        # transitions_flat per control tuple, computed on first sight
+        # successors per control tuple, computed on first sight
         if flat not in table:
-            table[flat] = m.transitions_flat(flat)
+            table[flat] = m.successors(flat)
         return table[flat]
 
     def hits(flat):
