@@ -40,26 +40,32 @@ successors in its packed form (AbMachine.spliced), each move's cells
 spliced into it and its switch entry's rewrite applied, and interns them
 as they are.  bakery(2) k=3 expands 2,764 control states and fills 230
 move and 59 switch entries.  Likewise the rank step depends only on the
-rank tuple and the effect list, and each search memoizes it.  Which lists
-get a rank kernel (relabs.rank_kernel, fetched once when the list is
-interned) is set out in the relabs module docstring.  A list with a kernel has at most one successor: its memo is an
-int array indexed by rank id, holding the successor rank id or one of
-relabs' markers UNKNOWN and NO_SUCCESSOR, read in the search loop by the
-kernel alone.  It takes a whole batch, returns each known successor
-without a step, and computes only the UNKNOWN entries: it fills them and
-interns the moved tuples itself, a rank id whose tuple nothing moved kept
-with no lookup and a moved tuple costing one.  Every other list keeps its
-results in one dict from (effect list id, rank id) to the tuple of
-successor rank ids; each miss runs rel_apply once, its results interned in
-order as a kernel interns them.  These tables live only as long as that search.
+rank tuple and the effect list, and each search memoizes it in one memo
+row per list, indexed by rank id.  Each list's memo lookup is its rank
+kernel (relabs.rank_kernel, fetched once when the list is interned; the
+relabs module docstring says which lists get one), read in the search
+loop by the kernel alone.  It takes a whole batch, returns each known
+successor without a step, and computes only the entries not computed yet:
+it fills them and interns the new tuples itself, a rank id whose tuple
+nothing moved kept with no lookup and a moved tuple costing one.  A list
+with at most one successor has an int array row, holding the successor
+rank id or one of relabs' markers UNKNOWN and NO_SUCCESSOR.  A list with a
+fresh value branches, and its row is a list holding None or the tuple of
+its successor rank ids.  A list without a kernel (any list past 256
+columns, or one with two fresh values) gets the same list row, filled by
+one rel_apply call per miss, its results interned in order as a kernel
+interns them.  rel_apply also checks the generated code: in each search,
+the first entry each list's kernel computes is computed again by
+rel_apply, and a difference in the successors or their order raises
+AssertionError.  These tables live only as long as that search.
 
 Within each schedule the search runs level by level (level-synchronous
 breadth-first search).  A level maps each control id to its batch of rank
 ids, and holds the control ids in the order in which they first received a
 new state.  Each move of a control state is applied to its whole batch at
-once, in one call of the list's kernel (or of the rel_apply path), and
-the successor rank ids not yet seen with the successor control id (one set
-per control id) join its batch in the next level.  Within a level, the
+once, in one call of the list's memo lookup, and the successor rank ids
+not yet seen with the successor control id (one set per control id) join
+its batch in the next level.  Within a level, the
 batches of the control states with a move to the target are probed first,
 in level order, with those moves alone.  The first whose moves yield any
 state ends the search at the least (control tuple, rank tuple) among the
@@ -76,7 +82,9 @@ hitting schedule and walks them backward: each state's parent is the least
 (control tuple, rank tuple, move index) in the level before (for the
 target, in the hitting batch) whose move yields it.  Every batch of those
 levels was applied to every move that can yield a state there, so the walk
-reads the memo entries the search filled and runs no rank step.  The
+reads the memo entries the search filled and runs no rank step: it sorts
+only the control states with a move into the child, and reads each such
+move's memo row for their whole batch.  The
 verdict, states_explored, peak_frontier and the witness depend only on
 which rank ids each batch holds, never on the order a set yields them.
 
@@ -103,8 +111,8 @@ from ._record import record
 from .abmachine import R_BUF_ARW, R_MEM_ARW, R_SWITCH, R_WRITE, AbMachine, ab_machine
 from .model import OP_FRESH, Program, Target
 from .relabs import (
-    UNKNOWN, abstract_of, canonical_key, decode_key, key_length, rank_kernel,
-    rel_apply, rel_initial,
+    NO_SUCCESSOR, UNKNOWN, abstract_of, branches, canonical_key, decode_key,
+    key_length, rank_kernel, rel_apply, rel_initial,
 )
 from .tso import Label, Run, replay
 from .verdict import (
@@ -140,11 +148,60 @@ class ConcreteRun:
     steps: tuple[ConcreteStep, ...]
 
 
-# grows a memo row by one entry not computed yet
+# grows a memo row by one entry not computed yet: an int array row of a
+# list with at most one successor, a list row of a branching one
 _UNKNOWN_ROW = array("i", [UNKNOWN])
+_UNSET_ROW = [None]
 # the width of a memo entry and the offset of its top byte
 _ENTRY = _UNKNOWN_ROW.itemsize
 _TOP = _ENTRY - 1 if sys.byteorder == "little" else 0
+
+
+def _applied(effects: tuple, pack: Callable) -> Callable:
+    """A rank kernel's memo lookup through rel_apply, for a list that has
+    no kernel (any list past 256 columns, where pack is tuple, or one with
+    two fresh values): the row is a list row, and each None entry runs
+    rel_apply once, its results packed and interned in order as a kernel
+    interns them."""
+    def kernel(rids, ranks, ids, rank_id, row):
+        kids: list[int] = []
+        for rid in rids:
+            out = row[rid]
+            if out is None:
+                out = []
+                for r2 in rel_apply(ranks[rid], effects):
+                    r2 = pack(r2)
+                    rid2 = rank_id.get(r2)
+                    if rid2 is None:
+                        rid2 = rank_id[r2] = len(ranks)
+                        ranks.append(r2)
+                        ids.append(rid2)
+                    out.append(rid2)
+                out = row[rid] = tuple(out)
+            kids += out
+        return kids
+    return kernel
+
+
+def _checked(kernel: Callable, effects: tuple, kernels: list, eid: int) -> Callable:
+    """kernel, which on its first call puts itself back in kernels[eid] and
+    checks the first entry it computed against rel_apply: the successor
+    tuples and their order.  The first call of a list's kernel in a search
+    finds its row unfilled, so that entry is the batch's first."""
+    def first(rids, ranks, ids, rank_id, row):
+        kids = kernel(rids, ranks, ids, rank_id, row)
+        kernels[eid] = kernel
+        rid = rids[0]
+        entry = row[rid]
+        if type(row) is not list:
+            entry = () if entry == NO_SUCCESSOR else (entry,)
+        got = [tuple(ranks[e]) for e in entry]
+        want = [tuple(r) for r in rel_apply(ranks[rid], effects)]
+        if got != want:
+            raise AssertionError(f"rank kernel of {effects} steps {tuple(ranks[rid])} "
+                                 f"to {got}, rel_apply to {want}")
+        return kids
+    return first
 
 
 def _seed_order(m: AbMachine, tti: int) -> Iterator[tuple[int, ...]]:
@@ -220,9 +277,9 @@ def check_reach(program: Program, target: Target, k: int,
     rank_id: dict = {ranks[0]: ids[0]}
     effs: list[tuple] = []
     eff_id: dict[tuple, int] = {}
-    # per eid, the list's rank kernel, or None for a list without one (see
-    # the relabs module docstring)
-    kernels: list[Optional[Callable]] = []
+    # per eid, the list's memo lookup: its rank kernel (see the relabs
+    # module docstring), checked on its first call, or _applied's
+    kernels: list[Callable] = []
     # per cid, once expanded: its moves [(label, eid, successor cid)] in
     # table order, split into those that miss and those that hit the target
     succ: list[Optional[tuple[list, list]]] = []
@@ -230,11 +287,11 @@ def check_reach(program: Program, target: Target, k: int,
     # [(label, eid, cells)] per move key, (label, eid, rewrite) per switch key
     move_table: dict = {}
     switch_table: dict = {}
-    # per eid, the memo row of a list with a kernel, by rid (see
-    # relabs.rank_kernel): UNKNOWN, NO_SUCCESSOR or the successor rid
-    memo: list[array] = []
-    # per (eid, rid) of a list without a kernel, the successor rids
-    applied: dict[tuple[int, int], tuple[int, ...]] = {}
+    # per eid, the memo row by rid (see relabs.rank_kernel): an int array
+    # of UNKNOWN, NO_SUCCESSOR or the successor rid for a list with at most
+    # one successor, a list of None or the successor rids' tuple for a
+    # branching one
+    memo: list = []
     # per cid, the rids seen with it in this search
     seen: list[set[int]] = []
 
@@ -256,8 +313,13 @@ def check_reach(program: Program, target: Target, k: int,
         if eid is None:
             eid = eff_id[eff] = len(effs)
             effs.append(eff)
-            kernels.append(rank_kernel(eff) if pack is bytes else None)
-            memo.append(array("i"))
+            kernel = rank_kernel(eff) if pack is bytes else None
+            if kernel is None:
+                kernels.append(_applied(eff, pack))
+                memo.append([])
+            else:
+                kernels.append(_checked(kernel, eff, kernels, eid))
+                memo.append([] if branches(eff) else array("i"))
         return eid
 
     def expand(cid: int) -> tuple[list, list]:
@@ -284,62 +346,42 @@ def check_reach(program: Program, target: Target, k: int,
 
     def step(eid: int, rids: list[int]) -> list[int]:
         """The successor rids of a batch under one effect list, in batch
-        order: the list's kernel does the whole memo lookup; a list without
-        one runs rel_apply once per miss."""
-        kernel = kernels[eid]
-        if kernel is None:
-            effects = effs[eid]
-            kids = []
-            for rid in rids:
-                out = applied.get((eid, rid))
-                if out is None:
-                    out = []
-                    for r2 in rel_apply(ranks[rid], effects):
-                        # in the search's form, interned as the kernels of
-                        # relabs.rank_kernel do
-                        r2 = pack(r2)
-                        rid2 = rank_id.get(r2)
-                        if rid2 is None:
-                            rid2 = rank_id[r2] = len(ranks)
-                            ranks.append(r2)
-                            ids.append(rid2)
-                        out.append(rid2)
-                    out = applied[eid, rid] = tuple(out)
-                kids += out
-            return kids
+        order: the list's memo lookup, on its row grown to every rid."""
         row = memo[eid]
         grow = len(ranks) - len(row)
         if grow > 0:
-            row.extend(_UNKNOWN_ROW * grow)
-        return kernel(rids, ranks, ids, rank_id, row)
-
-    def filled(eid: int, rid: int) -> tuple[int, ...]:
-        """The successor rids the search stored for (eid, rid)."""
-        if kernels[eid] is None:
-            kids = applied.get((eid, rid))
-        else:
-            entry = memo[eid][rid]
-            kids = None if entry == UNKNOWN else (entry,) if entry >= 0 else ()
-        if kids is None:
-            raise AssertionError(f"witness step from rank id {rid} reads an "
-                                 "unfilled memo entry")
-        return kids
+            row.extend((_UNSET_ROW if type(row) is list else _UNKNOWN_ROW) * grow)
+        return kernels[eid](rids, ranks, ids, rank_id, row)
 
     def parent(batches: dict[int, list[int]], cid2: int,
                rid2: int) -> tuple[int, int, tuple, int]:
         """(cid, rid, label, eid) of the least (control tuple, rank tuple,
         move index) in batches whose move's filled memo entry yields the
-        state (cid2, rid2); a cid with no move into cid2 yields nothing.
+        state (cid2, rid2); only a cid with a move into cid2 is sorted.
         The moves into cid2 all hit the target or all miss it, so their
         index in one part of succ keeps their table order."""
-        for cid in sorted(batches, key=ctrls.__getitem__):
+        into = {}
+        for cid in batches:
             moves = [(j, core, eid) for part in succ[cid]
                      for j, (core, eid, c) in enumerate(part) if c == cid2]
-            best = min(((ranks[rid], j, rid, core, eid) for rid in batches[cid]
-                        for j, core, eid in moves if rid2 in filled(eid, rid)),
-                       default=None)
+            if moves:
+                into[cid] = moves
+        for cid in sorted(into, key=ctrls.__getitem__):
+            rids = batches[cid]
+            best = None
+            for j, core, eid in into[cid]:
+                row = memo[eid]
+                entries = [row[rid] for rid in rids]
+                branching = type(row) is list
+                if (None if branching else UNKNOWN) in entries:
+                    raise AssertionError(f"witness step into ({cid2}, {rid2}) "
+                                         "reads an unfilled memo entry")
+                for rid, e in zip(rids, entries):
+                    if ((rid2 in e) if branching else e == rid2) and (
+                            best is None or (ranks[rid], j) < best[0]):
+                        best = (ranks[rid], j), rid, core, eid
             if best is not None:
-                return cid, best[2], best[3], best[4]
+                return cid, best[1], best[2], best[3]
         raise AssertionError(f"state ({cid2}, {rid2}) has no parent in its level")
 
     def finish(status: str, explored: int, peak: int, stop: str = "",
@@ -347,10 +389,12 @@ def check_reach(program: Program, target: Target, k: int,
         """The verdict.  A reachable one names its target state and the
         batches to walk back through, the hitting batch first."""
         stats.states_explored, stats.peak_frontier = explored, peak
-        # every memo miss filled one entry; a row's UNKNOWN entries are
-        # those whose top byte is 0xFF (see relabs.NO_SUCCESSOR)
-        stats.rel_apply_calls = len(applied) + sum(
-            len(row) - row.tobytes()[_TOP::_ENTRY].count(255) for row in memo)
+        # every memo miss filled one entry; an int array row's UNKNOWN
+        # entries are those whose top byte is 0xFF (see relabs.UNKNOWN)
+        stats.rel_apply_calls = sum(
+            len(row) - (row.count(None) if type(row) is list
+                        else row.tobytes()[_TOP::_ENTRY].count(255))
+            for row in memo)
         stats.stop_reason = stop
         stats.wall_ms = (time.perf_counter() - start) * 1000.0
         stats.rank_tuples = len(ranks)

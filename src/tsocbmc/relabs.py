@@ -45,20 +45,24 @@ columns, and a tuple of ints past that.  Bytes are exact: ranks are dense,
 so every rank is below the column count, and bytes order as the tuples of
 their values.
 
-Which lists get a kernel (the rule engine.check_reach applies): on bytes,
-each fresh-free list gets one.  rank_kernel compiles its whole memo
-lookup, a loop over the batch that reads each memo entry, returns a known
-successor without a step, and runs rel_apply's step only on an entry not
-computed yet, with the guard comparisons and copies written out per column
-(no dispatch on the effect tag, no unpacking); it interns each moved rank
-tuple, writes the memo entry and returns the successor ids, each as the
-one int object the search keeps for that id.  Every other
-list, one with a fresh value or any list past 256 columns, runs rel_apply
-once per memo miss, and the search keeps its results in a dict of its own.
-rel_apply takes bytes too, since it only indexes, counts and lists its
-input.  No workload comes near 256 columns (bakery(2) at k=4 has 33), so
-there is one kernel loop, on bytes.  Kernels are cached per effect list
-across searches.  Every public function here takes and returns tuples.
+On bytes every list a machine emits gets a kernel: rank_kernel compiles
+its whole memo lookup, a loop over the batch that reads each memo entry,
+returns a known successor without a step, and runs rel_apply's step only
+on an entry not computed yet, with the guard comparisons and copies
+written out per column (no dispatch on the effect tag, no unpacking); it
+interns each new rank tuple, writes the memo entry and returns the
+successor ids, each as the one int object the search keeps for that id.
+A fresh-free list's memo row is an int array; a list with one fresh value
+builds its placements on the bytes tuple with translate tables and keeps
+the tuple of its successors in a list row.  Only a list with two or more
+fresh values gets no kernel, and no machine emits one.  Past 256 columns
+the search steps every list through rel_apply, once per memo miss, into
+the same list rows.  rel_apply takes bytes too, since it only indexes,
+counts and lists its input; each search checks the first entry each
+kernel computes against it.  No workload comes near 256 columns
+(bakery(2) at k=4 has 33), so there is one kernel form, on bytes.
+Kernels are cached per effect list across searches.  Every public
+function here takes and returns tuples.
 """
 from __future__ import annotations
 
@@ -169,21 +173,33 @@ _KERNELS = 1024
 # numbers the kernels' filenames in compile order
 _KERNEL_NUMBERS = count()
 
-# The entries of a kernel's memo row, one per rank id (see
-# engine.check_reach): the successor rank id, UNKNOWN before the step is
-# computed, and NO_SUCCESSOR when a guard fails.  As 32-bit ints, UNKNOWN is
-# the only entry whose top byte is 0xFF: a rank id's is at most 0x7F and
-# NO_SUCCESSOR's is 0x80, so the search counts the filled entries of a row
-# by that byte alone.
+# The entries of a memo row of a list without a fresh value, one per rank
+# id (see engine.check_reach): the successor rank id, UNKNOWN before the
+# step is computed, and NO_SUCCESSOR when a guard fails.  As 32-bit ints,
+# UNKNOWN is the only entry whose top byte is 0xFF: a rank id's is at most
+# 0x7F and NO_SUCCESSOR's is 0x80, so the search counts the filled entries
+# of a row by that byte alone.  A list with a fresh value branches, and its
+# row holds the tuple of successor rank ids, or None before the step is
+# computed.
 UNKNOWN = -1
 NO_SUCCESSOR = -2**31
 
 # A kernel moves a column of a bytes rank tuple by slicing in the one byte
 # of its new rank, and closes an emptied class o with bytes.translate:
-# the table for o maps every byte above o one down.
+# the table for o maps every byte above o one down.  A fresh value opens
+# the slot above class c with the table for c, which maps every byte above
+# c one up; c is at most 254, since the other columns of a fresh value
+# form at most 255 classes, and no rank tuple it applies to holds 255.
 _IDENTITY = bytes(range(256))
 _ONE = [_IDENTITY[v:v + 1] for v in range(256)]
 _DOWN = [_IDENTITY[:o + 1] + _IDENTITY[o:255] for o in range(256)]
+_UP = [_IDENTITY[:c + 1] + _IDENTITY[c + 2:] + b"\xff" for c in range(255)]
+
+
+def branches(effects) -> bool:
+    """Whether an effect list can have more than one successor: it holds a
+    fresh value."""
+    return any(eff[0] == "fresh" for eff in effects)
 
 
 def _fails(rel: Relation) -> str:
@@ -199,67 +215,118 @@ def _fails(rel: Relation) -> str:
     return ">"
 
 
-@lru_cache(maxsize=_KERNELS)
-def rank_kernel(effects: tuple) -> Optional[Callable]:
-    """The whole memo lookup of one fresh-free effect list for a batch of
-    rank ids, compiled to straight-line code; None for a list with a fresh
-    value, which branches.
-
-    kernel(rids, ranks, ids, rank_id, row) takes ranks holding bytes (see
-    the module docstring), and ids, which holds the int object of each rank
-    id and grows with ranks; rank_id maps each tuple to that same object.
-    It reads row[rid] for each rid of the batch.  A stored successor rank
-    id costs one comparison and is returned as ids[entry], the shared
-    object, not the int just read from the row; NO_SUCCESSOR is dropped.
-    Only an UNKNOWN entry runs rel_apply's step on ranks[rid], with the
-    guards and copies written out per column, and writes row[rid]:
-    NO_SUCCESSOR when a guard fails, rid itself when nothing moved, and
-    otherwise the rank id of the new tuple, interned with one rank_id.get
-    and appended to ranks and ids when it is new.  The row must reach every
-    rid of the batch.  It returns the successor rank ids in batch order.
-
-    The generated source holds only int column indices and fixed
-    operators; every column is checked to be an int before any is built.
-    """
-    if any(eff[0] != "copy" and eff[0] != "guard" for eff in effects):
-        return None
-    for eff in effects:
-        cols = eff[1:] if eff[0] == "copy" else eff[2:]
-        if any(type(c) is not int for c in cols):
-            raise TypeError(f"effect {eff!r} has a column that is not an int")
-
-    lines = ["def kernel(rids, ranks, ids, rank_id, row):",
-             " kids = []; add = kids.append; get = rank_id.get",
-             " for rid in rids:",
-             "  e = row[rid]",
-             "  if e >= 0: add(ids[e]); continue",
-             "  if e == NO_SUCCESSOR: continue",
-             "  r = q = ranks[rid]"]
+def _inline(effects, indent: str, fail: str) -> list[str]:
+    """rel_apply's guards and copies on the bytes tuple r, written out per
+    column; a failing guard runs fail."""
+    lines = []
     for eff in effects:
         if eff[0] == "copy":
             _, d, s = eff
             if d == s:  # a self copy never moves
                 continue
             # _copy, inline, on bytes
-            lines += [f"  o = r[{d}]; n = r[{s}]",
-                      "  if o != n:",
-                      f"   r = r[:{d}] + ONE[n] + r[{d + 1}:]",
-                      "   if o not in r: r = r.translate(DOWN[o])"]
+            lines += [f"{indent}o = r[{d}]; n = r[{s}]",
+                      f"{indent}if o != n:",
+                      f"{indent} r = r[:{d}] + ONE[n] + r[{d + 1}:]",
+                      f"{indent} if o not in r: r = r.translate(DOWN[o])"]
         else:
             _, rel, a, b = eff
-            lines.append(f"  if r[{a}] {_fails(rel)} r[{b}]:"
-                         " row[rid] = NO_SUCCESSOR; continue")
-    # the interning engine.check_reach does for lists without a kernel
-    lines += ["  if r is q: row[rid] = rid; add(rid); continue",
-              "  e = get(r)",
-              "  if e is None:",
-              "   e = rank_id[r] = len(ranks); ranks.append(r); ids.append(e)",
-              "  row[rid] = e; add(e)",
-              " return kids"]
+            lines.append(f"{indent}if r[{a}] {_fails(rel)} r[{b}]: {fail}")
+    return lines
+
+
+# interns the rank tuple r as e, its rank id, appended to ranks and ids when
+# it is new
+_INTERN = ["e = get(r)",
+           "if e is None:",
+           " e = rank_id[r] = len(ranks); ranks.append(r); ids.append(e)"]
+
+
+@lru_cache(maxsize=_KERNELS)
+def rank_kernel(effects: tuple) -> Optional[Callable]:
+    """The whole memo lookup of one effect list for a batch of rank ids,
+    compiled to straight-line code; None for a list with two or more fresh
+    values, which no machine emits.
+
+    kernel(rids, ranks, ids, rank_id, row) takes ranks holding bytes (see
+    the module docstring), and ids, which holds the int object of each rank
+    id and grows with ranks; rank_id maps each tuple to that same object.
+    It reads row[rid] for each rid of the batch, and only an entry not
+    computed yet runs rel_apply's step on ranks[rid], with the guards and
+    copies written out per column (no dispatch on the effect tag, no
+    unpacking).  Each new tuple is interned with one rank_id.get and
+    appended to ranks and ids when it is new.  The row must reach every
+    rid of the batch.  It returns the successor rank ids in batch order,
+    each as the shared object ids holds.
+
+    A fresh-free list's row is an int array (see UNKNOWN).  A stored
+    successor costs one comparison and is returned as ids[entry], not the
+    int just read from the row; NO_SUCCESSOR is dropped.  An UNKNOWN entry
+    becomes NO_SUCCESSOR when a guard fails, rid itself when nothing moved
+    (no lookup), and otherwise the new tuple's rank id.
+
+    A list with one fresh value has a list row: a stored tuple of rank ids
+    is returned as it is, and a None entry becomes the tuple of the
+    successors, () when a guard before the fresh value fails.  The fresh
+    value's placements are built on the bytes tuple as _fresh builds them,
+    each join then each above slot: _DOWN closes d's old singleton class,
+    one slice sets d, and _UP[c] opens the slot above class c.  The effects
+    after the fresh value run on each placement, and a failing guard there
+    drops that placement only.
+
+    The generated source holds only int column indices and fixed
+    operators; every column is checked to be an int before any is built.
+    """
+    fresh = [i for i, eff in enumerate(effects) if eff[0] == "fresh"]
+    if len(fresh) > 1:
+        return None
+    for eff in effects:
+        cols = eff[2:] if eff[0] == "guard" else eff[1:]
+        if any(type(c) is not int for c in cols):
+            raise TypeError(f"effect {eff!r} has a column that is not an int")
+
+    lines = ["def kernel(rids, ranks, ids, rank_id, row):",
+             " kids = []; get = rank_id.get"]
+    if not fresh:
+        lines += [" add = kids.append",
+                  " for rid in rids:",
+                  "  e = row[rid]",
+                  "  if e >= 0: add(ids[e]); continue",
+                  "  if e == NO_SUCCESSOR: continue",
+                  "  r = q = ranks[rid]"]
+        lines += _inline(effects, "  ", "row[rid] = NO_SUCCESSOR; continue")
+        lines += ["  if r is q: row[rid] = rid; add(rid); continue"]
+        lines += ["  " + line for line in _INTERN]
+        lines += ["  row[rid] = e; add(e)"]
+    else:
+        at = fresh[0]
+        d = effects[at][1]
+        lines += [" more = kids.extend",
+                  " for rid in rids:",
+                  "  e = row[rid]",
+                  "  if e is not None: more(e); continue",
+                  "  r = ranks[rid]"]
+        lines += _inline(effects[:at], "  ", "row[rid] = (); continue")
+        # _fresh, on bytes: w is the number of the other columns' classes
+        lines += [f"  o = r[{d}]; w = max(r)",
+                  "  if r.count(o) > 1: w += 1",
+                  "  else: r = r.translate(DOWN[o])",
+                  f"  lo = r[:{d}]; hi = r[{d + 1}:]; ps = []",
+                  "  for c in range(w):",
+                  "   a = r.translate(UP[c])",
+                  f"   ps += (lo + ONE[c] + hi, a[:{d}] + ONE[c + 1] + a[{d + 1}:])",
+                  "  out = []",
+                  "  for r in ps:"]
+        lines += _inline(effects[at + 1:], "   ", "continue")
+        lines += ["   " + line for line in _INTERN]
+        lines += ["   out.append(e)",
+                  "  row[rid] = out = tuple(out); more(out)"]
+    lines.append(" return kids")
     # a filename per kernel, so that a profile keeps the kernels apart; a
     # number, since a rendering of the list cost dfa-intersection 2% in
     # bytes_per_state
-    namespace: dict = {"NO_SUCCESSOR": NO_SUCCESSOR, "ONE": _ONE, "DOWN": _DOWN}
+    namespace: dict = {"NO_SUCCESSOR": NO_SUCCESSOR, "ONE": _ONE,
+                       "DOWN": _DOWN, "UP": _UP}
     exec(compile("\n".join(lines), f"<rank kernel {next(_KERNEL_NUMBERS)}>", "exec"),
          namespace)
     return namespace["kernel"]

@@ -7,7 +7,7 @@ from tsocbmc import (
     EQ, Guard, NEQ, REACHABLE, UNREACHABLE, NewValue, Program, Read, Target,
     Thread, Transition, Write, cb_partition_check, check_reach,
     concrete_run_to_tso, concretize_witness, gen_bakery,
-    parse_program_with_target, validate_witness,
+    parse_program_with_target, replace, validate_witness,
 )
 from tsocbmc.abmachine import (
     AbMachine, GuardFailedError, R_BUF_READ, R_LOCAL, R_MEM_READ, R_SWITCH,
@@ -143,6 +143,63 @@ def test_switch_commits_and_canonicalizes():
     assert eff == (("copy", 1, 4), ("copy", 4, 0), ("copy", 5, 0))
     # no switch out of the last context
     assert not any(c[0] == R_SWITCH for c, _, _ in m.transitions_flat(s2))
+
+
+# a and b each draw a value, buffer it to x and y, then read both back
+TWO_WRITERS = Program.make([
+    _thread(t, [r], [
+        Transition("q0", NewValue(r), "q1"),
+        Transition("q1", Write("x", r), "q2"),
+        Transition("q2", Write("y", r), "q3"),
+        Transition("q3", Read("x", r), "q4"),
+        Transition("q4", Read("y", r), "q5"),
+    ]) for t, r in (("a", "r"), ("b", "s"))], ["x", "y"])
+
+
+def _padded_to(p, size):
+    """p with every thread padded to size states by unreachable ones,
+    declared after the real states so that no state id moves."""
+    return replace(p, threads=tuple(
+        replace(t, states=t.states + tuple(f"pad{i}" for i in range(size - len(t.states))))
+        for t in p.threads))
+
+
+@pytest.mark.parametrize("size, form", [(6, bytes), (257, tuple)])
+def test_switch_cells_with_pending_writes_of_two_threads(size, form):
+    # every switch of a four-context run, a b a b, written out cell by cell
+    # (program states, act, j, c(x,a) c(x,b) c(y,a) c(y,b), then u(1)..u(4)
+    # as x y pairs): j + 1, the finished context's act entry set to nt = 2,
+    # its u row cleared, and the c entries at most j zeroed, while a write
+    # pending for a later context or for never (5) keeps its entry
+    m = AbMachine(_padded_to(TWO_WRITERS, size), 4)
+    assert m.control_form is form and (m.nt, m.nx, m.never) == (2, 2, 5)
+    s = m.initial_flat((0, 1, 0, 1))
+
+    def steps(*wants):
+        nonlocal s
+        for rule, flush in wants:
+            core, _, s = _step(m, s, lambda c: c[0] == rule and c[3] == flush)
+
+    def switch(before, after):
+        nonlocal s
+        assert s == before
+        core, _, s = _step(m, s, lambda c: c[0] == R_SWITCH)
+        assert core == (R_SWITCH, before[2 + before[6] - 1], -1, before[6] + 1)
+        assert s == after
+
+    # a buffers x to flush at 1 and y at 3
+    steps((R_LOCAL, -1), (R_WRITE, 1), (R_WRITE, 3))
+    switch((3, 0, 0, 1, 0, 1, 1, 1, 0, 3, 0, 1, 0, 0, 0, 0, 1, 0, 0),
+           (3, 0, 2, 1, 0, 1, 2, 0, 0, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0))
+    # b buffers x to flush at 2 and y never
+    steps((R_LOCAL, -1), (R_WRITE, 2), (R_WRITE, 5))
+    switch((3, 3, 2, 1, 0, 1, 2, 0, 2, 3, 5, 0, 0, 1, 0, 0, 1, 0, 0),
+           (3, 3, 2, 2, 0, 1, 3, 0, 0, 3, 5, 0, 0, 0, 0, 0, 1, 0, 0))
+    # a reads x from memory, its y write still pending for 3
+    steps((R_MEM_READ, -1))
+    switch((4, 3, 2, 2, 0, 1, 3, 0, 0, 3, 5, 0, 0, 0, 0, 0, 1, 0, 0),
+           (4, 3, 2, 2, 2, 1, 4, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0))
+    assert not any(c[0] == R_SWITCH for c, _, _ in m.successors(s))
 
 
 def test_label_renders():

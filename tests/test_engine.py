@@ -16,7 +16,7 @@ from tsocbmc import (
 from tsocbmc.abmachine import ab_machine
 from tsocbmc.engine import _seed_order
 from tsocbmc.model import program_index, states_in_order
-from tsocbmc.relabs import UNKNOWN
+from tsocbmc.relabs import UNKNOWN, branches
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -596,15 +596,18 @@ def test_witness_names_the_first_move_to_a_shared_successor():
 def test_search_calls_the_public_encoding(monkeypatch):
     # the interned search checks each new control tuple, not each new rank
     # tuple, through canonical_key/decode_key, and computes each memo miss
-    # once: as an UNKNOWN entry of a batch given to the effect list's rank
-    # kernel or, for a list with a fresh value, in one rel_apply call; a
-    # witness reads the memo entries the search filled, so its recovery
-    # runs neither.  The benchmark's traced run wraps these engine globals
-    # and fails when one of them sees no call
+    # once, as an unknown entry (UNKNOWN in an int array row, None in a
+    # branching list's row) of a batch given to the effect list's rank
+    # kernel; rel_apply recomputes the first entry each list's kernel
+    # computes in a search, so it runs once per list stepped.  A witness
+    # reads the memo entries the search filled, so its recovery runs
+    # neither.  The benchmark's traced run wraps these engine globals and
+    # fails when one of them sees no call
     from tsocbmc import engine
     from tsocbmc.generators import gen_bakery
     calls = dict.fromkeys(("rel_apply", "canonical_key", "decode_key"), 0)
     kernel_unknown = 0
+    stepped = set()
 
     def counted(name):
         real = getattr(engine, name)
@@ -618,12 +621,13 @@ def test_search_calls_the_public_encoding(monkeypatch):
 
     def counted_kernel(effects):
         kernel = real_kernel(effects)
-        if kernel is None:
-            return None
+        assert kernel is not None, effects
 
         def wrapper(rids, ranks, ids, rank_id, row):
             nonlocal kernel_unknown
-            kernel_unknown += [row[rid] for rid in rids].count(UNKNOWN)
+            entries = [row[rid] for rid in rids]
+            kernel_unknown += entries.count(UNKNOWN) + entries.count(None)
+            stepped.add(effects)
             return kernel(rids, ranks, ids, rank_id, row)
         return wrapper
 
@@ -637,13 +641,56 @@ def test_search_calls_the_public_encoding(monkeypatch):
             (sb, sb_target, 3, REACHABLE, 580)):
         calls.update(dict.fromkeys(calls, 0))
         kernel_unknown = 0
+        stepped.clear()
         v = check_reach(program, target, k)
         assert v.status == status and v.stats.states_explored == states
         assert (v.witness is not None) == (status == REACHABLE)
         assert all(calls.values()) and kernel_unknown, (calls, kernel_unknown)
-        # the UNKNOWN entries the kernels were given and the rel_apply calls
-        # add up to the misses
-        assert kernel_unknown + calls["rel_apply"] == v.stats.rel_apply_calls
+        # the unknown entries the kernels were given are the misses, and
+        # rel_apply checks one entry of each list stepped
+        assert kernel_unknown == v.stats.rel_apply_calls
+        assert calls["rel_apply"] == len(stepped)
+        assert any(branches(effects) for effects in stepped)
+
+
+def test_search_checks_each_kernel_against_rel_apply(monkeypatch):
+    # in each search, the first entry each list's kernel computes is
+    # computed again by rel_apply; a kernel that swaps the order of two
+    # placements fails the search, and a good kernel is checked again in
+    # the next search, though kernels are cached across searches
+    from tsocbmc import engine
+    sb, sb_target = _load("sb.tso")
+    real_kernel, real_apply = engine.rank_kernel, engine.rel_apply
+    applied = []
+
+    def noted_apply(ranks, effects):
+        applied.append(effects)
+        return real_apply(ranks, effects)
+
+    monkeypatch.setattr(engine, "rel_apply", noted_apply)
+    counts = []
+    for _ in range(2):
+        applied.clear()
+        assert check_reach(sb, sb_target, 3).status == REACHABLE
+        counts.append(len(applied))
+        assert len(set(applied)) == len(applied)
+    assert counts[0] == counts[1] > 0
+
+    def swapped_kernel(effects):
+        kernel = real_kernel(effects)
+        if not branches(effects):
+            return kernel
+
+        def wrapper(rids, ranks, ids, rank_id, row):
+            kids = kernel(rids, ranks, ids, rank_id, row)
+            for rid in rids:
+                row[rid] = row[rid][1::-1] + row[rid][2:]
+            return kids
+        return wrapper
+
+    monkeypatch.setattr(engine, "rank_kernel", swapped_kernel)
+    with pytest.raises(AssertionError, match="rank kernel of"):
+        check_reach(sb, sb_target, 3)
 
 
 def _ordered_chain(n):

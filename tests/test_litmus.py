@@ -33,6 +33,8 @@ VERDICTS = {
     "iriw_both.tso": 4,
     "2p2w_allowed.tso": 6,
     "s_allowed.tso": 4,
+    "r.tso": 4,
+    "n6.tso": 4,
 }
 
 

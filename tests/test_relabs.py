@@ -260,15 +260,130 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
                    if before[rid] != UNKNOWN or rid not in batch)
         # the successors in batch order, known ones as stored
         assert kids == [row[rid] for rid in batch if row[rid] != NO_SUCCESSOR]
-        # a fresh value anywhere in the list: no kernel
+        # two fresh values anywhere in the list: no kernel
         at = rng.randrange(len(effects) + 1)
-        with_fresh = effects[:at] + [("fresh", rng.randrange(n))] + effects[at:]
+        with_fresh = (effects[:at] + [("fresh", rng.randrange(n))] + effects[at:]
+                      + [("fresh", rng.randrange(n))])
         assert rank_kernel(tuple(with_fresh)) is None
     # half the batches hold all three kinds of entry; a batch of one or two
     # rank ids cannot
     assert mixed > 1000, mixed
     # a third of them empty a class, which bytes close by translate
     assert emptied > 500, emptied
+
+
+def _fresh_kernel_run(old, effects, known=()):
+    """rank_kernel(effects) on the batch of every rank tuple in old, as
+    bytes, after storing a wrong successor tuple for the rids in known;
+    returns the successors, the row and the interned tuples as tuples."""
+    kernel = rank_kernel(tuple(effects))
+    packed = [bytes(r) for r in old]
+    ids = list(range(len(packed)))
+    rank_id = dict(zip(packed, ids))
+    row = [None] * len(packed)
+    for rid in known:
+        row[rid] = (rid, rid)
+    kids = kernel(list(range(len(old))), packed, ids, rank_id, row)
+    assert all(type(r) is bytes for r in packed)
+    assert ids == list(range(len(packed)))
+    assert rank_id == {r: i for i, r in enumerate(packed)}
+    # each successor is the shared object of its id
+    assert all(e is ids[e] for e in kids)
+    return kids, row, [tuple(r) for r in packed]
+
+
+def _assert_fresh_kernel_matches(old, effects, known=()):
+    kids, row, ranks = _fresh_kernel_run(old, effects, known)
+    want = []
+    for rid, r in enumerate(old):
+        if rid in known:
+            # a stored entry is returned as it is, with no step
+            assert row[rid] == (rid, rid)
+            want += [r, r]
+            continue
+        succ = [tuple(x) for x in rel_apply(r, effects)]
+        # the memo entry: rel_apply's successors, in order
+        assert type(row[rid]) is tuple
+        assert [ranks[e] for e in row[rid]] == succ, (r, effects)
+        want += succ
+    # the successors in batch order
+    assert [ranks[e] for e in kids] == want, (old, effects)
+    return want
+
+
+@pytest.mark.parametrize("ranks, effects", [
+    ((0, 1, 2), [("fresh", 2)]),                     # d alone in the top class
+    ((0, 1, 2, 1), [("fresh", 2)]),                  # alone in the top, 3 columns
+    ((0, 0, 1), [("fresh", 1)]),                     # d shares class 0 with the sentinel
+    ((0, 0), [("fresh", 1)]),                        # the others are one class
+    ((0, 1), [("fresh", 1)]),                        # one class, d alone above it
+    ((0,), [("fresh", 0)]),                          # no other column: no placement
+    ((0, 1, 1, 2), [("fresh", 1)]),                  # d shares a middle class
+    ((0, 1, 2), [("fresh", 2), ("guard", NEQ, 2, 1)]),  # a tail guard drops some
+    ((0, 1, 2), [("guard", LT, 2, 1), ("fresh", 1)]),  # a head guard fails
+    ((0, 1, 2), [("fresh", 1), ("copy", 1, 0)]),      # a reset: equal successors
+    ((0, 2, 1, 2), [("copy", 3, 0), ("fresh", 2), ("copy", 1, 2),
+                    ("guard", le(1), 0, 1)]),
+])
+def test_fresh_kernel_edge_rows(ranks, effects):
+    want = _assert_fresh_kernel_matches([ranks], effects)
+    assert want == [tuple(r) for r in _rel_apply_ref(ranks, effects)]
+
+
+def test_fresh_kernel_tail_guard_drops_placements_only():
+    # of the four placements of r1 beside (0, 1), r1 < r2 keeps the join of
+    # class 0 and the slot just above it, in that order
+    want = _assert_fresh_kernel_matches([(0, 2, 1)], [("fresh", 1),
+                                                      ("guard", LT, 1, 2)])
+    assert want == [(0, 0, 1), (0, 1, 2)]
+    # placements in order: join class c, then the slot above it; r2 alone
+    # in the top class leaves two classes
+    assert _assert_fresh_kernel_matches([(0, 1, 2)], [("fresh", 2)]) == [
+        (0, 1, 0), (0, 2, 1), (0, 1, 1), (0, 1, 2)]
+
+
+def test_fresh_kernel_matches_rel_apply_on_random_effects():
+    # one fresh value at any position, guards and copies before it, resets,
+    # guards and copies after it, on a batch of random dense rank tuples of
+    # which some hold a stored entry
+    rng = random.Random(13)
+    rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
+
+    def effects(n, count, reset):
+        out = []
+        for _ in range(count):
+            tag = rng.choice(("copy", "guard"))
+            if tag == "copy":
+                out.append(("copy", rng.randrange(n), 0 if reset else rng.randrange(n)))
+            else:
+                out.append(("guard", rng.choice(rels), rng.randrange(n),
+                            rng.randrange(n)))
+        return out
+
+    dropped = stopped = 0
+    for _ in range(1500):
+        n = rng.randrange(1, 8)
+        effs = (effects(n, rng.randrange(4), False) + [("fresh", rng.randrange(n))]
+                + effects(n, rng.randrange(3), rng.random() < 0.5))
+        old = list(dict.fromkeys(
+            abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
+            for _ in range(rng.randrange(1, 6))))
+        known = {rid for rid in range(1, len(old)) if rng.random() < 0.3}
+        _assert_fresh_kernel_matches(old, effs, known)
+        at = [e[0] for e in effs].index("fresh")
+        for rid, r in enumerate(old):
+            if rid in known:
+                continue
+            head = rel_apply(r, effs[:at])
+            if head:
+                placed = rel_apply(head[0], effs[at:at + 1])
+                kept = rel_apply(r, effs)
+                dropped += 0 < len(kept) < len(placed)
+            else:
+                stopped += 1
+    # tail guards that drop some placements and head guards that drop all
+    assert dropped > 150, dropped
+    assert stopped > 150, stopped
 
 
 def test_rank_kernel_returns_the_shared_id_objects():
