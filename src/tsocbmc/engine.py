@@ -11,19 +11,18 @@ is below the column count and fits in a byte.  A bytes object of n ranks
 takes 33 + n bytes against a tuple's 40 + 8n, and keeps its hash once
 computed; bytes compare as the tuples of their values do, so the least
 state is the same in either form.  Past 256 columns the ranks stay tuples
-of ints, and rel_apply steps every effect list.  Control tuples are
-interned in the machine's control form (see abmachine), and the tables
-below hold their cells in the same form.  Each rank id has one int
-object, kept in a list beside the rank tuples: a kernel returns it for a
-stored successor in place of the int it reads from the memo row, which
-past 256 would be a new object each time, so every seen set, level and
-memo result holding an id holds the shared object (collapse compression
-again).  The witness
-and the public functions see tuples only.  The public key encoding
-(relabs.canonical_key, the control tuple followed by the rank tuple) is
-checked once per new control tuple; a concatenation splits back at the
-control length whatever the rank tuple, so a new rank tuple costs one
-dictionary lookup and nothing more.
+of ints.  Control tuples are interned in the machine's control form (see
+abmachine), and the tables below hold their cells in the same form.  Each
+rank id has one int object, kept in a list beside the rank tuples: a
+kernel returns it for a stored successor in place of the int it reads
+from the memo row, which past 256 would be a new object each time, so
+every seen set, level and memo result holding an id holds the shared
+object (collapse compression again).  The witness and the public
+functions see tuples only.  The public key encoding (relabs.canonical_key,
+the control tuple followed by the rank tuple) is checked once per new
+control tuple; a concatenation splits back at the control length whatever
+the rank tuple, so a new rank tuple costs one dictionary lookup and
+nothing more.
 
 Many rank tuples share one control state, and a control state's successors
 (labels, effect lists, successor control, whether it hits the target) do
@@ -42,22 +41,19 @@ as they are.  bakery(2) k=3 expands 2,764 control states and fills 230
 move and 59 switch entries.  Likewise the rank step depends only on the
 rank tuple and the effect list, and each search memoizes it in one memo
 row per list, indexed by rank id.  Each list's memo lookup is its rank
-kernel (relabs.rank_kernel, fetched once when the list is interned; the
-relabs module docstring says which lists get one), read in the search
-loop by the kernel alone.  It takes a whole batch, returns each known
-successor without a step, and computes only the entries not computed yet:
-it fills them and interns the new tuples itself, a rank id whose tuple
-nothing moved kept with no lookup and a moved tuple costing one.  A list
-with at most one successor has an int array row, holding the successor
-rank id or one of relabs' markers UNKNOWN and NO_SUCCESSOR.  A list with a
-fresh value branches, and its row is a list holding None or the tuple of
-its successor rank ids.  A list without a kernel (any list past 256
-columns, or one with two fresh values) gets the same list row, filled by
-one rel_apply call per miss, its results interned in order as a kernel
-interns them.  rel_apply also checks the generated code: in each search,
-the first entry each list's kernel computes is computed again by
-rel_apply, and a difference in the successors or their order raises
-AssertionError.  These tables live only as long as that search.
+kernel (relabs.rank_kernel, compiled for the search's rank form and
+fetched once when the list is interned).  It takes a whole batch, returns
+each known successor without a step, and computes only the entries not
+computed yet: it fills them and interns the new tuples itself, a rank id
+whose tuple nothing moved kept with no lookup and a moved tuple costing
+one.  A list with at most one successor has an int array row, holding the
+successor rank id or one of relabs' markers UNKNOWN and NO_SUCCESSOR.  A
+list with a fresh value branches, and its row is a list holding None or
+the tuple of its successor rank ids.  rel_apply checks the generated
+code: in each search, the first entry each list's kernel computes is
+computed again by rel_apply, and a difference in the successors or their
+order raises AssertionError.  These tables live only as long as that
+search.
 
 Within each schedule the search runs level by level (level-synchronous
 breadth-first search).  A level maps each control id to its batch of rank
@@ -157,32 +153,6 @@ _ENTRY = _UNKNOWN_ROW.itemsize
 _TOP = _ENTRY - 1 if sys.byteorder == "little" else 0
 
 
-def _applied(effects: tuple, pack: Callable) -> Callable:
-    """A rank kernel's memo lookup through rel_apply, for a list that has
-    no kernel (any list past 256 columns, where pack is tuple, or one with
-    two fresh values): the row is a list row, and each None entry runs
-    rel_apply once, its results packed and interned in order as a kernel
-    interns them."""
-    def kernel(rids, ranks, ids, rank_id, row):
-        kids: list[int] = []
-        for rid in rids:
-            out = row[rid]
-            if out is None:
-                out = []
-                for r2 in rel_apply(ranks[rid], effects):
-                    r2 = pack(r2)
-                    rid2 = rank_id.get(r2)
-                    if rid2 is None:
-                        rid2 = rank_id[r2] = len(ranks)
-                        ranks.append(r2)
-                        ids.append(rid2)
-                    out.append(rid2)
-                out = row[rid] = tuple(out)
-            kids += out
-        return kids
-    return kernel
-
-
 def _checked(kernel: Callable, effects: tuple, kernels: list, eid: int) -> Callable:
     """kernel, which on its first call puts itself back in kernels[eid] and
     checks the first entry it computed against rel_apply: the successor
@@ -265,7 +235,7 @@ def check_reach(program: Program, target: Target, k: int,
 
     r0 = rel_initial(m.nab)
     # rank tuples as bytes up to 256 columns, tuples of ints past that (see
-    # the module docstring); kernels only for bytes
+    # the module docstring); the kernels are compiled for that form
     pack = bytes if m.nab <= 256 else tuple
     # the interned parts of a state: control tuples by cid, rank tuples by
     # rid (r0 first) and effect lists by eid, each a list plus a dict; ids
@@ -278,7 +248,7 @@ def check_reach(program: Program, target: Target, k: int,
     effs: list[tuple] = []
     eff_id: dict[tuple, int] = {}
     # per eid, the list's memo lookup: its rank kernel (see the relabs
-    # module docstring), checked on its first call, or _applied's
+    # module docstring), checked on its first call
     kernels: list[Callable] = []
     # per cid, once expanded: its moves [(label, eid, successor cid)] in
     # table order, split into those that miss and those that hit the target
@@ -313,13 +283,8 @@ def check_reach(program: Program, target: Target, k: int,
         if eid is None:
             eid = eff_id[eff] = len(effs)
             effs.append(eff)
-            kernel = rank_kernel(eff) if pack is bytes else None
-            if kernel is None:
-                kernels.append(_applied(eff, pack))
-                memo.append([])
-            else:
-                kernels.append(_checked(kernel, eff, kernels, eid))
-                memo.append([] if branches(eff) else array("i"))
+            kernels.append(_checked(rank_kernel(eff, pack), eff, kernels, eid))
+            memo.append([] if branches(eff) else array("i"))
         return eid
 
     def expand(cid: int) -> tuple[list, list]:

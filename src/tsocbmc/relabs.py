@@ -45,30 +45,28 @@ columns, and a tuple of ints past that.  Bytes are exact: ranks are dense,
 so every rank is below the column count, and bytes order as the tuples of
 their values.
 
-On bytes every list a machine emits gets a kernel: rank_kernel compiles
-its whole memo lookup, a loop over the batch that reads each memo entry,
-returns a known successor without a step, and runs rel_apply's step only
-on an entry not computed yet, with the guard comparisons and copies
+Every list a machine emits gets one kernel per rank form: rank_kernel
+compiles its whole memo lookup, a loop over the batch that reads each memo
+entry, returns a known successor without a step, and runs rel_apply's step
+only on an entry not computed yet, with the guard comparisons and copies
 written out per column (no dispatch on the effect tag, no unpacking); it
 interns each new rank tuple, writes the memo entry and returns the
 successor ids, each as the one int object the search keeps for that id.
 A fresh-free list's memo row is an int array; a list with one fresh value
-builds its placements on the bytes tuple with translate tables and keeps
-the tuple of its successors in a list row.  Only a list with two or more
-fresh values gets no kernel, and no machine emits one.  Past 256 columns
-the search steps every list through rel_apply, once per memo miss, into
-the same list rows.  rel_apply takes bytes too, since it only indexes,
-counts and lists its input; each search checks the first entry each
-kernel computes against it.  No workload comes near 256 columns
-(bakery(2) at k=4 has 33), so there is one kernel form, on bytes.
-Kernels are cached per effect list across searches.  Every public
-function here takes and returns tuples.
+keeps the tuple of its successors in a list row.  The two forms' sources
+differ only in how a column's rank is set and a class closed or opened:
+bytes slice in one byte and translate by a table, tuples build the new
+tuple.  No machine emits a list with two fresh values, and rank_kernel
+rejects one.  rel_apply takes bytes too, since it only indexes, counts and
+lists its input; each search checks the first entry each kernel computes
+against it.  Kernels are cached per effect list and form across searches.
+Every public function here takes and returns tuples.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .abmachine import ab_machine
 from .model import Program, Relation, RelKind
@@ -195,6 +193,15 @@ _ONE = [_IDENTITY[v:v + 1] for v in range(256)]
 _DOWN = [_IDENTITY[:o + 1] + _IDENTITY[o:255] for o in range(256)]
 _UP = [_IDENTITY[:c + 1] + _IDENTITY[c + 2:] + b"\xff" for c in range(255)]
 
+# The only source a kernel's rank form decides, per form: the one-column
+# piece that sets a column to rank n, then r with class o closed, then r
+# with the slot above class c opened.
+_FORMS = {
+    bytes: ("ONE[{}]", "r.translate(DOWN[o])", "r.translate(UP[c])"),
+    tuple: ("({},)", "tuple([v - 1 if v > o else v for v in r])",
+            "tuple([v + 1 if v > c else v for v in r])"),
+}
+
 
 def branches(effects) -> bool:
     """Whether an effect list can have more than one successor: it holds a
@@ -215,20 +222,21 @@ def _fails(rel: Relation) -> str:
     return ">"
 
 
-def _inline(effects, indent: str, fail: str) -> list[str]:
-    """rel_apply's guards and copies on the bytes tuple r, written out per
-    column; a failing guard runs fail."""
+def _inline(effects, form: type, indent: str, fail: str) -> list[str]:
+    """rel_apply's guards and copies on the rank tuple r of the given
+    form, written out per column; a failing guard runs fail."""
+    one, down, _ = _FORMS[form]
     lines = []
     for eff in effects:
         if eff[0] == "copy":
             _, d, s = eff
             if d == s:  # a self copy never moves
                 continue
-            # _copy, inline, on bytes
+            # _copy, inline
             lines += [f"{indent}o = r[{d}]; n = r[{s}]",
                       f"{indent}if o != n:",
-                      f"{indent} r = r[:{d}] + ONE[n] + r[{d + 1}:]",
-                      f"{indent} if o not in r: r = r.translate(DOWN[o])"]
+                      f"{indent} r = r[:{d}] + {one.format('n')} + r[{d + 1}:]",
+                      f"{indent} if o not in r: r = {down}"]
         else:
             _, rel, a, b = eff
             lines.append(f"{indent}if r[{a}] {_fails(rel)} r[{b}]: {fail}")
@@ -243,21 +251,19 @@ _INTERN = ["e = get(r)",
 
 
 @lru_cache(maxsize=_KERNELS)
-def rank_kernel(effects: tuple) -> Optional[Callable]:
+def rank_kernel(effects: tuple, form: type) -> Callable:
     """The whole memo lookup of one effect list for a batch of rank ids,
-    compiled to straight-line code; None for a list with two or more fresh
-    values, which no machine emits.
+    compiled to straight-line code for rank tuples of the given form,
+    bytes or tuple (see the module docstring).
 
-    kernel(rids, ranks, ids, rank_id, row) takes ranks holding bytes (see
-    the module docstring), and ids, which holds the int object of each rank
-    id and grows with ranks; rank_id maps each tuple to that same object.
-    It reads row[rid] for each rid of the batch, and only an entry not
-    computed yet runs rel_apply's step on ranks[rid], with the guards and
-    copies written out per column (no dispatch on the effect tag, no
-    unpacking).  Each new tuple is interned with one rank_id.get and
-    appended to ranks and ids when it is new.  The row must reach every
-    rid of the batch.  It returns the successor rank ids in batch order,
-    each as the shared object ids holds.
+    kernel(rids, ranks, ids, rank_id, row) takes ranks holding that form,
+    and ids, which holds the int object of each rank id and grows with
+    ranks; rank_id maps each tuple to that same object.  It reads row[rid]
+    for each rid of the batch, and only an entry not computed yet runs
+    rel_apply's step on ranks[rid].  Each new tuple is interned with one
+    rank_id.get and appended to ranks and ids when it is new.  The row must
+    reach every rid of the batch.  It returns the successor rank ids in
+    batch order, each as the shared object ids holds.
 
     A fresh-free list's row is an int array (see UNKNOWN).  A stored
     successor costs one comparison and is returned as ids[entry], not the
@@ -268,23 +274,24 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
     A list with one fresh value has a list row: a stored tuple of rank ids
     is returned as it is, and a None entry becomes the tuple of the
     successors, () when a guard before the fresh value fails.  The fresh
-    value's placements are built on the bytes tuple as _fresh builds them,
-    each join then each above slot: _DOWN closes d's old singleton class,
-    one slice sets d, and _UP[c] opens the slot above class c.  The effects
-    after the fresh value run on each placement, and a failing guard there
-    drops that placement only.
+    value's placements are built as _fresh builds them, each join then each
+    above slot: d's old singleton class is closed, d is set, and the slot
+    above class c is opened.  The effects after the fresh value run on each
+    placement, and a failing guard there drops that placement only.  A list
+    with two or more fresh values raises ValueError.
 
     The generated source holds only int column indices and fixed
     operators; every column is checked to be an int before any is built.
     """
     fresh = [i for i, eff in enumerate(effects) if eff[0] == "fresh"]
     if len(fresh) > 1:
-        return None
+        raise ValueError(f"effect list {effects!r} has more than one fresh value")
     for eff in effects:
         cols = eff[2:] if eff[0] == "guard" else eff[1:]
         if any(type(c) is not int for c in cols):
             raise TypeError(f"effect {eff!r} has a column that is not an int")
 
+    one, down, up = _FORMS[form]
     lines = ["def kernel(rids, ranks, ids, rank_id, row):",
              " kids = []; get = rank_id.get"]
     if not fresh:
@@ -294,7 +301,7 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
                   "  if e >= 0: add(ids[e]); continue",
                   "  if e == NO_SUCCESSOR: continue",
                   "  r = q = ranks[rid]"]
-        lines += _inline(effects, "  ", "row[rid] = NO_SUCCESSOR; continue")
+        lines += _inline(effects, form, "  ", "row[rid] = NO_SUCCESSOR; continue")
         lines += ["  if r is q: row[rid] = rid; add(rid); continue"]
         lines += ["  " + line for line in _INTERN]
         lines += ["  row[rid] = e; add(e)"]
@@ -306,18 +313,19 @@ def rank_kernel(effects: tuple) -> Optional[Callable]:
                   "  e = row[rid]",
                   "  if e is not None: more(e); continue",
                   "  r = ranks[rid]"]
-        lines += _inline(effects[:at], "  ", "row[rid] = (); continue")
-        # _fresh, on bytes: w is the number of the other columns' classes
+        lines += _inline(effects[:at], form, "  ", "row[rid] = (); continue")
+        # _fresh: w is the number of the other columns' classes
         lines += [f"  o = r[{d}]; w = max(r)",
                   "  if r.count(o) > 1: w += 1",
-                  "  else: r = r.translate(DOWN[o])",
+                  f"  else: r = {down}",
                   f"  lo = r[:{d}]; hi = r[{d + 1}:]; ps = []",
                   "  for c in range(w):",
-                  "   a = r.translate(UP[c])",
-                  f"   ps += (lo + ONE[c] + hi, a[:{d}] + ONE[c + 1] + a[{d + 1}:])",
+                  f"   a = {up}",
+                  f"   ps += (lo + {one.format('c')} + hi, "
+                  f"a[:{d}] + {one.format('c + 1')} + a[{d + 1}:])",
                   "  out = []",
                   "  for r in ps:"]
-        lines += _inline(effects[at + 1:], "   ", "continue")
+        lines += _inline(effects[at + 1:], form, "   ", "continue")
         lines += ["   " + line for line in _INTERN]
         lines += ["   out.append(e)",
                   "  row[rid] = out = tuple(out); more(out)"]

@@ -27,10 +27,10 @@ class Stats:
     # check_reach's move and switch table fills, one per distinct key (see
     # AbMachine.table_keys); 0 in the oracle searches
     move_keys: int = 0
-    # memo misses, one filled memo entry each: an entry a rank kernel
-    # computed, or one rel_apply call for a list without a kernel (any list
-    # past 256 columns; see the relabs module docstring).  check_reach's
-    # per-search checks of each kernel against rel_apply are not counted
+    # memo misses, one filled memo entry each, computed by the list's rank
+    # kernel in either rank form (see the relabs module docstring).
+    # check_reach's per-search checks of each kernel against rel_apply are
+    # not counted
     rel_apply_calls: int = 0
     wall_ms: float = 0.0
     # the cap that ended the search: "max_states" or "max_mb", or "depth"

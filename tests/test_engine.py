@@ -619,9 +619,8 @@ def test_search_calls_the_public_encoding(monkeypatch):
 
     real_kernel = engine.rank_kernel
 
-    def counted_kernel(effects):
-        kernel = real_kernel(effects)
-        assert kernel is not None, effects
+    def counted_kernel(effects, form):
+        kernel = real_kernel(effects, form)
 
         def wrapper(rids, ranks, ids, rank_id, row):
             nonlocal kernel_unknown
@@ -653,6 +652,32 @@ def test_search_calls_the_public_encoding(monkeypatch):
         assert any(branches(effects) for effects in stepped)
 
 
+def test_every_interned_list_holds_at_most_one_fresh_value(monkeypatch):
+    # rank_kernel compiles a list with at most one fresh value and raises on
+    # one with two, so every list a search interns must hold at most one:
+    # a move draws one value, and a switch's flush draws none
+    from tsocbmc import engine
+    from tsocbmc.generators import gen_bakery
+    from tsocbmc.selftest import random_program, random_target
+    fresh_counts = []
+    real_kernel = engine.rank_kernel
+
+    def noted_kernel(effects, form):
+        fresh_counts.append(sum(eff[0] == "fresh" for eff in effects))
+        return real_kernel(effects, form)
+
+    monkeypatch.setattr(engine, "rank_kernel", noted_kernel)
+    searches = [(gen_bakery(1), 4), (gen_bakery(2), 3)]
+    rng = random.Random(38)
+    for n_threads in (2, 3) * 100:
+        p = random_program(rng, n_threads)
+        searches.append((SimpleNamespace(program=p, target=random_target(rng, p)), 3))
+    for g, k in searches:
+        check_reach(g.program, g.target, k)
+    assert max(fresh_counts) == 1
+    assert fresh_counts.count(1) > 50, fresh_counts.count(1)
+
+
 def test_search_checks_each_kernel_against_rel_apply(monkeypatch):
     # in each search, the first entry each list's kernel computes is
     # computed again by rel_apply; a kernel that swaps the order of two
@@ -676,8 +701,8 @@ def test_search_checks_each_kernel_against_rel_apply(monkeypatch):
         assert len(set(applied)) == len(applied)
     assert counts[0] == counts[1] > 0
 
-    def swapped_kernel(effects):
-        kernel = real_kernel(effects)
+    def swapped_kernel(effects, form):
+        kernel = real_kernel(effects, form)
         if not branches(effects):
             return kernel
 
@@ -712,22 +737,21 @@ def _ordered_chain(n):
                                              (257, tuple, 66_820)])
 def test_ranks_past_one_byte_are_decided(monkeypatch, n, form, states):
     # a search keeps rank tuples as bytes up to 256 summary columns, where
-    # every rank is below 256, and steps its fresh-free lists by their
-    # kernels; past that it keeps tuples of ints, fetches no kernel and
-    # steps every list by rel_apply, one call per memo miss.  Either way the
-    # witness's rank tuples are tuples of ints
+    # every rank is below 256, and tuples of ints past that; either way it
+    # fetches each list's kernel for that form, steps every list by it, and
+    # runs rel_apply once per list stepped, to check the kernel's first
+    # entry.  The witness's rank tuples are tuples of ints
     from tsocbmc import engine
-    fetched, kernel_forms, apply_forms = [], set(), []
+    fetched, kernel_forms, apply_forms, stepped = [], set(), [], set()
     real_kernel, real_apply = engine.rank_kernel, engine.rel_apply
 
-    def noted_kernel(effects):
-        fetched.append(effects)
-        kernel = real_kernel(effects)
-        if kernel is None:
-            return None
+    def noted_kernel(effects, kernel_form):
+        fetched.append(kernel_form)
+        kernel = real_kernel(effects, kernel_form)
 
         def wrapper(rids, ranks, ids, rank_id, row):
             kernel_forms.add(type(ranks[0]))
+            stepped.add(effects)
             return kernel(rids, ranks, ids, rank_id, row)
         return wrapper
 
@@ -741,12 +765,11 @@ def test_ranks_past_one_byte_are_decided(monkeypatch, n, form, states):
     assert ab_machine(p, 1).nab == n + 1
     v = check_reach(p, tgt, 1)
     assert v.status == REACHABLE and v.stats.states_explored == states
-    assert set(apply_forms) == {form}
-    if form is bytes:
-        assert kernel_forms == {bytes}
-    else:
-        assert not fetched
-        assert len(apply_forms) == v.stats.rel_apply_calls == 66_820
+    # each state steps its one list on a rank tuple not stepped before
+    assert v.stats.rel_apply_calls == states
+    assert fetched and set(fetched) == {form}
+    assert kernel_forms == set(apply_forms) == {form}
+    assert len(apply_forms) == len(stepped)
     after = [step.rel_after for step in v.witness.steps]
     assert all(type(r) is tuple and all(type(x) is int for x in r) for r in after)
     assert max(map(max, after)) == n

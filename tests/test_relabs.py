@@ -181,11 +181,11 @@ def test_rel_apply_matches_reference_on_random_effects():
 
 
 def test_rank_kernel_matches_rel_apply_on_random_effects():
-    # the recipe above without fresh values, which get no kernel, run on a
-    # random batch of rank ids that mixes unknown memo entries with known
-    # ones: a stored rank id that is not the step's successor, so a kernel
-    # that recomputes a known entry fails, and NO_SUCCESSOR.  Kernels step
-    # rank tuples held as bytes, the form a search gives them
+    # the recipe above without fresh values, run on a random batch of rank
+    # ids that mixes unknown memo entries with known ones: a stored rank id
+    # that is not the step's successor, so a kernel that recomputes a known
+    # entry fails, and NO_SUCCESSOR.  Each list's kernel steps the batch in
+    # both rank forms a search gives it, bytes and tuples of ints
     rng = random.Random(12)
     rels = [EQ, NEQ, LT, LE, lt(2), le(1)]
     mixed = emptied = 0
@@ -226,65 +226,71 @@ def test_rank_kernel_matches_rel_apply_on_random_effects():
         # a copy that empties a class lowers the top rank
         emptied += any(before[rid] == UNKNOWN and want[rid]
                        and max(want[rid][0]) < max(old[rid]) for rid in batch)
-        kernel = rank_kernel(tuple(effects))
-        packed = [bytes(r) for r in old]
-        ids = list(range(len(packed)))
-        rank_id = dict(zip(packed, ids))
-        kids = kernel(batch, packed, ids, rank_id, row)
-        # a moved tuple stays bytes; compared below as tuples of ints
-        assert all(type(r) is bytes for r in packed)
-        # ids grows with ranks, one id per new tuple
-        assert ids == list(range(len(packed)))
-        ranks = [tuple(r) for r in packed]
-
         assert UNKNOWN in (before[rid] for rid in batch)
-        new = []
-        for rid in batch:
-            if before[rid] != UNKNOWN:
-                continue
-            entry = row[rid]
-            if not want[rid]:
-                assert entry == NO_SUCCESSOR
-                continue
-            assert len(want[rid]) == 1 and ranks[entry] == want[rid][0]
-            # the rid is kept exactly when nothing moved
-            assert (entry == rid) == (want[rid][0] == old[rid])
-            if want[rid][0] not in old and want[rid][0] not in new:
-                new.append(want[rid][0])
-        # new tuples are interned in batch order, one rank id each
-        assert ranks == old + new
-        assert rank_id == {r: i for i, r in enumerate(packed)}
-        # known entries are untouched, and so are unknown ones not in the
-        # batch
-        assert all(row[rid] == before[rid] for rid in range(len(old))
-                   if before[rid] != UNKNOWN or rid not in batch)
-        # the successors in batch order, known ones as stored
-        assert kids == [row[rid] for rid in batch if row[rid] != NO_SUCCESSOR]
-        # two fresh values anywhere in the list: no kernel
+        for form in (bytes, tuple):
+            row = array("i", before)
+            packed = [form(r) for r in old]
+            ids = list(range(len(packed)))
+            rank_id = dict(zip(packed, ids))
+            kids = rank_kernel(tuple(effects), form)(batch, packed, ids, rank_id, row)
+            # a moved tuple keeps the form; compared below as tuples of ints
+            assert all(type(r) is form for r in packed)
+            # ids grows with ranks, one id per new tuple
+            assert ids == list(range(len(packed)))
+            ranks = [tuple(r) for r in packed]
+
+            new = []
+            for rid in batch:
+                if before[rid] != UNKNOWN:
+                    continue
+                entry = row[rid]
+                if not want[rid]:
+                    assert entry == NO_SUCCESSOR
+                    continue
+                assert len(want[rid]) == 1 and ranks[entry] == want[rid][0]
+                # the rid is kept exactly when nothing moved
+                assert (entry == rid) == (want[rid][0] == old[rid])
+                if want[rid][0] not in old and want[rid][0] not in new:
+                    new.append(want[rid][0])
+            # new tuples are interned in batch order, one rank id each
+            assert ranks == old + new
+            assert rank_id == {r: i for i, r in enumerate(packed)}
+            # known entries are untouched, and so are unknown ones not in
+            # the batch
+            assert all(row[rid] == before[rid] for rid in range(len(old))
+                       if before[rid] != UNKNOWN or rid not in batch)
+            # the successors in batch order, known ones as stored
+            assert kids == [row[rid] for rid in batch if row[rid] != NO_SUCCESSOR]
+        # two fresh values anywhere in the list: no machine emits one, and
+        # no kernel is compiled for it
         at = rng.randrange(len(effects) + 1)
         with_fresh = (effects[:at] + [("fresh", rng.randrange(n))] + effects[at:]
                       + [("fresh", rng.randrange(n))])
-        assert rank_kernel(tuple(with_fresh)) is None
+        for form in (bytes, tuple):
+            with pytest.raises(ValueError, match="more than one fresh value"):
+                rank_kernel(tuple(with_fresh), form)
     # half the batches hold all three kinds of entry; a batch of one or two
     # rank ids cannot
     assert mixed > 1000, mixed
-    # a third of them empty a class, which bytes close by translate
+    # a third of them empty a class, which bytes close by translate and
+    # tuples by re-ranking
     assert emptied > 500, emptied
 
 
-def _fresh_kernel_run(old, effects, known=()):
-    """rank_kernel(effects) on the batch of every rank tuple in old, as
-    bytes, after storing a wrong successor tuple for the rids in known;
-    returns the successors, the row and the interned tuples as tuples."""
-    kernel = rank_kernel(tuple(effects))
-    packed = [bytes(r) for r in old]
+def _fresh_kernel_run(old, effects, known, form):
+    """rank_kernel(effects, form) on the batch of every rank tuple in old,
+    in that form, after storing a wrong successor tuple for the rids in
+    known; returns the successors, the row and the interned tuples as
+    tuples."""
+    kernel = rank_kernel(tuple(effects), form)
+    packed = [form(r) for r in old]
     ids = list(range(len(packed)))
     rank_id = dict(zip(packed, ids))
     row = [None] * len(packed)
     for rid in known:
         row[rid] = (rid, rid)
     kids = kernel(list(range(len(old))), packed, ids, rank_id, row)
-    assert all(type(r) is bytes for r in packed)
+    assert all(type(r) is form for r in packed)
     assert ids == list(range(len(packed)))
     assert rank_id == {r: i for i, r in enumerate(packed)}
     # each successor is the shared object of its id
@@ -292,8 +298,8 @@ def _fresh_kernel_run(old, effects, known=()):
     return kids, row, [tuple(r) for r in packed]
 
 
-def _assert_fresh_kernel_matches(old, effects, known=()):
-    kids, row, ranks = _fresh_kernel_run(old, effects, known)
+def _assert_fresh_kernel_matches(old, effects, known=(), form=bytes):
+    kids, row, ranks = _fresh_kernel_run(old, effects, known, form)
     want = []
     for rid, r in enumerate(old):
         if rid in known:
@@ -326,8 +332,27 @@ def _assert_fresh_kernel_matches(old, effects, known=()):
                     ("guard", le(1), 0, 1)]),
 ])
 def test_fresh_kernel_edge_rows(ranks, effects):
-    want = _assert_fresh_kernel_matches([ranks], effects)
-    assert want == [tuple(r) for r in _rel_apply_ref(ranks, effects)]
+    for form in (bytes, tuple):
+        want = _assert_fresh_kernel_matches([ranks], effects, form=form)
+        assert want == [tuple(r) for r in _rel_apply_ref(ranks, effects)]
+
+
+def test_tuple_kernels_step_ranks_past_one_byte():
+    # ranks above 255, which bytes cannot hold: a copy that empties class
+    # 270 moves the one rank above it down, and a fresh value placed above
+    # class 300 opens a rank of 302
+    r = tuple(range(272))
+    effects = (("copy", 270, 269),)
+    ranks, ids = [r], [0]
+    rank_id = {r: 0}
+    row = array("i", [UNKNOWN])
+    assert rank_kernel(effects, tuple)([0], ranks, ids, rank_id, row) == [1]
+    assert list(row) == [1] and ranks[1:] == rel_apply(r, effects)
+    assert ranks[1][269:] == (269, 269, 270)
+    r = tuple(range(301)) + (150,)
+    want = _assert_fresh_kernel_matches([r], [("fresh", 301)], form=tuple)
+    assert want == [tuple(x) for x in rel_apply(r, [("fresh", 301)])]
+    assert len(want) == 602 and want[-1] == r[:301] + (301,)
 
 
 def test_fresh_kernel_tail_guard_drops_placements_only():
@@ -369,7 +394,8 @@ def test_fresh_kernel_matches_rel_apply_on_random_effects():
             abstract_of([0] + [rng.randrange(0, 5) for _ in range(n - 1)])
             for _ in range(rng.randrange(1, 6))))
         known = {rid for rid in range(1, len(old)) if rng.random() < 0.3}
-        _assert_fresh_kernel_matches(old, effs, known)
+        for form in (bytes, tuple):
+            _assert_fresh_kernel_matches(old, effs, known, form)
         at = [e[0] for e in effs].index("fresh")
         for rid, r in enumerate(old):
             if rid in known:
@@ -390,7 +416,7 @@ def test_rank_kernel_returns_the_shared_id_objects():
     # past 256 every int read from a memo row is a new object, so a kernel
     # returns the one ids holds, both for a stored successor and for a tuple
     # it interns, and rank_id maps the new tuple to that object too
-    kernel = rank_kernel((("copy", 1, 2),))
+    kernel = rank_kernel((("copy", 1, 2),), bytes)
     stored, succ = (0, 1, 2, 3, 4, 5), (0, 1, 1, 2, 3, 4)
     fresh, fresh_succ = (0, 1, 2, 2, 3, 4), (0, 1, 1, 1, 2, 3)
     pad = sorted({abstract_of((0,) + v) for v in product(range(4), repeat=5)}
@@ -420,15 +446,15 @@ def test_rank_kernel_rejects_a_column_that_is_not_an_int(monkeypatch):
                     (("copy", None, 0),),
                     (("guard", EQ, 0, 1), ("guard", LT, 1.5, 0))):
         with pytest.raises(TypeError, match="not an int"):
-            rank_kernel(effects)
+            rank_kernel(effects, bytes)
 
 
 def test_each_rank_kernel_has_its_own_filename():
     # cProfile keys functions by (filename, line, name): one shared filename
     # would fold every kernel into one entry
-    kernels = [rank_kernel((("copy", 0, 1),)),
-               rank_kernel((("copy", 0, 1), ("guard", lt(2), 1, 0))),
-               rank_kernel((("guard", LE, 0, 1),))]
+    kernels = [rank_kernel((("copy", 0, 1),), bytes),
+               rank_kernel((("copy", 0, 1), ("guard", lt(2), 1, 0)), bytes),
+               rank_kernel((("guard", LE, 0, 1),), tuple)]
     names = [k.__code__.co_filename for k in kernels]
     assert len(set(names)) == 3 and all(n.startswith("<rank kernel ") for n in names)
 
